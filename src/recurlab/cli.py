@@ -93,7 +93,7 @@ def parse_sequence(text: str) -> circle.RadiusSequence:
 _KNOWN_KEYS = {
     "experiment", "system", "seq", "seq_conv", "k", "n", "m", "samples",
     "seed", "n0", "m_horizon", "h", "a", "r", "alphas", "checkpoints",
-    "bins", "out", "budget_arcs", "precision_bits",
+    "bins", "out", "budget_arcs",
 }
 
 _EXPERIMENTS = {"rio", "rio_dichotomy", "ear", "ear_exact", "petrov",
@@ -122,7 +122,6 @@ class RunConfig:
     bins: int = 1024
     out: str = "."
     budget_arcs: int = exact_sets.DEFAULT_ARC_BUDGET
-    precision_bits: int | None = None
     notes: tuple[str, ...] = field(default=())
 
 
@@ -182,7 +181,6 @@ def parse_config(text: str) -> RunConfig:
     grab("r", Fraction, "r")
     grab("bins", int, "bins", positive=True)
     grab("budget_arcs", int, "budget_arcs", positive=True)
-    grab("precision_bits", int, "precision_bits", positive=True)
     if "alphas" in section:
         try:
             cfg.alphas = tuple(float(v) for v in section["alphas"].split(","))
@@ -306,8 +304,7 @@ def cmd_ear(args) -> int:
 def cmd_petrov(args) -> int:
     seq = parse_sequence(args.seq)
     horizons = [int(v) for v in args.N.split(",")]
-    profile = exact_sets.petrov_profile(args.a, seq, horizons, Fraction(args.H),
-                                        arc_budget=args.budget_arcs)
+    profile = exact_sets.petrov_profile(args.a, seq, horizons, Fraction(args.H))
     payload = {
         "a": args.a, "seq": seq.describe(), "H": str(Fraction(args.H)),
         "profile": [
@@ -444,10 +441,7 @@ def cmd_run(args) -> int:
         scan_alphas=None, checkpoints=",".join(str(c) for c in cfg.checkpoints),
         piecewise=False, set_out=None, x="1/3", steps=32,
     )
-    if cfg.experiment == "rio":
-        return cmd_rio(ns)
-    if cfg.experiment == "rio_dichotomy":
-        ns.seq = cfg.seq.describe()  # divergent side
+    if cfg.experiment in ("rio", "rio_dichotomy"):
         return cmd_rio(ns)
     if cfg.experiment == "ear":
         return cmd_ear(ns)
@@ -478,16 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantitative-recurrence experiments for expanding maps. "
                     "TSV outputs carry columns: x, estimate, ci_low, ci_high.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each command takes only the options it acts on
+    def common(p, seed=False, budget=False):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-arcs", dest="budget_arcs", type=int,
-                       default=exact_sets.DEFAULT_ARC_BUDGET)
-        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if budget:
+            p.add_argument("--budget-arcs", dest="budget_arcs", type=int,
+                           default=exact_sets.DEFAULT_ARC_BUDGET)
 
     p = sub.add_parser("rio", help="truncated infinitely-often return measure")
     p.add_argument("--system", required=True)
@@ -497,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--N", type=int, default=5000)
     p.add_argument("--M", type=int, default=2000)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_rio)
 
     p = sub.add_parser("ear", help="eventually-always return experiments")
@@ -509,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="exact interval arithmetic path")
     p.add_argument("--sigma", default=None,
                    help="run the exact complement-measure bound check at this sigma")
-    common(p)
+    common(p, seed=True, budget=True)
     p.set_defaults(func=cmd_ear)
 
     p = sub.add_parser("petrov", help="exact quasi-independence ratio profile")
@@ -560,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="branch-composition construction")
     p.add_argument("--set-out", dest="set_out", default=None,
                    help="write the IntervalSet text serialization here")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("orbit", help="orbit traces and orbit statistics")
@@ -571,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the minimal-weighted-distance scan for these alphas")
     p.add_argument("--checkpoints", default="100,1000,10000")
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("run", help="run an experiment from a config file")

@@ -3,8 +3,11 @@
 For the circle map T x = a x mod 1 the set E_n is a union of |a^n - 1| arcs
 of radius r/(a^n - 1) centered at the fixed points j/(a^n - 1) of T^n, so
 mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact rational
-arithmetic; bulk sweeps run on integer-scaled arcs (endpoints over a common
-denominator L), with a numpy int64 fast path when L fits in 62 bits.
+arithmetic. Overlaps mu(E_i ∩ E_j) come in closed form from the gcd identity
+gcd(a^i - 1, a^j - 1) = |a^gcd(i,j) - 1|, without building any arc. Arc sets
+are integer-scaled (endpoints over a common denominator L); the
+eventually-always intersection builds only those arcs of each cover that
+meet the running intersection.
 
 Hard budgets replace silent truncation: a computation that would need more
 arcs or composed branches than allowed raises, naming the limit.
@@ -19,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
-import numpy as np
 
 from .circle import (
     IntervalSet,
@@ -33,9 +35,6 @@ from .systems import IntegerCircleMap, PiecewiseLinear, SystemSpec
 
 DEFAULT_ARC_BUDGET = 1 << 22
 DEFAULT_BRANCH_BUDGET = 1 << 22
-
-# Largest common denominator for which scaled arcs fit comfortably in int64.
-_NP_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -347,51 +346,30 @@ def branch_ratio_check(
 # Pairwise intersections and the Petrov ratio
 # ---------------------------------------------------------------------------
 
-def _np_en_arrays(M: int, sp: int, w: int, L: int):
-    """E_n arcs as int64 lo/hi arrays (sorted, disjoint, within [0, L])."""
-    ks = np.arange(1, M, dtype=np.int64)
-    los = np.concatenate(([0], ks * sp - w, [L - w]))
-    his = np.concatenate(([w], ks * sp + w, [np.int64(L)]))
-    return los, his
-
-
-def _np_intersection_measure(losA, hisA, losB, hisB) -> int:
-    """|A ∩ B| = |A| + |B| - |A ∪ B| for disjoint-within-list int arcs."""
-    lo = np.concatenate([losA, losB])
-    hi = np.concatenate([hisA, hisB])
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    run = np.maximum.accumulate(np.concatenate(([np.int64(0)], hi[:-1])))
-    contrib = hi - np.maximum(lo, run)
-    union = int(np.maximum(contrib, 0).sum())
-    mA = int((hisA - losA).sum())
-    mB = int((hisB - losB).sum())
-    return mA + mB - union
-
-
 def _en_intersection_measure(a: int, i: int, j: int, r_i: Fraction, r_j: Fraction) -> Fraction:
-    """mu(E_i ∩ E_j) for T x = a x mod 1, exactly."""
+    """mu(E_i ∩ E_j) for T x = a x mod 1, exactly, in O(1) big-int operations.
+
+    The centre differences c/M_i - c'/M_j hit every multiple of 1/l,
+    l = lcm(M_i, M_j), exactly g = gcd(M_i, M_j) = |a^gcd(i,j) - 1| times.
+    Arcs of half-widths alpha = r_i/M_i, beta = r_j/M_j with centres t apart
+    overlap in f(t) = clip(alpha + beta - t, 0, 2 min(alpha, beta)), so
+    mu = g * sum over k in Z of f(|k|/l): a plateau plus an arithmetic series.
+    """
     if r_i == 0 or r_j == 0:
         return Fraction(0)
     Mi = _fixed_point_count(a, i)
     Mj = _fixed_point_count(a, j)
-    L = math.lcm(Mi * r_i.denominator, Mj * r_j.denominator)
-    wi = r_i.numerator * (L // (r_i.denominator * Mi))
-    wj = r_j.numerator * (L // (r_j.denominator * Mj))
-    if 2 * r_i == 1:
-        return 2 * r_j
-    if 2 * r_j == 1:
-        return 2 * r_i
-    if L < _NP_LIMIT:
-        A = _np_en_arrays(Mi, L // Mi, wi, L)
-        B = _np_en_arrays(Mj, L // Mj, wj, L)
-        inter = _np_intersection_measure(*A, *B)
-    else:
-        A = _en_scaled_arcs(Mi, wi, L)
-        B = _en_scaled_arcs(Mj, wj, L)
-        inter = scaled_measure(intersect_scaled_arcs(A, B))
-    return Fraction(inter, L)
+    g = _fixed_point_count(a, math.gcd(i, j))
+    # l*alpha and l*beta in units of 1/Q
+    Q = r_i.denominator * r_j.denominator
+    A = r_i.numerator * r_j.denominator * (Mj // g)
+    B = r_j.numerator * r_i.denominator * (Mi // g)
+    s, d, top = A + B, abs(A - B), 2 * min(A, B)
+    # |k| <= d/Q gives `top` each; on each side k1 <= k <= k2 gives s - k*Q
+    k1, k2 = d // Q + 1, s // Q
+    n = k2 - k1 + 1
+    total = top * (1 + 2 * (d // Q)) + 2 * n * s - Q * (k1 + k2) * n
+    return Fraction(g * total, Mi * (Mj // g) * Q)
 
 
 def pair_correlation(a: int, i: int, j: int, r_i, r_j) -> PairCorrelation:
@@ -431,8 +409,6 @@ def petrov_profile(
     seq: RadiusSequence,
     horizons: Sequence[int],
     H,
-    *,
-    arc_budget: int = DEFAULT_ARC_BUDGET,
 ) -> list[PetrovSummary]:
     """S_N = sum over i<j<=N of (mu(E_i∩E_j) - H mu_i mu_j) and
     R_N = (sum mu_i)^2, exactly, at each requested horizon in one sweep.
@@ -446,9 +422,6 @@ def petrov_profile(
     if not horizons or horizons[0] < 1:
         raise ValueError("horizons must be positive")
     N = horizons[-1]
-    need = abs(a) ** N + 1
-    if need > arc_budget:
-        raise ArcBudgetExceeded(need, arc_budget)
     radii = _exact_radii(seq, N)
     mus = [2 * r for r in radii]
     out = []
@@ -472,11 +445,9 @@ def petrov_ratio(
     seq: RadiusSequence,
     N: int,
     H,
-    *,
-    arc_budget: int = DEFAULT_ARC_BUDGET,
 ) -> PetrovSummary:
     """The quasi-independence summary at a single horizon N."""
-    return petrov_profile(a, seq, [N], H, arc_budget=arc_budget)[0]
+    return petrov_profile(a, seq, [N], H)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +477,31 @@ def _ear_denominator(a: int, m: int, dens: Iterable[int]) -> int:
     ))
 
 
-def _ear_budget_check(a: int, m: int, arc_budget: int) -> None:
-    total = sum(_fixed_point_count(a, k) for k in range(1, m + 1))
-    if total > arc_budget:
-        raise ArcBudgetExceeded(total, arc_budget)
+def _ear_cover_near(
+    a: int, m: int, r: Fraction, L: int, near: list[tuple[int, int]], arc_budget: int
+) -> list[tuple[int, int]]:
+    """The arcs of C_m (radius r, 0 < 2r < 1) that meet an arc of ``near``,
+    merged, so that intersecting them with ``near`` gives near ∩ C_m.
+
+    The arc of E_{k,m} centred at c*sp (sp = L/M_k) meets [lo, hi) iff
+    (lo - w)/sp < c < (hi + w)/sp. Indices outside [0, M_k) name the same
+    arcs mod L; merge_scaled_arcs folds them back.
+    """
+    spans = []
+    for k in range(1, m + 1):
+        sp = L // _fixed_point_count(a, k)
+        w = r.numerator * (sp // r.denominator)
+        done = 0  # centres below this are taken; lo >= 0 keeps every c >= 0
+        for lo, hi in near:
+            c0 = max((lo - w) // sp + 1, done)
+            done = -(-(hi + w) // sp)
+            if c0 < done:
+                spans.append((sp, w, c0, done))
+    count = sum(c1 - c0 for _, _, c0, c1 in spans)
+    if count > arc_budget:
+        raise ArcBudgetExceeded(count, arc_budget)
+    return merge_scaled_arcs(
+        [(c * sp - w, c * sp + w) for sp, w, c0, c1 in spans for c in range(c0, c1)], L)
 
 
 def _materialize(scaled: list[tuple[int, int]], L: int) -> IntervalSet:
@@ -537,7 +529,9 @@ def build_ear_sets(
         raise ValueError(f"{seq.describe()} has no exact value at m={m}")
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    _ear_budget_check(a, m, arc_budget)
+    total = sum(_fixed_point_count(a, k) for k in range(1, m + 1))
+    if total > arc_budget:
+        raise ArcBudgetExceeded(total, arc_budget)
     L = _ear_denominator(a, m, [r.denominator])
     scaled = _ear_scaled_cover(a, m, r, L)
     measure = Fraction(scaled_measure(scaled), L)
@@ -558,7 +552,8 @@ def ear_truncated_A(
 
     The profile records the measure after each successive intersection; it
     is non-increasing and upper-bounds the eventually-always limit set's
-    measure at every truncation.
+    measure at every truncation. Each step builds only the arcs of C_m that
+    meet the running intersection, so ``arc_budget`` caps that count per m.
     """
     _check_multiplier(a)
     if not 1 <= n0 <= M:
@@ -571,13 +566,15 @@ def ear_truncated_A(
         if r < 0:
             raise ValueError(f"radius must be non-negative, got {r}")
         radii[m] = r
-    _ear_budget_check(a, M, arc_budget)
     L = _ear_denominator(a, M, [r.denominator for r in radii.values()])
     cur: list[tuple[int, int]] = [(0, L)]
     profile = []
     for m in range(n0, M + 1):
-        cover = _ear_scaled_cover(a, m, radii[m], L)
-        cur = intersect_scaled_arcs(cur, cover)
+        r = radii[m]
+        if r == 0:
+            cur = []
+        elif 2 * r < 1:  # otherwise C_m is the whole circle
+            cur = intersect_scaled_arcs(cur, _ear_cover_near(a, m, r, L, cur, arc_budget))
         profile.append((m, Fraction(scaled_measure(cur), L)))
         if not cur:
             break

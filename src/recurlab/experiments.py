@@ -105,14 +105,20 @@ class ExperimentReport:
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clipped to [0, 1]."""
+    """Wilson score interval for a binomial proportion, clipped to [0, 1].
+
+    The end at an extreme count is the estimate itself, exactly: 0.0 at zero
+    successes and 1.0 at all successes, where the float formula leaves ~1e-18.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 def write_tsv(fileobj, columns: Sequence[str], rows: Sequence[Sequence]) -> int:

@@ -20,6 +20,7 @@ from typing import Sequence
 import mpmath
 
 from .errors import ConfigError, NonExpandingSystemError
+from .number_theory import mat_det
 
 
 def _scaled_sqrt(k: int, P: int) -> int:
@@ -271,7 +272,7 @@ class ToralLinear:
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ConfigError(["matrix must be square and non-empty"])
-        if _int_det(rows) == 0:
+        if mat_det(rows) == 0:
             raise ConfigError(["matrix must be invertible (det != 0)"])
 
     @property
@@ -307,18 +308,3 @@ class Rotation:
 
 
 SystemSpec = IntegerCircleMap | BetaMap | PiecewiseLinear | ToralLinear | Rotation
-
-
-def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Integer determinant by fraction-free expansion (matrices are small)."""
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    total = 0
-    first = rows[0]
-    minors = rows[1:]
-    for col in range(d):
-        sub = tuple(tuple(r[c] for c in range(d) if c != col) for r in minors)
-        term = first[col] * _int_det(sub)
-        total += term if col % 2 == 0 else -term
-    return total

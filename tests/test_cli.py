@@ -109,6 +109,38 @@ bogus_key = 1
         assert "seq" in text and "system" in text
 
 
+class TestOptions:
+    """Each command accepts only the options that act on it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["petrov", "--seed", "1"],
+        ["--threads", "2", "nt", "gcd", "--a", "2"],
+        ["petrov", "--budget-arcs", "10"],
+        ["exact", "--n", "2", "--r", "1/10", "--seed", "1"],
+        ["ulam", "--system", "doubling", "--seed", "1"],
+        ["rio", "--system", "doubling", "--seq", "powerlaw:1/4,1", "--precision-bits", "64"],
+    ])
+    def test_options_that_would_be_ignored_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "recurlab: error:" in capsys.readouterr().err
+
+    def test_precision_bits_config_key_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(TestConfigFiles.GOOD + "precision_bits = 64\n")
+        assert "precision_bits" in "\n".join(exc.value.problems)
+
+    def test_seed_and_budget_where_they_act(self, tmp_path):
+        assert main(["ear", "--exact", "--n0", "3", "--M-horizon", "6",
+                     "--budget-arcs", "10", "--out", str(tmp_path)]) == 1
+        assert main(["exact", "--n", "4", "--r", "1/10", "--budget-arcs", "20",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["orbit", "--system", "doubling", "--scan-alphas", "1",
+                     "--checkpoints", "10", "--samples", "20", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+
+
 class TestAtomicWrite:
     def test_writes_exact_bytes(self, tmp_path):
         target = tmp_path / "sub" / "file.json"

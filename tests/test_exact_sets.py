@@ -158,6 +158,32 @@ class TestPairCorrelation:
                 pc = pair_correlation(a, i, j, Fraction(1, 4 * i), Fraction(1, 4 * j))
                 assert pc.bound_ok, (a, i, j)
 
+    def test_closed_form_against_arc_sweep(self):
+        # the closed form never builds arcs; the materialized sets are the oracle
+        rng = random.Random(2024)
+        sets = {}
+
+        def e_set(a, n, r):
+            if (a, n, r) not in sets:
+                sets[a, n, r] = build_recurrence_set(a, n, r).set
+            return sets[a, n, r]
+
+        def radius():
+            pick = rng.random()
+            if pick < 0.15:
+                return Fraction(0)
+            if pick < 0.3:
+                return Fraction(1, 2)
+            return Fraction(rng.randint(1, 60), rng.randint(2, 60)) % Fraction(1, 2)
+
+        for _ in range(320):
+            a = rng.choice([2, -2, 3, -3, 4, 5])
+            top = {2: 7, 3: 7, 4: 5, 5: 5}[abs(a)]  # keeps the oracle sets small
+            i, j = rng.sample(range(1, top + 1), 2)
+            r_i, r_j = radius(), radius()
+            oracle = e_set(a, i, r_i).intersect(e_set(a, j, r_j)).measure
+            assert pair_correlation(a, i, j, r_i, r_j).intersection == oracle, (a, i, j, r_i, r_j)
+
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             pair_correlation(2, 3, 3, Fraction(1, 10), Fraction(1, 10))
@@ -200,6 +226,14 @@ class TestPetrov:
         magnitudes = [abs(r) for r in ratios]
         assert magnitudes == sorted(magnitudes, reverse=True)
 
+    def test_large_horizon_needs_no_arc_budget(self):
+        # 2^40 arcs could never be built; the closed-form overlaps need none
+        seq = PowerLaw(Fraction(1, 4), Fraction(1))
+        (summary,) = petrov_profile(2, seq, [40], 1)
+        assert summary.R_N == sum(2 * seq.exact(n) for n in range(1, 41)) ** 2
+        assert summary.ratio <= 0
+        assert abs(summary.ratio) < abs(petrov_ratio(2, seq, 16, 1).ratio)
+
     def test_single_horizon_consistency(self):
         seq = PowerLaw(Fraction(1, 8), Fraction(1))
         profile = petrov_profile(2, seq, [6, 10], Fraction(1))
@@ -240,6 +274,36 @@ class TestEventuallyAlwaysSets:
             acc = acc.intersect(build_ear_sets(2, m, seq).set)
         assert res.set == acc
         assert res.measure == acc.measure
+
+
+    @pytest.mark.parametrize("a, n0, M", [(2, 1, 10), (2, 3, 10), (3, 1, 7), (3, 2, 6)])
+    def test_truncation_matches_chained_covers(self, a, n0, M):
+        # radii 1, 1/2 and 3/5 make the first covers the whole circle
+        seq = ExplicitTable((Fraction(1), Fraction(1, 2), Fraction(3, 5), Fraction(1, 7),
+                             Fraction(1, 9), Fraction(1, 14), Fraction(1, 20),
+                             Fraction(1, 24), Fraction(1, 30), Fraction(1, 40)))
+        res = ear_truncated_A(a, n0, M, seq)
+        acc = IntervalSet.full()
+        for m in range(n0, M + 1):
+            acc = acc.intersect(build_ear_sets(a, m, seq).set)
+            assert dict(res.profile)[m] == acc.measure
+        assert res.set == acc
+        assert res.measure == acc.measure
+
+    def test_zero_radius_empties_truncation(self):
+        seq = ExplicitTable((Fraction(1, 4), Fraction(1, 8), Fraction(0), Fraction(1, 16)))
+        res = ear_truncated_A(2, 1, 4, seq)
+        assert res.profile[-1] == (3, Fraction(0))
+        assert res.set == IntervalSet.empty()
+
+    def test_truncation_budget_is_enforced(self):
+        seq = PowerLaw(Fraction(1), Fraction(2))
+        with pytest.raises(ArcBudgetExceeded) as exc:
+            ear_truncated_A(2, 4, 16, seq, arc_budget=20)
+        assert exc.value.budget == 20 and exc.value.needed > 20
+        # the count is per m: the whole horizon fits a budget far below sum 2^k
+        res = ear_truncated_A(2, 4, 16, seq, arc_budget=20000)
+        assert res.measure == ear_truncated_A(2, 4, 16, seq).measure
 
 
 class TestFourierCoefficients:

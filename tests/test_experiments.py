@@ -47,6 +47,14 @@ class TestWilsonInterval:
         assert 0.0 <= lo <= k / n + 1e-12
         assert k / n - 1e-12 <= hi <= 1.0
 
+    def test_extreme_counts_give_exact_ends(self):
+        for n in range(1, 501):
+            assert wilson_interval(0, n)[0] == 0.0
+            assert wilson_interval(n, n)[1] == 1.0
+            for k in (0, 1, n // 2, n - 1, n):
+                lo, hi = wilson_interval(k, n)
+                assert lo <= k / n <= hi
+
     def test_width_shrinks_with_samples(self):
         w_small = wilson_interval(10, 20)
         w_big = wilson_interval(1000, 2000)
