@@ -90,14 +90,22 @@ def parse_sequence(text: str) -> circle.RadiusSequence:
 # Config files
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "experiment", "system", "seq", "seq_conv", "k", "n", "m", "samples",
-    "seed", "n0", "m_horizon", "h", "a", "r", "alphas", "checkpoints",
-    "bins", "out", "budget_arcs",
+# (required, optional) keys of each experiment, besides ``experiment`` and
+# ``out``: a key the experiment would ignore is an error, as on the command
+# line. ``m`` and ``samples`` both set the sample count.
+_SAMPLING = {"m", "samples", "seed"}
+_EXPERIMENT_KEYS = {
+    "rio": ({"system", "seq"}, {"seq_conv", "k", "n"} | _SAMPLING),
+    "rio_dichotomy": ({"system", "seq", "seq_conv"}, {"k", "n"} | _SAMPLING),
+    "ear": ({"system", "seq"}, {"n0", "m_horizon"} | _SAMPLING),
+    "ear_exact": ({"system", "seq"}, {"n0", "m_horizon", "budget_arcs"}),
+    "petrov": ({"seq"}, {"a", "n", "h"}),
+    "ulam": ({"system"}, {"bins"}),
+    "exact": ({"system"}, {"n", "r", "budget_arcs"}),
+    "boshernitzan": ({"system"}, {"alphas", "checkpoints"} | _SAMPLING),
 }
-
-_EXPERIMENTS = {"rio", "rio_dichotomy", "ear", "ear_exact", "petrov",
-                "ulam", "exact", "boshernitzan"}
+_KNOWN_KEYS = {"experiment", "out"}.union(
+    *(required | optional for required, optional in _EXPERIMENT_KEYS.values()))
 
 
 @dataclass
@@ -137,15 +145,19 @@ def parse_config(text: str) -> RunConfig:
     if "run" not in cp:
         raise ConfigError(["missing [run] section"])
     section = cp["run"]
+    cfg = RunConfig(experiment="")
+    exp = section.get("experiment", "").strip()
+    if exp not in _EXPERIMENT_KEYS:
+        problems.append(f"experiment must be one of {sorted(_EXPERIMENT_KEYS)}, got {exp!r}")
+    cfg.experiment = exp
+    required, optional = _EXPERIMENT_KEYS.get(exp, (set(), _KNOWN_KEYS))
     for key in section:
         if key not in _KNOWN_KEYS:
             problems.append(f"unknown key {key!r}")
-
-    cfg = RunConfig(experiment="")
-    exp = section.get("experiment", "").strip()
-    if exp not in _EXPERIMENTS:
-        problems.append(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {exp!r}")
-    cfg.experiment = exp
+        elif key not in required | optional | {"experiment", "out"}:
+            problems.append(f"experiment {exp!r} does not use key {key!r}")
+    problems.extend(f"experiment {exp!r} needs a {key}"
+                    for key in sorted(required) if key not in section)
 
     def grab(key, conv, attr, positive=False):
         if key in section:
@@ -194,14 +206,6 @@ def parse_config(text: str) -> RunConfig:
     if "out" in section:
         cfg.out = section["out"]
 
-    if cfg.experiment in ("rio", "rio_dichotomy", "ear", "petrov", "boshernitzan") \
-            and cfg.seq is None and cfg.experiment != "boshernitzan":
-        problems.append(f"experiment {cfg.experiment!r} needs a seq")
-    if cfg.experiment == "rio_dichotomy" and cfg.seq_conv is None:
-        problems.append("rio_dichotomy needs seq_conv")
-    if cfg.experiment in ("rio", "rio_dichotomy", "ear", "ulam", "boshernitzan") \
-            and cfg.system is None:
-        problems.append(f"experiment {cfg.experiment!r} needs a system")
     if problems:
         raise ConfigError(problems)
     return cfg

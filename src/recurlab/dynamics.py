@@ -1,20 +1,24 @@
-"""Precision-budgeted orbit computation and orbit-level return statistics.
+"""Orbits, the three orbit backends of the Monte Carlo experiments, and
+orbit-level return statistics.
 
-Two regimes:
+``orbit_backend`` is the one place that picks, on the system type, how the
+orbit of a sampled point is represented:
 
-* Exact orbits (integer circle maps, rational piecewise-affine maps, toral
-  integer matrices, rational rotations): points are Fractions (or tuples of
-  them) and every distance is an exact rational.
+* shift (the doubling map), ``DyadicOrbitView``: T^n x is the dyadic start
+  X0 / 2**P shifted by n bits, so d(T^n x, x) is read from a 64-bit window
+  of X0 without iterating; comparisons inside the windows' +-2 ulp band are
+  resolved exactly.
+* fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
+  integers X ~ x * 2**P stepped one at a time, with the forward error
+  tracked in integer ulps.
+* exact (other circle maps, piecewise-affine and toral maps, rational
+  rotations), ``ExactOrbit``: Fraction points, exact distances.
 
-* Fixed-point orbits (beta-maps, irrational rotations): points are integers
-  X ~ x * 2**P. The per-step error in ulps is tracked explicitly (multiply
-  by the slope modulus, add truncation); a run whose guaranteed accuracy
-  would drop below 2**-64 raises instead of silently degrading.
-
-For the map T x = a x mod 1 a dyadic starting point X0/2**P is special: T is
-exact integer arithmetic, and for a = 2 the whole orbit is a bit shift of
-X0, so distances at time n are read from a 64-bit window of X0's bytes in
-O(1) without iterating.
+Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
+min_{j <= n} d_j < r_n over an index range: exact for the shift backend, in
+floats for the fixed-point one, and exact wherever r_n is rational for the
+exact one. The exact-orbit helpers (``iterate``, the return statistics and
+the CSV export) share one generator of exact orbit points.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,17 +81,78 @@ def _exact_step(sys: SystemSpec, x):
     raise ValueError(f"{sys.describe()} has no exact orbit; use a fixed-point orbit")
 
 
+def _exact_orbit(sys: SystemSpec, x) -> Iterator:
+    """x, T x, T^2 x, ... exactly: the start as Fractions (a tuple of them on
+    the torus), then one ``_exact_step`` per further point."""
+    pt = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
+    while True:
+        yield pt
+        pt = _exact_step(sys, pt)
+
+
+def _return_distances(sys: SystemSpec, x, n: int) -> Iterator:
+    """d(T^k x, x) exactly, for k = 1, ..., n."""
+    orbit = _exact_orbit(sys, x)
+    start = next(orbit)
+    for pt in islice(orbit, n):
+        yield point_distance(sys, pt, start)
+
+
 def iterate(sys: SystemSpec, x, n: int):
     """T^n x exactly, for systems with exact rational dynamics."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if isinstance(sys, ToralLinear):
-        pt = tuple(Fraction(v) for v in x)
-    else:
-        pt = Fraction(x)
-    for _ in range(n):
-        pt = _exact_step(sys, pt)
-    return pt
+    return next(islice(_exact_orbit(sys, x), n, None))
+
+
+# ---------------------------------------------------------------------------
+# Stepped orbits: the fixed-point and exact backends
+#
+# Decisions read a radius table ``radii`` (``experiments.Radii``) for n in
+# [radii.n_lo, radii.n_hi]. Stepped orbits yield them one step at a time, so
+# ``True in`` and ``False not in`` stop the orbit at the first decisive step.
+# ---------------------------------------------------------------------------
+
+class _Stepped:
+    """Decisions and distances from ``_dists(n_hi)``, the lazy d_1, d_2, ...,
+    and ``_lt(d, radii, n)``, the comparison d < r_n."""
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.fromiter(self._dists(n_hi), float, n_hi)
+
+    @staticmethod
+    def powers(inv: float, n_hi: int) -> np.ndarray:
+        """n**inv for n = 1..n_hi by libm's pow (see DyadicOrbitView.powers)."""
+        return np.array([n ** inv for n in range(1, n_hi + 1)])
+
+    def below(self, radii) -> Iterator[bool]:
+        """d_n < r_n for n in [radii.n_lo, radii.n_hi]."""
+        for n, d in enumerate(self._dists(radii.n_hi), 1):
+            if n >= radii.n_lo:
+                yield self._lt(d, radii, n)
+
+    def min_below(self, radii) -> Iterator[bool]:
+        """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi]."""
+        for n, rho in enumerate(accumulate(self._dists(radii.n_hi), min), 1):
+            if n >= radii.n_lo:
+                yield self._lt(rho, radii, n)
+
+
+class ExactOrbit(_Stepped):
+    """The exact orbit of a rational start (its coordinates, one on the
+    circle); compared exactly with a rational radius, as a float otherwise."""
+
+    def __init__(self, sys: SystemSpec, coords: Sequence[Fraction]):
+        self.sys = sys
+        self.x0 = tuple(coords) if isinstance(sys, ToralLinear) else coords[0]
+
+    def _dists(self, n_hi: int) -> Iterator:
+        return _return_distances(self.sys, self.x0, n_hi)
+
+    @staticmethod
+    def _lt(d, radii, n: int) -> bool:
+        r = radii.exact[n - radii.n_lo]
+        return d < r if r is not None else float(d) < radii.approx[n - radii.n_lo]
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +173,10 @@ def required_bits(sys: SystemSpec, horizon: int) -> int:
     return growth + GUARD_BITS
 
 
-class FixedPointOrbit:
+class FixedPointOrbit(_Stepped):
     """Orbit of x ~ X0 / 2**P under a beta-map or rotation, with explicit
-    error accounting in ulps of 2**-P."""
+    error accounting: ``err_ulp`` is an integer upper bound, in ulps of
+    2**-P, on the distance of X / 2**P from the true point."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
         need = required_bits(sys, horizon)
@@ -121,14 +188,12 @@ class FixedPointOrbit:
         self.X0 = X0 % (1 << P)
         self.X = self.X0
         self.step_count = 0
-        self.err_ulp = 1.0  # X0 itself rounds the true point
+        self.err_ulp = 1  # X0 itself rounds the true point
         if isinstance(sys, BetaMap):
             self._mult = sys.beta.scaled(P)
-            self._slope = float(sys.beta)
             self._shift = None
         elif isinstance(sys, Rotation):
             self._shift = sys.alpha.scaled(P)
-            self._slope = 1.0
             self._mult = None
         else:
             raise ValueError(f"no fixed-point orbit for {sys.describe()}")
@@ -141,10 +206,12 @@ class FixedPointOrbit:
         mask = (1 << self.P) - 1
         if self._mult is not None:
             self.X = ((self.X * self._mult) >> self.P) & mask
-            self.err_ulp = self._slope * self.err_ulp + 2.0
+            # beta <= (_mult + 1) / 2**P scales the error; the truncated
+            # multiplier and the truncated product add one ulp each
+            self.err_ulp = -((-(self._mult + 1) * self.err_ulp) >> self.P) + 2
         else:
             self.X = (self.X + self._shift) & mask
-            self.err_ulp += 1.0
+            self.err_ulp += 1
         self.step_count += 1
         return self.X
 
@@ -158,8 +225,22 @@ class FixedPointOrbit:
         return t / (1 << self.P)
 
     @property
-    def err_bound(self) -> float:
-        return 2.0 * self.err_ulp / (1 << self.P)
+    def err_bound(self) -> Fraction:
+        """Bound on the distance error, exactly: as a float, 2**-P would
+        underflow to 0 once P passes about 1075 bits."""
+        return Fraction(2 * self.err_ulp, 1 << self.P)
+
+    def _dists(self, n_hi: int) -> Iterator[float]:
+        # from X0 again, so decisions are a function of the sample, as for
+        # the other two backends
+        self.X, self.step_count, self.err_ulp = self.X0, 0, 1
+        for _ in range(n_hi):
+            self.step()
+            yield self.dist_to_start()
+
+    @staticmethod
+    def _lt(d: float, radii, n: int) -> bool:
+        return d < radii.approx[n - radii.n_lo]
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +280,12 @@ class DyadicOrbitView:
         v = int.from_bytes(self._buf[end - 9 : end], "big")
         return (v >> (s & 7)) & _MASK64
 
-    def circle_dist64(self, n: int) -> int:
-        """circle_dist(T^n x, x) * 2**64, accurate to +-2."""
-        t = (self.window(n) - self._w0) & _MASK64
-        return min(t, (1 << _W) - t)
-
     def exact_point(self, n: int) -> Fraction:
         return Fraction((self.X0 << n) % (1 << self.P), 1 << self.P)
 
     def exact_dist(self, n: int) -> Fraction:
         t = ((self.X0 << n) - self.X0) % (1 << self.P)
         return Fraction(min(t, (1 << self.P) - t), 1 << self.P)
-
-    def dist_below(self, n: int, threshold: Fraction, thr64: int) -> bool:
-        """Is circle_dist(T^n x, x) < threshold?  thr64 = floor(threshold*2**64);
-        decided from the window except in its uncertainty band."""
-        d = self.circle_dist64(n)
-        if d + 2 < thr64:
-            return True
-        if d > thr64 + 2:
-            return False
-        return self.exact_dist(n) < threshold
 
     def windows_batch(self, n_lo: int, n_hi: int) -> np.ndarray:
         """``window(n)`` for every n in [n_lo, n_hi], vectorized (uint64).
@@ -252,6 +318,39 @@ class DyadicOrbitView:
         t = w - np.uint64(self._w0)   # wraps mod 2**64, as intended
         return np.minimum(t, -t)
 
+    def distances(self, n_hi: int) -> np.ndarray:
+        """d(T^n x, x) for n = 1..n_hi, rounded from the 64-bit windows."""
+        return self.circle_dist64_batch(1, n_hi).astype(np.float64) / 2.0 ** 64
+
+    @staticmethod
+    def powers(inv: float, n_hi: int) -> np.ndarray:
+        """n**inv for n = 1..n_hi by numpy's power. It differs from libm's pow
+        in the last bit for some n; each backend keeps the one it reported with."""
+        return np.arange(1, n_hi + 1, dtype=np.float64) ** inv
+
+    def below(self, radii) -> np.ndarray:
+        """d_n < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
+        d = self.circle_dist64_batch(radii.n_lo, radii.n_hi)
+        return self._decide(radii, d, lambda n, i: (n,))
+
+    def min_below(self, radii) -> np.ndarray:
+        """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
+        d = self.circle_dist64_batch(1, radii.n_hi)
+        hi = radii.band64[1]
+        return self._decide(radii, np.minimum.accumulate(d)[radii.n_lo - 1:],
+                            lambda n, i: 1 + np.flatnonzero(d[:n] <= hi[i]))
+
+    def _decide(self, radii, v: np.ndarray, candidates) -> np.ndarray:
+        """v[i] < r_n (n = n_lo + i) from the band; a gray entry holds when
+        some exact d_j, j in ``candidates(n, i)``, is below r_n."""
+        lo, hi = radii.band64
+        hit = v < lo
+        for i in np.flatnonzero(hit != (v <= hi)):
+            n = radii.n_lo + int(i)
+            r = radii.at(n, self.P)
+            hit[i] = any(self.exact_dist(int(j)) < r for j in candidates(n, i))
+        return hit
+
 
 # ---------------------------------------------------------------------------
 # Deterministic sampling
@@ -272,6 +371,27 @@ def sample_fraction(master_seed: int, index: int, bits: int = 128) -> Fraction:
     return Fraction(sample_bits(master_seed, index, bits), 1 << bits)
 
 
+def orbit_backend(sys: SystemSpec, horizon: int
+                  ) -> Callable[[int, int], DyadicOrbitView | FixedPointOrbit | ExactOrbit]:
+    """The one dispatch on the system type for the Monte Carlo experiments:
+    returns ``start``, where ``start(master_seed, index)`` is the orbit of
+    that sample over ``horizon`` steps. The doubling map draws
+    ``sample_bits(seed, i, horizon + 64)``, beta-maps
+    P = max(256, ceil(horizon * log2 beta) + 128) bits, and exact systems a
+    128-bit ``sample_fraction`` per coordinate."""
+    if isinstance(sys, IntegerCircleMap) and sys.a == 2:
+        P = horizon + GUARD_BITS
+        return lambda seed, i: DyadicOrbitView(sample_bits(seed, i, P), P, horizon)
+    if isinstance(sys, BetaMap):
+        P = max(256, math.ceil(horizon * math.log2(float(sys.beta))) + 2 * GUARD_BITS)
+    elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
+        P = max(256, required_bits(sys, horizon))
+    else:
+        return lambda seed, i: ExactOrbit(
+            sys, [sample_fraction(seed, i * sys.d + c) for c in range(sys.d)])
+    return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon)
+
+
 # ---------------------------------------------------------------------------
 # Return statistics
 # ---------------------------------------------------------------------------
@@ -289,16 +409,9 @@ def min_return_distance(sys: SystemSpec, x, m: int) -> ReturnDistance:
     """Exact rho_m(x) for systems with exact orbits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(sys, ToralLinear):
-        start = tuple(Fraction(v) for v in x)
-    else:
-        start = Fraction(x)
-    pt = start
     best = None
     arg = 0
-    for k in range(1, m + 1):
-        pt = _exact_step(sys, pt)
-        d = point_distance(sys, pt, start)
+    for k, d in enumerate(_return_distances(sys, x, m), 1):
         if best is None or d < best:
             best, arg = d, k
             if best == 0:
@@ -312,13 +425,8 @@ def return_time(sys: SystemSpec, x, r, horizon: int) -> int | None:
     r = Fraction(r)
     if r <= 0:
         return None
-    start = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
-    pt = start
-    for n in range(1, horizon + 1):
-        pt = _exact_step(sys, pt)
-        if point_distance(sys, pt, start) < r:
-            return n
-    return None
+    return next((n for n, d in enumerate(_return_distances(sys, x, horizon), 1) if d < r),
+                None)
 
 
 @dataclass(frozen=True)
@@ -367,45 +475,15 @@ def boshernitzan_statistic(sys: SystemSpec, x, alpha: float, N: int) -> float:
     """min over 1 <= n <= N of n**(1/alpha) * d(T^n x, x) (exact orbits)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    start = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
-    pt = start
     best = math.inf
     inv = 1.0 / alpha
-    for n in range(1, N + 1):
-        pt = _exact_step(sys, pt)
-        val = n ** inv * float(point_distance(sys, pt, start))
+    for n, d in enumerate(_return_distances(sys, x, N), 1):
+        val = n ** inv * float(d)
         if val < best:
             best = val
             if best == 0:
                 break
     return best
-
-
-def doubling_boshernitzan_checkpoints(
-    view: DyadicOrbitView, alpha: float, checkpoints: Sequence[int]
-) -> list[float]:
-    """Running minima of n**(1/alpha) * circle_dist(T^n x, x) for the
-    doubling map at each checkpoint N, in one pass over the orbit windows."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    checkpoints = sorted(checkpoints)
-    inv = 1.0 / alpha
-    best = math.inf
-    out = []
-    ci = 0
-    for n in range(1, checkpoints[-1] + 1):
-        d64 = view.circle_dist64(n)
-        if d64 <= 4:
-            d = float(view.exact_dist(n))
-        else:
-            d = d64 / 2.0 ** 64
-        val = n ** inv * d
-        if val < best:
-            best = val
-        while ci < len(checkpoints) and n == checkpoints[ci]:
-            out.append(best)
-            ci += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +494,12 @@ def write_orbit_csv(fileobj, sys: SystemSpec, x, n: int) -> int:
     """Rows (step, point, distance-to-start) for plotting; exact orbits only."""
     writer = csv.writer(fileobj)
     writer.writerow(["step", "point", "dist_to_start"])
-    start = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
-    pt = start
-    for k in range(n + 1):
+    points = list(islice(_exact_orbit(sys, x), n + 1))
+    for k, pt in enumerate(points):
         if isinstance(sys, ToralLinear):
             rendered = ";".join(f"{float(v):.15g}" for v in pt)
         else:
             rendered = f"{float(pt):.15g}"
-        d = 0.0 if k == 0 else float(point_distance(sys, pt, start))
+        d = float(point_distance(sys, pt, points[0]))
         writer.writerow([k, rendered, f"{d:.15g}"])
-        if k < n:
-            pt = _exact_step(sys, pt)
     return n + 1

@@ -4,9 +4,15 @@ desk-scale truncations.
 Every experiment returns an ExperimentReport whose canonical JSON bytes are
 a pure function of the configuration (master seed included, wall time
 excluded), so reruns are byte-identical regardless of scheduling. Sample
-points are derived from (master seed, sample index) and drawn as dyadic
-fixed-point values with enough bits for the whole horizon, making the
-doubling-map runs exact.
+points are derived from (master seed, sample index) alone.
+
+Each Monte Carlo experiment is a reduction over the orbit backend that
+``dynamics.orbit_backend`` picks, so every one runs on every system: any
+hit (``rio``; stepped orbits stop at the first hit), hits per n (the
+``mu(E_n)`` scan), running minimum always below r_m (eventually-always;
+stepped orbits stop at the first miss) and the running minimum of
+n**(1/alpha) * d(T^n x, x) (Boshernitzan). A call computes its radius
+table once.
 """
 
 from __future__ import annotations
@@ -17,29 +23,24 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from .circle import RadiusSequence, merge_scaled_arcs, scaled_measure
-from .dynamics import (
-    GUARD_BITS,
-    DyadicOrbitView,
-    FixedPointOrbit,
-    _exact_step,
-    point_distance,
-    sample_bits,
-    sample_fraction,
-)
+from .dynamics import orbit_backend
+# bound here only for perfbench/tracing.py's probes; the backends call them in dynamics
+from .dynamics import _exact_step, point_distance, sample_bits  # noqa: F401
 from .errors import ArcBudgetExceeded
 from .exact_sets import DEFAULT_ARC_BUDGET, _fixed_point_count, ear_truncated_A
-from .systems import BetaMap, IntegerCircleMap, SystemSpec, ToralLinear
-from .ulam import UlamOperator
+from .systems import SystemSpec
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
 _W64 = 64
+_MAX64 = (1 << _W64) - 1
 _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
 
 
@@ -142,90 +143,54 @@ def scaled_radius(seq: RadiusSequence, n: int, bits: int) -> int:
         return int(mpmath.floor(seq.mp(n) * mpmath.mpf(2) ** bits))
 
 
-def _radius_floats(seq: RadiusSequence, n_lo: int, n_hi: int) -> np.ndarray:
-    return np.array([seq.approx(n) for n in range(n_lo, n_hi + 1)])
+class Radii:
+    """r_n for n in [n_lo, n_hi] in the forms the orbit backends compare
+    against; each form is computed once per call, when a backend first
+    reads it. List entry i is r_{n_lo + i}."""
+
+    def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
+        self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi
+
+    @cached_property
+    def approx(self) -> list[float]:
+        return [self.seq.approx(n) for n in range(self.n_lo, self.n_hi + 1)]
+
+    @cached_property
+    def exact(self) -> list[Fraction | None]:
+        return [self.seq.exact(n) for n in range(self.n_lo, self.n_hi + 1)]
+
+    @cached_property
+    def band64(self) -> tuple[np.ndarray, np.ndarray]:
+        """uint64 (lo, hi) around floor(r_n * 2**64): a 64-bit distance
+        (accurate to +-2) below lo is surely < r_n, one above hi surely not."""
+        thr = [min(scaled_radius(self.seq, n, _W64), _MAX64)
+               for n in range(self.n_lo, self.n_hi + 1)]
+        return (np.array([max(t - _SLACK, 0) for t in thr], dtype=np.uint64),
+                np.array([min(t + _SLACK, _MAX64) for t in thr], dtype=np.uint64))
+
+    def at(self, n: int, bits: int) -> Fraction:
+        """r_n exactly, or floor(r_n * 2**bits) / 2**bits when irrational."""
+        r = self.seq.exact(n)
+        return r if r is not None else Fraction(scaled_radius(self.seq, n, bits), 1 << bits)
+
+
+def _sample_start(start, master_seed: int, index: int):
+    """Sample ``index``'s orbit, ``start`` being ``dynamics.orbit_backend``'s.
+    Every Monte Carlo sample is drawn here, from (master seed, index) alone,
+    so this is where perfbench counts ``experiments.samples``."""
+    return start(master_seed, index)
 
 
 # ---------------------------------------------------------------------------
 # Truncated R_io (infinitely-often returns)
 # ---------------------------------------------------------------------------
 
-def _doubling_hit(view: DyadicOrbitView, seq: RadiusSequence, k: int, N: int,
-                  thr64: np.ndarray) -> bool:
-    """Does some n in [k, N] have circle_dist(T^n x, x) < r_n?  Windowed
-    comparison with exact resolution of the uncertainty band."""
-    d = view.circle_dist64_batch(k, N)
-    if bool(np.any(d + np.uint64(_SLACK) < thr64)):
-        return True
-    gray = np.nonzero((d <= thr64 + np.uint64(_SLACK))
-                      & ~(d + np.uint64(_SLACK) < thr64))[0]
-    for idx in gray:
-        n = k + int(idx)
-        r = seq.exact(n)
-        if r is None:
-            r = Fraction(scaled_radius(seq, n, view.P), 1 << view.P)
-        if view.exact_dist(n) < r:
-            return True
-    return False
-
-
-def _generic_hit(sys: SystemSpec, x0, seq: RadiusSequence, k: int, N: int) -> bool:
-    """Exact-orbit hit scan for systems with rational dynamics."""
-    pt = x0
-    for n in range(1, N + 1):
-        pt = _exact_step(sys, pt)
-        if n < k:
-            continue
-        d = point_distance(sys, pt, x0)
-        r = seq.exact(n)
-        if r is not None:
-            if d < r:
-                return True
-        elif float(d) < seq.approx(n):
-            return True
-    return False
-
-
-def _beta_hit(sys: BetaMap, master_seed: int, index: int, seq: RadiusSequence,
-              k: int, N: int, P: int) -> bool:
-    orbit = FixedPointOrbit(sys, sample_bits(master_seed, index, P), P, N)
-    for n in range(1, N + 1):
-        orbit.step()
-        if n >= k and orbit.dist_to_start() < seq.approx(n):
-            return True
-    return False
-
-
-def _sample_start(sys: SystemSpec, master_seed: int, index: int, bits: int = 128):
-    if isinstance(sys, ToralLinear):
-        return tuple(
-            sample_fraction(master_seed, index * sys.d + c, bits) for c in range(sys.d)
-        )
-    return sample_fraction(master_seed, index, bits)
-
-
 def _rio_estimate(sys: SystemSpec, seq: RadiusSequence, k: int, N: int, M: int,
                   master_seed: int) -> tuple[int, float, tuple[float, float]]:
-    hits = 0
-    if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = N + GUARD_BITS
-        thr64 = np.array(
-            [min(scaled_radius(seq, n, _W64), (1 << _W64) - 1) for n in range(k, N + 1)],
-            dtype=np.uint64,
-        )
-        for i in range(M):
-            view = DyadicOrbitView(sample_bits(master_seed, i, P), P, N)
-            hits += _doubling_hit(view, seq, k, N, thr64)
-    elif isinstance(sys, BetaMap):
-        P = max(256, math.ceil(N * math.log2(float(sys.beta))) + 2 * GUARD_BITS)
-        for i in range(M):
-            hits += _beta_hit(sys, master_seed, i, seq, k, N, P)
-    else:
-        for i in range(M):
-            x0 = _sample_start(sys, master_seed, i)
-            hits += _generic_hit(sys, x0, seq, k, N)
-    est = hits / M
-    return hits, est, wilson_interval(hits, M)
+    start = orbit_backend(sys, N)
+    radii = Radii(seq, k, N)
+    hits = sum(1 for i in range(M) if True in _sample_start(start, master_seed, i).below(radii))
+    return hits, hits / M, wilson_interval(hits, M)
 
 
 def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
@@ -237,50 +202,15 @@ def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
+    start = orbit_backend(sys, n_max)
+    radii = Radii(seq, 1, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
-    radii = _radius_floats(seq, 1, n_max)
-    if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = n_max + GUARD_BITS
-        thr64 = np.array(
-            [min(scaled_radius(seq, n, _W64), (1 << _W64) - 1)
-             for n in range(1, n_max + 1)],
-            dtype=np.uint64,
-        )
-        for i in range(M):
-            view = DyadicOrbitView(sample_bits(master_seed, i, P), P, n_max)
-            d = view.circle_dist64_batch(1, n_max)
-            sure = d + np.uint64(_SLACK) < thr64
-            gray = np.nonzero((d <= thr64 + np.uint64(_SLACK)) & ~sure)[0]
-            hit = sure.copy()
-            for idx in gray:
-                n = 1 + int(idx)
-                r = seq.exact(n)
-                if r is None:
-                    r = Fraction(scaled_radius(seq, n, view.P), 1 << view.P)
-                hit[idx] = view.exact_dist(n) < r
-            hits += hit
-    elif isinstance(sys, BetaMap):
-        P = max(256, math.ceil(n_max * math.log2(float(sys.beta))) + 2 * GUARD_BITS)
-        for i in range(M):
-            orbit = FixedPointOrbit(sys, sample_bits(master_seed, i, P), P, n_max)
-            for n in range(1, n_max + 1):
-                orbit.step()
-                if orbit.dist_to_start() < radii[n - 1]:
-                    hits[n - 1] += 1
-    else:
-        for i in range(M):
-            x0 = _sample_start(sys, master_seed, i)
-            pt = x0
-            for n in range(1, n_max + 1):
-                pt = _exact_step(sys, pt)
-                d = point_distance(sys, pt, x0)
-                r = seq.exact(n)
-                if (d < r) if r is not None else (float(d) < radii[n - 1]):
-                    hits[n - 1] += 1
+    for i in range(M):
+        hits += np.fromiter(_sample_start(start, master_seed, i).below(radii), bool, n_max)
     rows = []
     for n in range(1, n_max + 1):
         lo, hi = wilson_interval(int(hits[n - 1]), M)
-        rows.append({"n": n, "r": radii[n - 1], "hits": int(hits[n - 1]),
+        rows.append({"n": n, "r": radii.approx[n - 1], "hits": int(hits[n - 1]),
                      "estimate": int(hits[n - 1]) / M, "ci_low": lo, "ci_high": hi})
     return ExperimentReport(
         experiment="recurrence_measure_scan",
@@ -412,15 +342,6 @@ def theoremA_rate_scan(sys: SystemSpec, thetas: Sequence[float], kappa, k: int,
 # Truncated eventually-always sets
 # ---------------------------------------------------------------------------
 
-def _ear_hit_doubling(view: DyadicOrbitView, radii: np.ndarray, n0: int,
-                      M_horizon: int) -> bool:
-    """Is rho_m(x) < r_m for every m in [n0, M_horizon]?  rho_m is the
-    running minimum of the orbit distances."""
-    d = view.circle_dist64_batch(1, M_horizon).astype(np.float64) / 2.0 ** 64
-    rho = np.minimum.accumulate(d)
-    return bool(np.all(rho[n0 - 1 :] < radii[n0 - 1 :]))
-
-
 def ear_truncated_measure(sys: SystemSpec, seq: RadiusSequence, n0: int,
                           M_horizon: int, samples: int,
                           master_seed: int = 0) -> ExperimentReport:
@@ -430,26 +351,10 @@ def ear_truncated_measure(sys: SystemSpec, seq: RadiusSequence, n0: int,
     if not 1 <= n0 <= M_horizon:
         raise ValueError("need 1 <= n0 <= M_horizon")
     t0 = time.monotonic()
-    radii = _radius_floats(seq, 1, M_horizon)
-    hits = 0
-    if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = M_horizon + GUARD_BITS
-        for i in range(samples):
-            view = DyadicOrbitView(sample_bits(master_seed, i, P), P, M_horizon)
-            hits += _ear_hit_doubling(view, radii, n0, M_horizon)
-    else:
-        for i in range(samples):
-            x0 = _sample_start(sys, master_seed, i)
-            pt = x0
-            rho = math.inf
-            ok = True
-            for m in range(1, M_horizon + 1):
-                pt = _exact_step(sys, pt)
-                rho = min(rho, float(point_distance(sys, pt, x0)))
-                if m >= n0 and not rho < radii[m - 1]:
-                    ok = False
-                    break
-            hits += ok
+    start = orbit_backend(sys, M_horizon)
+    radii = Radii(seq, n0, M_horizon)
+    hits = sum(1 for i in range(samples)
+               if False not in _sample_start(start, master_seed, i).min_below(radii))
     est = hits / samples
     ci = wilson_interval(hits, samples)
     return ExperimentReport(
@@ -530,76 +435,35 @@ def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
 # ---------------------------------------------------------------------------
 
 def boshernitzan_scan(sys: SystemSpec, alphas: Sequence[float],
-                      checkpoints: Sequence[int], M: int, master_seed: int = 0,
-                      weight_by: UlamOperator | None = None) -> ExperimentReport:
+                      checkpoints: Sequence[int], M: int,
+                      master_seed: int = 0) -> ExperimentReport:
     """Distribution of min over n <= N of n**(1/alpha) * d(T^n x, x) at each
-    checkpoint N, for M sampled points.
-
-    Sampling is Lebesgue; for systems with a non-uniform invariant density,
-    pass the Ulam operator and the quantiles are importance-weighted by its
-    density (an approximation to invariant-measure sampling).
-    """
+    checkpoint N, for M Lebesgue-sampled points; the reported medians are
+    the lower medians."""
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha must be positive")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     Nmax = checkpoints[-1]
     t0 = time.monotonic()
     stats = np.empty((len(alphas), len(checkpoints), M))
-    weights = np.ones(M)
-    invs = [1.0 / a for a in alphas]
-
-    if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = Nmax + GUARD_BITS
-        ns = np.arange(1, Nmax + 1, dtype=np.float64)
-        idx = np.array(checkpoints) - 1
-        for i in range(M):
-            X0 = sample_bits(master_seed, i, P)
-            view = DyadicOrbitView(X0, P, Nmax)
-            d = view.circle_dist64_batch(1, Nmax).astype(np.float64) / 2.0 ** 64
-            if weight_by is not None:
-                weights[i] = float(
-                    weight_by.density[min(int(float(view.exact_point(0)) * weight_by.N),
-                                          weight_by.N - 1)]
-                )
-            for ai, inv in enumerate(invs):
-                running = np.minimum.accumulate(ns ** inv * d)
-                stats[ai, :, i] = running[idx]
-    else:
-        for i in range(M):
-            x0 = _sample_start(sys, master_seed, i)
-            pt = x0
-            best = [math.inf] * len(alphas)
-            ci = 0
-            for n in range(1, Nmax + 1):
-                pt = _exact_step(sys, pt)
-                d = float(point_distance(sys, pt, x0))
-                for ai, inv in enumerate(invs):
-                    best[ai] = min(best[ai], n ** inv * d)
-                if ci < len(checkpoints) and n == checkpoints[ci]:
-                    for ai in range(len(alphas)):
-                        stats[ai, ci, i] = best[ai]
-                    ci += 1
-    medians = {}
-    for ai, alpha in enumerate(alphas):
-        med = []
-        for cidx in range(len(checkpoints)):
-            med.append(_weighted_median(stats[ai, cidx], weights))
-        medians[f"{alpha:g}"] = med
+    start = orbit_backend(sys, Nmax)
+    idx = np.array(checkpoints) - 1
+    for i in range(M):
+        orbit = _sample_start(start, master_seed, i)
+        if i == 0:  # the orbit class's own power convention
+            powers = [orbit.powers(1.0 / a, Nmax) for a in alphas]
+        d = orbit.distances(Nmax)
+        for ai, w in enumerate(powers):
+            stats[ai, :, i] = np.minimum.accumulate(w * d)[idx]
+    lower_medians = np.sort(stats, axis=2)[:, :, (M - 1) // 2]
     return ExperimentReport(
         experiment="boshernitzan_scan",
         config={"system": sys.describe(), "alphas": [float(a) for a in alphas],
                 "checkpoints": checkpoints, "samples": M,
-                "master_seed": master_seed,
-                "weighted": weight_by is not None},
-        results={"checkpoints": checkpoints, "medians": medians},
+                "master_seed": master_seed, "weighted": False},
+        results={"checkpoints": checkpoints,
+                 "medians": {f"{alpha:g}": [float(v) for v in lower_medians[ai]]
+                             for ai, alpha in enumerate(alphas)}},
         verdict="reported",
         runtime_seconds=time.monotonic() - t0,
     )
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w)
-    return float(v[np.searchsorted(cum, 0.5 * cum[-1])])

@@ -98,6 +98,23 @@ bogus_key = 1
         assert "experiment" in text
         assert "k must be positive" in text
 
+    @pytest.mark.parametrize("head, ignored", [
+        ("experiment = petrov\nseq = powerlaw:1/4,1\n",
+         {"seed": "5", "budget_arcs": "1", "bins": "64"}),
+        ("experiment = rio\nsystem = doubling\nseq = powerlaw:1/4,1\n",
+         {"bins": "64", "alphas": "1,2", "budget_arcs": "1"}),
+    ])
+    def test_keys_the_experiment_ignores_rejected(self, head, ignored, tmp_path):
+        text = "[run]\n" + head + "".join(f"{k} = {v}\n" for k, v in ignored.items())
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert len(exc.value.problems) == len(ignored)
+        for key, problem in zip(ignored, exc.value.problems):
+            assert repr(key) in problem
+        cfg = tmp_path / "ignored.ini"
+        cfg.write_text(text + f"out = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 1
+
     def test_missing_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[other]\nx = 1\n")
@@ -164,6 +181,20 @@ class TestEndToEnd:
         payload = json.loads((tmp_path / "rio_truncated_measure.json").read_bytes())
         assert payload["experiment"] == "rio_truncated_measure"
         assert (tmp_path / "rio_truncated_measure.tsv").exists()
+
+    @pytest.mark.parametrize("system", ["beta:golden", "rotation:sqrt2"])
+    def test_monte_carlo_commands_run_on_fixed_point_systems(self, system, tmp_path):
+        runs = {
+            "rio_truncated_measure.json": ["rio", "--seq", "powerlaw:1/4,1", "--k", "2",
+                                           "--N", "40", "--M", "100"],
+            "ear_truncated_measure.json": ["ear", "--seq", "powerlaw:1,1/2", "--n0", "2",
+                                           "--M-horizon", "20", "--samples", "100"],
+            "boshernitzan_scan.json": ["orbit", "--scan-alphas", "1,2",
+                                       "--checkpoints", "10,100", "--samples", "50"],
+        }
+        for report, argv in runs.items():
+            assert main(argv + ["--system", system, "--out", str(tmp_path)]) == 0
+            assert json.loads((tmp_path / report).read_bytes())["config"]["system"] == system
 
     def test_rio_rerun_byte_identical(self, tmp_path):
         argv = ["rio", "--system", "doubling", "--seq", "powerlaw:1/4,1",

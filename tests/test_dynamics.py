@@ -12,7 +12,6 @@ from recurlab.dynamics import (
     FixedPointOrbit,
     boshernitzan_statistic,
     derive_seed,
-    doubling_boshernitzan_checkpoints,
     iterate,
     min_return_distance,
     point_distance,
@@ -23,7 +22,9 @@ from recurlab.dynamics import (
     sample_fraction,
     write_orbit_csv,
 )
+from recurlab.circle import PowerLaw
 from recurlab.errors import PrecisionBudgetError
+from recurlab.experiments import Radii, boshernitzan_scan
 from recurlab.systems import BetaMap, IntegerCircleMap, Rotation, ToralLinear
 
 DOUBLING = IntegerCircleMap(2)
@@ -129,6 +130,22 @@ class TestFixedPointOrbit:
             gap = abs(lo.X / (1 << lo.P) - hi.X / (1 << hi.P))
             assert gap <= lo.err_bound
 
+    def test_error_bound_stays_finite_and_honest_past_float_range(self):
+        # P = 1454 > 1024 bits and 2000 golden-mean steps: a float ulp count
+        # would overflow near step 1472, and a float 2**-P underflows
+        golden = BetaMap("golden")
+        P = required_bits(golden, 2000)
+        x0_bits = sample_bits(11, 0, P)
+        lo = FixedPointOrbit(golden, x0_bits, P, horizon=2000)
+        hi = FixedPointOrbit(golden, x0_bits << P, 2 * P, horizon=2000)
+        for _ in range(2000):
+            lo.step()
+            hi.step()
+            gap = Fraction(abs((lo.X << P) - hi.X), 1 << (2 * P))
+            assert gap <= lo.err_bound
+        assert isinstance(lo.err_ulp, int)
+        assert math.isfinite(lo.err_bound) and 0 < lo.err_bound < 2.0 ** -60
+
     def test_distance_uses_interval_metric_for_beta(self):
         # beta-maps act on [0,1); points near the two ends are far apart
         orbit = FixedPointOrbit(BetaMap("golden"), 1, 128, horizon=1)
@@ -156,8 +173,9 @@ class TestDyadicOrbitView:
 
     def test_circle_dist64_brackets_exact_distance(self):
         view = self.make_view(3)
+        batch = view.circle_dist64_batch(1, 199)
         for n in range(1, 200):
-            d64 = view.circle_dist64(n)
+            d64 = int(batch[n - 1])
             exact = view.exact_dist(n)
             scaled = exact * (1 << 64)
             assert abs(d64 - scaled) <= 2
@@ -165,17 +183,19 @@ class TestDyadicOrbitView:
     def test_dist_below_agrees_with_exact(self):
         view = self.make_view(4)
         thr = Fraction(1, 97)
-        thr64 = (thr.numerator << 64) // thr.denominator
+        got = view.below(Radii(PowerLaw(thr, 0), 1, 199))
         for n in range(1, 200):
-            assert view.dist_below(n, thr, thr64) == (view.exact_dist(n) < thr)
+            assert got[n - 1] == (view.exact_dist(n) < thr)
 
     def test_insufficient_precision_rejected(self):
         with pytest.raises(PrecisionBudgetError):
             DyadicOrbitView(123, 100, horizon=100)
 
     def test_checkpoint_minima_match_direct_scan(self):
+        # one sample of the scan at seed 5 is the orbit of this view
         view = self.make_view(5, horizon=500)
-        got = doubling_boshernitzan_checkpoints(view, 2.0, [50, 200, 500])
+        rep = boshernitzan_scan(DOUBLING, [2.0], [50, 200, 500], 1, master_seed=5)
+        got = rep.results["medians"]["2"]
         best = math.inf
         expect = []
         marks = {50, 200, 500}

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab.circle import EarRadius, ExplicitTable, PowerLaw, PowerLog, ear_log2_delta
+from recurlab.cli import parse_system
+from recurlab.dynamics import ExactOrbit, FixedPointOrbit, orbit_backend, sample_bits
 from recurlab.experiments import (
     ExperimentReport,
+    Radii,
     boshernitzan_scan,
     ear_exact,
     ear_truncated_measure,
@@ -236,3 +239,69 @@ class TestBoshernitzanScan:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             boshernitzan_scan(DOUBLING, [0.0], [100], 200)
+
+
+class TestOrbitBackendsAgree:
+    """On the same start, the shift and fixed-point backends decide as the
+    exact Fraction orbit does (seeded samples, N <= 500)."""
+
+    @staticmethod
+    def decisions(orbit, radii):
+        return list(orbit.below(radii)), list(orbit.min_below(radii))
+
+    def test_shift_equals_exact_for_doubling(self):
+        N = 300
+        start = orbit_backend(DOUBLING, N)
+        for i in range(6):
+            view = start(21, i)
+            exact = ExactOrbit(DOUBLING, [view.exact_point(0)])
+            for seq in (QUARTER, PowerLaw(Fraction(3), Fraction(1))):
+                radii = Radii(seq, 4, N)
+                assert self.decisions(view, radii) == self.decisions(exact, radii)
+
+    def test_shift_resolves_the_gray_band_exactly(self):
+        # radii within 2**-P of the distances put every comparison in the
+        # 64-bit windows' uncertainty band: a tie is a miss, one ulp more a hit
+        N = 200
+        view = orbit_backend(DOUBLING, N)(22, 0)
+        ulp = Fraction(1, 1 << view.P)
+        seq = ExplicitTable(tuple(view.exact_dist(n) + (n % 2) * ulp
+                                  for n in range(1, N + 1)))
+        radii = Radii(seq, 1, N)
+        exact = ExactOrbit(DOUBLING, [view.exact_point(0)])
+        below, min_below = self.decisions(view, radii)
+        assert below == [n % 2 == 1 for n in range(1, N + 1)]
+        assert (below, min_below) == self.decisions(exact, radii)
+
+    def test_fixed_point_equals_exact_for_rational_rotation(self):
+        rot, N, P = Rotation(Fraction(5, 17)), 400, 256
+        for i in range(6):
+            X0 = sample_bits(23, i, P)
+            for seq in (QUARTER, ExplicitTable((Fraction(1, 17),) * N)):
+                radii = Radii(seq, 1, N)
+                fixed = FixedPointOrbit(rot, X0, P, N)
+                exact = ExactOrbit(rot, [Fraction(X0, 1 << P)])
+                assert self.decisions(fixed, radii) == self.decisions(exact, radii)
+
+
+# every system of the README's table (a concrete piecewise map for its template)
+README_SYSTEMS = ("doubling", "circle:3", "beta:golden", "beta:5/2", "beta:sqrt2",
+                  "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2", "toral:2,1;1,1",
+                  "rotation:sqrt2")
+
+
+@pytest.mark.parametrize("spec", README_SYSTEMS)
+def test_every_monte_carlo_experiment_runs_on_every_system(spec):
+    system = parse_system(spec)
+    reports = [
+        rio_truncated_measure(system, QUARTER, 2, 30, 100, master_seed=1),
+        recurrence_measure_scan(system, QUARTER, 20, 100, master_seed=1),
+        ear_truncated_measure(system, PowerLaw(Fraction(1), Fraction(1, 2)), 2, 20, 100,
+                              master_seed=1),
+        boshernitzan_scan(system, [1.0, 2.0], [10, 50], 50, master_seed=1),
+    ]
+    estimates = ([reports[0].results["estimate"], reports[2].results["estimate"]]
+                 + [row["estimate"] for row in reports[1].results["table"]])
+    assert all(0 <= e <= 1 for e in estimates)
+    medians = [v for meds in reports[3].results["medians"].values() for v in meds]
+    assert all(math.isfinite(v) and v >= 0 for v in medians)
