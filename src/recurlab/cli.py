@@ -286,16 +286,26 @@ def cmd_rio(args) -> int:
     return _verdict_status([rep])
 
 
+def _circle_map_a(system: str, use: str) -> int:
+    """The slope a of ``system``, which must be an integer circle map,
+    the only kind that ``use`` handles."""
+    sys_spec = parse_system(system)
+    if not isinstance(sys_spec, IntegerCircleMap):
+        raise ConfigError([f"{use} needs an integer circle map, not {sys_spec.describe()}"])
+    return sys_spec.a
+
+
 def cmd_ear(args) -> int:
     seq = parse_sequence(args.seq)
     if args.exact:
-        rep = experiments.ear_exact(parse_system(args.system).a, seq,
+        rep = experiments.ear_exact(_circle_map_a(args.system, "exact ear"), seq,
                                     args.n0, args.M_horizon,
                                     arc_budget=args.budget_arcs)
     elif args.sigma is not None:
         rep = experiments.prop_ear_bound_check(
             Fraction(args.sigma),
             list(range(args.n0, args.M_horizon + 1)),
+            a=_circle_map_a(args.system, "ear --sigma"),
             arc_budget=args.budget_arcs)
     else:
         rep = experiments.ear_truncated_measure(
@@ -401,12 +411,8 @@ def cmd_exact(args) -> int:
         res = exact_sets.build_recurrence_set_piecewise(
             parse_system(args.system), args.n, r)
     else:
-        sys_spec = parse_system(args.system)
-        if not isinstance(sys_spec, IntegerCircleMap):
-            raise ConfigError(["closed-form construction needs an integer circle map; "
-                               "use --piecewise for other systems"])
-        res = exact_sets.build_recurrence_set(sys_spec.a, args.n, r,
-                                              arc_budget=args.budget_arcs)
+        a = _circle_map_a(args.system, "closed-form construction (--piecewise takes others)")
+        res = exact_sets.build_recurrence_set(a, args.n, r, arc_budget=args.budget_arcs)
     print(f"E_{args.n}: measure={res.measure} ({float(res.measure):.6g}), "
           f"arcs={res.arc_count}")
     if args.set_out and res.set is not None:

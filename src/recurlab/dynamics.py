@@ -7,7 +7,7 @@ orbit of a sampled point is represented:
 * shift (the doubling map), ``DyadicOrbitView``: T^n x is the dyadic start
   X0 / 2**P shifted by n bits, so d(T^n x, x) is read from a 64-bit window
   of X0 without iterating; comparisons inside the windows' +-2 ulp band are
-  resolved exactly.
+  resolved exactly, one row at a time.
 * fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
   integers X ~ x * 2**P stepped one at a time, with the forward error
   tracked in integer ulps.
@@ -17,8 +17,11 @@ orbit of a sampled point is represented:
 Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
 min_{j <= n} d_j < r_n over an index range: exact for the shift backend, in
 floats for the fixed-point one, and exact wherever r_n is rational for the
-exact one. The exact-orbit helpers (``iterate``, the return statistics and
-the CSV export) share one generator of exact orbit points.
+exact one. The experiments reduce over blocks of samples (the orbit class's
+``block``): a shift block reads all its windows in one kernel call, and a
+``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
+exit. The exact-orbit helpers (``iterate``, the return statistics and the
+CSV export) share one generator of exact orbit points.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .systems import (
 
 GUARD_BITS = 64
 _W = 64
-_MASK64 = (1 << _W) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +115,39 @@ def iterate(sys: SystemSpec, x, n: int):
 # ``True in`` and ``False not in`` stop the orbit at the first decisive step.
 # ---------------------------------------------------------------------------
 
-class _Stepped:
-    """Decisions and distances from ``_dists(n_hi)``, the lazy d_1, d_2, ...,
-    and ``_lt(d, radii, n)``, the comparison d < r_n."""
+class SteppedBlock:
+    """Stepped orbits, one row each: ``any_below`` stops a row at its first
+    hit and ``all_min_below`` at its first miss."""
 
-    def distances(self, n_hi: int) -> np.ndarray:
-        return np.fromiter(self._dists(n_hi), float, n_hi)
+    def __init__(self, orbits: Sequence[_Stepped]):
+        self.orbits = orbits
 
     @staticmethod
     def powers(inv: float, n_hi: int) -> np.ndarray:
         """n**inv for n = 1..n_hi by libm's pow (see DyadicOrbitView.powers)."""
         return np.array([n ** inv for n in range(1, n_hi + 1)])
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.array([o.distances(n_hi) for o in self.orbits])
+
+    def below(self, radii) -> np.ndarray:
+        return np.array([list(o.below(radii)) for o in self.orbits], dtype=bool)
+
+    def any_below(self, radii) -> np.ndarray:
+        return np.array([True in o.below(radii) for o in self.orbits])
+
+    def all_min_below(self, radii) -> np.ndarray:
+        return np.array([False not in o.min_below(radii) for o in self.orbits])
+
+
+class _Stepped:
+    """Decisions and distances from ``_dists(n_hi)``, the lazy d_1, d_2, ...,
+    and ``_lt(d, radii, n)``, the comparison d < r_n."""
+
+    block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.fromiter(self._dists(n_hi), float, n_hi)
 
     def below(self, radii) -> Iterator[bool]:
         """d_n < r_n for n in [radii.n_lo, radii.n_hi]."""
@@ -248,75 +272,80 @@ class FixedPointOrbit(_Stepped):
 # ---------------------------------------------------------------------------
 
 class DyadicOrbitView:
-    """Orbit of X0 / 2**P under x -> 2x mod 1, read from X0's bytes.
+    """Orbits of starts X0 / 2**P under x -> 2x mod 1, read from X0's bytes.
 
     T^n x = (X0 << n mod 2**P) / 2**P exactly, so the top 64 bits of the
-    time-n point are the bits of X0 at positions P-1-n downward. ``window``
-    returns that 64-bit approximation in O(1); callers resolve comparisons
-    that fall within its +-2 ulp (of 2**-64) uncertainty via ``exact_dist``.
+    time-n point are the bits of X0 at positions P-1-n downward: a window of
+    X0, read without iterating. Comparisons within the windows' +-2 ulp (of
+    2**-64) are resolved one start at a time by ``exact_dist``.
+
+    A view holds one start (``X0`` an int; arrays come back 1-D) or a block
+    of them (a sequence of ints; arrays have one row per start). Both read
+    their windows through the one block kernel ``_windows``.
 
     Requires P >= horizon + 64 so every window is fully inside X0.
     """
 
-    def __init__(self, X0: int, P: int, horizon: int):
+    def __init__(self, X0: int | Sequence[int], P: int, horizon: int):
         if P < horizon + _W:
             raise PrecisionBudgetError(horizon + _W, P)
         self.P = P
         self.horizon = horizon
-        self.X0 = X0 % (1 << P)
-        nbytes = (P + 7) // 8
-        # 8 zero bytes of padding on the left so every 9-byte slice exists
-        self._buf = b"\x00" * 8 + self.X0.to_bytes(nbytes, "big")
-        self._nbytes = nbytes
-        self._w0 = self.window(0)
+        one = isinstance(X0, int)
+        self.starts = [x % (1 << P) for x in ([X0] if one else X0)]
+        self._rows = 0 if one else slice(None)  # one start: its row, 1-D
 
-    def window(self, n: int) -> int:
-        """floor(T^n x * 2**64) up to -0/+1: bits P-1-n .. P-64-n of X0."""
-        s = self.P - _W - n  # right-shift amount
-        if s < 0:
-            raise PrecisionBudgetError(n + _W, self.P)
-        byte_lo = s >> 3
-        end = 8 + self._nbytes - byte_lo  # slice end in the padded buffer
-        v = int.from_bytes(self._buf[end - 9 : end], "big")
-        return (v >> (s & 7)) & _MASK64
+    @classmethod
+    def block(cls, views: Sequence[DyadicOrbitView]) -> DyadicOrbitView:
+        return cls([x for v in views for x in v.starts], views[0].P, views[0].horizon)
 
-    def exact_point(self, n: int) -> Fraction:
-        return Fraction((self.X0 << n) % (1 << self.P), 1 << self.P)
+    def _windows(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """floor(T^n x * 2**64) up to -0/+1 as uint64: one row per start, one
+        column per n in [n_lo, n_hi].
 
-    def exact_dist(self, n: int) -> Fraction:
-        t = ((self.X0 << n) - self.X0) % (1 << self.P)
-        return Fraction(min(t, (1 << self.P) - t), 1 << self.P)
+        Each start is laid out big-endian after 8 zero bytes and before one,
+        L bytes a row, so bit P-1-n of X0 is u = e + n bits from its row's
+        top. With W[t] the big-endian word of bytes t..t+7, t = u >> 3 and
+        r = 8 - (u & 7), the window is (W[t+1] >> r) | (W[t-7] << 64-r). The
+        words are one strided read of the bytes that [n_lo, n_hi] needs; one
+        broadcast shift gives the windows of all 8 values of u & 7 in the
+        order of u, so the result is a slice, with no gather.
+        """
+        if n_lo < 0 or self.P < n_hi + _W:
+            raise PrecisionBudgetError(n_hi + _W, self.P)
+        nbytes = (self.P + 7) // 8
+        L, e = nbytes + 9, 64 + 8 * nbytes - self.P
+        buf = b"".join(bytes(8) + x.to_bytes(nbytes, "big") + bytes(1) for x in self.starts)
+        u_lo = e + n_lo
+        t_lo, t_hi = u_lo >> 3, (e + n_hi) >> 3
+        words = np.ndarray((len(self.starts), t_hi - t_lo + 9), ">u8", buf,
+                           t_lo - 7, (L, 1)).astype(np.uint64)  # W[t_lo - 7 .. t_hi + 1]
+        r = np.arange(8, 0, -1, dtype=np.uint64)
+        win = (words[:, 8:, None] >> r) | (words[:, :-8, None] << (np.uint64(_W) - r))
+        first = u_lo & 7  # column u - 8 * t_lo of the reshape has top bit u
+        return win.reshape(len(self.starts), -1)[:, first:first + n_hi - n_lo + 1]
 
     def windows_batch(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """``window(n)`` for every n in [n_lo, n_hi], vectorized (uint64).
+        """floor(T^n x * 2**64) up to -0/+1 for n in [n_lo, n_hi] (uint64)."""
+        return self._windows(n_lo, n_hi)[self._rows]
 
-        Each window is assembled from an aligned 8-byte read plus the byte
-        above it, so the whole orbit segment costs a few numpy passes.
-        """
-        if n_lo < 0 or n_hi > self.horizon or self.P < n_hi + _W:
-            raise PrecisionBudgetError(n_hi + _W, self.P)
-        arr = np.frombuffer(self._buf, dtype=np.uint8)
-        L = arr.shape[0]
-        # big-endian uint64 at every byte offset t: bytes t..t+7
-        sw = np.lib.stride_tricks.sliding_window_view(arr, 8).astype(np.uint64)
-        weights = (np.uint64(1) << (np.uint64(8) * np.arange(7, -1, -1, dtype=np.uint64)))
-        w64 = sw @ weights  # wraps mod 2**64, but windows never overflow 64 bits
-        ns = np.arange(n_lo, n_hi + 1)
-        s = self.P - _W - ns          # right-shift amounts, all >= 0
-        q, r = s >> 3, (s & 7).astype(np.uint64)
-        t = L - 8 - q                 # aligned read covering bits 8q..8q+63
-        a = w64[t]
-        b = arr[t - 1].astype(np.uint64)
-        out = a >> r
-        nz = r > 0
-        out[nz] |= (b[nz] & ((np.uint64(1) << r[nz]) - np.uint64(1))) << (np.uint64(_W) - r[nz])
-        return out
+    def window(self, n: int) -> int:
+        """``windows_batch(n, n)`` of the first start, as an int."""
+        return int(self._windows(n, n)[0, 0])
+
+    def exact_point(self, n: int, row: int = 0) -> Fraction:
+        return Fraction((self.starts[row] << n) % (1 << self.P), 1 << self.P)
+
+    def exact_dist(self, n: int, row: int = 0) -> Fraction:
+        X0 = self.starts[row]
+        t = ((X0 << n) - X0) % (1 << self.P)
+        return Fraction(min(t, (1 << self.P) - t), 1 << self.P)
 
     def circle_dist64_batch(self, n_lo: int, n_hi: int) -> np.ndarray:
         """circle_dist(T^n x, x) * 2**64 for n in [n_lo, n_hi], each +-2."""
-        w = self.windows_batch(n_lo, n_hi)
-        t = w - np.uint64(self._w0)   # wraps mod 2**64, as intended
-        return np.minimum(t, -t)
+        w0 = np.array([x >> (self.P - _W) for x in self.starts], dtype=np.uint64)
+        t = self._windows(n_lo, n_hi) - w0[:, None]  # wraps mod 2**64, as intended
+        return np.minimum(t, -t)[self._rows]
 
     def distances(self, n_hi: int) -> np.ndarray:
         """d(T^n x, x) for n = 1..n_hi, rounded from the 64-bit windows."""
@@ -330,26 +359,34 @@ class DyadicOrbitView:
 
     def below(self, radii) -> np.ndarray:
         """d_n < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
-        d = self.circle_dist64_batch(radii.n_lo, radii.n_hi)
-        return self._decide(radii, d, lambda n, i: (n,))
+        d = np.atleast_2d(self.circle_dist64_batch(radii.n_lo, radii.n_hi))
+        return self._decide(radii, d, lambda row, n, i: (n,))
 
     def min_below(self, radii) -> np.ndarray:
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
-        d = self.circle_dist64_batch(1, radii.n_hi)
+        d = np.atleast_2d(self.circle_dist64_batch(1, radii.n_hi))
         hi = radii.band64[1]
-        return self._decide(radii, np.minimum.accumulate(d)[radii.n_lo - 1:],
-                            lambda n, i: 1 + np.flatnonzero(d[:n] <= hi[i]))
+        return self._decide(radii, np.minimum.accumulate(d, axis=1)[:, radii.n_lo - 1:],
+                            lambda row, n, i: 1 + np.flatnonzero(d[row, :n] <= hi[i]))
+
+    def any_below(self, radii) -> np.ndarray:
+        return self.below(radii).any(axis=-1)
+
+    def all_min_below(self, radii) -> np.ndarray:
+        return self.min_below(radii).all(axis=-1)
 
     def _decide(self, radii, v: np.ndarray, candidates) -> np.ndarray:
-        """v[i] < r_n (n = n_lo + i) from the band; a gray entry holds when
-        some exact d_j, j in ``candidates(n, i)``, is below r_n."""
+        """v[row, i] < r_n (n = n_lo + i) from the band; a gray entry holds
+        when some exact d_j of its row, j in ``candidates(row, n, i)``, is
+        below r_n."""
         lo, hi = radii.band64
         hit = v < lo
-        for i in np.flatnonzero(hit != (v <= hi)):
+        for row, i in np.argwhere(hit != (v <= hi)):
             n = radii.n_lo + int(i)
             r = radii.at(n, self.P)
-            hit[i] = any(self.exact_dist(int(j)) < r for j in candidates(n, i))
-        return hit
+            hit[row, i] = any(self.exact_dist(int(j), int(row)) < r
+                              for j in candidates(row, n, i))
+        return hit[self._rows]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ a pure function of the configuration (master seed included, wall time
 excluded), so reruns are byte-identical regardless of scheduling. Sample
 points are derived from (master seed, sample index) alone.
 
-Each Monte Carlo experiment is a reduction over the orbit backend that
-``dynamics.orbit_backend`` picks, so every one runs on every system: any
-hit (``rio``; stepped orbits stop at the first hit), hits per n (the
-``mu(E_n)`` scan), running minimum always below r_m (eventually-always;
-stepped orbits stop at the first miss) and the running minimum of
-n**(1/alpha) * d(T^n x, x) (Boshernitzan). A call computes its radius
-table once.
+Each Monte Carlo experiment is a reduction over blocks of samples from the
+orbit backend that ``dynamics.orbit_backend`` picks, so every one runs on
+every system: any hit (``rio``; stepped orbits stop at the first hit), hits
+per n (the ``mu(E_n)`` scan), running minimum always below r_m
+(eventually-always; stepped orbits stop at the first miss) and the running
+minimum of n**(1/alpha) * d(T^n x, x) (Boshernitzan). A block holds about
+``_BLOCK`` orbit entries; on the doubling map it is read by one window
+kernel. A call computes its radius table once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _Z95 = 1.959963984540054
 _W64 = 64
 _MAX64 = (1 << _W64) - 1
 _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
+_BLOCK = 1 << 14  # orbit entries (samples x horizon) per block of samples
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +183,25 @@ def _sample_start(start, master_seed: int, index: int):
     return start(master_seed, index)
 
 
+def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int):
+    """Samples 0..M-1 of the orbit backend of ``sys`` over ``horizon`` steps,
+    in blocks of max(1, _BLOCK // horizon) orbits."""
+    start = orbit_backend(sys, horizon)
+    rows = max(1, _BLOCK // horizon)
+    for lo in range(0, M, rows):
+        orbits = [_sample_start(start, master_seed, i) for i in range(lo, min(M, lo + rows))]
+        yield orbits[0].block(orbits)
+
+
 # ---------------------------------------------------------------------------
 # Truncated R_io (infinitely-often returns)
 # ---------------------------------------------------------------------------
 
 def _rio_estimate(sys: SystemSpec, seq: RadiusSequence, k: int, N: int, M: int,
                   master_seed: int) -> tuple[int, float, tuple[float, float]]:
-    start = orbit_backend(sys, N)
     radii = Radii(seq, k, N)
-    hits = sum(1 for i in range(M) if True in _sample_start(start, master_seed, i).below(radii))
+    hits = sum(int(block.any_below(radii).sum())
+               for block in _sample_blocks(sys, N, M, master_seed))
     return hits, hits / M, wilson_interval(hits, M)
 
 
@@ -202,11 +214,10 @@ def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t0 = time.monotonic()
-    start = orbit_backend(sys, n_max)
     radii = Radii(seq, 1, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
-    for i in range(M):
-        hits += np.fromiter(_sample_start(start, master_seed, i).below(radii), bool, n_max)
+    for block in _sample_blocks(sys, n_max, M, master_seed):
+        hits += block.below(radii).sum(axis=0)
     rows = []
     for n in range(1, n_max + 1):
         lo, hi = wilson_interval(int(hits[n - 1]), M)
@@ -350,11 +361,12 @@ def ear_truncated_measure(sys: SystemSpec, seq: RadiusSequence, n0: int,
     window comes within r_m of the start."""
     if not 1 <= n0 <= M_horizon:
         raise ValueError("need 1 <= n0 <= M_horizon")
+    if samples < 1:
+        raise ValueError("need at least 1 sample")
     t0 = time.monotonic()
-    start = orbit_backend(sys, M_horizon)
     radii = Radii(seq, n0, M_horizon)
-    hits = sum(1 for i in range(samples)
-               if False not in _sample_start(start, master_seed, i).min_below(radii))
+    hits = sum(int(block.all_min_below(radii).sum())
+               for block in _sample_blocks(sys, M_horizon, samples, master_seed))
     est = hits / samples
     ci = wilson_interval(hits, samples)
     return ExperimentReport(
@@ -443,18 +455,23 @@ def boshernitzan_scan(sys: SystemSpec, alphas: Sequence[float],
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha must be positive")
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("need checkpoints, each >= 1")
+    if M < 1:
+        raise ValueError("need at least 1 sample")
     Nmax = checkpoints[-1]
     t0 = time.monotonic()
     stats = np.empty((len(alphas), len(checkpoints), M))
-    start = orbit_backend(sys, Nmax)
-    idx = np.array(checkpoints) - 1
-    for i in range(M):
-        orbit = _sample_start(start, master_seed, i)
-        if i == 0:  # the orbit class's own power convention
-            powers = [orbit.powers(1.0 / a, Nmax) for a in alphas]
-        d = orbit.distances(Nmax)
+    segments = [0] + checkpoints[:-1]  # n in (previous checkpoint, checkpoint]
+    lo = 0
+    for block in _sample_blocks(sys, Nmax, M, master_seed):
+        if lo == 0:  # the orbit class's own power convention
+            powers = [block.powers(1.0 / a, Nmax) for a in alphas]
+        d = block.distances(Nmax)
         for ai, w in enumerate(powers):
-            stats[ai, :, i] = np.minimum.accumulate(w * d)[idx]
+            seg = np.minimum.reduceat(w * d, segments, axis=1)
+            stats[ai, :, lo:lo + len(d)] = np.minimum.accumulate(seg, axis=1).T
+        lo += len(d)
     lower_medians = np.sort(stats, axis=2)[:, :, (M - 1) // 2]
     return ExperimentReport(
         experiment="boshernitzan_scan",

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, config validation, end-to-end runs."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -275,6 +276,35 @@ class TestEndToEnd:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ear", "--exact", "--system", "beta:golden"],
+        ["ear", "--exact", "--system", "toral:2,1;1,1"],
+        ["ear", "--sigma", "1", "--system", "beta:golden"],
+        ["exact", "--system", "beta:golden", "--n", "3", "--r", "1/10"],
+    ])
+    def test_exact_paths_need_an_integer_circle_map(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ear_exact_config_needs_an_integer_circle_map(self, tmp_path, capsys):
+        cfg = tmp_path / "ear.ini"
+        cfg.write_text("[run]\nexperiment = ear_exact\nsystem = beta:golden\n"
+                       f"seq = powerlaw:1,2\nout = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_ear_sigma_reads_the_system(self, tmp_path):
+        argv = ["ear", "--sigma", "1", "--n0", "4", "--M-horizon", "8"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        report = (tmp_path / "prop_ear_bound_check.json").read_bytes()
+        # the bytes of the doubling default are those from before --system was read
+        assert hashlib.sha256(report).hexdigest() == (
+            "3b08264a7a182c2e765f7ef86fce35ca10fe54e09713e8e708093be0aafe68a4")
+        assert main(argv + ["--system", "circle:3", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "prop_ear_bound_check.json").read_bytes())
+        assert report["config"]["system"] == "circle:3"
 
     def test_bad_system_spec_exit_code(self, tmp_path, capsys):
         code = main(["rio", "--system", "lorenz", "--seq", "powerlaw:1/4,1",

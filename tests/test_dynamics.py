@@ -9,6 +9,7 @@ import pytest
 
 from recurlab.dynamics import (
     DyadicOrbitView,
+    ExactOrbit,
     FixedPointOrbit,
     boshernitzan_statistic,
     derive_seed,
@@ -22,9 +23,9 @@ from recurlab.dynamics import (
     sample_fraction,
     write_orbit_csv,
 )
-from recurlab.circle import PowerLaw
+from recurlab.circle import ExplicitTable, PowerLaw
 from recurlab.errors import PrecisionBudgetError
-from recurlab.experiments import Radii, boshernitzan_scan
+from recurlab.experiments import _BLOCK, Radii, boshernitzan_scan
 from recurlab.systems import BetaMap, IntegerCircleMap, Rotation, ToralLinear
 
 DOUBLING = IntegerCircleMap(2)
@@ -204,6 +205,76 @@ class TestDyadicOrbitView:
             if n in marks:
                 expect.append(best)
         assert got == pytest.approx(expect, rel=1e-9)
+
+
+class TestDyadicBlockKernel:
+    """The block kernel against per-row exact arithmetic (seeded sweep)."""
+
+    @staticmethod
+    def check_rows(block, n_lo, n_hi, step=1):
+        windows = block.windows_batch(n_lo, n_hi)
+        dists = block.circle_dist64_batch(n_lo, n_hi)
+        assert windows.shape == dists.shape == (len(block.starts), n_hi - n_lo + 1)
+        for row in range(len(block.starts)):
+            for n in range(n_lo, n_hi + 1, step):
+                point = block.exact_point(n, row)
+                assert int(windows[row, n - n_lo]) == (point.numerator << 64) // point.denominator
+                exact = block.exact_dist(n, row) * (1 << 64)
+                assert abs(int(dists[row, n - n_lo]) - exact) <= 2
+
+    @pytest.mark.parametrize("horizon, extra", [(40, 0), (61, 0), (100, 5), (203, 1)])
+    def test_block_sweep_matches_exact_rows(self, horizon, extra):
+        # P = horizon + 64 + extra is a multiple of 8 only in the first case
+        rng = random.Random(horizon)
+        P = horizon + 64 + extra
+        per_block = max(1, _BLOCK // horizon)
+        for rows in (1, 2, 7, per_block + 1):
+            block = DyadicOrbitView([rng.getrandbits(P) for _ in range(rows)], P, horizon)
+            step = 1 if rows <= 7 else 13
+            for n_lo in (0, 1, rng.randint(2, horizon)):
+                self.check_rows(block, n_lo, horizon, step)
+
+    def test_horizon_past_the_block_budget(self):
+        horizon = _BLOCK + 37
+        assert max(1, _BLOCK // horizon) == 1
+        P = horizon + 64
+        block = DyadicOrbitView([sample_bits(9, 0, P)], P, horizon)
+        self.check_rows(block, 0, horizon, step=997)
+        self.check_rows(block, horizon - 20, horizon)
+
+    def test_block_of_views_stacks_their_starts(self):
+        P, horizon = 150, 80
+        views = [DyadicOrbitView(sample_bits(4, i, P), P, horizon) for i in range(5)]
+        block = DyadicOrbitView.block(views)
+        stacked = block.circle_dist64_batch(1, horizon)
+        for row, view in enumerate(views):
+            assert np.array_equal(stacked[row], view.circle_dist64_batch(1, horizon))
+            assert view.window(17) == int(block.windows_batch(17, 17)[row, 0])
+
+    def test_gray_band_decided_row_by_row(self):
+        # x and 1 - x have the same return distances under doubling, so one
+        # table within 2**-P of them puts every comparison of those rows in
+        # the gray band: a tie is a miss, one ulp more a hit. Row 0 is
+        # another start, so a row mix-up in the exact resolution shows.
+        N = 150
+        P = N + 64
+        X0, X1 = sample_bits(31, 0, P), sample_bits(31, 1, P)
+        starts = [X1] + [X0, (1 << P) - X0] * 3
+        block = DyadicOrbitView(starts, P, N)
+        ulp = Fraction(1, 1 << P)
+        d = [block.exact_dist(n, 1) for n in range(1, N + 1)]
+        rho = [min(d[:n]) for n in range(1, N + 1)]
+        below = Radii(ExplicitTable(tuple(v + (n % 2) * ulp for n, v in enumerate(d, 1))), 1, N)
+        min_below = Radii(ExplicitTable(tuple(v + (n % 2) * ulp for n, v in enumerate(rho, 1))),
+                          1, N)
+        got_below, got_min = block.below(below), block.min_below(min_below)
+        for row, x in enumerate(starts):
+            exact = ExactOrbit(DOUBLING, [Fraction(x, 1 << P)])
+            assert got_below[row].tolist() == list(exact.below(below))
+            assert got_min[row].tolist() == list(exact.min_below(min_below))
+        odd = [n % 2 == 1 for n in range(1, N + 1)]
+        assert all(got_below[row].tolist() == odd for row in range(1, 7))
+        assert all(got_min[row].tolist() == odd for row in range(1, 7))
 
 
 class TestDeterministicSampling:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab.circle import EarRadius, ExplicitTable, PowerLaw, PowerLog, ear_log2_delta
+from recurlab import experiments
 from recurlab.cli import parse_system
 from recurlab.dynamics import ExactOrbit, FixedPointOrbit, orbit_backend, sample_bits
 from recurlab.experiments import (
@@ -282,6 +283,59 @@ class TestOrbitBackendsAgree:
                 fixed = FixedPointOrbit(rot, X0, P, N)
                 exact = ExactOrbit(rot, [Fraction(X0, 1 << P)])
                 assert self.decisions(fixed, radii) == self.decisions(exact, radii)
+
+
+class TestBlockReductions:
+    """On doubling, each reduction reports the same from the shift backend's
+    blocks as from exact Fraction orbits of the same starts, for block sizes
+    that do not divide the sample count."""
+
+    @staticmethod
+    def exact_backend(sys, horizon):
+        P = horizon + 64
+        return lambda seed, i: ExactOrbit(sys, [Fraction(sample_bits(seed, i, P), 1 << P)])
+
+    @pytest.mark.parametrize("rows", [7, 33, None])  # None: the module's block size
+    def test_shift_equals_exact_for_every_reduction(self, rows, monkeypatch):
+        N, M = 60, 100
+        runs = {
+            "rio": lambda: rio_truncated_measure(
+                DOUBLING, PowerLaw(Fraction(1, 2), Fraction(1)), 3, N, M, 5),
+            "scan": lambda: recurrence_measure_scan(DOUBLING, QUARTER, N, M, 5),
+            "ear": lambda: ear_truncated_measure(
+                DOUBLING, PowerLaw(Fraction(1), Fraction(1)), 3, N, M, 5),
+            "orbit": lambda: boshernitzan_scan(DOUBLING, [1.0, 2.0], [5, 30, N], M, 5),
+        }
+        if rows is not None:
+            monkeypatch.setattr(experiments, "_BLOCK", rows * N)
+        shift = {name: run() for name, run in runs.items()}
+        monkeypatch.setattr(experiments, "orbit_backend", self.exact_backend)
+        exact = {name: run() for name, run in runs.items()}
+        for name in ("rio", "scan", "ear"):
+            assert shift[name].to_json_bytes() == exact[name].to_json_bytes()
+        assert 0 < shift["rio"].results["hits"] < M
+        assert 0 < shift["ear"].results["hits"] < M
+        # the shift backend's distances are rounded to 2**-64 and its powers
+        # are numpy's, so the weighted minima agree to rounding
+        for alpha, medians in shift["orbit"].results["medians"].items():
+            assert medians == pytest.approx(exact["orbit"].results["medians"][alpha],
+                                            rel=1e-9, abs=1e-15)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("checkpoints, M", [([0, 10], 20), ([], 20), ([10], 0)])
+    def test_boshernitzan_scan_rejects_bad_inputs(self, checkpoints, M):
+        with pytest.raises(ValueError):
+            boshernitzan_scan(DOUBLING, [1.0], checkpoints, M)
+
+    def test_boshernitzan_scan_runs_on_one_sample(self):
+        rep = boshernitzan_scan(DOUBLING, [1.0], [1, 10], 1, master_seed=2)
+        assert len(rep.results["medians"]["1"]) == 2
+
+    @pytest.mark.parametrize("n0, M_horizon, samples", [(3, 20, 0), (0, 20, 10), (21, 20, 10)])
+    def test_ear_truncated_measure_rejects_bad_inputs(self, n0, M_horizon, samples):
+        with pytest.raises(ValueError):
+            ear_truncated_measure(DOUBLING, QUARTER, n0, M_horizon, samples)
 
 
 # every system of the README's table (a concrete piecewise map for its template)
