@@ -23,6 +23,7 @@ from .circle import (
 from .dynamics import (
     DyadicOrbitView,
     FixedPointOrbit,
+    LatticeOrbit,
     boshernitzan_statistic,
     iterate,
     min_return_distance,

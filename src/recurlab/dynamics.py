@@ -11,17 +11,21 @@ orbit of a sampled point is represented:
 * fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
   integers X ~ x * 2**P stepped one at a time, with the forward error
   tracked in integer ulps.
-* exact (other circle maps, piecewise-affine and toral maps, rational
-  rotations), ``ExactOrbit``: Fraction points, exact distances.
+* lattice (other integer circle maps, toral maps, rational rotations and
+  piecewise-affine maps), ``LatticeOrbit``: the orbit of a dyadic start
+  stays on a lattice S**-1 * Z**d, one integer scale S per call, so points
+  and distances are exact integers over S.
 
 Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
 min_{j <= n} d_j < r_n over an index range: exact for the shift backend, in
 floats for the fixed-point one, and exact wherever r_n is rational for the
-exact one. The experiments reduce over blocks of samples (the orbit class's
+lattice one. The experiments reduce over blocks of samples (the orbit class's
 ``block``): a shift block reads all its windows in one kernel call, and a
 ``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
-exit. The exact-orbit helpers (``iterate``, the return statistics and the
-CSV export) share one generator of exact orbit points.
+exit. ``ExactOrbit`` steps the same orbits in ``Fraction``s; it is the
+oracle the lattice backend is tested against. The exact-orbit helpers
+(``iterate``, the return statistics and the CSV export) share its generator
+of exact orbit points.
 """
 
 from __future__ import annotations
@@ -32,13 +36,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .circle import circle_dist
 from .errors import PrecisionBudgetError
+from .number_theory import mat_det
 from .systems import (
     BetaMap,
     IntegerCircleMap,
@@ -108,7 +115,7 @@ def iterate(sys: SystemSpec, x, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Stepped orbits: the fixed-point and exact backends
+# Stepped orbits: the fixed-point and lattice backends, and the exact oracle
 #
 # Decisions read a radius table ``radii`` (``experiments.Radii``) for n in
 # [radii.n_lo, radii.n_hi]. Stepped orbits yield them one step at a time, so
@@ -142,7 +149,8 @@ class SteppedBlock:
 
 class _Stepped:
     """Decisions and distances from ``_dists(n_hi)``, the lazy d_1, d_2, ...,
-    and ``_lt(d, radii, n)``, the comparison d < r_n."""
+    and ``_decide(ds, radii)``, the lazy d < r_n for the d of ``ds``, which
+    start at n = radii.n_lo."""
 
     block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
 
@@ -151,20 +159,18 @@ class _Stepped:
 
     def below(self, radii) -> Iterator[bool]:
         """d_n < r_n for n in [radii.n_lo, radii.n_hi]."""
-        for n, d in enumerate(self._dists(radii.n_hi), 1):
-            if n >= radii.n_lo:
-                yield self._lt(d, radii, n)
+        return self._decide(islice(self._dists(radii.n_hi), radii.n_lo - 1, None), radii)
 
     def min_below(self, radii) -> Iterator[bool]:
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi]."""
-        for n, rho in enumerate(accumulate(self._dists(radii.n_hi), min), 1):
-            if n >= radii.n_lo:
-                yield self._lt(rho, radii, n)
+        rho = accumulate(self._dists(radii.n_hi), min)
+        return self._decide(islice(rho, radii.n_lo - 1, None), radii)
 
 
 class ExactOrbit(_Stepped):
     """The exact orbit of a rational start (its coordinates, one on the
-    circle); compared exactly with a rational radius, as a float otherwise."""
+    circle); compared exactly with a rational radius, as a float otherwise.
+    The Monte Carlo experiments use ``LatticeOrbit``; this is its oracle."""
 
     def __init__(self, sys: SystemSpec, coords: Sequence[Fraction]):
         self.sys = sys
@@ -174,9 +180,106 @@ class ExactOrbit(_Stepped):
         return _return_distances(self.sys, self.x0, n_hi)
 
     @staticmethod
-    def _lt(d, radii, n: int) -> bool:
-        r = radii.exact[n - radii.n_lo]
-        return d < r if r is not None else float(d) < radii.approx[n - radii.n_lo]
+    def _decide(ds, radii) -> Iterator[bool]:
+        for i, (d, r) in enumerate(zip(ds, radii.exact)):
+            yield d < r if r is not None else float(d) < radii.approx[i]
+
+
+# ---------------------------------------------------------------------------
+# Lattice orbits: exact systems in integers
+# ---------------------------------------------------------------------------
+
+def _v2(k: int) -> int:
+    """The exponent of 2 in k != 0."""
+    return (k & -k).bit_length() - 1
+
+
+def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
+    """(P, S, walk) for an exact system over ``horizon`` steps. A dyadic start
+    X0 / 2**P is X0 * (S >> P) / S, and each of its first ``horizon`` orbit
+    points is X / S with integer X. ``walk(X, n_hi)`` yields the integer
+    distances S * d(T^n x, x), n = 1..n_hi, of the start X / S (a tuple of
+    coordinates on the torus).
+
+    P keeps about 128 random bits to the horizon: an even slope a sheds
+    v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
+    of A^n divides det A^n). Piecewise maps take P = 128 and
+    S = 2**P * q**horizon * L, q the lcm of the slope and intercept
+    denominators and L that of the branch ends, so every slope divides
+    exactly and every branch end is an integer over S."""
+    # on the circle, d = min(t, S - t) / S with t = (X - X0) mod S, and
+    # min(t, S - t) = S/2 - |S/2 - t| (S is even)
+    if isinstance(sys, ToralLinear):
+        P = 128 + horizon * _v2(mat_det(sys.A))
+        S, A = 1 << P, sys.A
+        half = S >> 1
+
+        def walk(X0, n_hi):
+            X = X0
+            for _ in range(n_hi):
+                X = [sum(map(mul, row, X)) % S for row in A]
+                yield max([half - abs(half - (x - x0) % S) for x, x0 in zip(X, X0)])
+        return P, S, walk
+    if isinstance(sys, PiecewiseLinear):
+        P = 128
+        q = math.lcm(*(f.denominator for b in sys.branches for f in (b.slope, b.intercept)))
+        S = (q ** horizon * math.lcm(*(b.hi.denominator for b in sys.branches))) << P
+        branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
+                     b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
+                    for b in sys.branches]
+
+        def walk(X0, n_hi):
+            X = X0
+            for _ in range(n_hi):
+                for hi, p, d, c in branches:
+                    if X < hi:
+                        break
+                X = p * X // d + c
+                if X >= S:  # images may touch 1 at a branch end
+                    X -= S
+                yield abs(X - X0)
+        return P, S, walk
+    # circle maps and rotations: x -> a x + b mod 1 is X -> (a X + B) mod S
+    if isinstance(sys, IntegerCircleMap):
+        P = 128 + horizon * _v2(sys.a)
+        S, a, B = 1 << P, sys.a, 0
+    elif isinstance(sys, Rotation) and sys.alpha.exact() is not None:
+        alpha, P = sys.alpha.exact(), 128
+        S, a, B = alpha.denominator << P, 1, alpha.numerator << P
+    else:
+        raise ValueError(f"{sys.describe()} has no lattice orbit")
+
+    half = S >> 1
+
+    def walk(X0, n_hi):
+        X = X0
+        for _ in range(n_hi):
+            X = (a * X + B) % S
+            yield half - abs(half - (X - X0) % S)
+    return P, S, walk
+
+
+class LatticeOrbit(_Stepped):
+    """The orbit of a start X0 / S (X0 a tuple on the torus) held as
+    integers, from ``_lattice``'s ``walk``, up to ``horizon`` steps.
+    Distances are integers D over S: a rational r_n is compared exactly,
+    D < ceil(r_n * S), an irrational one as the float D / S."""
+
+    def __init__(self, S: int, walk: Callable, horizon: int, X0):
+        self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
+
+    def _dists(self, n_hi: int) -> Iterator[int]:
+        if n_hi > self.horizon:
+            raise ValueError(f"lattice orbit built for {self.horizon} steps, not {n_hi}")
+        return self.walk(self.X0, n_hi)
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.fromiter((D / self.S for D in self._dists(n_hi)), float, n_hi)
+
+    def _decide(self, ds, radii) -> Iterator[bool]:
+        S = self.S
+        for i, (D, c) in enumerate(zip(ds, radii.ceil_scaled(S))):
+            yield D < c if c is not None else D / S < radii.approx[i]
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +300,31 @@ def required_bits(sys: SystemSpec, horizon: int) -> int:
     return growth + GUARD_BITS
 
 
+@lru_cache(maxsize=16)
+def _fixed_point_constants(sys: SystemSpec, P: int, horizon: int
+                           ) -> tuple[int, int | None, int | None]:
+    """(required bits, multiplier, shift) of a fixed-point orbit. They take an
+    mpmath float and an isqrt of a 2P-bit integer, so each (sys, P, horizon)
+    builds them once, not once per sample."""
+    need = required_bits(sys, horizon)
+    if isinstance(sys, BetaMap):
+        return need, sys.beta.scaled(P), None
+    if isinstance(sys, Rotation):
+        return need, None, sys.alpha.scaled(P)
+    return need, None, None
+
+
 class FixedPointOrbit(_Stepped):
     """Orbit of x ~ X0 / 2**P under a beta-map or rotation, with explicit
     error accounting: ``err_ulp`` is an integer upper bound, in ulps of
     2**-P, on the distance of X / 2**P from the true point."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
-        need = required_bits(sys, horizon)
+        need, self._mult, self._shift = _fixed_point_constants(sys, P, horizon)
         if P < need:
             raise PrecisionBudgetError(need, P)
+        if self._mult is None and self._shift is None:
+            raise ValueError(f"no fixed-point orbit for {sys.describe()}")
         self.sys = sys
         self.P = P
         self.horizon = horizon
@@ -213,14 +332,6 @@ class FixedPointOrbit(_Stepped):
         self.X = self.X0
         self.step_count = 0
         self.err_ulp = 1  # X0 itself rounds the true point
-        if isinstance(sys, BetaMap):
-            self._mult = sys.beta.scaled(P)
-            self._shift = None
-        elif isinstance(sys, Rotation):
-            self._shift = sys.alpha.scaled(P)
-            self._mult = None
-        else:
-            raise ValueError(f"no fixed-point orbit for {sys.describe()}")
 
     def step(self) -> int:
         if self.step_count >= self.horizon:
@@ -263,8 +374,9 @@ class FixedPointOrbit(_Stepped):
             yield self.dist_to_start()
 
     @staticmethod
-    def _lt(d: float, radii, n: int) -> bool:
-        return d < radii.approx[n - radii.n_lo]
+    def _decide(ds, radii) -> Iterator[bool]:
+        for d, r in zip(ds, radii.approx):
+            yield d < r
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +521,13 @@ def sample_fraction(master_seed: int, index: int, bits: int = 128) -> Fraction:
 
 
 def orbit_backend(sys: SystemSpec, horizon: int
-                  ) -> Callable[[int, int], DyadicOrbitView | FixedPointOrbit | ExactOrbit]:
+                  ) -> Callable[[int, int], DyadicOrbitView | FixedPointOrbit | LatticeOrbit]:
     """The one dispatch on the system type for the Monte Carlo experiments:
     returns ``start``, where ``start(master_seed, index)`` is the orbit of
     that sample over ``horizon`` steps. The doubling map draws
     ``sample_bits(seed, i, horizon + 64)``, beta-maps
-    P = max(256, ceil(horizon * log2 beta) + 128) bits, and exact systems a
-    128-bit ``sample_fraction`` per coordinate."""
+    P = max(256, ceil(horizon * log2 beta) + 128) bits, and exact systems
+    ``sample_bits(seed, i * d + c, P)`` for coordinate c, P from ``_lattice``."""
     if isinstance(sys, IntegerCircleMap) and sys.a == 2:
         P = horizon + GUARD_BITS
         return lambda seed, i: DyadicOrbitView(sample_bits(seed, i, P), P, horizon)
@@ -424,8 +536,13 @@ def orbit_backend(sys: SystemSpec, horizon: int
     elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
         P = max(256, required_bits(sys, horizon))
     else:
-        return lambda seed, i: ExactOrbit(
-            sys, [sample_fraction(seed, i * sys.d + c) for c in range(sys.d)])
+        P, S, walk = _lattice(sys, horizon)
+        unit, d = S >> P, sys.d
+
+        def start(seed: int, i: int) -> LatticeOrbit:
+            X = [sample_bits(seed, i * d + c, P) * unit for c in range(d)]
+            return LatticeOrbit(S, walk, horizon, tuple(X) if isinstance(sys, ToralLinear) else X[0])
+        return start
     return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .circle import RadiusSequence, merge_scaled_arcs, scaled_measure
 from .dynamics import orbit_backend
-# bound here only for perfbench/tracing.py's probes; the backends call them in dynamics
+# bound here only for perfbench/tracing.py's probes, which raise on a missing name
 from .dynamics import _exact_step, point_distance, sample_bits  # noqa: F401
 from .errors import ArcBudgetExceeded
 from .exact_sets import DEFAULT_ARC_BUDGET, _fixed_point_count, ear_truncated_A
@@ -152,6 +152,7 @@ class Radii:
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
         self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi
+        self._ceil: dict[int, list[int | None]] = {}
 
     @cached_property
     def approx(self) -> list[float]:
@@ -169,6 +170,14 @@ class Radii:
                for n in range(self.n_lo, self.n_hi + 1)]
         return (np.array([max(t - _SLACK, 0) for t in thr], dtype=np.uint64),
                 np.array([min(t + _SLACK, _MAX64) for t in thr], dtype=np.uint64))
+
+    def ceil_scaled(self, S: int) -> list[int | None]:
+        """ceil(r_n * S) for a rational r_n, None for an irrational one: an
+        integer D is below r_n * S exactly when it is below ceil(r_n * S)."""
+        if S not in self._ceil:
+            self._ceil[S] = [None if r is None else -(-r.numerator * S // r.denominator)
+                             for r in self.exact]
+        return self._ceil[S]
 
     def at(self, n: int, bits: int) -> Fraction:
         """r_n exactly, or floor(r_n * 2**bits) / 2**bits when irrational."""
