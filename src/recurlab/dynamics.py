@@ -6,21 +6,24 @@ orbit of a sampled point is represented:
 
 * shift (the doubling map), ``DyadicOrbitView``: T^n x is the dyadic start
   X0 / 2**P shifted by n bits, so d(T^n x, x) is read from a 64-bit window
-  of X0 without iterating; comparisons inside the windows' +-2 ulp band are
-  resolved exactly, one row at a time.
+  of X0 without iterating, to within +-2 ulps of 2**-64.
 * fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
   integers X ~ x * 2**P stepped one at a time, with the forward error
-  tracked in integer ulps.
+  bounded in integer ulps.
 * lattice (other integer circle maps, toral maps, rational rotations and
   piecewise-affine maps), ``LatticeOrbit``: the orbit of a dyadic start
   stays on a lattice S**-1 * Z**d, one integer scale S per call, so points
   and distances are exact integers over S.
 
 Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
-min_{j <= n} d_j < r_n over an index range: exact for the shift backend, in
-floats for the fixed-point one, and exact wherever r_n is rational for the
-lattice one. The experiments reduce over blocks of samples (the orbit class's
-``block``): a shift block reads all its windows in one kernel call, and a
+min_{j <= n} d_j < r_n over an index range. Every decision is certified:
+each backend hands an integer distance over its scale, with its error bound
+(the windows' slack, the fixed-point error, 0 on the lattice), to the one
+decision of ``experiments.Radii``. A float band settles almost every entry;
+the rest are resolved exactly, and a fixed-point entry that its error bound
+leaves open is computed again at twice the precision. The experiments reduce
+over blocks of samples (the orbit class's ``block``): a shift block reads all
+its windows in one kernel call, and a
 ``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
 exit. ``ExactOrbit`` steps the same orbits in ``Fraction``s; it is the
 oracle the lattice backend is tested against. The exact-orbit helpers
@@ -41,6 +44,7 @@ from itertools import accumulate, islice
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
+import mpmath
 import numpy as np
 
 from .circle import circle_dist
@@ -140,49 +144,72 @@ class SteppedBlock:
     def below(self, radii) -> np.ndarray:
         return np.array([list(o.below(radii)) for o in self.orbits], dtype=bool)
 
+    def any_below_each(self, tables) -> list[np.ndarray]:
+        return [np.array([True in o.below(radii) for o in self.orbits]) for radii in tables]
+
     def any_below(self, radii) -> np.ndarray:
-        return np.array([True in o.below(radii) for o in self.orbits])
+        return self.any_below_each([radii])[0]
 
     def all_min_below(self, radii) -> np.ndarray:
         return np.array([False not in o.min_below(radii) for o in self.orbits])
 
 
 class _Stepped:
-    """Decisions and distances from ``_dists(n_hi)``, the lazy d_1, d_2, ...,
-    and ``_decide(ds, radii)``, the lazy d < r_n for the d of ``ds``, which
-    start at n = radii.n_lo."""
+    """Decisions and distances from ``_dists(n_hi)``, the lazy integer
+    distances S * d(T^n x, x), n = 1, 2, ..., over the orbit's scale ``S``.
+    Decisions are ``Radii.decide``'s, lazy, for n from radii.n_lo on."""
 
     block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
 
     def distances(self, n_hi: int) -> np.ndarray:
-        return np.fromiter(self._dists(n_hi), float, n_hi)
+        S = self.S
+        return np.fromiter((D / S for D in self._dists(n_hi)), float, n_hi)
 
     def below(self, radii) -> Iterator[bool]:
         """d_n < r_n for n in [radii.n_lo, radii.n_hi]."""
-        return self._decide(islice(self._dists(radii.n_hi), radii.n_lo - 1, None), radii)
+        return self._decide(radii, False)
 
     def min_below(self, radii) -> Iterator[bool]:
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi]."""
-        rho = accumulate(self._dists(radii.n_hi), min)
-        return self._decide(islice(rho, radii.n_lo - 1, None), radii)
+        return self._decide(radii, True)
+
+    def _series(self, n_hi: int, running_min: bool) -> Iterator:
+        """The distances up to n_hi, or their running minima."""
+        ds = self._dists(n_hi)
+        return accumulate(ds, min) if running_min else ds
+
+    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
+        ds = islice(self._series(radii.n_hi, running_min), radii.n_lo - 1, None)
+        return radii.decide(ds, self.S)
 
 
 class ExactOrbit(_Stepped):
     """The exact orbit of a rational start (its coordinates, one on the
-    circle); compared exactly with a rational radius, as a float otherwise.
-    The Monte Carlo experiments use ``LatticeOrbit``; this is its oracle."""
+    circle), with ``Fraction`` distances decided exactly. The Monte Carlo
+    experiments use ``LatticeOrbit``; this is its oracle."""
 
     def __init__(self, sys: SystemSpec, coords: Sequence[Fraction]):
         self.sys = sys
         self.x0 = tuple(coords) if isinstance(sys, ToralLinear) else coords[0]
 
-    def _dists(self, n_hi: int) -> Iterator:
+    def _dists(self, n_hi: int) -> Iterator[Fraction]:
         return _return_distances(self.sys, self.x0, n_hi)
 
-    @staticmethod
-    def _decide(ds, radii) -> Iterator[bool]:
-        for i, (d, r) in enumerate(zip(ds, radii.exact)):
-            yield d < r if r is not None else float(d) < radii.approx[i]
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.fromiter(self._dists(n_hi), float, n_hi)
+
+    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
+        # d < r_n in Fractions, or in mpmath well past d's denominator when
+        # r_n is irrational: no float band, so that it checks the one of Radii
+        ds = islice(self._series(radii.n_hi, running_min), radii.n_lo - 1, None)
+        for n, d in enumerate(ds, radii.n_lo):
+            r = radii.seq.exact(n)
+            if r is None:
+                with mpmath.workprec(d.denominator.bit_length() + 64):
+                    hit = mpmath.mpf(d.numerator) / d.denominator < radii.seq.mp(n)
+                yield hit
+            else:
+                yield d < r
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +289,7 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
 class LatticeOrbit(_Stepped):
     """The orbit of a start X0 / S (X0 a tuple on the torus) held as
     integers, from ``_lattice``'s ``walk``, up to ``horizon`` steps.
-    Distances are integers D over S: a rational r_n is compared exactly,
-    D < ceil(r_n * S), an irrational one as the float D / S."""
+    Distances are exact integers D over S."""
 
     def __init__(self, S: int, walk: Callable, horizon: int, X0):
         self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
@@ -272,14 +298,6 @@ class LatticeOrbit(_Stepped):
         if n_hi > self.horizon:
             raise ValueError(f"lattice orbit built for {self.horizon} steps, not {n_hi}")
         return self.walk(self.X0, n_hi)
-
-    def distances(self, n_hi: int) -> np.ndarray:
-        return np.fromiter((D / self.S for D in self._dists(n_hi)), float, n_hi)
-
-    def _decide(self, ds, radii) -> Iterator[bool]:
-        S = self.S
-        for i, (D, c) in enumerate(zip(ds, radii.ceil_scaled(S))):
-            yield D < c if c is not None else D / S < radii.approx[i]
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +332,22 @@ def _fixed_point_constants(sys: SystemSpec, P: int, horizon: int
     return need, None, None
 
 
+def _min_pair(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The running minimum of (distance, error bound) pairs: the minimum's
+    error is at most the largest bound so far, the latest, since the bounds
+    never shrink."""
+    return (a[0] if a[0] <= b[0] else b[0]), b[1]
+
+
 class FixedPointOrbit(_Stepped):
     """Orbit of x ~ X0 / 2**P under a beta-map or rotation, with explicit
     error accounting: ``err_ulp`` is an integer upper bound, in ulps of
-    2**-P, on the distance of X / 2**P from the true point."""
+    2**-P, on the distance of X / 2**P from the true point. A beta step whose
+    image is within that bound of an integer may belong to the other branch,
+    so from such a step on (past step ``sure``) the bound is all of [0, 1).
+    Distances are integers over S = 2**P within 2 * err_ulp of the true
+    ones, and decisions are certified against that bound; an entry it leaves
+    open is computed again at 2P bits from the same start."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
         need, self._mult, self._shift = _fixed_point_constants(sys, P, horizon)
@@ -325,58 +355,78 @@ class FixedPointOrbit(_Stepped):
             raise PrecisionBudgetError(need, P)
         if self._mult is None and self._shift is None:
             raise ValueError(f"no fixed-point orbit for {sys.describe()}")
+        if self._mult is not None:  # beta < (_mult + 1) / 2**P <= _grow / 2**64
+            self._grow = -(-(self._mult + 1) >> (P - _W))
         self.sys = sys
         self.P = P
         self.horizon = horizon
-        self.X0 = X0 % (1 << P)
+        self.S = 1 << P
+        self._mask = self.S - 1
+        self._circle = uses_circle_metric(sys)
+        self.X0 = X0 % self.S
         self.X = self.X0
         self.step_count = 0
         self.err_ulp = 1  # X0 itself rounds the true point
+        self.sure = horizon
 
     def step(self) -> int:
         if self.step_count >= self.horizon:
             raise PrecisionBudgetError(
                 required_bits(self.sys, self.step_count + 1), self.P
             )
-        mask = (1 << self.P) - 1
         if self._mult is not None:
-            self.X = ((self.X * self._mult) >> self.P) & mask
-            # beta <= (_mult + 1) / 2**P scales the error; the truncated
-            # multiplier and the truncated product add one ulp each
-            self.err_ulp = -((-(self._mult + 1) * self.err_ulp) >> self.P) + 2
+            self.X = X = ((self.X * self._mult) >> self.P) & self._mask
+            if self.err_ulp < self.S:
+                # beta <= _grow / 2**64 scales the error; the truncated
+                # multiplier and the truncated product add one ulp each
+                e = -((-self._grow * self.err_ulp) >> _W) + 2
+                if X < e or X + e >= self.S:  # the true image may be across a branch end
+                    e, self.sure = self.S, self.step_count
+                self.err_ulp = e
         else:
-            self.X = (self.X + self._shift) & mask
+            self.X = (self.X + self._shift) & self._mask
             self.err_ulp += 1
         self.step_count += 1
         return self.X
 
-    def dist_to_start(self) -> float:
-        """d(T^k x, x) in the system's metric; error bounded by err_bound."""
-        if uses_circle_metric(self.sys):
-            t = (self.X - self.X0) % (1 << self.P)
-            t = min(t, (1 << self.P) - t)
-        else:
-            t = abs(self.X - self.X0)
-        return t / (1 << self.P)
+    def dist_to_start(self) -> int:
+        """S * d(T^k x, x) in the system's metric, as an integer; its error
+        is bounded by S * err_bound."""
+        if self._circle:
+            t = (self.X - self.X0) & self._mask
+            return min(t, self.S - t)
+        return abs(self.X - self.X0)
 
     @property
     def err_bound(self) -> Fraction:
         """Bound on the distance error, exactly: as a float, 2**-P would
         underflow to 0 once P passes about 1075 bits."""
-        return Fraction(2 * self.err_ulp, 1 << self.P)
+        return Fraction(2 * self.err_ulp, self.S)
 
-    def _dists(self, n_hi: int) -> Iterator[float]:
+    def _pairs(self, n_hi: int) -> Iterator[tuple[int, int]]:
         # from X0 again, so decisions are a function of the sample, as for
         # the other two backends
-        self.X, self.step_count, self.err_ulp = self.X0, 0, 1
+        self.X, self.step_count, self.err_ulp, self.sure = self.X0, 0, 1, self.horizon
         for _ in range(n_hi):
             self.step()
-            yield self.dist_to_start()
+            yield self.dist_to_start(), 2 * self.err_ulp
 
-    @staticmethod
-    def _decide(ds, radii) -> Iterator[bool]:
-        for d, r in zip(ds, radii.approx):
-            yield d < r
+    def _dists(self, n_hi: int) -> Iterator[int]:
+        return (D for D, _ in self._pairs(n_hi))
+
+    def _pair_series(self, n_hi: int, running_min: bool) -> Iterator[tuple[int, int]]:
+        """(D, 2 * err_ulp) up to n_hi, or their running minima."""
+        pairs = self._pairs(n_hi)
+        return accumulate(pairs, _min_pair) if running_min else pairs
+
+    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
+        def refine(i: int) -> bool | None:  # the same entry at 2P bits
+            fine = FixedPointOrbit(self.sys, self.X0 << self.P, 2 * self.P, self.horizon)
+            *_, (D, e) = fine._pair_series(radii.n_lo + i, running_min)
+            return radii.resolve(i, D, fine.S, e)
+
+        pairs = islice(self._pair_series(radii.n_hi, running_min), radii.n_lo - 1, None)
+        return radii.decide_within(pairs, self.S, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +521,7 @@ class DyadicOrbitView:
 
     def below(self, radii) -> np.ndarray:
         """d_n < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
-        d = np.atleast_2d(self.circle_dist64_batch(radii.n_lo, radii.n_hi))
-        return self._decide(radii, d, lambda row, n, i: (n,))
+        return self._below_each([radii])[0]
 
     def min_below(self, radii) -> np.ndarray:
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi], exactly."""
@@ -481,23 +530,33 @@ class DyadicOrbitView:
         return self._decide(radii, np.minimum.accumulate(d, axis=1)[:, radii.n_lo - 1:],
                             lambda row, n, i: 1 + np.flatnonzero(d[row, :n] <= hi[i]))
 
+    def _below_each(self, tables) -> list[np.ndarray]:
+        """``below`` of each table (all over one range [n_lo, n_hi]), from
+        one read of the windows."""
+        d = np.atleast_2d(self.circle_dist64_batch(tables[0].n_lo, tables[0].n_hi))
+        return [self._decide(radii, d, lambda row, n, i: (n,)) for radii in tables]
+
+    def any_below_each(self, tables) -> list[np.ndarray]:
+        return [hit.any(axis=-1) for hit in self._below_each(tables)]
+
     def any_below(self, radii) -> np.ndarray:
-        return self.below(radii).any(axis=-1)
+        return self.any_below_each([radii])[0]
 
     def all_min_below(self, radii) -> np.ndarray:
         return self.min_below(radii).all(axis=-1)
 
     def _decide(self, radii, v: np.ndarray, candidates) -> np.ndarray:
-        """v[row, i] < r_n (n = n_lo + i) from the band; a gray entry holds
-        when some exact d_j of its row, j in ``candidates(row, n, i)``, is
-        below r_n."""
+        """v[row, i] < r_n (n = n_lo + i) from the table's ``band64``. A gray
+        entry is resolved exactly from the least exact d_j of its row, j in
+        ``candidates(row, n, i)``."""
         lo, hi = radii.band64
         hit = v < lo
-        for row, i in np.argwhere(hit != (v <= hi)):
+        gray = np.argwhere(hit != (v <= hi))
+        radii.gray += len(gray)
+        for row, i in gray:
             n = radii.n_lo + int(i)
-            r = radii.at(n, self.P)
-            hit[row, i] = any(self.exact_dist(int(j), int(row)) < r
-                              for j in candidates(row, n, i))
+            d = min(self.exact_dist(int(j), int(row)) for j in candidates(row, n, i))
+            hit[row, i] = radii.resolve(int(i), d.numerator, d.denominator)
         return hit[self._rows]
 
 

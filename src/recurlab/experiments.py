@@ -13,7 +13,9 @@ per n (the ``mu(E_n)`` scan), running minimum always below r_m
 (eventually-always; stepped orbits stop at the first miss) and the running
 minimum of n**(1/alpha) * d(T^n x, x) (Boshernitzan). A block holds about
 ``_BLOCK`` orbit entries; on the doubling map it is read by one window
-kernel. A call computes its radius table once.
+kernel. A call computes its radius table once, and ``Radii`` makes every
+hit/miss decision against it; the dichotomy decides both of its tables on
+each block, so its samples are drawn once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -41,8 +43,9 @@ from .systems import SystemSpec
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
 _W64 = 64
-_MAX64 = (1 << _W64) - 1
 _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
+_REL = 2.0 ** -40  # stated bound on |RadiusSequence.approx(n) - r_n| / r_n
+_TINY = 2.0 ** -1000  # below this, approx may be subnormal: no relative bound
 _BLOCK = 1 << 14  # orbit entries (samples x horizon) per block of samples
 
 
@@ -133,56 +136,118 @@ def write_tsv(fileobj, columns: Sequence[str], rows: Sequence[Sequence]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Radius thresholds
+# Radius thresholds and the one hit/miss decision
 # ---------------------------------------------------------------------------
 
-def scaled_radius(seq: RadiusSequence, n: int, bits: int) -> int:
-    """floor(r_n * 2**bits): exact for rational radii, high-precision otherwise."""
+def scaled_radius(seq: RadiusSequence, n: int, S: int) -> int:
+    """The largest integer below r_n * S, so that an integer D is below r_n * S
+    exactly when D <= it: floor(r_n * S) for an irrational r_n. Integer
+    arithmetic for a rational r_n, mpmath otherwise."""
     e = seq.exact(n)
     if e is not None:
-        return (e.numerator << bits) // e.denominator
-    with mpmath.workprec(bits + 48):
-        return int(mpmath.floor(seq.mp(n) * mpmath.mpf(2) ** bits))
+        return (e.numerator * S - 1) // e.denominator
+    with mpmath.workprec(S.bit_length() + 48):
+        return int(mpmath.ceil(seq.mp(n) * S)) - 1
+
+
+def _floor_scaled(x: float, S: int) -> int | float:
+    """floor(x * S) exactly; inf stays inf."""
+    if x == math.inf:
+        return x
+    num, den = x.as_integer_ratio()
+    return num * S // den
 
 
 class Radii:
-    """r_n for n in [n_lo, n_hi] in the forms the orbit backends compare
-    against; each form is computed once per call, when a backend first
-    reads it. List entry i is r_{n_lo + i}."""
+    """r_n for n in [n_lo, n_hi] and the one decision d_n < r_n that every
+    orbit backend makes against them. List entry i is r_{n_lo + i}.
+
+    A backend hands in an integer distance D over an integer scale S, within
+    E / S of the true distance. Step one is a float band: ``approx`` is
+    within a relative _REL of r_n (libm's error is below 1e-14), so D + E
+    under the band's low end is a hit and D - E over its high end a miss.
+    Step two resolves the few entries inside the band exactly, against
+    ``scaled_radius``; mpmath runs only for those. Each table counts its
+    ``gray`` entries, the ``mp`` resolutions among them, and the entries
+    left ``undecided`` by a fixed-point error bound, which read as misses."""
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
         self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi
-        self._ceil: dict[int, list[int | None]] = {}
+        self.gray = self.mp = self.undecided = 0
+        self._bands: dict[int, tuple[list, list]] = {}
 
     @cached_property
     def approx(self) -> list[float]:
         return [self.seq.approx(n) for n in range(self.n_lo, self.n_hi + 1)]
 
     @cached_property
-    def exact(self) -> list[Fraction | None]:
-        return [self.seq.exact(n) for n in range(self.n_lo, self.n_hi + 1)]
+    def tail_bound(self) -> float:
+        """The easy Borel-Cantelli bound: the sum of min(1, 2 r_n)."""
+        return float(sum(min(1.0, 2.0 * r) for r in self.approx))
+
+    @cached_property
+    def bounds(self) -> tuple[list[float], list[float]]:
+        """Floats lo_i < r_n < hi_i: approx widened by 2 _REL, which covers
+        _REL and the rounding of the band itself. Radii too small for a
+        relative bound (subnormal or 0) get the whole line as their band."""
+        lo, hi = [], []
+        for a in self.approx:
+            tiny = a < _TINY
+            lo.append(0.0 if tiny else a * (1 - 2 * _REL))
+            hi.append(math.inf if tiny else a * (1 + 2 * _REL))
+        return lo, hi
 
     @cached_property
     def band64(self) -> tuple[np.ndarray, np.ndarray]:
-        """uint64 (lo, hi) around floor(r_n * 2**64): a 64-bit distance
-        (accurate to +-2) below lo is surely < r_n, one above hi surely not."""
-        thr = [min(scaled_radius(self.seq, n, _W64), _MAX64)
-               for n in range(self.n_lo, self.n_hi + 1)]
-        return (np.array([max(t - _SLACK, 0) for t in thr], dtype=np.uint64),
-                np.array([min(t + _SLACK, _MAX64) for t in thr], dtype=np.uint64))
+        """The band at S = 2**64, widened by the windows' _SLACK, as uint64:
+        a 64-bit distance below lo is surely < r_n, one above hi surely not."""
+        lo, hi = (np.floor(np.array(b) * 2.0 ** _W64) for b in self.bounds)
+        top = np.nextafter(2.0 ** _W64, 0)  # the largest float below 2**64
+        return (np.clip(lo - _SLACK, 0, top).astype(np.uint64),
+                np.clip(hi + _SLACK, 0, top).astype(np.uint64))
 
-    def ceil_scaled(self, S: int) -> list[int | None]:
-        """ceil(r_n * S) for a rational r_n, None for an irrational one: an
-        integer D is below r_n * S exactly when it is below ceil(r_n * S)."""
-        if S not in self._ceil:
-            self._ceil[S] = [None if r is None else -(-r.numerator * S // r.denominator)
-                             for r in self.exact]
-        return self._ceil[S]
+    def band(self, S: int) -> tuple[list, list]:
+        """floor(lo_i * S) and floor(hi_i * S), built once per S: an integer
+        below the first is below r_n * S, one above the second is not."""
+        if S not in self._bands:
+            self._bands[S] = tuple([_floor_scaled(x, S) for x in b] for b in self.bounds)
+        return self._bands[S]
 
-    def at(self, n: int, bits: int) -> Fraction:
-        """r_n exactly, or floor(r_n * 2**bits) / 2**bits when irrational."""
-        r = self.seq.exact(n)
-        return r if r is not None else Fraction(scaled_radius(self.seq, n, bits), 1 << bits)
+    def decide(self, ds: Iterable[int], S: int) -> Iterator[bool]:
+        """Lazily, d_n < r_n for n = n_lo, n_lo + 1, ... and the exact
+        integer distances D = S * d_n of ``ds``."""
+        lo, hi = self.band(S)
+        for i, D in enumerate(ds):
+            yield D < lo[i] or (D <= hi[i] and self._gray(i, D, S, 0, None))
+
+    def decide_within(self, pairs: Iterable[tuple[int, int]], S: int,
+                      refine: Callable[[int], bool | None]) -> Iterator[bool]:
+        """``decide`` for pairs (D, e) of an integer distance D and an integer
+        bound e, with d_n within e / S of D / S. An entry that e leaves open
+        is handed to ``refine(i)``, and counted if still open. (Exact
+        distances take ``decide``: the pairs double its cost per entry.)"""
+        lo, hi = self.band(S)
+        for i, (D, e) in enumerate(pairs):
+            yield D + e < lo[i] or (D - e <= hi[i] and self._gray(i, D, S, e, refine))
+
+    def _gray(self, i: int, D: int, S: int, E: int, refine) -> bool:
+        """One entry inside the band: counted, resolved, refined if open."""
+        self.gray += 1
+        hit = self.resolve(i, D, S, E)
+        if hit is None and refine is not None:
+            hit = refine(i)
+        if hit is None:
+            self.undecided += 1
+        return bool(hit)
+
+    def resolve(self, i: int, D: int, S: int, E: int = 0) -> bool | None:
+        """d < r_n exactly (n = n_lo + i) for a distance d within E / S of
+        D / S: None when the error bound straddles r_n."""
+        n = self.n_lo + i
+        if self.seq.exact(n) is None:
+            self.mp += 1
+        t = scaled_radius(self.seq, n, S)
+        return True if D + E <= t else False if D - E > t else None
 
 
 def _sample_start(start, master_seed: int, index: int):
@@ -206,12 +271,15 @@ def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int):
 # Truncated R_io (infinitely-often returns)
 # ---------------------------------------------------------------------------
 
-def _rio_estimate(sys: SystemSpec, seq: RadiusSequence, k: int, N: int, M: int,
-                  master_seed: int) -> tuple[int, float, tuple[float, float]]:
-    radii = Radii(seq, k, N)
-    hits = sum(int(block.any_below(radii).sum())
-               for block in _sample_blocks(sys, N, M, master_seed))
-    return hits, hits / M, wilson_interval(hits, M)
+def _rio_estimates(sys: SystemSpec, tables: Sequence[Radii], M: int, master_seed: int
+                   ) -> list[tuple[int, float, tuple[float, float]]]:
+    """(hits, estimate, Wilson interval) of each radius table (all over one
+    index range [k, N]), from one pass over the samples."""
+    hits = [0] * len(tables)
+    for block in _sample_blocks(sys, tables[0].n_hi, M, master_seed):
+        for j, hit in enumerate(block.any_below_each(tables)):
+            hits[j] += int(hit.sum())
+    return [(h, h / M, wilson_interval(h, M)) for h in hits]
 
 
 def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
@@ -244,7 +312,7 @@ def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
 
 def tail_bound(seq: RadiusSequence, k: int, N: int) -> float:
     """The easy Borel-Cantelli upper bound sum over n in [k, N] of min(1, 2 r_n)."""
-    return float(sum(min(1.0, 2.0 * seq.approx(n)) for n in range(k, N + 1)))
+    return Radii(seq, k, N).tail_bound
 
 
 def rio_truncated_measure(sys: SystemSpec, seq: RadiusSequence, k: int, N: int,
@@ -256,14 +324,15 @@ def rio_truncated_measure(sys: SystemSpec, seq: RadiusSequence, k: int, N: int,
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
     t0 = time.monotonic()
-    hits, est, ci = _rio_estimate(sys, seq, k, N, M, master_seed)
+    radii = Radii(seq, k, N)
+    [(hits, est, ci)] = _rio_estimates(sys, [radii], M, master_seed)
     return ExperimentReport(
         experiment="rio_truncated_measure",
         config={"system": sys.describe(), "radius": seq.describe(),
                 "k": k, "N": N, "samples": M, "master_seed": master_seed},
         results={"hits": hits, "estimate": est,
                  "ci_low": ci[0], "ci_high": ci[1],
-                 "tail_bound": tail_bound(seq, k, N)},
+                 "tail_bound": radii.tail_bound},
         verdict="reported",
         runtime_seconds=time.monotonic() - t0,
     )
@@ -301,12 +370,16 @@ def rio_truncated_exact(a: int, seq: RadiusSequence, k: int, N: int,
 def rio_dichotomy(sys: SystemSpec, seq_conv: RadiusSequence, seq_div: RadiusSequence,
                   k: int, N: int, M: int, master_seed: int = 0) -> ExperimentReport:
     """Paired comparison of a summable and a non-summable radius sequence on
-    the same sample points; reports both estimates and their separation."""
+    the same sample points, drawn once; reports both estimates and their
+    separation."""
+    if not 1 <= k <= N:
+        raise ValueError("need 1 <= k <= N")
     t0 = time.monotonic()
-    hits_c, est_c, ci_c = _rio_estimate(sys, seq_conv, k, N, M, master_seed)
-    hits_d, est_d, ci_d = _rio_estimate(sys, seq_div, k, N, M, master_seed)
+    conv = Radii(seq_conv, k, N)
+    (hits_c, est_c, ci_c), (hits_d, est_d, ci_d) = _rio_estimates(
+        sys, [conv, Radii(seq_div, k, N)], M, master_seed)
     sep = est_d - est_c
-    tb = tail_bound(seq_conv, k, N)
+    tb = conv.tail_bound
     ci_width = ci_c[1] - ci_c[0]
     conv_bounded = est_c <= tb + 3 * ci_width
     return ExperimentReport(
@@ -336,8 +409,9 @@ def theoremA_rate_scan(sys: SystemSpec, thetas: Sequence[float], kappa, k: int,
     t0 = time.monotonic()
     rows = []
     for theta in thetas:
-        seq = PowerLog(Fraction(kappa), Fraction(theta).limit_denominator(10 ** 6))
-        hits, est, ci = _rio_estimate(sys, seq, k, N, M, master_seed)
+        radii = Radii(PowerLog(Fraction(kappa), Fraction(theta).limit_denominator(10 ** 6)),
+                      k, N)
+        [(hits, est, ci)] = _rio_estimates(sys, [radii], M, master_seed)
         if theta < 0.5:
             regime = "predicted-full"
         elif theta <= 1.0:
@@ -346,7 +420,7 @@ def theoremA_rate_scan(sys: SystemSpec, thetas: Sequence[float], kappa, k: int,
             regime = "summable-tail"
         rows.append({"theta": float(theta), "estimate": est,
                      "ci_low": ci[0], "ci_high": ci[1],
-                     "tail_bound": tail_bound(seq, k, N), "regime": regime})
+                     "tail_bound": radii.tail_bound, "regime": regime})
     return ExperimentReport(
         experiment="theoremA_rate_scan",
         config={"system": sys.describe(), "thetas": [float(t) for t in thetas],

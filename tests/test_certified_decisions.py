@@ -1,0 +1,250 @@
+"""Certified hit/miss decisions: the float band of ``Radii``, its exact
+resolution, the fixed-point error bound, and the counters they keep."""
+
+import math
+from fractions import Fraction
+from itertools import accumulate
+
+import mpmath
+import pytest
+
+from recurlab import experiments
+from recurlab.circle import ExplicitTable, PowerLaw
+from recurlab.cli import parse_sequence, parse_system
+from recurlab.dynamics import (
+    DyadicOrbitView,
+    ExactOrbit,
+    FixedPointOrbit,
+    LatticeOrbit,
+    _lattice,
+    orbit_backend,
+    sample_bits,
+)
+from recurlab.experiments import (
+    Radii,
+    _sample_blocks,
+    rio_dichotomy,
+    rio_truncated_measure,
+)
+from recurlab.systems import BetaMap, IntegerCircleMap, Rotation
+
+DOUBLING = IntegerCircleMap(2)
+QUARTER_ROOT = "powerlaw:1/4,1/2"  # r_2 = 2**-5/2, irrational
+
+
+def below_by_mpmath(d: Fraction, seq, n: int) -> bool:
+    """d < r_n at 400 bits: an oracle independent of ``Radii``."""
+    with mpmath.workprec(400):
+        return mpmath.mpf(d.numerator) / d.denominator < seq.mp(n)
+
+
+class TestTiesAtTheFloor:
+    """A distance equal to floor(r_n * S) / S is below an irrational r_n."""
+
+    def test_shift_decides_the_tie_a_hit(self):
+        seq, P = parse_sequence(QUARTER_ROOT), 74
+        F = math.isqrt(1 << (2 * P - 5))  # floor(r_2 * 2**P) = floor(2**P / sqrt(32))
+        X0 = F * pow(3, -1, 1 << P) % (1 << P)  # T^2 x - x = 3x = F / 2**P
+        view = DyadicOrbitView(X0, P, 10)
+        assert view.exact_dist(2) == Fraction(F, 1 << P)
+        assert below_by_mpmath(view.exact_dist(2), seq, 2)
+        radii = Radii(seq, 2, 2)
+        assert view.below(radii).tolist() == [True]
+        assert view.min_below(Radii(seq, 2, 2)).tolist() == [True]
+        assert (radii.gray, radii.mp) == (1, 1)
+
+    def test_lattice_decides_the_tie_a_hit(self):
+        # circle:4 at n = 2 moves x to 16x, so d_2 = 15x = F / S
+        seq, N = parse_sequence(QUARTER_ROOT), 2
+        P, S, walk = _lattice(parse_system("circle:4"), N)
+        F = math.isqrt(S * S // 32)  # floor(r_2 * S)
+        orbit = LatticeOrbit(S, walk, N, F * pow(15, -1, S) % S)
+        assert list(orbit._dists(N))[-1] == F
+        assert below_by_mpmath(Fraction(F, S), seq, 2)
+        assert list(orbit.below(Radii(seq, 2, 2))) == [True]
+        assert list(ExactOrbit(parse_system("circle:4"), [Fraction(orbit.X0, S)])
+                    .below(Radii(seq, 2, 2))) == [True]
+
+
+class TestFixedPointCertified:
+    @staticmethod
+    def exact_distances(beta: Fraction, x0: Fraction, N: int) -> list[Fraction]:
+        """d(T^n x, x), n = 1..N, for x -> beta x mod 1 in Fractions."""
+        out, x = [], x0
+        for _ in range(N):
+            x = x * beta
+            x -= math.floor(x)
+            out.append(abs(x - x0))
+        return out
+
+    def test_rational_beta_equals_the_exact_orbit(self):
+        beta, N = parse_system("beta:5/2"), 2000
+        assert beta.beta.exact() == Fraction(5, 2)
+        start = orbit_backend(beta, N)
+        for i in range(3):
+            orbit = start(61, i)
+            d = self.exact_distances(Fraction(5, 2), Fraction(orbit.X0, orbit.S), N)
+            rho = list(accumulate(d, min))
+            for spec in ("powerlaw:1,1", "powerlaw:1/2,1"):
+                seq = parse_sequence(spec)
+                radii = Radii(seq, 1, N)
+                got = list(orbit.below(radii))
+                assert got == [v < seq.exact(n) for n, v in enumerate(d, 1)]
+                assert list(orbit.min_below(radii)) == [
+                    v < seq.exact(n) for n, v in enumerate(rho, 1)]
+                assert (radii.gray, radii.undecided) == (0, 0)
+            assert any(got) and not all(got)
+
+    def test_entries_inside_the_error_bound_are_computed_again(self):
+        # r_n half an ulp of 2**-P above d_n is a hit that only 2P bits can
+        # show; r_n = d_n is a tie no precision decides: counted, a miss
+        beta, N, P = parse_system("beta:5/2"), 40, 256
+        X0 = sample_bits(62, 0, P)
+        d = TestFixedPointCertified.exact_distances(Fraction(5, 2), Fraction(X0, 1 << P), N)
+        half_ulp = Fraction(1, 1 << (P + 1))
+        radii = Radii(ExplicitTable(tuple(v + (n % 2) * half_ulp for n, v in enumerate(d, 1))),
+                      1, N)
+        assert list(FixedPointOrbit(beta, X0, P, N).below(radii)) == [
+            n % 2 == 1 for n in range(1, N + 1)]
+        assert radii.gray == N
+        assert radii.undecided == N // 2
+
+    def test_irrational_rotation_equals_the_exact_orbit_where_decidable(self):
+        # golden-mean rotation: the float decision and the certified one
+        # agree on seeded samples, with no entry left open
+        rot, N = Rotation("golden"), 300
+        start = orbit_backend(rot, N)
+        seq = parse_sequence("powerlog:1,2")
+        radii = Radii(seq, 1, N)
+        for i in range(4):
+            orbit = start(63, i)
+            got = list(orbit.below(radii))
+            assert got == [D / orbit.S < r for D, r in zip(orbit._dists(N), radii.approx)]
+        assert radii.undecided == 0
+
+    def test_distance_is_an_integer_in_the_system_metric(self):
+        beta = FixedPointOrbit(BetaMap("golden"), 1, 128, horizon=1)
+        beta.X = (1 << 128) - 1
+        assert beta.dist_to_start() == (1 << 128) - 2  # interval: the far end
+        rot = FixedPointOrbit(Rotation("golden"), 1, 128, horizon=1)
+        rot.X = (1 << 128) - 1
+        assert rot.dist_to_start() == 2  # circle: across 0
+
+
+def test_lattice_rotation_with_an_irrational_radius_equals_the_exact_orbit():
+    sys, N = parse_system("rotation:5/17"), 120
+    start = orbit_backend(sys, N)
+    for spec in ("powerlog:1,2", QUARTER_ROOT):
+        seq = parse_sequence(spec)
+        for i in range(3):
+            orbit = start(64, i)
+            exact = ExactOrbit(sys, [Fraction(orbit.X0, orbit.S)])
+            d = list(exact._dists(N))
+            rho = list(accumulate(d, min))
+            want = [below_by_mpmath(v, seq, n) for n, v in enumerate(d, 1)]
+            want_min = [below_by_mpmath(v, seq, n) for n, v in enumerate(rho, 1)]
+            assert list(orbit.below(Radii(seq, 1, N))) == want
+            assert list(exact.below(Radii(seq, 1, N))) == want
+            assert list(orbit.min_below(Radii(seq, 1, N))) == want_min
+            assert list(exact.min_below(Radii(seq, 1, N))) == want_min
+            assert any(want) and not all(want)
+
+
+class TestCounters:
+    def test_seeded_doubling_rio_has_no_gray_entries(self):
+        N, M = 500, 300
+        tables = [Radii(parse_sequence("powerlaw:1/2,1"), 10, N),
+                  Radii(parse_sequence("powerlog:1,2"), 10, N)]
+        hits = [0, 0]
+        for block in _sample_blocks(DOUBLING, N, M, 7):
+            for j, h in enumerate(block.any_below_each(tables)):
+                hits[j] += int(h.sum())
+        assert 0 < hits[1] < hits[0] < M
+        assert all((r.gray, r.mp, r.undecided) == (0, 0, 0) for r in tables)
+
+    def test_all_gray_table_is_counted(self):
+        # the table of test_gray_band_decided_row_by_row: every entry of the
+        # rows x and 1 - x is gray
+        N = 150
+        P = N + 64
+        X0, X1 = sample_bits(31, 0, P), sample_bits(31, 1, P)
+        block = DyadicOrbitView([X1] + [X0, (1 << P) - X0] * 3, P, N)
+        ulp = Fraction(1, 1 << P)
+        d = [block.exact_dist(n, 1) for n in range(1, N + 1)]
+        radii = Radii(ExplicitTable(tuple(v + (n % 2) * ulp for n, v in enumerate(d, 1))), 1, N)
+        block.below(radii)
+        assert radii.gray >= 6 * N
+        assert (radii.mp, radii.undecided) == (0, 0)
+
+
+def test_dichotomy_draws_each_sample_once(monkeypatch):
+    drawn = []
+    original = experiments._sample_start
+    monkeypatch.setattr(experiments, "_sample_start",
+                        lambda start, seed, i: drawn.append(i) or original(start, seed, i))
+    for system in ("doubling", "beta:golden", "circle:3"):
+        drawn.clear()
+        rep = rio_dichotomy(parse_system(system), parse_sequence("powerlog:1,2"),
+                            parse_sequence("powerlaw:1/2,1"), 5, 60, 120, 3)
+        assert sorted(drawn) == list(range(120))
+        conv = rio_truncated_measure(parse_system(system), parse_sequence("powerlog:1,2"),
+                                     5, 60, 120, 3)
+        assert rep.results["estimate_convergent"] == conv.results["estimate"]
+        assert rep.results["tail_bound_convergent"] == conv.results["tail_bound"]
+
+
+def windows_are_decided_safely(lo64: int, hi64: int, t: int) -> bool:
+    """A window w is within 2 of 2**64 d: w < lo64 must give d * 2**64 <= t
+    (t the largest integer below r * 2**64), and w > hi64 must give
+    d * 2**64 >= t + 1. Windows are at most 2**63."""
+    return lo64 + 1 <= max(t, 1) and (hi64 - 1 >= t + 1 or hi64 > 1 << 63)
+
+
+def test_band_contains_the_radius():
+    # lo < r_n * S < hi at the shift's and a lattice's scale, for irrational
+    # radii and a rational one, from the float table alone
+    for spec in ("powerlog:1,2", "powerlaw:1,1/2", "powerlaw:3,2", "ear:1"):
+        seq = parse_sequence(spec)
+        radii = Radii(seq, 1, 400)
+        lo64, hi64 = radii.band64
+        for S in (1 << 64, 17 << 300):
+            lo, hi = radii.band(S)
+            for i in range(0, 400, 7):
+                t = experiments.scaled_radius(seq, i + 1, S)  # the largest integer below r * S
+                assert lo[i] <= t < hi[i]
+                if S == 1 << 64:
+                    assert windows_are_decided_safely(int(lo64[i]), int(hi64[i]), t)
+    # radii of a few ulps of 2**-64, where only _SLACK covers the windows' error
+    few = Radii(ExplicitTable((Fraction(1, 1 << 62), Fraction(3, 1 << 63), Fraction(5, 10 ** 19))),
+                1, 3)
+    for i, (lo64, hi64) in enumerate(zip(*few.band64)):
+        t = experiments.scaled_radius(few.seq, i + 1, 1 << 64)
+        assert windows_are_decided_safely(int(lo64), int(hi64), t)
+    tiny = Radii(PowerLaw(Fraction(1), Fraction(400)), 1, 10)  # r_10 = 1e-400 is 0.0 as a float
+    lo, hi = tiny.band(1 << 2000)
+    assert tiny.approx[-1] == 0.0 and lo[-1] == 0 and hi[-1] == math.inf
+    assert int(tiny.band64[0][-1]) == 0 and int(tiny.band64[1][-1]) > 1 << 63
+
+
+def test_dichotomy_rejects_an_empty_window():
+    with pytest.raises(ValueError):
+        rio_dichotomy(DOUBLING, parse_sequence("powerlog:1,2"), parse_sequence("powerlaw:1,1"),
+                      10, 5, 100)
+
+
+def test_beta_step_at_a_branch_end_is_not_certified():
+    # golden mean, P = 201, x = ceil(2**P / beta) / 2**P: beta x is 1 plus
+    # about 2**-202, so T x is tiny and d_1 = x = 0.618..., but the truncated
+    # multiplier lands just below 1 and the fixed-point d_1 reads 0.381...
+    golden, P = BetaMap("golden"), 201
+    with mpmath.workprec(1000):
+        beta = (1 + mpmath.sqrt(5)) / 2
+        X0 = int(mpmath.ceil(mpmath.mpf(2) ** P / beta))
+        assert 0 < beta * X0 - mpmath.mpf(2) ** P < 1
+    orbit = FixedPointOrbit(golden, X0, P, 5)
+    orbit.step()
+    assert abs(Fraction(orbit.dist_to_start(), 1 << P) - Fraction(X0, 1 << P)) > 0.2
+    assert orbit.sure == 0 and orbit.err_bound >= 1
+    radii = Radii(ExplicitTable((Fraction(1, 2),) * 5), 1, 5)
+    assert list(orbit.below(radii)) == [False] * 5  # 0.618... is not below 1/2
+    assert radii.gray == 5 and radii.undecided == 0
