@@ -11,25 +11,19 @@ from .circle import (
     EarRadius,
     ExplicitTable,
     IntervalSet,
-    LogTimesH,
     PowerLaw,
     PowerLog,
     RadiusSequence,
     circle_dist,
     circle_point,
     ear_log2_delta,
-    radius_eval,
 )
 from .dynamics import (
     DyadicOrbitView,
     FixedPointOrbit,
     LatticeOrbit,
-    boshernitzan_statistic,
     iterate,
-    min_return_distance,
     point_distance,
-    return_exponents,
-    return_time,
 )
 from .errors import (
     ArcBudgetExceeded,
@@ -41,15 +35,12 @@ from .errors import (
     RootOfUnityError,
 )
 from .exact_sets import (
-    branch_ratio_check,
     build_ear_sets,
     build_recurrence_set,
     build_recurrence_set_piecewise,
     ear_truncated_A,
-    fourier_indicator_coeff,
     pair_correlation,
     petrov_profile,
-    petrov_ratio,
 )
 from .experiments import (
     ExperimentReport,
@@ -59,15 +50,12 @@ from .experiments import (
     prop_ear_bound_check,
     recurrence_measure_scan,
     rio_dichotomy,
-    rio_truncated_exact,
     rio_truncated_measure,
-    theoremA_rate_scan,
     wilson_interval,
 )
 from .number_theory import (
     bezout_polynomials,
     gcd_mersenne,
-    generator_growth,
     matrix_lattice,
     matrix_lattice_bruteforce,
     scalar_lattice,

@@ -26,7 +26,6 @@ import mpmath
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def circle_point(x) -> Fraction:
@@ -391,27 +390,6 @@ def ear_log2_delta(sigma: Fraction) -> Callable[[int], Fraction]:
 
 
 @dataclass(frozen=True)
-class LogTimesH(RadiusSequence):
-    """r_m = log(m) * h(m) / m, the full-measure side of the EAR dichotomy."""
-
-    h_rule: Callable[[int], float]
-    label: str = "logtimesh:custom"
-
-    def exact(self, m: int) -> Fraction | None:
-        return None
-
-    def approx(self, m: int) -> float:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if m == 1:
-            return 0.0
-        return math.log(m) * float(self.h_rule(m)) / m
-
-    def describe(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True)
 class ExplicitTable(RadiusSequence):
     """r_n read from a finite table (1-based)."""
 
@@ -433,11 +411,3 @@ class ExplicitTable(RadiusSequence):
 
     def describe(self) -> str:
         return "table:" + ",".join(str(v) for v in self.values)
-
-
-def radius_eval(seq: RadiusSequence, n: int):
-    """Evaluate r_n: exact Fraction when available, else high-precision mpf."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    e = seq.exact(n)
-    return e if e is not None else seq.mp(n)

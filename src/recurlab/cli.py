@@ -409,7 +409,7 @@ def cmd_exact(args) -> int:
     r = Fraction(args.r)
     if args.piecewise:
         res = exact_sets.build_recurrence_set_piecewise(
-            parse_system(args.system), args.n, r)
+            parse_system(args.system), args.n, r, branch_budget=args.budget_arcs)
     else:
         a = _circle_map_a(args.system, "closed-form construction (--piecewise takes others)")
         res = exact_sets.build_recurrence_set(a, args.n, r, arc_budget=args.budget_arcs)

@@ -1,5 +1,4 @@
-"""Orbits, the three orbit backends of the Monte Carlo experiments, and
-orbit-level return statistics.
+"""Orbits and the three orbit backends of the Monte Carlo experiments.
 
 ``orbit_backend`` is the one place that picks, on the system type, how the
 orbit of a sampled point is represented:
@@ -26,9 +25,9 @@ over blocks of samples (the orbit class's ``block``): a shift block reads all
 its windows in one kernel call, and a
 ``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
 exit. ``ExactOrbit`` steps the same orbits in ``Fraction``s; it is the
-oracle the lattice backend is tested against. The exact-orbit helpers
-(``iterate``, the return statistics and the CSV export) share its generator
-of exact orbit points.
+oracle the lattice backend is tested against. ``iterate`` and the orbit
+command's CSV trace (``write_orbit_csv``) share its generator of exact orbit
+points.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import csv
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -419,9 +417,26 @@ class FixedPointOrbit(_Stepped):
         pairs = self._pairs(n_hi)
         return accumulate(pairs, _min_pair) if running_min else pairs
 
+    def _fine(self) -> FixedPointOrbit:
+        """The orbit of the same start at 2P bits."""
+        return FixedPointOrbit(self.sys, self.X0 << self.P, 2 * self.P, self.horizon)
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        """d(T^n x, x) for n = 1..n_hi, each within 2 * err_ulp / S. If a step
+        is near a branch end (``sure`` < n_hi), they are taken at 2P bits; a
+        sample still unsure there raises PrecisionBudgetError."""
+        d = super().distances(n_hi)
+        if self.sure >= n_hi:
+            return d
+        fine = self._fine()
+        d = _Stepped.distances(fine, n_hi)
+        if fine.sure < n_hi:
+            raise PrecisionBudgetError(2 * fine.P, fine.P)
+        return d
+
     def _decide(self, radii, running_min: bool) -> Iterator[bool]:
         def refine(i: int) -> bool | None:  # the same entry at 2P bits
-            fine = FixedPointOrbit(self.sys, self.X0 << self.P, 2 * self.P, self.horizon)
+            fine = self._fine()
             *_, (D, e) = fine._pair_series(radii.n_lo + i, running_min)
             return radii.resolve(i, D, fine.S, e)
 
@@ -575,10 +590,6 @@ def sample_bits(master_seed: int, index: int, bits: int) -> int:
     return random.Random(derive_seed(master_seed, index)).getrandbits(bits)
 
 
-def sample_fraction(master_seed: int, index: int, bits: int = 128) -> Fraction:
-    return Fraction(sample_bits(master_seed, index, bits), 1 << bits)
-
-
 def orbit_backend(sys: SystemSpec, horizon: int
                   ) -> Callable[[int, int], DyadicOrbitView | FixedPointOrbit | LatticeOrbit]:
     """The one dispatch on the system type for the Monte Carlo experiments:
@@ -603,100 +614,6 @@ def orbit_backend(sys: SystemSpec, horizon: int
             return LatticeOrbit(S, walk, horizon, tuple(X) if isinstance(sys, ToralLinear) else X[0])
         return start
     return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon)
-
-
-# ---------------------------------------------------------------------------
-# Return statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReturnDistance:
-    """rho_m(x) = min over 1 <= k <= m of d(T^k x, x), with the argmin."""
-
-    m: int
-    rho: Fraction | float
-    argmin: int
-
-
-def min_return_distance(sys: SystemSpec, x, m: int) -> ReturnDistance:
-    """Exact rho_m(x) for systems with exact orbits."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    best = None
-    arg = 0
-    for k, d in enumerate(_return_distances(sys, x, m), 1):
-        if best is None or d < best:
-            best, arg = d, k
-            if best == 0:
-                break
-    return ReturnDistance(m, best, arg)
-
-
-def return_time(sys: SystemSpec, x, r, horizon: int) -> int | None:
-    """tau_r(x) = first n <= horizon with d(T^n x, x) < r; None past horizon
-    (an explicit marker, never a fake value)."""
-    r = Fraction(r)
-    if r <= 0:
-        return None
-    return next((n for n, d in enumerate(_return_distances(sys, x, horizon), 1) if d < r),
-                None)
-
-
-@dataclass(frozen=True)
-class ReturnExponents:
-    """Regression of log tau_r against -log r over a geometric radius grid.
-
-    ``lower``/``upper`` are the min/max per-point exponents over the finer
-    half of the grid (the liminf/limsup proxies); ``excluded`` lists radii
-    whose return time exceeded the horizon.
-    """
-
-    slope: float
-    residual: float
-    lower: float
-    upper: float
-    points: tuple[tuple[float, int], ...]  # (r, tau)
-    excluded: tuple[float, ...]
-
-
-def return_exponents(sys: SystemSpec, x, r_grid: Sequence, horizon: int) -> ReturnExponents:
-    if len(r_grid) < 8:
-        raise ValueError("need a geometric grid of at least 8 radii")
-    points = []
-    excluded = []
-    for r in r_grid:
-        tau = return_time(sys, x, Fraction(r), horizon)
-        if tau is None:
-            excluded.append(float(r))
-        else:
-            points.append((float(r), tau))
-    if len(points) < 2:
-        return ReturnExponents(math.nan, math.nan, math.nan, math.nan,
-                               tuple(points), tuple(excluded))
-    xs = np.array([-math.log(r) for r, _ in points])
-    ys = np.array([math.log(t) for _, t in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    # per-point exponents on the finer (smaller-radius) half of the grid
-    fine = sorted(points)[: max(2, len(points) // 2)]
-    exps = [math.log(t) / -math.log(r) if r < 1 and t > 1 else 0.0 for r, t in fine]
-    return ReturnExponents(float(slope), residual, min(exps), max(exps),
-                           tuple(points), tuple(excluded))
-
-
-def boshernitzan_statistic(sys: SystemSpec, x, alpha: float, N: int) -> float:
-    """min over 1 <= n <= N of n**(1/alpha) * d(T^n x, x) (exact orbits)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    best = math.inf
-    inv = 1.0 / alpha
-    for n, d in enumerate(_return_distances(sys, x, N), 1):
-        val = n ** inv * float(d)
-        if val < best:
-            best = val
-            if best == 0:
-                break
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,10 @@ arcs or composed branches than allowed raises, naming the limit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .circle import (
     IntervalSet,
@@ -30,6 +27,7 @@ from .circle import (
     merge_scaled_arcs,
     scaled_measure,
 )
+from .dynamics import uses_circle_metric
 from .errors import ArcBudgetExceeded, BranchBudgetExceeded
 from .systems import IntegerCircleMap, PiecewiseLinear, SystemSpec
 
@@ -81,23 +79,6 @@ class PetrovSummary:
     S_N: Fraction
     R_N: Fraction
     ratio: float
-
-
-@dataclass(frozen=True)
-class BranchRatioResult:
-    """Max over branches of T^n of (|solution interval| / |branch domain|)/r,
-    against the uniform bound 2*lambda/((lambda-1)*c0) from the branch-geometry
-    argument (distortion constant 1 for piecewise-affine maps)."""
-
-    n: int
-    r: Fraction
-    max_ratio: Fraction
-    bound: Fraction
-    branch_count: int
-
-    @property
-    def within_bound(self) -> bool:
-        return self.max_ratio <= self.bound
 
 
 @dataclass(frozen=True)
@@ -233,8 +214,8 @@ def compose_branches(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cur = [(b.lo, b.hi, b.slope, b.intercept) for b in pw.branches]
-    for _ in range(n - 1):
+    cur = [(Fraction(0), Fraction(1), Fraction(1), Fraction(0))]  # T^0, one branch
+    for _ in range(n):
         nxt = []
         for lo, hi, s, t in cur:
             for b in pw.branches:
@@ -275,27 +256,25 @@ def build_recurrence_set_piecewise(
     n: int,
     r,
     *,
-    metric: str = "circle",
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> RecurrenceSetResult:
     """E_n for a piecewise-affine expanding map via exact branch composition.
 
     On each affine branch of T^n the condition d(T^n x, x) < r is a linear
-    inequality, so E_n restricted to a branch is an interval. ``metric``
-    selects circle distance (integer offsets enumerated, the torus
-    convention) or plain absolute value on [0, 1] (the interval-map
-    convention).
+    inequality, so E_n restricted to a branch is an interval. d is the
+    system's metric, as in the Monte Carlo experiments
+    (``dynamics.uses_circle_metric``): circle distance on an integer circle
+    map, whose integer offsets are enumerated, and plain absolute value on
+    [0, 1] for an interval map.
     """
-    if metric not in ("circle", "line"):
-        raise ValueError(f"metric must be 'circle' or 'line', got {metric!r}")
     pw = _as_piecewise(sys)
     r = _check_radius(r)
+    circle = uses_circle_metric(sys)
     branches = compose_branches(pw, n, branch_budget)
     arcs: list[tuple[Fraction, Fraction]] = []
     for lo, hi, s, t in branches:
-        if metric == "line":
-            qs: Iterable[int] = (0,)
-        else:
+        qs: Iterable[int] = (0,)
+        if circle:
             v0 = (s - 1) * lo + t
             v1 = (s - 1) * hi + t
             vmin, vmax = (v0, v1) if v0 <= v1 else (v1, v0)
@@ -306,40 +285,6 @@ def build_recurrence_set_piecewise(
                 arcs.append(sol)
     iset = IntervalSet.from_arcs(arcs)
     return RecurrenceSetResult(n, r, iset, iset.measure, _circle_arc_count(iset.arcs))
-
-
-def branch_ratio_check(
-    sys: SystemSpec,
-    n: int,
-    r,
-    *,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
-) -> BranchRatioResult:
-    """Max over branches I of T^n of (|E_n ∩ I| / |I|) / r, exactly.
-
-    The branch-geometry argument predicts the uniform-in-n bound
-    2*lambda/((lambda - 1)*c0), with lambda the minimal slope modulus of T
-    and c0 its smallest branch-image length (piecewise-affine maps have
-    distortion constant 1). Uses the absolute-value metric on [0, 1], the
-    convention of that argument.
-    """
-    pw = _as_piecewise(sys)
-    r = _check_radius(r)
-    if r == 0:
-        raise ValueError("ratio is normalized by r; r must be positive")
-    branches = compose_branches(pw, n, branch_budget)
-    best = Fraction(0)
-    for lo, hi, s, t in branches:
-        sol = _branch_solution(lo, hi, s, t, r, 0)
-        if sol is None:
-            continue
-        xlo, xhi = sol
-        ratio = (xhi - xlo) / (hi - lo) / r
-        if ratio > best:
-            best = ratio
-    lam = pw.lam
-    bound = 2 * lam / ((lam - 1) * pw.c0)
-    return BranchRatioResult(n, r, best, bound, len(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +383,6 @@ def petrov_profile(
             ratio = float(S / R) if R > 0 else math.nan
             out.append(PetrovSummary(j, S, R, ratio))
     return out
-
-
-def petrov_ratio(
-    a: int,
-    seq: RadiusSequence,
-    N: int,
-    H,
-) -> PetrovSummary:
-    """The quasi-independence summary at a single horizon N."""
-    return petrov_profile(a, seq, [N], H)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,60 +516,3 @@ def ear_truncated_A(
     measure = profile[-1][1] if profile else Fraction(0)
     iset = _materialize(cur, L) if materialize else None
     return EarTruncationResult(n0, M, iset, measure, tuple(profile))
-
-
-# ---------------------------------------------------------------------------
-# Fourier coefficients of the symmetric indicator
-# ---------------------------------------------------------------------------
-
-def fourier_indicator_coeff(r, l: int):
-    """Fourier coefficient c_l of the indicator of {x : circle_dist(x,0) < r}.
-
-    c_l = sin(2 pi l r) / (pi l) for l != 0, so |c_l| <= 1/(pi |l|); l = 0
-    gives the mean value 2r (returned exactly).
-    """
-    r = Fraction(r)
-    if not 0 < r <= Fraction(1, 2):
-        raise ValueError(f"radius must lie in (0, 1/2], got {r}")
-    if l == 0:
-        return 2 * r
-    x = 2 * l * r
-    x -= 2 * math.floor(x / 2)  # reduce mod 2 so sinpi stays accurate
-    s = mpmath.sinpi(mpmath.mpf(x.numerator) / x.denominator)
-    return s / (mpmath.pi * l)
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-PAIR_CSV_COLUMNS = [
-    "a", "i", "j", "p",
-    "mu_i_num", "mu_i_den", "mu_j_num", "mu_j_den",
-    "inter_num", "inter_den", "excess_num", "excess_den",
-    "bound_num", "bound_den",
-    "inter_decimal", "excess_decimal", "bound_decimal", "bound_ok",
-]
-
-
-def write_pair_correlation_csv(fileobj, pairs: Iterable[PairCorrelation]) -> int:
-    """One row per (i, j) pair: exact numerator/denominator columns plus
-    decimal renderings. Returns the number of rows written."""
-    writer = csv.writer(fileobj)
-    writer.writerow(PAIR_CSV_COLUMNS)
-    count = 0
-    for pc in pairs:
-        writer.writerow([
-            pc.a, pc.i, pc.j, math.gcd(pc.i, pc.j),
-            pc.mu_i.numerator, pc.mu_i.denominator,
-            pc.mu_j.numerator, pc.mu_j.denominator,
-            pc.intersection.numerator, pc.intersection.denominator,
-            pc.excess.numerator, pc.excess.denominator,
-            pc.bound.numerator, pc.bound.denominator,
-            f"{float(pc.intersection):.12g}",
-            f"{float(pc.excess):.12g}",
-            f"{float(pc.bound):.12g}",
-            int(pc.bound_ok),
-        ])
-        count += 1
-    return count

@@ -32,13 +32,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .circle import RadiusSequence, merge_scaled_arcs, scaled_measure
+from .circle import RadiusSequence
 from .dynamics import orbit_backend
-# bound here only for perfbench/tracing.py's probes, which raise on a missing name
-from .dynamics import _exact_step, point_distance, sample_bits  # noqa: F401
-from .errors import ArcBudgetExceeded
-from .exact_sets import DEFAULT_ARC_BUDGET, _fixed_point_count, ear_truncated_A
+from .exact_sets import DEFAULT_ARC_BUDGET, ear_truncated_A
 from .systems import SystemSpec
+
+# bound here only for perfbench/tracing.py's probes, which raise on a missing name
+from .circle import merge_scaled_arcs  # noqa: F401
+from .dynamics import _exact_step, point_distance, sample_bits  # noqa: F401
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
@@ -310,11 +311,6 @@ def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
     )
 
 
-def tail_bound(seq: RadiusSequence, k: int, N: int) -> float:
-    """The easy Borel-Cantelli upper bound sum over n in [k, N] of min(1, 2 r_n)."""
-    return Radii(seq, k, N).tail_bound
-
-
 def rio_truncated_measure(sys: SystemSpec, seq: RadiusSequence, k: int, N: int,
                           M: int, master_seed: int = 0) -> ExperimentReport:
     """Monte Carlo estimate of mu({x : some n in [k, N] has
@@ -336,35 +332,6 @@ def rio_truncated_measure(sys: SystemSpec, seq: RadiusSequence, k: int, N: int,
         verdict="reported",
         runtime_seconds=time.monotonic() - t0,
     )
-
-
-def rio_truncated_exact(a: int, seq: RadiusSequence, k: int, N: int,
-                        arc_budget: int = DEFAULT_ARC_BUDGET) -> Fraction:
-    """Exact mu(union of E_n over n in [k, N]) for T x = a x mod 1, as the
-    small-horizon cross-check of the Monte Carlo estimator."""
-    if not 1 <= k <= N:
-        raise ValueError("need 1 <= k <= N")
-    counts = [_fixed_point_count(a, n) for n in range(k, N + 1)]
-    if sum(counts) > arc_budget:
-        raise ArcBudgetExceeded(sum(counts), arc_budget)
-    radii = []
-    for n in range(k, N + 1):
-        r = seq.exact(n)
-        if r is None:
-            raise ValueError(f"{seq.describe()} has no exact value at n={n}")
-        radii.append(r)
-    # arc endpoints of E_n have denominator den(r_n) * M_n, so the common
-    # scale must be divisible by every such product
-    L = math.lcm(*(r.denominator * Mn for Mn, r in zip(counts, radii)))
-    arcs: list[tuple[int, int]] = []
-    for Mn, r in zip(counts, radii):
-        if r == 0:
-            continue
-        w = r.numerator * (L // (r.denominator * Mn))
-        sp = L // Mn
-        arcs.extend((c * sp - w, c * sp + w) for c in range(Mn))
-    merged = merge_scaled_arcs(arcs, L)
-    return Fraction(scaled_measure(merged), L)
 
 
 def rio_dichotomy(sys: SystemSpec, seq_conv: RadiusSequence, seq_div: RadiusSequence,
@@ -392,42 +359,6 @@ def rio_dichotomy(sys: SystemSpec, seq_conv: RadiusSequence, seq_div: RadiusSequ
                  "separation": sep, "tail_bound_convergent": tb,
                  "convergent_within_tail": conv_bounded},
         verdict="pass" if conv_bounded else "fail",
-        runtime_seconds=time.monotonic() - t0,
-    )
-
-
-def theoremA_rate_scan(sys: SystemSpec, thetas: Sequence[float], kappa, k: int,
-                       N: int, M: int, master_seed: int = 0) -> ExperimentReport:
-    """Truncated infinitely-often measure across a grid of log exponents.
-
-    theta < 1/2 is the proven full-measure regime; theta > 1 is summable
-    (tail-bounded); the band [1/2, 1] is left open by the theory and gets
-    no verdict.
-    """
-    from .circle import PowerLog
-
-    t0 = time.monotonic()
-    rows = []
-    for theta in thetas:
-        radii = Radii(PowerLog(Fraction(kappa), Fraction(theta).limit_denominator(10 ** 6)),
-                      k, N)
-        [(hits, est, ci)] = _rio_estimates(sys, [radii], M, master_seed)
-        if theta < 0.5:
-            regime = "predicted-full"
-        elif theta <= 1.0:
-            regime = "open"
-        else:
-            regime = "summable-tail"
-        rows.append({"theta": float(theta), "estimate": est,
-                     "ci_low": ci[0], "ci_high": ci[1],
-                     "tail_bound": radii.tail_bound, "regime": regime})
-    return ExperimentReport(
-        experiment="theoremA_rate_scan",
-        config={"system": sys.describe(), "thetas": [float(t) for t in thetas],
-                "kappa": Fraction(kappa), "k": k, "N": N, "samples": M,
-                "master_seed": master_seed},
-        results={"table": rows},
-        verdict="reported",
         runtime_seconds=time.monotonic() - t0,
     )
 

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import EigenvalueLocationError, RootOfUnityError
+from .errors import RootOfUnityError
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -372,56 +370,3 @@ def matrix_lattice_bruteforce(B, m: int, n: int, box: int) -> list[tuple[Vector,
         if all(abs(v) <= box for v in l):
             out.append((k, l))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Generator growth
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """Empirical lower bound on the expansion of the K-generator: every
-    sampled nonzero integer j satisfied ||K j|| >= c * lam^(n-p) * ||j||."""
-
-    n: int
-    p: int
-    min_ratio: float
-    lam: float
-    c: float
-    samples: int
-
-
-def generator_growth(B, n: int, p: int, sample_count: int, *, seed: int = 0,
-                     box: int = 50) -> GrowthEstimate:
-    """Minimum of ||K_gen j|| / ||j|| over sampled nonzero integer vectors.
-
-    Requires B hyperbolic (no eigenvalue on the unit circle, at least one
-    outside); lam is the smallest expanding eigenvalue modulus, and c is
-    fitted so the growth bound c * lam^(n-p) is tight at the sampled
-    minimum.
-    """
-    B = tuple(tuple(int(v) for v in row) for row in B)
-    if n < p or n % p != 0:
-        raise ValueError("n must be a positive multiple of p")
-    moduli = np.abs(np.linalg.eigvals(np.array(B, dtype=float)))
-    if np.any(np.abs(moduli - 1.0) < 1e-9):
-        raise EigenvalueLocationError("matrix has an eigenvalue on the unit circle")
-    expanding = moduli[moduli > 1.0]
-    if expanding.size == 0:
-        raise EigenvalueLocationError("matrix has no expanding eigenvalue")
-    lam = float(expanding.min())
-    K = _geometric_sum_matrix(B, p, n - p)
-    d = len(B)
-    rng = np.random.default_rng(seed)
-    min_ratio = math.inf
-    seen = 0
-    while seen < sample_count:
-        j = tuple(int(v) for v in rng.integers(-box, box + 1, size=d))
-        if all(v == 0 for v in j):
-            continue
-        seen += 1
-        kj = mat_vec(K, j)
-        ratio = math.sqrt(sum(v * v for v in kj) / sum(v * v for v in j))
-        min_ratio = min(min_ratio, ratio)
-    c = min_ratio / lam ** (n - p)
-    return GrowthEstimate(n, p, min_ratio, lam, c, sample_count)

@@ -127,10 +127,6 @@ class Branch:
         a, b = self.apply(self.lo), self.apply(self.hi)
         return (a, b) if a <= b else (b, a)
 
-    @property
-    def image_length(self) -> Fraction:
-        return abs(self.slope) * (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -177,20 +173,6 @@ class PiecewiseLinear:
     @property
     def d(self) -> int:
         return 1
-
-    @property
-    def lam(self) -> Fraction:
-        """Minimal expansion rate (min over branches of |slope|)."""
-        return min(abs(b.slope) for b in self.branches)
-
-    @property
-    def Lam(self) -> Fraction:
-        return max(abs(b.slope) for b in self.branches)
-
-    @property
-    def c0(self) -> Fraction:
-        """Smallest branch-image length (large-image constant for n = 1)."""
-        return min(b.image_length for b in self.branches)
 
     def branch_at(self, x: Fraction) -> Branch:
         for b in self.branches:

@@ -457,10 +457,3 @@ def write_density_csv(fileobj, op: UlamOperator) -> int:
     for i in range(op.N):
         writer.writerow([i, i / op.N, (i + 1) / op.N, f"{op.density[i]:.15g}"])
     return op.N
-
-
-def write_matrix_csv(fileobj, op: UlamOperator) -> int:
-    writer = csv.writer(fileobj)
-    for row in op.matrix:
-        writer.writerow([f"{v:.15g}" for v in row])
-    return op.N

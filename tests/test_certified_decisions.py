@@ -11,6 +11,7 @@ import pytest
 from recurlab import experiments
 from recurlab.circle import ExplicitTable, PowerLaw
 from recurlab.cli import parse_sequence, parse_system
+from recurlab.errors import PrecisionBudgetError
 from recurlab.dynamics import (
     DyadicOrbitView,
     ExactOrbit,
@@ -248,3 +249,24 @@ def test_beta_step_at_a_branch_end_is_not_certified():
     radii = Radii(ExplicitTable((Fraction(1, 2),) * 5), 1, 5)
     assert list(orbit.below(radii)) == [False] * 5  # 0.618... is not below 1/2
     assert radii.gray == 5 and radii.undecided == 0
+
+
+def golden_branch_end(P: int) -> int:
+    """ceil(2**P / beta) for the golden mean beta: beta x is just above 1."""
+    with mpmath.workprec(4 * P):
+        return int(mpmath.ceil(mpmath.mpf(2) ** P * 2 / (1 + mpmath.sqrt(5))))
+
+
+def test_beta_distances_past_a_branch_end_are_computed_again():
+    # P bits read d_1 = 0.381... and d_2 = 9.3e-61; the orbit is x, then
+    # points below 2**-197, so every d_n is x = 0.618... to within 2**-197
+    d = FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, 5).distances(3)
+    assert d.tolist() == pytest.approx([(math.sqrt(5) - 1) / 2] * 3, abs=1e-15)
+
+
+def test_beta_distances_still_unsure_at_twice_the_bits_raise(monkeypatch):
+    # stands in for a start that 2P bits do not settle either
+    monkeypatch.setattr(FixedPointOrbit, "_fine", lambda self: FixedPointOrbit(
+        self.sys, self.X0, self.P, self.horizon))
+    with pytest.raises(PrecisionBudgetError):
+        FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, 5).distances(3)

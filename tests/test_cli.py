@@ -158,6 +158,15 @@ class TestOptions:
                      "--checkpoints", "10", "--samples", "20", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("system, n", [("circle:5", "1"), ("doubling", "8")])
+    def test_exact_piecewise_honours_the_arc_budget(self, system, n, tmp_path, capsys):
+        # T^n has 5 and 256 branches, over the budget of 4
+        argv = ["exact", "--system", system, "--n", n, "--r", "1/12", "--piecewise",
+                "--out", str(tmp_path)]
+        assert main(argv + ["--budget-arcs", "4"]) == 1
+        assert "budget 4" in capsys.readouterr().err
+        assert main(argv) == 0
+
 
 class TestAtomicWrite:
     def test_writes_exact_bytes(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Orbit computation: exact iteration, fixed-point precision, return statistics."""
+"""Orbit computation: exact iteration, fixed-point precision, the dyadic view."""
 
 import math
 import random
@@ -11,16 +11,11 @@ from recurlab.dynamics import (
     DyadicOrbitView,
     ExactOrbit,
     FixedPointOrbit,
-    boshernitzan_statistic,
     derive_seed,
     iterate,
-    min_return_distance,
     point_distance,
     required_bits,
-    return_exponents,
-    return_time,
     sample_bits,
-    sample_fraction,
     write_orbit_csv,
 )
 from recurlab.circle import ExplicitTable, PowerLaw
@@ -58,41 +53,6 @@ class TestExactIteration:
         x, y = Fraction(1, 11), Fraction(5, 11)
         fx, fy = iterate(rot, x, 9), iterate(rot, y, 9)
         assert point_distance(rot, fx, fy) == point_distance(rot, x, y)
-
-
-class TestReturnStatistics:
-    def test_min_return_distance_periodic_point(self):
-        res = min_return_distance(DOUBLING, Fraction(1, 5), 10)
-        assert res.rho == 0
-        assert res.argmin == 4
-
-    def test_return_time_known_values(self):
-        assert return_time(DOUBLING, Fraction(1, 3), Fraction(1, 10), 50) == 2
-        assert return_time(DOUBLING, Fraction(1, 5), Fraction(1, 100), 50) == 4
-
-    def test_horizon_exhaustion_returns_none(self):
-        # 1/3 has period 2; radius below any attained distance, horizon 1
-        assert return_time(DOUBLING, Fraction(1, 3), Fraction(1, 100), 1) is None
-
-    def test_return_exponents_median_near_one(self):
-        rng = random.Random(5)
-        slopes = []
-        for _ in range(12):
-            x = Fraction(rng.getrandbits(64), 1 << 64)
-            grid = [Fraction(1, 2**k) for k in range(3, 11)]
-            res = return_exponents(DOUBLING, x, grid, horizon=4000)
-            if not math.isnan(res.slope):
-                slopes.append(res.slope)
-        assert slopes
-        slopes.sort()
-        median = slopes[len(slopes) // 2]
-        assert 0.6 <= median <= 1.4
-
-    def test_boshernitzan_statistic_shrinks_for_alpha_two(self):
-        x = Fraction(987654321987654321, 2**64)
-        early = boshernitzan_statistic(DOUBLING, x, 2.0, 100)
-        late = boshernitzan_statistic(DOUBLING, x, 2.0, 10000)
-        assert late <= early
 
 
 class TestFixedPointOrbit:
@@ -282,11 +242,6 @@ class TestDeterministicSampling:
         assert derive_seed(7, 3) == derive_seed(7, 3)
         assert derive_seed(7, 3) != derive_seed(7, 4)
         assert derive_seed(8, 3) != derive_seed(7, 3)
-
-    def test_sample_fraction_in_unit_interval(self):
-        for i in range(20):
-            f = sample_fraction(0, i)
-            assert 0 <= f < 1
 
     def test_sample_bits_width(self):
         assert 0 <= sample_bits(1, 2, 16) < (1 << 16)

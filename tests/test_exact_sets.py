@@ -1,30 +1,24 @@
 """Exact recurrence sets, pairwise correlations, eventually-always covers."""
 
-import io
-import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recurlab.circle import EarRadius, ExplicitTable, IntervalSet, PowerLaw, circle_dist, ear_log2_delta
+from recurlab.cli import parse_system
+from recurlab.dynamics import ExactOrbit
 from recurlab.errors import ArcBudgetExceeded
 from recurlab.exact_sets import (
-    branch_ratio_check,
     build_ear_sets,
     build_recurrence_set,
     build_recurrence_set_piecewise,
     compose_branches,
     ear_truncated_A,
-    fourier_indicator_coeff,
     pair_correlation,
     petrov_profile,
-    petrov_ratio,
-    write_pair_correlation_csv,
 )
+from recurlab.experiments import Radii
 from recurlab.systems import Branch, IntegerCircleMap, PiecewiseLinear
 
 
@@ -120,16 +114,23 @@ class TestPiecewiseConstruction:
     def test_line_metric_half_open_interval(self):
         # |2x - x| < r on [0, 1) gives [0, r) plus the right sliver (1-r, 1)
         r = Fraction(1, 8)
-        res = build_recurrence_set_piecewise(IntegerCircleMap(2), 1, r, metric="line")
+        res = build_recurrence_set_piecewise(parse_system("piecewise:0,1/2,2,0;1/2,1,2,-1"), 1, r)
         assert res.measure == 2 * r
 
-    def test_branch_ratio_bound(self):
-        # minimal slope 2, smallest branch image 1: bound 2*2/((2-1)*1) = 4
-        res = branch_ratio_check(IntegerCircleMap(2), 3, Fraction(1, 12))
-        assert res.bound == 4
-        assert res.within_bound
-        assert res.max_ratio > 0
-
+    def test_interval_map_sets_agree_with_its_orbits(self):
+        # an interval map measures |T^n x - x|, as its Monte Carlo orbits do;
+        # E_n in the circle metric would hold points where it is near 1
+        pw = parse_system("piecewise:0,1/3,3,0;1/3,1,3/2,-1/2")
+        r = Fraction(1, 4)
+        for n in (1, 2, 3):
+            iset = build_recurrence_set_piecewise(pw, n, r).set
+            ends = {e for arc in iset.arcs for e in arc}
+            radii = Radii(ExplicitTable((r,) * n), n, n)
+            for j in range(997):
+                x = Fraction(j, 997)
+                if x not in ends:
+                    [hit] = ExactOrbit(pw, [x]).below(radii)
+                    assert iset.contains(x) == hit, (n, x)
 
 class TestPairCorrelation:
     def test_known_intersection(self):
@@ -188,24 +189,10 @@ class TestPairCorrelation:
         with pytest.raises(ValueError):
             pair_correlation(2, 3, 3, Fraction(1, 10), Fraction(1, 10))
 
-    def test_csv_export(self):
-        pairs = [
-            pair_correlation(2, i, j, Fraction(1, 4 * i), Fraction(1, 4 * j))
-            for j in range(2, 5)
-            for i in range(1, j)
-        ]
-        buf = io.StringIO()
-        count = write_pair_correlation_csv(buf, pairs)
-        lines = buf.getvalue().strip().splitlines()
-        assert count == len(pairs)
-        assert len(lines) == len(pairs) + 1
-        assert lines[0].startswith("a,i,j,p")
-
-
 class TestPetrov:
     def test_profile_matches_manual_sum(self):
         seq = PowerLaw(Fraction(1, 4), Fraction(1))
-        summary = petrov_ratio(2, seq, 5, 1)
+        summary = petrov_profile(2, seq, [5], 1)[0]
         manual_S = Fraction(0)
         mus = []
         for n in range(1, 6):
@@ -232,13 +219,13 @@ class TestPetrov:
         (summary,) = petrov_profile(2, seq, [40], 1)
         assert summary.R_N == sum(2 * seq.exact(n) for n in range(1, 41)) ** 2
         assert summary.ratio <= 0
-        assert abs(summary.ratio) < abs(petrov_ratio(2, seq, 16, 1).ratio)
+        assert abs(summary.ratio) < abs(petrov_profile(2, seq, [16], 1)[0].ratio)
 
     def test_single_horizon_consistency(self):
         seq = PowerLaw(Fraction(1, 8), Fraction(1))
         profile = petrov_profile(2, seq, [6, 10], Fraction(1))
-        assert profile[0].S_N == petrov_ratio(2, seq, 6, 1).S_N
-        assert profile[1].S_N == petrov_ratio(2, seq, 10, 1).S_N
+        assert profile[0].S_N == petrov_profile(2, seq, [6], 1)[0].S_N
+        assert profile[1].S_N == petrov_profile(2, seq, [10], 1)[0].S_N
 
 
 class TestEventuallyAlwaysSets:
@@ -304,21 +291,3 @@ class TestEventuallyAlwaysSets:
         # the count is per m: the whole horizon fits a budget far below sum 2^k
         res = ear_truncated_A(2, 4, 16, seq, arc_budget=20000)
         assert res.measure == ear_truncated_A(2, 4, 16, seq).measure
-
-
-class TestFourierCoefficients:
-    def test_mean_value_exact(self):
-        assert fourier_indicator_coeff(Fraction(1, 10), 0) == Fraction(1, 5)
-
-    @pytest.mark.parametrize("l", [1, 2, 3, 7])
-    def test_against_quadrature(self, l):
-        r = Fraction(1, 10)
-        oracle = mpmath.quad(lambda x: 2 * mpmath.cos(2 * mpmath.pi * l * x), [0, float(r)])
-        assert abs(fourier_indicator_coeff(r, l) - oracle) < 1e-12
-
-    @given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 2)),
-           st.integers(min_value=1, max_value=50))
-    @settings(max_examples=60)
-    def test_decay_bound(self, r, l):
-        c = fourier_indicator_coeff(r, l)
-        assert abs(c) <= 1 / (math.pi * l) + 1e-15

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab.circle import EarRadius, ExplicitTable, PowerLaw, PowerLog, ear_log2_delta
+from recurlab.circle import EarRadius, ExplicitTable, IntervalSet, PowerLaw, PowerLog, ear_log2_delta
 from recurlab import experiments
 from recurlab.cli import parse_system
 from recurlab.dynamics import ExactOrbit, FixedPointOrbit, orbit_backend, sample_bits
+from recurlab.exact_sets import build_recurrence_set
 from recurlab.experiments import (
     ExperimentReport,
     Radii,
@@ -21,9 +22,7 @@ from recurlab.experiments import (
     prop_ear_bound_check,
     recurrence_measure_scan,
     rio_dichotomy,
-    rio_truncated_exact,
     rio_truncated_measure,
-    tail_bound,
     wilson_interval,
     write_tsv,
 )
@@ -116,25 +115,16 @@ class TestReportSerialization:
 
 
 class TestTruncatedInfinitelyOften:
-    def test_exact_union_small_window(self):
-        # direct interval arithmetic oracle for the exact union
-        from recurlab.circle import IntervalSet
-        from recurlab.exact_sets import build_recurrence_set
-
-        seq = QUARTER
-        got = rio_truncated_exact(2, seq, 1, 8)
-        sets = [build_recurrence_set(2, n, seq.exact(n)).set for n in range(1, 9)]
-        assert got == IntervalSet.union_all(sets).measure
-
     def test_monte_carlo_matches_exact(self):
-        exact = float(rio_truncated_exact(2, QUARTER, 1, 12))
+        sets = [build_recurrence_set(2, n, QUARTER.exact(n)).set for n in range(1, 13)]
+        exact = float(IntervalSet.union_all(sets).measure)
         rep = rio_truncated_measure(DOUBLING, QUARTER, 1, 12, 3000, master_seed=11)
         assert rep.results["ci_low"] <= exact <= rep.results["ci_high"]
 
     def test_estimate_below_tail_bound_when_meaningful(self):
         seq = PowerLaw(Fraction(1, 8), Fraction(2))
         rep = rio_truncated_measure(DOUBLING, seq, 5, 60, 2000, master_seed=2)
-        tb = tail_bound(seq, 5, 60)
+        tb = Radii(seq, 5, 60).tail_bound
         width = rep.results["ci_high"] - rep.results["ci_low"]
         assert rep.results["estimate"] <= tb + 3 * width
 
@@ -196,20 +186,6 @@ class TestEventuallyAlwaysExperiments:
         assert rep.verdict == "pass"
         for row in rep.results["table"]:
             assert row["bound_ok"] or row["m"] < 8
-
-
-class TestRateRegimeScan:
-    def test_regime_labels_and_monotone_estimates(self):
-        from recurlab.experiments import theoremA_rate_scan
-
-        rep = theoremA_rate_scan(DOUBLING, [0.25, 0.75, 1.5], 1, 5, 300, 300,
-                                 master_seed=2)
-        rows = rep.results["table"]
-        assert [row["regime"] for row in rows] == [
-            "predicted-full", "open", "summable-tail"]
-        # slower-shrinking radii can only hit more often
-        ests = [row["estimate"] for row in rows]
-        assert ests[0] >= ests[1] >= ests[2]
 
 
 class TestBoshernitzanScan:

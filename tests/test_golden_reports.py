@@ -19,7 +19,6 @@ from recurlab.experiments import (
     recurrence_measure_scan,
     rio_dichotomy,
     rio_truncated_measure,
-    theoremA_rate_scan,
 )
 
 DOUBLING = parse_system("doubling")
@@ -30,7 +29,6 @@ CASES = {
     "rio-powerlog": lambda s: rio_truncated_measure(DOUBLING, POWERLOG, 5, 300, 250, s),
     "rio-rational": lambda s: rio_truncated_measure(DOUBLING, RATIONAL, 5, 300, 250, s),
     "rio-dichotomy": lambda s: rio_dichotomy(DOUBLING, POWERLOG, RATIONAL, 5, 300, 250, s),
-    "rate-scan": lambda s: theoremA_rate_scan(DOUBLING, [0.25, 1.5], 1, 5, 300, 250, s),
     "scan-powerlog": lambda s: recurrence_measure_scan(DOUBLING, POWERLOG, 120, 300, s),
     "scan-rational": lambda s: recurrence_measure_scan(DOUBLING, RATIONAL, 120, 300, s),
     "ear-rational": lambda s: ear_truncated_measure(DOUBLING, EAR_RATIONAL, 4, 150, 400, s),
@@ -43,7 +41,6 @@ GOLDEN = {
     ("rio-powerlog", 1): "837e1918aa459acd5050209627e10ee804e9ae3f1ec66727eedc5848dfcae2cd",
     ("rio-rational", 1): "24a244753d9efdd41440b75b26d127c55e94ccf6c77a9044c6799c18cf776bd4",
     ("rio-dichotomy", 1): "a313d136a4b3a6cebab028f6c24b0df61bc6936d8d4118ec7e8d83f2914b5b3b",
-    ("rate-scan", 1): "f415a3115f0e4eb6548b80c85c8f427e84ef0290223975448f665610e390c870",
     ("scan-powerlog", 1): "90342ed6419619be9ab4668b78d9d3a5d6f5160a485e0adc0442384df4c2c5d9",
     ("scan-rational", 1): "f4565693684f3f02c162a44d8255f72152617846f64d99a182ca761e94f297c2",
     ("ear-rational", 1): "3f51afc1a3bd89bd8a94956406556e2232955210920fdd7a7e1bd41af1f95df1",
@@ -53,7 +50,6 @@ GOLDEN = {
     ("rio-powerlog", 2): "fc1156d53b72e18702c1bd64e856e19bb0fb4976fa2b8bbad3c9ed8d10995ac3",
     ("rio-rational", 2): "dc4846073b81c626130836412c22173373755d4ad9d55b0178bac02578d2558c",
     ("rio-dichotomy", 2): "6450c45b748a47810b1f1546e2f12196407f71eaea9674226abee23d868806d3",
-    ("rate-scan", 2): "fd56079c9b65a52b3fc5d463e859c75d0a8184431d8689f94cb3e39e213972c0",
     ("scan-powerlog", 2): "75095d16f6a2e1ff2114dbc3ba53f7537d7bafb95a506aac7a4da04a60f010be",
     ("scan-rational", 2): "b9650ebb923d5312e178c4b15331f61331b62173ef1fc39806a9f34ad47f2cec",
     ("ear-rational", 2): "c50819b14dc0cb94e673b21113156e0a15f834822d835fe04c6a6773d3997775",
@@ -63,7 +59,6 @@ GOLDEN = {
     ("rio-powerlog", 3): "17a8659a3f0fe67a3a2bec3f276c139085a38f5af1548f03874b11f7a78797a5",
     ("rio-rational", 3): "220ea1dbbe0875a4f37981f2785a01b6c0a0e9171b6acf3328d639b2a332958c",
     ("rio-dichotomy", 3): "d1240c9bb5f1c7a89019bd30b99c6c136cec9e88b0408d5bc0c734006ff06acd",
-    ("rate-scan", 3): "b45c5a7811af3741a2f79654f30deae0ca17033b5f3bc8e4d4bcf1759e52d35f",
     ("scan-powerlog", 3): "ba1fb4fedecf85b0ab76c0022bac8ae2d7728e6bd0bfebf9e7149749f1e69fe2",
     ("scan-rational", 3): "7331faf9e160ba3f87a56b87fbc4ca8ff6c752ced782ded690131ce37221da2d",
     ("ear-rational", 3): "02abd7de787d925b01bff6702a81e06c8a3f4db460b90db530ce939aee0a7ef4",

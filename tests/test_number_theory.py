@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab.errors import EigenvalueLocationError, RootOfUnityError
+from recurlab.errors import RootOfUnityError
 from recurlab.number_theory import (
     bezout_polynomials,
     check_no_root_of_unity,
     gcd_mersenne,
-    generator_growth,
     geometric_sum_poly,
     matrix_lattice,
     matrix_lattice_bruteforce,
@@ -148,19 +147,3 @@ class TestMatrixLattice:
     def test_hyperbolic_passes_screening(self):
         check_no_root_of_unity(FIBONACCI)
         check_no_root_of_unity(((2, 1), (1, 1)))
-
-
-class TestGeneratorGrowth:
-    def test_fibonacci_growth_positive(self):
-        est = generator_growth(FIBONACCI, 4, 1, 200, seed=1)
-        assert est.min_ratio > 0
-        assert est.lam == pytest.approx((1 + 5**0.5) / 2, rel=1e-9)
-        assert est.c * est.lam ** (est.n - est.p) == pytest.approx(est.min_ratio)
-
-    def test_cat_map_growth(self):
-        est = generator_growth(((2, 1), (1, 1)), 6, 2, 200, seed=2)
-        assert est.min_ratio > 1
-
-    def test_unit_circle_eigenvalue_rejected(self):
-        with pytest.raises(EigenvalueLocationError):
-            generator_growth(((0, -1), (1, 0)), 4, 1, 10)

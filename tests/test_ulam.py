@@ -16,7 +16,6 @@ from recurlab.ulam import (
     density_bounds,
     theoremB_series,
     write_density_csv,
-    write_matrix_csv,
 )
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -215,10 +214,3 @@ class TestCsvDumps:
         lines = out.read_text().strip().splitlines()
         assert rows == 16
         assert lines[0] == "bin,left,right,density"
-
-    def test_matrix_csv(self, tmp_path):
-        op = build_ulam(IntegerCircleMap(2), 16)
-        out = tmp_path / "matrix.csv"
-        with out.open("w") as fh:
-            write_matrix_csv(fh, op)
-        assert len(out.read_text().strip().splitlines()) >= 4
