@@ -1,8 +1,10 @@
 """Exact arithmetic on the circle R/Z and finite unions of rational arcs.
 
-Everything in this module is exact: points are `Fraction`s in [0, 1), arc
-endpoints are `Fraction`s, and all set operations return canonical normal
-forms so that equality of sets is equality of representations.
+Everything in this module is exact. Points are `Fraction`s in [0, 1). A set
+of arcs is stored, and operated on, as integers over one scale L, the least
+common denominator of its endpoints; they become `Fraction`s only on
+request (``arcs``) and in the text form. All set operations return
+canonical normal forms, so equality of sets is equality of representations.
 
 Arcs are half-open [lo, hi). A set that differs from another on finitely
 many points has the same canonical measure, which is all the downstream
@@ -20,12 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import mpmath
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def circle_point(x) -> Fraction:
@@ -109,21 +109,32 @@ def intersect_scaled_arcs(
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Finite disjoint union of half-open arcs with exact rational endpoints.
-
-    Instances are immutable and always in canonical form; construct through
-    ``from_arcs`` (or the set operations), never directly.
+    """Finite disjoint union of half-open arcs with exact rational endpoints,
+    stored as integers: (lo, hi) in ``scaled`` is [lo/L, hi/L), with L the
+    least such scale, so equal sets have equal fields. Instances are
+    immutable and canonical; construct through ``from_arcs``,
+    ``from_scaled`` or the set operations, never directly.
     """
 
-    arcs: tuple[tuple[Fraction, Fraction], ...]
+    L: int
+    scaled: tuple[tuple[int, int], ...]
 
     @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(())
+        return IntervalSet(1, ())
 
     @staticmethod
     def full() -> "IntervalSet":
-        return IntervalSet(((ZERO, ONE),))
+        return IntervalSet(1, ((0, 1),))
+
+    @staticmethod
+    def from_scaled(L: int, arcs: Sequence[tuple[int, int]]) -> "IntervalSet":
+        """The set of canonical arcs on the circle of circumference L (as
+        ``merge_scaled_arcs`` returns them), with L reduced to its least."""
+        g = math.gcd(L, *chain.from_iterable(arcs))
+        if g > 1:
+            arcs = [(lo // g, hi // g) for lo, hi in arcs]
+        return IntervalSet(L // g, tuple(arcs))
 
     @staticmethod
     def from_arcs(arcs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
@@ -133,15 +144,10 @@ class IntervalSet:
         dropped as empty. An arc of length >= 1 is the full circle.
         """
         pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in arcs]
-        if not pairs:
-            return IntervalSet.empty()
         L = math.lcm(*[f.denominator for p in pairs for f in p])
-        scaled = [
-            (int(lo * L), int(hi * L))
-            for lo, hi in pairs
-        ]
-        merged = merge_scaled_arcs(scaled, L)
-        return IntervalSet(tuple((Fraction(lo, L), Fraction(hi, L)) for lo, hi in merged))
+        return IntervalSet.from_scaled(L, merge_scaled_arcs([
+            (lo.numerator * (L // lo.denominator), hi.numerator * (L // hi.denominator))
+            for lo, hi in pairs], L))
 
     @staticmethod
     def arc(lo, hi) -> "IntervalSet":
@@ -150,64 +156,50 @@ class IntervalSet:
     # -- queries ----------------------------------------------------------
 
     @property
+    def arcs(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The arcs as ``Fraction`` pairs."""
+        return tuple((Fraction(lo, self.L), Fraction(hi, self.L)) for lo, hi in self.scaled)
+
+    @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.arcs), ZERO)
+        return Fraction(scaled_measure(self.scaled), self.L)
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self.scaled)
 
     def is_empty(self) -> bool:
-        return not self.arcs
+        return not self.scaled
 
     def contains(self, x) -> bool:
         p = circle_point(x)
-        return any(lo <= p < hi for lo, hi in self.arcs)
+        # lo <= p*L < hi for integers lo, hi exactly when lo <= floor(p*L) < hi
+        X = p.numerator * self.L // p.denominator
+        return any(lo <= X < hi for lo, hi in self.scaled)
 
     # -- algebra -----------------------------------------------------------
 
-    def _scaled(self, L: int) -> list[tuple[int, int]]:
-        return [(int(lo * L), int(hi * L)) for lo, hi in self.arcs]
-
     @staticmethod
-    def _common_denominator(*sets: "IntervalSet") -> int:
-        dens = [f.denominator for s in sets for p in s.arcs for f in p]
-        return math.lcm(*dens) if dens else 1
+    def _on_one_scale(sets: Sequence["IntervalSet"]) -> tuple[int, list[list[tuple[int, int]]]]:
+        L = math.lcm(*(s.L for s in sets))
+        return L, [[(lo * (L // s.L), hi * (L // s.L)) for lo, hi in s.scaled] for s in sets]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_arcs(self.arcs + other.arcs)
+        return IntervalSet.union_all([self, other])
 
     @staticmethod
     def union_all(sets: Sequence["IntervalSet"]) -> "IntervalSet":
-        arcs: list[tuple[Fraction, Fraction]] = []
-        for s in sets:
-            arcs.extend(s.arcs)
-        return IntervalSet.from_arcs(arcs)
+        L, parts = IntervalSet._on_one_scale(sets)
+        return IntervalSet.from_scaled(L, merge_scaled_arcs(list(chain(*parts)), L))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        if self.is_empty() or other.is_empty():
-            return IntervalSet.empty()
-        L = IntervalSet._common_denominator(self, other)
-        out = intersect_scaled_arcs(self._scaled(L), other._scaled(L))
-        return IntervalSet(tuple((Fraction(lo, L), Fraction(hi, L)) for lo, hi in out))
+        L, (a, b) = IntervalSet._on_one_scale([self, other])
+        return IntervalSet.from_scaled(L, intersect_scaled_arcs(a, b))
 
     def complement(self) -> "IntervalSet":
-        if self.is_empty():
-            return IntervalSet.full()
-        gaps: list[tuple[Fraction, Fraction]] = []
-        prev = ZERO
-        for lo, hi in self.arcs:
-            if lo > prev:
-                gaps.append((prev, lo))
-            prev = hi
-        if prev < 1:
-            gaps.append((prev, ONE))
-        return IntervalSet(tuple(gaps))
-
-    def rotate(self, offset) -> "IntervalSet":
-        """Rotate every arc by a common rational offset (mod 1)."""
-        d = Fraction(offset)
-        return IntervalSet.from_arcs([(lo + d, hi + d) for lo, hi in self.arcs])
+        ends = [0, *chain.from_iterable(self.scaled), self.L]
+        return IntervalSet.from_scaled(
+            self.L, [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi])
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return self.intersect(other) == self
@@ -215,23 +207,20 @@ class IntervalSet:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form: one 'num/den,num/den' line per arc."""
-        lines = [
-            f"{lo.numerator}/{lo.denominator},{hi.numerator}/{hi.denominator}"
-            for lo, hi in self.arcs
-        ]
+        """Canonical text form: one 'num/den,num/den' line per arc, each
+        endpoint in lowest terms."""
+        L = self.L
+
+        def frac(e: int) -> str:
+            g = math.gcd(e, L)
+            return f"{e // g}/{L // g}"
+
+        lines = [f"{frac(lo)},{frac(hi)}" for lo, hi in self.scaled]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
     def from_text(text: str) -> "IntervalSet":
-        arcs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            arcs.append((Fraction(a), Fraction(b)))
-        return IntervalSet.from_arcs(arcs)
+        return IntervalSet.from_arcs(line.split(",") for line in text.splitlines() if line.strip())
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ class PrecisionBudgetError(RecurlabError):
         self.available_bits = available_bits
         super().__init__(
             f"orbit needs {required_bits} fractional bits to stay accurate "
-            f"(have {available_bits}); re-run with a larger precision budget"
+            f"(have {available_bits}); the bits follow the horizon, so shorten it "
+            f"(rio --N, ear --M-horizon, orbit --checkpoints) or draw other samples (--seed)"
         )
 
 

@@ -2,12 +2,13 @@
 
 For the circle map T x = a x mod 1 the set E_n is a union of |a^n - 1| arcs
 of radius r/(a^n - 1) centered at the fixed points j/(a^n - 1) of T^n, so
-mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact rational
-arithmetic. Overlaps mu(E_i ∩ E_j) come in closed form from the gcd identity
-gcd(a^i - 1, a^j - 1) = |a^gcd(i,j) - 1|, without building any arc. Arc sets
-are integer-scaled (endpoints over a common denominator L); the
-eventually-always intersection builds only those arcs of each cover that
-meet the running intersection.
+mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact. Arc
+endpoints, and the branches of T^n of a piecewise-affine map, are integers
+over one scale known in advance; `Fraction`s appear only in measures and
+the text form. Overlaps mu(E_i ∩ E_j) come in closed form from the gcd
+identity gcd(a^i - 1, a^j - 1) = |a^gcd(i,j) - 1|, without building any
+arc. The eventually-always intersection builds only those arcs of each
+cover that meet the running intersection.
 
 Hard budgets replace silent truncation: a computation that would need more
 arcs or composed branches than allowed raises, naming the limit.
@@ -145,12 +146,11 @@ def _en_scaled_arcs(M: int, w: int, L: int) -> list[tuple[int, int]]:
     return arcs
 
 
-def _circle_arc_count(arcs: Sequence[tuple], top=Fraction(1)) -> int:
+def _circle_arc_count(arcs: Sequence[tuple[int, int]], L: int) -> int:
     """Arc count on the circle: the canonical form splits an arc crossing 0
-    into [0, .) and [., top) pieces; count those as one arc. ``top`` is 1 for
-    Fraction arcs and L for integer-scaled arcs."""
+    into [0, .) and [., L) pieces; count those as one arc."""
     c = len(arcs)
-    if c >= 2 and arcs[0][0] == 0 and arcs[-1][1] == top:
+    if c >= 2 and arcs[0][0] == 0 and arcs[-1][1] == L:
         c -= 1
     return c
 
@@ -187,8 +187,7 @@ def build_recurrence_set(
     L = M * r.denominator
     w = r.numerator
     scaled = _en_scaled_arcs(M, w, L)
-    iset = IntervalSet(tuple((Fraction(lo, L), Fraction(hi, L)) for lo, hi in scaled))
-    return RecurrenceSetResult(n, r, iset, measure, arc_count)
+    return RecurrenceSetResult(n, r, IntervalSet.from_scaled(L, scaled), measure, arc_count)
 
 
 # ---------------------------------------------------------------------------
@@ -203,52 +202,51 @@ def _as_piecewise(sys: SystemSpec) -> PiecewiseLinear:
     raise TypeError(f"exact branch analysis needs a piecewise-affine map, got {sys!r}")
 
 
+def _integer_branches(pw: PiecewiseLinear) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
+    """(q, L_b, m, branches): each branch (B_lo, B_hi, p, u) of ``pw`` maps
+    [B_lo/L_b, B_hi/L_b) by x -> (p*x + u)/q, and m = lcm |p|."""
+    br = pw.branches
+    q = math.lcm(*(f.denominator for b in br for f in (b.slope, b.intercept)))
+    Lb = math.lcm(*(f.denominator for b in br for f in (b.lo, b.hi)))
+    ints = [(int(b.lo * Lb), int(b.hi * Lb), int(b.slope * q), int(b.intercept * q))
+            for b in br]
+    return q, Lb, math.lcm(*(abs(p) for _, _, p, _ in ints)), ints
+
+
 def compose_branches(
     pw: PiecewiseLinear, n: int, branch_budget: int = DEFAULT_BRANCH_BUDGET
-) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Maximal affine branches (lo, hi, slope, intercept) of T^n.
+) -> list[tuple[int, int, int, int]]:
+    """Maximal affine branches (X_lo, X_hi, P, U) of T^n, sorted by X_lo.
 
-    On each returned domain [lo, hi), T^n x = slope*x + intercept with the
-    value already reduced into [0, 1) (the intercept absorbs the mod-1
-    subtractions along the orbit).
+    With q, L_b and m from ``_integer_branches`` and S = L_b*m^n, T^n x =
+    (P*x + U)/q^n on [X_lo/S, X_hi/S), with the value already reduced into
+    [0, 1) (U absorbs the mod-1 subtractions along the orbit). After k steps
+    |P| divides m^k, so every domain end is an integer over S.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cur = [(Fraction(0), Fraction(1), Fraction(1), Fraction(0))]  # T^0, one branch
+    q, Lb, m, branches = _integer_branches(pw)
+    mn, qk = m ** n, 1
+    cur = [(0, Lb * mn, 1, 0)]  # T^0, one branch
     for _ in range(n):
         nxt = []
-        for lo, hi, s, t in cur:
-            for b in pw.branches:
-                # solve s*x + t in [b.lo, b.hi) within [lo, hi)
-                if s > 0:
-                    xlo = (b.lo - t) / s
-                    xhi = (b.hi - t) / s
-                else:
-                    xlo = (b.hi - t) / s
-                    xhi = (b.lo - t) / s
-                xlo = max(xlo, lo)
-                xhi = min(xhi, hi)
+        for lo, hi, P, U in cur:
+            k = mn // P
+            for blo, bhi, p, u in branches:
+                # T^k x = B/L_b at x*S = (B*q^k - U*L_b)*m^n/P
+                xlo = (blo * qk - U * Lb) * k
+                xhi = (bhi * qk - U * Lb) * k
+                if P < 0:
+                    xlo, xhi = xhi, xlo
+                xlo, xhi = max(xlo, lo), min(xhi, hi)
                 if xlo < xhi:
-                    nxt.append((xlo, xhi, b.slope * s, b.slope * t + b.intercept))
+                    nxt.append((xlo, xhi, p * P, p * U + u * qk))
         if len(nxt) > branch_budget:
             raise BranchBudgetExceeded(len(nxt), branch_budget)
         cur = nxt
-    cur.sort(key=lambda br: br[0])
+        qk *= q
+    cur.sort()
     return cur
-
-
-def _branch_solution(lo, hi, s, t, r, q):
-    """Solution interval of |s*x + t - x - q| < r inside [lo, hi), or None."""
-    coef = s - 1  # never 0: |s| > 1
-    if coef > 0:
-        a_ = (q - t - r) / coef
-        b_ = (q - t + r) / coef
-    else:
-        a_ = (q - t + r) / coef
-        b_ = (q - t - r) / coef
-    xlo = max(lo, a_)
-    xhi = min(hi, b_)
-    return (xlo, xhi) if xlo < xhi else None
 
 
 def build_recurrence_set_piecewise(
@@ -264,27 +262,42 @@ def build_recurrence_set_piecewise(
     inequality, so E_n restricted to a branch is an interval. d is the
     system's metric, as in the Monte Carlo experiments
     (``dynamics.uses_circle_metric``): circle distance on an integer circle
-    map, whose integer offsets are enumerated, and plain absolute value on
+    map, whose integer offsets j are enumerated, and plain absolute value on
     [0, 1] for an interval map.
+
+    On a branch, T^n x - x - j = (C*x + U - j*Q)/Q with Q = q^n and C = P - Q
+    (never 0, as |P| > Q), so the interval's ends ((j*Q - U)*den(r) ∓
+    num(r)*Q)/(C*den(r)) are integers over L = lcm(S, den(r)*lcm |C|).
     """
     pw = _as_piecewise(sys)
     r = _check_radius(r)
     circle = uses_circle_metric(sys)
     branches = compose_branches(pw, n, branch_budget)
-    arcs: list[tuple[Fraction, Fraction]] = []
-    for lo, hi, s, t in branches:
-        qs: Iterable[int] = (0,)
+    q, Lb, m, _ = _integer_branches(pw)
+    Q, S = q ** n, Lb * m ** n
+    rn, rd = r.numerator, r.denominator
+    L = math.lcm(S, rd * math.lcm(*{abs(P - Q) for _, _, P, _ in branches}))
+    arcs: list[tuple[int, int]] = []
+    for lo, hi, P, U in branches:
+        C = P - Q
+        k = L // (C * rd)
+        js: Iterable[int] = (0,)
         if circle:
-            v0 = (s - 1) * lo + t
-            v1 = (s - 1) * hi + t
-            vmin, vmax = (v0, v1) if v0 <= v1 else (v1, v0)
-            qs = range(math.ceil(vmin - r), math.floor(vmax + r) + 1)
-        for q in qs:
-            sol = _branch_solution(lo, hi, s, t, r, q)
-            if sol is not None:
-                arcs.append(sol)
-    iset = IntervalSet.from_arcs(arcs)
-    return RecurrenceSetResult(n, r, iset, iset.measure, _circle_arc_count(iset.arcs))
+            # the integers within r of (C*x + U)/Q = V/(Q*S) on the domain
+            D = Q * S * rd
+            vmin, vmax = sorted((C * lo + U * S, C * hi + U * S))
+            js = range(-((rn * Q * S - vmin * rd) // D), (vmax * rd + rn * Q * S) // D + 1)
+        lo, hi = lo * (L // S), hi * (L // S)
+        for j in js:
+            xlo = ((j * Q - U) * rd - rn * Q) * k
+            xhi = ((j * Q - U) * rd + rn * Q) * k
+            if C < 0:
+                xlo, xhi = xhi, xlo
+            xlo, xhi = max(xlo, lo), min(xhi, hi)
+            if xlo < xhi:
+                arcs.append((xlo, xhi))
+    iset = IntervalSet.from_scaled(L, merge_scaled_arcs(arcs, L))
+    return RecurrenceSetResult(n, r, iset, iset.measure, _circle_arc_count(iset.scaled, iset.L))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +452,6 @@ def _ear_cover_near(
         [(c * sp - w, c * sp + w) for sp, w, c0, c1 in spans for c in range(c0, c1)], L)
 
 
-def _materialize(scaled: list[tuple[int, int]], L: int) -> IntervalSet:
-    return IntervalSet(tuple((Fraction(lo, L), Fraction(hi, L)) for lo, hi in scaled))
-
-
 def build_ear_sets(
     a: int,
     m: int,
@@ -470,8 +479,8 @@ def build_ear_sets(
     L = _ear_denominator(a, m, [r.denominator])
     scaled = _ear_scaled_cover(a, m, r, L)
     measure = Fraction(scaled_measure(scaled), L)
-    iset = _materialize(scaled, L) if materialize else None
-    return EarCoverResult(m, r, iset, measure, _circle_arc_count(scaled, top=L))
+    iset = IntervalSet.from_scaled(L, scaled) if materialize else None
+    return EarCoverResult(m, r, iset, measure, _circle_arc_count(scaled, L))
 
 
 def ear_truncated_A(
@@ -514,5 +523,5 @@ def ear_truncated_A(
         if not cur:
             break
     measure = profile[-1][1] if profile else Fraction(0)
-    iset = _materialize(cur, L) if materialize else None
+    iset = IntervalSet.from_scaled(L, cur) if materialize else None
     return EarTruncationResult(n0, M, iset, measure, tuple(profile))

@@ -2,14 +2,15 @@
 
 import hashlib
 import json
-import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from recurlab.circle import IntervalSet, PowerLaw, PowerLog
 from recurlab.cli import atomic_write, main, parse_config, parse_sequence, parse_system
-from recurlab.errors import ConfigError
+from recurlab import experiments
+from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
 
 
@@ -148,6 +149,22 @@ class TestOptions:
         with pytest.raises(ConfigError) as exc:
             parse_config(TestConfigFiles.GOOD + "precision_bits = 64\n")
         assert "precision_bits" in "\n".join(exc.value.problems)
+
+    def test_precision_error_names_options_that_exist(self, monkeypatch, tmp_path, capsys):
+        def short_of_bits(*args):
+            raise PrecisionBudgetError(804, 402)
+
+        monkeypatch.setattr(experiments, "rio_truncated_measure", short_of_bits)
+        assert main(["rio", "--system", "beta:golden", "--seq", "powerlaw:1/4,1",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "needs 804 fractional bits" in err
+        named = re.findall(r"(\w+) (--[\w-]+)", err)
+        assert [c for c, _ in named] == ["rio", "ear", "orbit"]
+        for command, option in named:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert option in capsys.readouterr().out
 
     def test_seed_and_budget_where_they_act(self, tmp_path):
         assert main(["ear", "--exact", "--n0", "3", "--M-horizon", "6",

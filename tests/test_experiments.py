@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurlab.circle import EarRadius, ExplicitTable, IntervalSet, PowerLaw, PowerLog, ear_log2_delta
+from recurlab.circle import ExplicitTable, IntervalSet, PowerLaw, PowerLog
 from recurlab import experiments
 from recurlab.cli import parse_system
 from recurlab.dynamics import ExactOrbit, FixedPointOrbit, orbit_backend, sample_bits

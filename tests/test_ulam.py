@@ -8,7 +8,7 @@ import pytest
 
 from recurlab import ulam
 from recurlab.circle import PowerLaw
-from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Branch
+from recurlab.systems import BetaMap, IntegerCircleMap
 from recurlab.ulam import (
     build_ulam,
     correlation_decay_fit,
