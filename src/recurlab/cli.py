@@ -366,6 +366,10 @@ def cmd_ulam(args) -> int:
         }, sort_keys=True, indent=2).encode() + b"\n")
         print(f"series verdict: {series.verdict}")
     print(f"ulam bins={op.N}: |lambda2|={op.second_eig:.6g} tau={fit.tau:.6g} c={bounds.c:.6g}")
+    if not op.second_eig_converged:
+        print(f"error: |lambda2| did not converge within KRYLOV_MAX = {ulam.KRYLOV_MAX} "
+              f"Arnoldi vectors", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,12 +14,16 @@ resolve the subleading spectrum (for the doubling map on dyadic bins the
 Ulam matrix is nilpotent off the constants, while the transfer operator has
 eigenvalue 1/2 with eigenfunction x - 1/2), which a degree-1 basis can.
 
-Matrix entries come from closed-form piecewise-affine preimage geometry:
-exact rationals for integer/piecewise rational maps (so dyadic Ulam
-matrices of the doubling map are exactly uniform-invariant), floats for
-beta-maps whose breakpoints are irrational. The Galerkin entries are floats
-from the same overlap pieces, by 2-point Gauss quadrature (exact for the
-quadratic integrands).
+Both matrices are sparse (O(branches * N) entries) and stored in COO form;
+`UlamOperator.matrix` densifies the Ulam matrix on demand. Their entries come
+from closed-form piecewise-affine preimage geometry, computed for all target
+bins of a branch at once. Integer circle maps and piecewise maps have
+rational data, so every bin edge, branch end and preimage end is an integer
+over one common scale S; each Ulam entry is an exact sum of integers rounded
+once to its float (so dyadic Ulam matrices of the doubling map are exactly
+uniform-invariant). Beta maps, whose breakpoints are irrational, run the same
+geometry in floats. The Galerkin entries are floats from the same overlap
+pieces, by 2-point Gauss quadrature (exact for the quadratic integrands).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -51,33 +54,41 @@ _SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
-class GalerkinOperator:
-    """Degree-1 Legendre Galerkin matrix on N bins, sparse in COO form:
-    G[rows[k], cols[k]] sums weights[k]. Index p*N + i is the basis function
-    of degree p on bin i, so the block [:N, :N] is the Ulam matrix."""
+class SparseMatrix:
+    """Square n x n matrix in COO form: M[rows[k], cols[k]] sums weights[k]."""
 
-    N: int
+    n: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
 
     def apply_left(self, w: np.ndarray) -> np.ndarray:
-        """The row vector w G (the transfer operator's action on densities)."""
+        """The row vector w M (the transfer operator's action on densities)."""
         return np.bincount(self.cols, weights=self.weights * w[self.rows],
-                           minlength=2 * self.N)
+                           minlength=self.n)
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros((self.n, self.n))
+        np.add.at(M, (self.rows, self.cols), self.weights)
+        return M
 
 
 @dataclass
 class UlamOperator:
     sys: SystemSpec
     N: int
-    matrix: np.ndarray          # row-stochastic, shape (N, N)
+    P: SparseMatrix             # the Ulam matrix, row-stochastic, N x N
     density: np.ndarray         # invariant density per bin, integral 1
     residual: float             # L1 residual of the fixed-point equation
     second_eig: float           # |lambda2| of the degree-1 Galerkin operator
     second_eig_converged: bool  # False when the Arnoldi solve hit KRYLOV_MAX
     power_iterations: int
-    galerkin: GalerkinOperator  # degree-1 operator; its (0,0) block is `matrix`
+    galerkin: SparseMatrix      # degree-1 operator, index p*N + i; its (0,0) block is P
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The Ulam matrix as a dense (N, N) array, built on each access."""
+        return self.P.dense()
 
     @property
     def gap(self) -> float:
@@ -89,15 +100,15 @@ class UlamOperator:
         return self.density / self.N
 
 
-def _float_branches(sys: SystemSpec) -> list[tuple[float, float, float, float]]:
-    """(lo, hi, slope, intercept) per branch, as floats, with |slope| > 1."""
+def _branches(sys: SystemSpec) -> list[tuple]:
+    """(lo, hi, slope, intercept) per branch, with |slope| > 1: Fractions for
+    integer circle and piecewise maps, floats for beta maps."""
     if isinstance(sys, IntegerCircleMap):
         if sys.a < 2:
             raise NonExpandingSystemError("integer circle map needs a >= 2 here")
         sys = sys.as_piecewise()
     if isinstance(sys, PiecewiseLinear):
-        return [(float(b.lo), float(b.hi), float(b.slope), float(b.intercept))
-                for b in sys.branches]
+        return [(b.lo, b.hi, b.slope, b.intercept) for b in sys.branches]
     if isinstance(sys, BetaMap):
         beta = float(sys.beta)
         out = []
@@ -113,54 +124,120 @@ def _float_branches(sys: SystemSpec) -> list[tuple[float, float, float, float]]:
     )
 
 
-def _exact_branches(sys: SystemSpec) -> list[tuple[Fraction, Fraction, Fraction, Fraction]] | None:
-    if isinstance(sys, IntegerCircleMap) and sys.a >= 2:
-        sys = sys.as_piecewise()
-    if isinstance(sys, PiecewiseLinear):
-        return [(b.lo, b.hi, b.slope, b.intercept) for b in sys.branches]
-    return None
+def _ratio(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den correctly rounded, for integers |num| <= den: numpy divides
+    the exact floats below 2^53, Python's int division does the rest."""
+    if den < 2**53:
+        return num.astype(float) / den
+    return (num.astype(object) / den).astype(float)
 
 
-def _fill_matrix_from_branches(P, branches, N, one) -> GalerkinOperator:
-    """Accumulate preimage overlaps into P; works for Fractions or floats alike.
-    Returns the degree-1 Galerkin operator built from the same overlap pieces.
+def _fill_matrix_from_branches(branches, N: int) -> tuple[SparseMatrix, SparseMatrix]:
+    """The Ulam matrix and the degree-1 Galerkin operator, both built from the
+    preimage overlaps of every branch with every pair of bins.
 
-    For each branch (affine, monotone) and each target bin B_j, the preimage
-    of B_j under the branch is one interval; its overlap with the source
-    bins B_i contributes m(B_i ∩ T^{-1}B_j)/m(B_i) = N * overlap.
+    For each branch (affine, monotone) and target bin B_j, the preimage of
+    B_j under the branch is one interval; its overlap with a source bin B_i
+    contributes m(B_i ∩ T^{-1}B_j)/m(B_i) = N * overlap. As |slope| > 1 the
+    interval is shorter than a bin and meets at most two source bins, so a
+    branch is a few array operations over its target bins. Overlap pieces
+    come out in (branch, j, i) order, and entries that several pieces share
+    are summed in that order.
+
+    Rational branches run on integers over S = N*L, L the lcm of the branch
+    ends' denominators and of den(intercept)*|num(slope)|: the edge j/N is
+    j*L, and its preimage under y -> s*y + t is j*A + C with the integers
+    A = L/s and C = -t*S/s. An entry is then (sum of overlaps)/L, summed
+    exactly; the arrays hold int64 while every value fits, Python ints
+    (the same code on object arrays) otherwise.
     """
-    binw = one / N
-    pieces = []
-    for lo, hi, s, t in branches:
+    exact = isinstance(branches[0][2], Fraction)
+    if exact:
+        L = math.lcm(*(d for lo, hi, s, t in branches for d in (
+            lo.denominator, hi.denominator, t.denominator * abs(s.numerator))))
+        S = N * L
+        affine = [(int(L / s), int(-t * S / s)) for _, _, s, t in branches]
+        # a branch image inside [0, 1] has |t| <= 1 + |s|, so no value
+        # below passes 3*S in magnitude
+        dtype = np.int64 if S < 2**61 else object
+
+        def edge(k):
+            return k.astype(dtype) * L
+
+        def floor_bin(x):
+            return (x // L).astype(np.intp)
+
+        def ceil_bin(x):
+            return (-(-x // L)).astype(np.intp)
+    else:
+        binw = 1.0 / N
+
+        def edge(k):
+            return k * binw
+
+        def floor_bin(x):
+            return np.floor(x * N).astype(np.intp)
+
+        def ceil_bin(x):
+            return np.ceil(x * N).astype(np.intp)
+
+    parts = []
+    for k, (lo, hi, s, t) in enumerate(branches):
         v0, v1 = s * lo + t, s * hi + t
         vmin, vmax = (v0, v1) if v0 <= v1 else (v1, v0)
         j0 = max(0, int(math.floor(vmin * N)))
         j1 = min(N - 1, int(math.ceil(vmax * N)) - 1)
-        for j in range(j0, j1 + 1):
-            blo, bhi = j * binw, (j + 1) * binw
-            if s > 0:
-                plo, phi = (blo - t) / s, (bhi - t) / s
-            else:
-                plo, phi = (bhi - t) / s, (blo - t) / s
-            plo = max(plo, lo)
-            phi = min(phi, hi)
-            if not plo < phi:
-                continue
-            i0 = int(math.floor(plo * N))
-            i1 = min(N - 1, int(math.ceil(phi * N)) - 1)
-            for i in range(i0, i1 + 1):
-                a, b = max(plo, i * binw), min(phi, (i + 1) * binw)
-                if a < b:
-                    P[i][j] += (b - a) * N
-                    pieces.append((i, j, a, b, s, t))
-    return _galerkin_from_pieces(np.array(pieces, dtype=float), N)
+        j = np.arange(j0, j1 + 1)
+        if exact:
+            A, C = affine[k]
+            ends = (j.astype(dtype) * A + C, (j + 1).astype(dtype) * A + C)
+            lo, hi = int(lo * S), int(hi * S)
+        else:
+            ends = ((edge(j) - t) / s, (edge(j + 1) - t) / s)
+        plo, phi = ends if s > 0 else ends[::-1]
+        plo = np.maximum(plo, lo)
+        phi = np.minimum(phi, hi)
+        keep = plo < phi
+        j, plo, phi = j[keep], plo[keep], phi[keep]
+        if not len(j):
+            continue
+        i0 = floor_bin(plo)
+        i1 = np.minimum(N - 1, ceil_bin(phi) - 1)
+        i = i0[:, None] + np.arange(int((i1 - i0).max()) + 1)
+        a = np.maximum(plo[:, None], edge(i))
+        b = np.minimum(phi[:, None], edge(i + 1))
+        ok = (i <= i1[:, None]) & (a < b)
+        parts.append((i[ok], np.broadcast_to(j[:, None], i.shape)[ok], a[ok], b[ok],
+                      np.full(ok.sum(), float(s)), np.full(ok.sum(), float(t))))
+    i, j, a, b, s, t = (np.concatenate(col) for col in zip(*parts))
+
+    keys = i * N + j
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    weights = np.add.reduceat(((b - a) if exact else (b - a) * N)[order], starts)
+    keys = keys[starts]
+    rows, cols = np.divmod(keys, N)
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    if len(row_starts) != N:
+        raise AssertionError("a source bin has no image")
+    rowsums = np.add.reduceat(weights, row_starts)
+    if exact:
+        bad = np.flatnonzero(rowsums != L)
+        if len(bad):
+            raise AssertionError(f"row {bad[0]} does not sum to 1 exactly")
+        weights = _ratio(weights, L)
+        a, b = _ratio(a, S), _ratio(b, S)
+    else:
+        if np.max(np.abs(rowsums - 1.0)) > 1e-12:
+            raise AssertionError("Ulam rows deviate from stochasticity beyond 1e-12")
+        weights = weights / rowsums[rows]
+    return SparseMatrix(N, rows, cols, weights), _galerkin_from_pieces(i, j, a, b, s, t, N)
 
 
-def _galerkin_from_pieces(pieces: np.ndarray, N: int) -> GalerkinOperator:
+def _galerkin_from_pieces(i, j, a, b, s, t, N: int) -> SparseMatrix:
     """G entries N * ∫_a^b phi_{i,p}(y) phi_{j,q}(s y + t) dy per overlap piece
     (i, j, a, b, s, t); the integrand is quadratic, so 2-point Gauss is exact."""
-    i, j = pieces[:, 0].astype(np.intp), pieces[:, 1].astype(np.intp)
-    a, b, s, t = pieces[:, 2:].T
     y = a[:, None] + (b - a)[:, None] * np.array(_GAUSS)
     u = _SQRT3 * (2 * (N * y - i[:, None]) - 1)              # phi_{i,1}(y)
     v = _SQRT3 * (2 * (N * (s[:, None] * y + t[:, None]) - j[:, None]) - 1)  # phi_{j,1}(Ty)
@@ -169,7 +246,7 @@ def _galerkin_from_pieces(pieces: np.ndarray, N: int) -> GalerkinOperator:
     cols = np.concatenate((j, j + N, j, j + N))
     weights = np.concatenate((2 * half, half * v.sum(axis=1), half * u.sum(axis=1),
                               half * (u * v).sum(axis=1)))
-    return GalerkinOperator(N, rows, cols, weights)
+    return SparseMatrix(2 * N, rows, cols, weights)
 
 
 def build_ulam(sys: SystemSpec, N: int) -> UlamOperator:
@@ -177,32 +254,14 @@ def build_ulam(sys: SystemSpec, N: int) -> UlamOperator:
     the second-eigenvalue modulus of the degree-1 Galerkin operator."""
     if N < 16:
         raise ValueError("need at least 16 bins")
-    exact = _exact_branches(sys)
-    if exact is not None:
-        # sparse exact accumulation: only O(branches * N) entries are nonzero
-        rows = [defaultdict(Fraction) for _ in range(N)]
-        galerkin = _fill_matrix_from_branches(rows, exact, N, Fraction(1))
-        P = np.zeros((N, N))
-        for i, row in enumerate(rows):
-            if sum(row.values()) != 1:
-                raise AssertionError(f"row {i} does not sum to 1 exactly")
-            for j, v in row.items():
-                P[i, j] = float(v)
-    else:
-        branches = _float_branches(sys)
-        P = np.zeros((N, N))
-        galerkin = _fill_matrix_from_branches(P, branches, N, 1.0)
-        rowsums = P.sum(axis=1)
-        if np.max(np.abs(rowsums - 1.0)) > 1e-12:
-            raise AssertionError("Ulam rows deviate from stochasticity beyond 1e-12")
-        P /= rowsums[:, None]
+    P, galerkin = _fill_matrix_from_branches(_branches(sys), N)
 
     # invariant probability vector: leading left eigenvector
     pi = np.full(N, 1.0 / N)
     iters = 0
     residual = math.inf
     while iters < POWER_MAXIT:
-        new = pi @ P
+        new = P.apply_left(pi)
         new /= new.sum()
         residual = float(np.abs(new - pi).sum())
         pi = new
@@ -215,7 +274,7 @@ def build_ulam(sys: SystemSpec, N: int) -> UlamOperator:
     return UlamOperator(sys, N, P, density, residual, second, converged, iters, galerkin)
 
 
-def _second_eigenvalue(G: GalerkinOperator) -> tuple[float, bool]:
+def _second_eigenvalue(G: SparseMatrix) -> tuple[float, bool]:
     """Modulus of the subleading eigenvalue of G, and whether it converged.
 
     The constants (1 on every degree-0 entry) are a right eigenvector of G
@@ -226,8 +285,8 @@ def _second_eigenvalue(G: GalerkinOperator) -> tuple[float, bool]:
     below KRYLOV_TOL (or the Krylov space is invariant); a basis of
     KRYLOV_MAX vectors without that is reported as unconverged.
     """
-    N = G.N
-    n = 2 * N
+    n = G.n
+    N = n // 2
     kcap = min(KRYLOV_MAX, n - 1)
     blocks = [np.zeros((_BLOCK, n))]   # the Krylov basis, _BLOCK rows per array
     hcols = []                          # the columns of the Hessenberg matrix
@@ -352,7 +411,7 @@ def correlation_decay_fit(
         v = p * g
         vals = []
         for n in range(1, n_max + 1):
-            v = v @ op.matrix
+            v = op.P.apply_left(v)
             corr = abs(float((v * f).sum()) - mean_f * mean_g)
             vals.append(corr / norm)
         per_pair.append(vals)
@@ -399,34 +458,23 @@ def theoremB_series(
     cum = np.concatenate(([0.0], np.cumsum(p)))  # cum[k] = mu([0, k/N))
     circle = uses_circle_metric(op.sys)
 
-    def mu_cdf(x: float) -> float:
-        if circle:
-            x = x - math.floor(x)
-        else:
-            x = min(max(x, 0.0), 1.0)
-        k = min(int(x * N), N - 1)
-        frac = x * N - k
-        return float(cum[k] + frac * p[k])
+    def mu_cdf(x: np.ndarray) -> np.ndarray:
+        x = x - np.floor(x) if circle else np.minimum(np.maximum(x, 0.0), 1.0)
+        k = np.minimum((x * N).astype(np.intp), N - 1)
+        return cum[k] + (x * N - k) * p[k]
 
     centers = (np.arange(N) + 0.5) / N
     terms = []
     for n in range(1, n_terms + 1):
         r = seq.approx(n)
-        total = 0.0
-        for i in range(N):
-            x = centers[i]
+        if circle and 2 * r >= 1:
+            ball = 1.0
+        else:
+            ball = mu_cdf(centers + r) - mu_cdf(centers - r)
             if circle:
-                if 2 * r >= 1:
-                    ball = 1.0
-                else:
-                    hi, lo = x + r, x - r
-                    ball = mu_cdf(hi) - mu_cdf(lo)
-                    if ball < 0:  # wrapped around
-                        ball += 1.0
-            else:
-                ball = mu_cdf(x + r) - mu_cdf(x - r)
-            total += p[i] * ball
-        terms.append(total)
+                ball = np.where(ball < 0, ball + 1.0, ball)  # wrapped around
+        # cumsum adds in bin order, as a running total would
+        terms.append(float(np.cumsum(p * ball)[-1]))
     partial = np.cumsum(terms)
 
     # tail slope of log(term) vs log(n) over the second half

@@ -9,7 +9,7 @@ import pytest
 
 from recurlab.circle import IntervalSet, PowerLaw, PowerLog
 from recurlab.cli import atomic_write, main, parse_config, parse_sequence, parse_system
-from recurlab import experiments
+from recurlab import experiments, ulam
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
 
@@ -278,6 +278,16 @@ class TestEndToEnd:
         assert payload["second_eigenvalue"] == pytest.approx(0.5, abs=1e-9)
         assert payload["second_eigenvalue_converged"] is True
         assert payload["c"] == pytest.approx(1.0)
+
+    def test_ulam_unconverged_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ulam, "KRYLOV_MAX", 40)
+        code = main(["ulam", "--system", "circle:3", "--bins", "128",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        payload = json.loads((tmp_path / "ulam.json").read_bytes())
+        assert payload["second_eigenvalue_converged"] is False
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "KRYLOV_MAX = 40" in err[0]
 
     def test_orbit_csv(self, tmp_path):
         code = main(["orbit", "--system", "doubling", "--x", "1/5",

@@ -1,6 +1,10 @@
 """Transfer-operator discretization: stochasticity, densities, spectra, decay."""
 
+import dataclasses
+import json
 import math
+import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +12,8 @@ import pytest
 
 from recurlab import ulam
 from recurlab.circle import PowerLaw
+from recurlab.cli import parse_system
+from recurlab.dynamics import uses_circle_metric
 from recurlab.systems import BetaMap, IntegerCircleMap
 from recurlab.ulam import (
     build_ulam,
@@ -23,6 +29,12 @@ GOLDEN = (1 + 5**0.5) / 2
 # (5+sqrt5)/10 on [1/phi, 1); its max/min ratio is the density oracle
 PARRY_HI = (5 + 3 * 5**0.5) / 10
 PARRY_LO = (5 + 5**0.5) / 10
+BENCH_PIECEWISE = "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2"
+# split point p/q with q about 10^12: the common scale of the integer
+# assembly is N*q*(q - p), past int64 at every N
+HUGE_P, HUGE_Q = 500_000_000_023, 1_000_000_000_039
+HUGE = (f"piecewise:0,{HUGE_P}/{HUGE_Q},{HUGE_Q}/{HUGE_P},0;"
+        f"{HUGE_P}/{HUGE_Q},1,{HUGE_Q}/{HUGE_Q - HUGE_P},-{HUGE_P}/{HUGE_Q - HUGE_P}")
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +90,60 @@ class TestMatrixStructure:
         pi = golden_op.bin_prob
         assert np.linalg.norm(pi @ golden_op.matrix - pi, 1) < 1e-9
         assert golden_op.residual < 1e-10
+
+
+def brute_force_ulam(sys, N):
+    """P_ij = N * m(B_i ∩ T^{-1}B_j) as Fractions, from the forward image of
+    each source bin under each branch (the assembly works from preimages)."""
+    P = {}
+    for br in sys.branches:
+        for i in range(N):
+            x0, x1 = max(br.lo, Fraction(i, N)), min(br.hi, Fraction(i + 1, N))
+            if not x0 < x1:
+                continue
+            u, v = sorted((br.apply(x0), br.apply(x1)))
+            for j in range(max(0, math.floor(u * N)), min(N, math.ceil(v * N))):
+                overlap = min(v, Fraction(j + 1, N)) - max(u, Fraction(j, N))
+                if overlap > 0:
+                    P[i, j] = P.get((i, j), 0) + N * overlap / abs(br.slope)
+    return P
+
+
+class TestExactAssembly:
+    @pytest.mark.parametrize("N", [16, 17, 96, 100])
+    @pytest.mark.parametrize("system", [
+        "circle:2", "circle:3", "circle:5", BENCH_PIECEWISE,
+        "piecewise:0,1/2,-2,1;1/2,1,2,-1",
+        # three branches, the first with an image [1/10, 9/10) that is not whole
+        "piecewise:0,2/5,2,1/10;2/5,7/10,-10/3,7/3;7/10,1,10/3,-7/3",
+        HUGE,
+    ])
+    def test_entries_are_the_rounded_exact_overlaps(self, system, N):
+        sys = parse_system(system)
+        exact = brute_force_ulam(sys if system.startswith("piecewise") else sys.as_piecewise(), N)
+        for i in range(N):
+            assert sum(v for (k, _), v in exact.items() if k == i) == 1
+        expected = np.zeros((N, N))
+        for (i, j), v in exact.items():
+            expected[i, j] = float(v)
+        assert np.array_equal(build_ulam(sys, N).matrix, expected)
+
+    def test_huge_map_scale_passes_int64(self):
+        assert 16 * math.lcm(HUGE_Q, HUGE_Q - HUGE_P) > 2**63
+
+
+class TestNoDenseStorage:
+    def test_build_peaks_far_below_a_dense_matrix(self):
+        N = 4096
+        build_ulam(BetaMap("golden"), 64)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            op = build_ulam(BetaMap("golden"), N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.second_eig_converged
+        assert peak < N * N * 8 // 8  # an eighth of the dense Ulam matrix's 134 MB
 
 
 class TestInvariantDensity:
@@ -203,6 +269,104 @@ class TestSummabilitySeries:
         for n in range(5, 41):
             r = seq.approx(n)
             assert 2 * r / bounds.c - 1e-9 <= rep.terms[n - 1] <= 2 * r * bounds.c + 1e-9
+
+
+def reference_series_terms(op, seq, n_terms, hits):
+    """The summability terms by a scalar loop over bins; ``hits`` counts the
+    branches taken: circle "whole" (2r >= 1) and "wrap" (ball < 0), line
+    "clamp" (x - r < 0 or x + r > 1)."""
+    N = op.N
+    p = op.bin_prob
+    cum = np.concatenate(([0.0], np.cumsum(p)))
+    circle = uses_circle_metric(op.sys)
+
+    def mu_cdf(x):
+        if circle:
+            x = x - math.floor(x)
+        else:
+            x = min(max(x, 0.0), 1.0)
+        k = min(int(x * N), N - 1)
+        frac = x * N - k
+        return float(cum[k] + frac * p[k])
+
+    centers = (np.arange(N) + 0.5) / N
+    terms = []
+    for n in range(1, n_terms + 1):
+        r = seq.approx(n)
+        total = 0.0
+        for i in range(N):
+            x = centers[i]
+            if circle:
+                if 2 * r >= 1:
+                    ball = 1.0
+                    hits["whole"] += 1
+                else:
+                    ball = mu_cdf(x + r) - mu_cdf(x - r)
+                    if ball < 0:
+                        ball += 1.0
+                        hits["wrap"] += 1
+            else:
+                ball = mu_cdf(x + r) - mu_cdf(x - r)
+                hits["clamp"] += x - r < 0 or x + r > 1
+            total += p[i] * ball
+        terms.append(total)
+    return terms
+
+
+class TestSeriesReference:
+    @pytest.mark.parametrize("system,N,kappa", [
+        ("doubling", 64, 1), ("circle:3", 100, Fraction(1, 2)), ("circle:5", 96, 2),
+        ("beta:golden", 64, 1), ("beta:sqrt2", 100, Fraction(1, 2)), (BENCH_PIECEWISE, 96, 2),
+    ])
+    @pytest.mark.parametrize("reweight", [False, True])
+    def test_terms_bit_identical_to_scalar_loop(self, system, N, kappa, reweight):
+        op = build_ulam(parse_system(system), N)
+        if reweight:
+            # a density far from uniform, so circle maps test more than 2r
+            w = 1.0 + 0.9 * np.sin(np.arange(N) * 0.7)
+            op = dataclasses.replace(op, density=w * N / w.sum())
+        seq = PowerLaw(Fraction(kappa), Fraction(1))
+        hits = {"whole": 0, "wrap": 0, "clamp": 0}
+        expected = reference_series_terms(op, seq, 30, hits)
+        assert theoremB_series(op, seq, 30).terms == tuple(expected)
+        if uses_circle_metric(op.sys):
+            assert hits["wrap"] > 0
+            assert hits["whole"] > 0 or kappa < 1
+        else:
+            assert hits["clamp"] > 0
+
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "ulam_golden.json"
+GOLDEN_CASES = json.loads(GOLDEN_PATH.read_text())
+
+
+class TestGoldenValues:
+    """Ulam values taken from the dense-matrix, Fraction-assembly version of
+    this module. |lambda2| must be equal; sums that run in another order
+    (sparse matvecs in place of BLAS) within 1e-12 relative."""
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES,
+                             ids=[f"{c['system']}-{c['bins']}" for c in GOLDEN_CASES])
+    def test_values_match(self, case):
+        op = build_ulam(parse_system(case["system"]), case["bins"])
+        assert op.second_eig == case["second_eigenvalue"]
+        assert op.second_eig_converged is case["second_eigenvalue_converged"]
+        np.testing.assert_allclose(op.density, case["density"], rtol=1e-12, atol=0)
+        bounds = density_bounds(op)
+        assert bounds.c_lower == pytest.approx(case["c_lower"], rel=1e-12, abs=0)
+        assert bounds.c_upper == pytest.approx(case["c_upper"], rel=1e-12, abs=0)
+        fit = correlation_decay_fit(op)
+        assert fit.flagged is case["decay_flagged"]
+        for key in ("C", "tau", "residual"):
+            want, got = case[f"decay_{key}"], getattr(fit, key)
+            if want is None:
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for kappa, want in case["series"].items():
+            rep = theoremB_series(op, PowerLaw(Fraction(kappa), Fraction(1)), 50)
+            assert rep.verdict == want["verdict"]
+            np.testing.assert_allclose(rep.partial_sums, want["partial_sums"], rtol=1e-12, atol=0)
 
 
 class TestCsvDumps:
