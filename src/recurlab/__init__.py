@@ -22,7 +22,6 @@ from .dynamics import (
     DyadicOrbitView,
     FixedPointOrbit,
     LatticeOrbit,
-    iterate,
     point_distance,
 )
 from .errors import (

@@ -368,7 +368,7 @@ def cmd_ulam(args) -> int:
     print(f"ulam bins={op.N}: |lambda2|={op.second_eig:.6g} tau={fit.tau:.6g} c={bounds.c:.6g}")
     if not op.second_eig_converged:
         print(f"error: |lambda2| did not converge within KRYLOV_MAX = {ulam.KRYLOV_MAX} "
-              f"Arnoldi vectors", file=sys.stderr)
+              f"matrix-vector products", file=sys.stderr)
         return 2
     return 0
 
@@ -406,6 +406,10 @@ def cmd_nt(args) -> int:
     atomic_write(os.path.join(args.out, f"nt_{args.kind}.json"),
                  json.dumps(payload, sort_keys=True, indent=2).encode() + b"\n")
     print(json.dumps(payload, sort_keys=True))
+    if payload.get("bruteforce_complete") is False:
+        print(f"error: the {args.kind} generators miss a brute-force solution",
+              file=sys.stderr)
+        return 2
     return 0
 
 

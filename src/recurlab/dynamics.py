@@ -25,9 +25,8 @@ over blocks of samples (the orbit class's ``block``): a shift block reads all
 its windows in one kernel call, and a
 ``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
 exit. ``ExactOrbit`` steps the same orbits in ``Fraction``s; it is the
-oracle the lattice backend is tested against. ``iterate`` and the orbit
-command's CSV trace (``write_orbit_csv``) share its generator of exact orbit
-points.
+oracle the lattice backend is tested against. The orbit command's CSV
+trace (``write_orbit_csv``) shares its generator of exact orbit points.
 """
 
 from __future__ import annotations
@@ -107,13 +106,6 @@ def _return_distances(sys: SystemSpec, x, n: int) -> Iterator:
     start = next(orbit)
     for pt in islice(orbit, n):
         yield point_distance(sys, pt, start)
-
-
-def iterate(sys: SystemSpec, x, n: int):
-    """T^n x exactly, for systems with exact rational dynamics."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return next(islice(_exact_orbit(sys, x), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +501,6 @@ class DyadicOrbitView:
     def window(self, n: int) -> int:
         """``windows_batch(n, n)`` of the first start, as an int."""
         return int(self._windows(n, n)[0, 0])
-
-    def exact_point(self, n: int, row: int = 0) -> Fraction:
-        return Fraction((self.starts[row] << n) % (1 << self.P), 1 << self.P)
 
     def exact_dist(self, n: int, row: int = 0) -> Fraction:
         X0 = self.starts[row]

@@ -13,6 +13,11 @@ The Ulam matrix is its (0,0) block. A piecewise-constant basis cannot
 resolve the subleading spectrum (for the doubling map on dyadic bins the
 Ulam matrix is nilpotent off the constants, while the transfer operator has
 eigenvalue 1/2 with eigenfunction x - 1/2), which a degree-1 basis can.
+|lambda2| comes from a thick-restarted Arnoldi solve (Morgan 1996): a basis
+of _BLOCK + 1 vectors that, when full, keeps the span of its _KEEP Ritz
+vectors of largest modulus, so memory stays fixed and each dense eigen-solve
+is at most _BLOCK x _BLOCK. Clustered spectra, which restarts cannot hold,
+grow the basis instead (see `_second_eigenvalue`).
 
 Both matrices are sparse (O(branches * N) entries) and stored in COO form;
 `UlamOperator.matrix` densifies the Ulam matrix on demand. Their entries come
@@ -44,9 +49,10 @@ from .dynamics import uses_circle_metric
 
 POWER_TOL = 1e-10
 POWER_MAXIT = 100_000
-KRYLOV_MAX = 400     # Arnoldi basis size at which the |lambda2| solve gives up
+KRYLOV_MAX = 400     # matrix-vector products after which the |lambda2| solve gives up
 KRYLOV_TOL = 1e-11   # Ritz-pair residual that counts as converged
-_BLOCK = 32          # Krylov vectors per array: memory follows the vectors used
+_BLOCK = 32          # Arnoldi steps between thick restarts
+_KEEP = 12           # Ritz vectors that a thick restart keeps
 
 # 2-point Gauss-Legendre nodes on [0, 1] (weights 1/2 each)
 _GAUSS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -280,53 +286,125 @@ def _second_eigenvalue(G: SparseMatrix) -> tuple[float, bool]:
     The constants (1 on every degree-0 entry) are a right eigenvector of G
     for eigenvalue 1, so the row vectors with zero degree-0 sum form an
     invariant subspace that holds the rest of the spectrum. Arnoldi runs on
-    w -> wG there, with a full Gram-Schmidt pass repeated twice per step.
-    The largest-modulus Ritz value counts as converged once its residual is
-    below KRYLOV_TOL (or the Krylov space is invariant); a basis of
-    KRYLOV_MAX vectors without that is reported as unconverged.
+    w -> wG there, with a full Gram-Schmidt pass repeated twice per step,
+    and checks the largest-modulus Ritz value at k = 10, 20, 30, ... steps
+    and, while it restarts, whenever the basis is full. It counts as
+    converged once its residual beta_k |y_k| is below KRYLOV_TOL (or the
+    Krylov space is invariant).
+
+    The basis holds _BLOCK + 1 vectors. When it is full, a thick restart
+    (Morgan 1996; Stewart's Krylov-Schur; `_restart`) keeps the span of the
+    _KEEP Ritz vectors of largest modulus and continues from the last basis
+    vector. That span is invariant under H, so A V_k = V_k H_k +
+    beta_k v_{k+1} e_k^T holds again one step later and the residual test
+    stays valid. A restart needs the cycle since the last full basis to
+    have cut the top residual tenfold; otherwise the basis grows by another
+    _BLOCK + 1 vectors, so that the next cycle is longer. Restarting stops
+    for good when the first Ritz value it would drop has a modulus above
+    0.95 of the top: a cluster of moduli wider than _KEEP (integer circle
+    maps on bins that are not a power of a), which restarts scramble. The
+    solve then runs as plain Arnoldi from the start vector. KRYLOV_MAX
+    matrix-vector products without convergence are reported as
+    unconverged.
     """
     n = G.n
     N = n // 2
-    kcap = min(KRYLOV_MAX, n - 1)
-    blocks = [np.zeros((_BLOCK, n))]   # the Krylov basis, _BLOCK rows per array
-    hcols = []                          # the columns of the Hessenberg matrix
     # a fixed pseudo-random start; stdlib random keeps numpy.random (about
     # 2 MB resident) unloaded
     rnd = random.Random(12345)
-    w = np.array([rnd.random() - 0.5 for _ in range(n)])
-    w[:N] -= w[:N].mean()
-    blocks[0][0] = w / np.linalg.norm(w)
+    start = np.array([rnd.random() - 0.5 for _ in range(n)])
+    start[:N] -= start[:N].mean()
+    start /= np.linalg.norm(start)
+    R = _BLOCK + 1
+    blocks = [np.zeros((R, n))]   # the Krylov basis, R rows per array
+    blocks[0][0] = start
+    H = np.zeros((R, _BLOCK))
+    k = 0                # Arnoldi steps taken: the basis holds k + 1 vectors
     check = 10
+    restarting = True
+    restarted = False
+    last = math.inf      # the top residual when the basis was last full
     theta = 0.0
-    for k in range(1, kcap + 1):
-        w = G.apply_left(blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK])
+    for used in range(1, KRYLOV_MAX + 1):
+        w = G.apply_left(blocks[k // R][k % R])
         w[:N] -= w[:N].mean()
         scale = float(np.linalg.norm(w))
-        h = np.zeros(k + 1)
         for _ in range(2):
-            for start in range(0, k, _BLOCK):
-                Q = blocks[start // _BLOCK][: k - start]
+            for first in range(0, k + 1, R):
+                Q = blocks[first // R][: k + 1 - first]
                 c = Q @ w
                 w -= c @ Q
-                h[start : start + len(c)] += c
-        beta = h[k] = float(np.linalg.norm(w))
-        hcols.append(h)
-        invariant = beta <= 1e-13 * scale
+                H[first : first + len(c), k] += c
+        beta = H[k + 1, k] = float(np.linalg.norm(w))
+        k += 1
+        invariant = beta <= 1e-13 * scale or k == n - 1
         if not invariant:
-            if k % _BLOCK == 0:
-                blocks.append(np.zeros((_BLOCK, n)))
-            blocks[k // _BLOCK][k % _BLOCK] = w / beta
-        if invariant or k == check or k == kcap:
-            H = np.zeros((k, k))
-            for col, hc in enumerate(hcols):
-                H[: col + 2, col] = hc[: k]
-            ritz, vecs = np.linalg.eig(H)
-            top = int(np.argmax(np.abs(ritz)))
-            theta = float(abs(ritz[top]))
-            if invariant or beta * abs(vecs[-1, top]) <= KRYLOV_TOL:
+            blocks[k // R][k % R] = w / beta
+        full = k == H.shape[1]
+        if invariant or k == check or used == KRYLOV_MAX or full and restarting:
+            ritz, Y = np.linalg.eig(H[:k, :k])
+            order = np.argsort(-np.abs(ritz), kind="stable")
+            theta = float(abs(ritz[order[0]]))
+            res = beta * abs(Y[-1, order[0]])
+            if invariant or res <= KRYLOV_TOL:
                 return theta, True
-            check = k + max(10, k // 4)
+            if k == check:
+                check = k + max(10, k // 4)
+            if full and restarting and used < KRYLOV_MAX:
+                Z = _ritz_basis(ritz, Y, order)
+                p = Z.shape[1]
+                if abs(ritz[order[p]]) > 0.95 * theta:   # a cluster
+                    restarting = False
+                    if restarted:
+                        blocks[0][0] = start
+                        H[:] = 0
+                        k, check = 0, 10
+                        continue
+                elif res * 10 <= last and _restart(blocks, H, Z, beta):
+                    k, last, check, restarted = p, res, p + 10, True
+                    continue
+                last = res
+        if full and used < KRYLOV_MAX:
+            blocks.append(np.zeros((R, n)))
+            H = np.pad(H, ((0, R), (0, R)))
     return theta, False
+
+
+def _restart(blocks: list[np.ndarray], H: np.ndarray, Z: np.ndarray, beta: float) -> bool:
+    """Thick restart in place onto the span of Z's columns: V <- Z^T V and
+    H <- [[Z^T H Z], [beta Z[-1]]], with the last basis vector kept next.
+    Refused (False) when Z is not an invariant subspace of H to within
+    1e-3 KRYLOV_TOL, since the restarted basis would then lose the Arnoldi
+    relation that the residual test reads."""
+    k, p = Z.shape
+    R = len(blocks[0])
+    Hp = Z.T @ H[:k, :k] @ Z
+    if np.abs(H[:k, :k] @ Z - Z @ Hp).max() > 1e-3 * KRYLOV_TOL:
+        return False
+    kept = Z[:R].T @ blocks[0][:k]
+    for first in range(R, k, R):
+        kept += Z[first : first + R].T @ blocks[first // R][: k - first]
+    blocks[0][p] = blocks[k // R][k % R]
+    blocks[0][:p] = kept
+    H[:] = 0
+    H[:p, :p] = Hp
+    H[p, :p] = beta * Z[-1]
+    return True
+
+
+def _ritz_basis(ritz: np.ndarray, Y: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the _KEEP or so Ritz vectors of largest
+    modulus. A complex pair enters whole, as the real and imaginary parts of
+    its first member (eig lists the positive imaginary part first)."""
+    cols = []
+    for j in order:
+        if ritz[j].imag > 0:
+            cols += [Y[:, j].real, Y[:, j].imag]
+        elif ritz[j].imag == 0:
+            cols.append(Y[:, j].real)
+        if len(cols) >= _KEEP:
+            break
+    return np.linalg.qr(np.column_stack(cols))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from recurlab.circle import IntervalSet, PowerLaw, PowerLog
 from recurlab.cli import atomic_write, main, parse_config, parse_sequence, parse_system
-from recurlab import experiments, ulam
+from recurlab import experiments, number_theory, ulam
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
 
@@ -262,6 +262,32 @@ class TestEndToEnd:
         assert code == 0
         payload = json.loads((tmp_path / "nt_matrix-lattice.json").read_bytes())
         assert payload["bruteforce_complete"] is True
+
+    @pytest.mark.parametrize("argv,lattice", [
+        (["lattice", "--a", "2", "--m", "4", "--n", "2", "--bound", "100"],
+         number_theory.ScalarLattice),
+        (["matrix-lattice", "--matrix", "1,1;1,0", "--m", "3", "--n", "2", "--box", "4"],
+         number_theory.MatrixLattice),
+    ])
+    def test_nt_incomplete_bruteforce_exits_2(self, tmp_path, monkeypatch, capsys,
+                                              argv, lattice):
+        solve_j = lattice.solve_j
+        missed = []
+
+        def solve_j_missing_one(self, *args):
+            if not missed:
+                missed.append(args)
+                return None
+            return solve_j(self, *args)
+
+        monkeypatch.setattr(lattice, "solve_j", solve_j_missing_one)
+        code = main(["nt", *argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert missed
+        payload = json.loads((tmp_path / f"nt_{argv[0]}.json").read_bytes())
+        assert payload["bruteforce_complete"] is False
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "brute-force" in err[0]
 
     def test_petrov_json(self, tmp_path):
         code = main(["petrov", "--a", "2", "--seq", "powerlaw:1/4,1",

@@ -1,5 +1,6 @@
 """Orbit computation: exact iteration, fixed-point precision, the dyadic view."""
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from recurlab.dynamics import (
     ExactOrbit,
     FixedPointOrbit,
     derive_seed,
-    iterate,
     point_distance,
     required_bits,
     sample_bits,
@@ -27,21 +27,25 @@ DOUBLING = IntegerCircleMap(2)
 CAT_MAP = ToralLinear(((2, 1), (1, 1)))
 
 
+def dyadic_point(view, n: int, row: int = 0) -> Fraction:
+    """T^n of a dyadic view's start ``row`` under the doubling map, exactly."""
+    return Fraction((view.starts[row] << n) % (1 << view.P), 1 << view.P)
+
+
 class TestExactIteration:
     def test_doubling_period_two(self):
-        x = Fraction(1, 3)
-        assert iterate(DOUBLING, x, 1) == Fraction(2, 3)
-        assert iterate(DOUBLING, x, 2) == Fraction(1, 3)
+        # 1/3 -> 2/3 -> 1/3
+        assert list(ExactOrbit(DOUBLING, [Fraction(1, 3)]).distances(2)) == [1 / 3, 0.0]
 
     def test_doubling_period_four(self):
-        orbit = [iterate(DOUBLING, Fraction(1, 5), k) for k in range(5)]
-        assert orbit == [Fraction(1, 5), Fraction(2, 5), Fraction(4, 5),
-                         Fraction(3, 5), Fraction(1, 5)]
+        # 1/5 -> 2/5 -> 4/5 -> 3/5 -> 1/5
+        assert list(ExactOrbit(DOUBLING, [Fraction(1, 5)]).distances(4)) == [0.2, 0.4, 0.4, 0.0]
 
     def test_cat_map_orbit(self):
-        x = (Fraction(1, 5), Fraction(2, 5))
-        y = iterate(CAT_MAP, x, 1)
-        assert y == (Fraction(4, 5), Fraction(3, 5))
+        buf = io.StringIO()
+        write_orbit_csv(buf, CAT_MAP, (Fraction(1, 5), Fraction(2, 5)), 2)
+        assert buf.getvalue().splitlines()[1:] == ["0,0.2;0.4,0", "1,0.8;0.6,0.4",
+                                                   "2,0.2;0.4,0"]
 
     def test_toral_distance_is_sup_metric(self):
         d = point_distance(CAT_MAP, (Fraction(1, 10), Fraction(0)),
@@ -51,7 +55,7 @@ class TestExactIteration:
     def test_rotation_is_isometry(self):
         rot = Rotation(Fraction(3, 7))
         x, y = Fraction(1, 11), Fraction(5, 11)
-        fx, fy = iterate(rot, x, 9), iterate(rot, y, 9)
+        fx, fy = (x + 9 * rot.alpha.exact()) % 1, (y + 9 * rot.alpha.exact()) % 1
         assert point_distance(rot, fx, fy) == point_distance(rot, x, y)
 
 
@@ -122,7 +126,7 @@ class TestDyadicOrbitView:
     def test_window_matches_exact_point(self):
         view = self.make_view(1)
         for n in range(0, 200, 7):
-            exact = view.exact_point(n)
+            exact = dyadic_point(view, n)
             w = view.window(n)
             assert w == (exact.numerator << 64) // exact.denominator % (1 << 64)
 
@@ -177,7 +181,7 @@ class TestDyadicBlockKernel:
         assert windows.shape == dists.shape == (len(block.starts), n_hi - n_lo + 1)
         for row in range(len(block.starts)):
             for n in range(n_lo, n_hi + 1, step):
-                point = block.exact_point(n, row)
+                point = dyadic_point(block, n, row)
                 assert int(windows[row, n - n_lo]) == (point.numerator << 64) // point.denominator
                 exact = block.exact_dist(n, row) * (1 << 64)
                 assert abs(int(dists[row, n - n_lo]) - exact) <= 2

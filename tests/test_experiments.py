@@ -231,7 +231,7 @@ class TestOrbitBackendsAgree:
         start = orbit_backend(DOUBLING, N)
         for i in range(6):
             view = start(21, i)
-            exact = ExactOrbit(DOUBLING, [view.exact_point(0)])
+            exact = ExactOrbit(DOUBLING, [Fraction(view.starts[0], 1 << view.P)])
             for seq in (QUARTER, PowerLaw(Fraction(3), Fraction(1))):
                 radii = Radii(seq, 4, N)
                 assert self.decisions(view, radii) == self.decisions(exact, radii)
@@ -245,7 +245,7 @@ class TestOrbitBackendsAgree:
         seq = ExplicitTable(tuple(view.exact_dist(n) + (n % 2) * ulp
                                   for n in range(1, N + 1)))
         radii = Radii(seq, 1, N)
-        exact = ExactOrbit(DOUBLING, [view.exact_point(0)])
+        exact = ExactOrbit(DOUBLING, [Fraction(view.starts[0], 1 << view.P)])
         below, min_below = self.decisions(view, radii)
         assert below == [n % 2 == 1 for n in range(1, N + 1)]
         assert (below, min_below) == self.decisions(exact, radii)

@@ -145,6 +145,20 @@ class TestNoDenseStorage:
         assert op.second_eig_converged
         assert peak < N * N * 8 // 8  # an eighth of the dense Ulam matrix's 134 MB
 
+    def test_eigen_solve_keeps_a_fixed_basis(self):
+        # the restarted Arnoldi basis holds _BLOCK + 1 vectors of length 2N;
+        # a basis that grew with the matvec count would pass three of those
+        N = 4096
+        G = build_ulam(BetaMap("golden"), N).galerkin
+        tracemalloc.start()
+        try:
+            _, converged = ulam._second_eigenvalue(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert peak < 3 * (ulam._BLOCK + 1) * 2 * N * 8
+
 
 class TestInvariantDensity:
     def test_doubling_density_exactly_uniform(self, doubling_op):
@@ -189,8 +203,9 @@ class TestSpectrum:
         assert 0 < op.gap <= 1
 
     @pytest.mark.parametrize("sys", [
-        IntegerCircleMap(2), IntegerCircleMap(3), BetaMap("golden"),
-        BetaMap("sqrt2"), BetaMap(Fraction(5, 2)),
+        IntegerCircleMap(2), IntegerCircleMap(3), IntegerCircleMap(5), IntegerCircleMap(7),
+        BetaMap("golden"), BetaMap("sqrt2"), BetaMap(Fraction(5, 2)),
+        parse_system(BENCH_PIECEWISE),
     ])
     def test_second_eigenvalue_against_dense_galerkin_solver(self, sys):
         op = build_ulam(sys, 128)
@@ -203,7 +218,7 @@ class TestSpectrum:
         assert op.second_eig_converged
         assert op.second_eig == pytest.approx(moduli[1], abs=1e-9)
 
-    @pytest.mark.parametrize("a,N", [(2, 96), (2, 384), (3, 100), (3, 128)])
+    @pytest.mark.parametrize("a,N", [(2, 96), (2, 384), (3, 100), (3, 128), (5, 384)])
     def test_integer_map_second_eigenvalue_is_one_over_a(self, a, N):
         # bins that are not a power of a: the Ulam matrix is not nilpotent
         op = build_ulam(IntegerCircleMap(a), N)
