@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import circle, dynamics, exact_sets, experiments, number_theory, ulam
@@ -90,54 +89,42 @@ def parse_sequence(text: str) -> circle.RadiusSequence:
 # Config files
 # ---------------------------------------------------------------------------
 
-# (required, optional) keys of each experiment, besides ``experiment`` and
-# ``out``: a key the experiment would ignore is an error, as on the command
-# line. ``m`` and ``samples`` both set the sample count.
+# Each experiment's command line, then its (required, optional) keys besides
+# ``experiment`` and ``out``: a key the experiment would ignore is an error,
+# as on the command line. ``m`` and ``samples`` both set the sample count.
 _SAMPLING = {"m", "samples", "seed"}
-_EXPERIMENT_KEYS = {
-    "rio": ({"system", "seq"}, {"seq_conv", "k", "n"} | _SAMPLING),
-    "rio_dichotomy": ({"system", "seq", "seq_conv"}, {"k", "n"} | _SAMPLING),
-    "ear": ({"system", "seq"}, {"n0", "m_horizon"} | _SAMPLING),
-    "ear_exact": ({"system", "seq"}, {"n0", "m_horizon", "budget_arcs"}),
-    "petrov": ({"seq"}, {"a", "n", "h"}),
-    "ulam": ({"system"}, {"bins"}),
-    "exact": ({"system"}, {"n", "r", "budget_arcs"}),
-    "boshernitzan": ({"system"}, {"alphas", "checkpoints"} | _SAMPLING),
+_EXPERIMENTS = {
+    "rio": (["rio"], {"system", "seq"}, {"seq_conv", "k", "n"} | _SAMPLING),
+    "rio_dichotomy": (["rio"], {"system", "seq", "seq_conv"}, {"k", "n"} | _SAMPLING),
+    "ear": (["ear"], {"system", "seq"}, {"n0", "m_horizon"} | _SAMPLING),
+    "ear_exact": (["ear", "--exact"], {"system", "seq"}, {"n0", "m_horizon", "budget_arcs"}),
+    "petrov": (["petrov"], {"seq"}, {"a", "n", "h"}),
+    "ulam": (["ulam"], {"system"}, {"bins"}),
+    "exact": (["exact"], {"system", "n", "r"}, {"budget_arcs"}),
+    "boshernitzan": (["orbit"], {"system", "alphas"}, {"checkpoints"} | _SAMPLING),
 }
-_KNOWN_KEYS = {"experiment", "out"}.union(
-    *(required | optional for required, optional in _EXPERIMENT_KEYS.values()))
+# key -> (option, check of its value). The values are checked here, so that
+# every problem is collected before the command's own parser, which declares
+# the defaults, reads the command line.
+_KEYS = {
+    "system": ("--system", parse_system), "seq": ("--seq", parse_sequence),
+    "seq_conv": ("--seq-conv", parse_sequence), "k": ("--k", int), "n": ("--N", int),
+    "m": ("--samples", int), "samples": ("--samples", int), "seed": ("--seed", int),
+    "n0": ("--n0", int), "m_horizon": ("--M-horizon", int), "h": ("--H", Fraction),
+    "a": ("--a", int), "r": ("--r", Fraction), "bins": ("--bins", int),
+    "budget_arcs": ("--budget-arcs", int),
+    "alphas": ("--scan-alphas", lambda v: [float(x) for x in v.split(",")]),
+    "checkpoints": ("--checkpoints", lambda v: [int(x) for x in v.split(",")]),
+    "out": ("--out", str),
+}
+_RENAMED = {"rio": {"m": "--M", "samples": "--M"}, "exact": {"n": "--n"}}
+_POSITIVE = {"k", "n", "m", "samples", "n0", "m_horizon", "h", "bins", "budget_arcs"}
 
 
-@dataclass
-class RunConfig:
-    """Validated batch-run description (one experiment per run)."""
-
-    experiment: str
-    system: SystemSpec | None = None
-    seq: circle.RadiusSequence | None = None
-    seq_conv: circle.RadiusSequence | None = None
-    k: int = 1
-    N: int = 100
-    samples: int = 2000
-    seed: int = 0
-    n0: int = 1
-    m_horizon: int = 50
-    H: Fraction = Fraction(1)
-    a: int = 2
-    r: Fraction = Fraction(1, 10)
-    alphas: tuple[float, ...] = (1.0, 2.0)
-    checkpoints: tuple[int, ...] = (100, 1000, 10000)
-    bins: int = 1024
-    out: str = "."
-    budget_arcs: int = exact_sets.DEFAULT_ARC_BUDGET
-    notes: tuple[str, ...] = field(default=())
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse a key = value config (single [run] section), collecting every
-    validation problem before raising."""
+def parse_config(text: str) -> list[str]:
+    """The command line that a key = value config (single [run] section)
+    stands for, collecting every validation problem before raising."""
     cp = configparser.ConfigParser()
-    problems: list[str] = []
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -145,70 +132,32 @@ def parse_config(text: str) -> RunConfig:
     if "run" not in cp:
         raise ConfigError(["missing [run] section"])
     section = cp["run"]
-    cfg = RunConfig(experiment="")
+    problems: list[str] = []
     exp = section.get("experiment", "").strip()
-    if exp not in _EXPERIMENT_KEYS:
-        problems.append(f"experiment must be one of {sorted(_EXPERIMENT_KEYS)}, got {exp!r}")
-    cfg.experiment = exp
-    required, optional = _EXPERIMENT_KEYS.get(exp, (set(), _KNOWN_KEYS))
-    for key in section:
-        if key not in _KNOWN_KEYS:
+    if exp not in _EXPERIMENTS:
+        problems.append(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {exp!r}")
+    head, required, optional = _EXPERIMENTS.get(exp, ([""], set(), set(_KEYS)))
+    renamed = _RENAMED.get(head[0], {})
+    argv = list(head)
+    for key in (k for k in section if k != "experiment"):
+        if key not in _KEYS:
             problems.append(f"unknown key {key!r}")
-        elif key not in required | optional | {"experiment", "out"}:
+            continue
+        if key not in required | optional | {"out"}:
             problems.append(f"experiment {exp!r} does not use key {key!r}")
+        option, check = _KEYS[key]
+        try:
+            val = check(section[key])
+            if key in _POSITIVE and val <= 0:
+                problems.append(f"{key} must be positive, got {val}")
+        except (ValueError, ZeroDivisionError, ConfigError) as exc:
+            problems.append(f"bad value for {key}: {exc}")
+        argv.append(f"{renamed.get(key, option)}={section[key]}")
     problems.extend(f"experiment {exp!r} needs a {key}"
                     for key in sorted(required) if key not in section)
-
-    def grab(key, conv, attr, positive=False):
-        if key in section:
-            try:
-                val = conv(section[key])
-                if positive and val <= 0:
-                    problems.append(f"{key} must be positive, got {val}")
-                else:
-                    setattr(cfg, attr, val)
-            except (ValueError, ZeroDivisionError, ConfigError) as exc:
-                problems.append(f"bad value for {key}: {exc}")
-
-    if "system" in section:
-        try:
-            cfg.system = parse_system(section["system"])
-        except (ConfigError, ValueError) as exc:
-            problems.append(f"bad system: {exc}")
-    for key, attr in (("seq", "seq"), ("seq_conv", "seq_conv")):
-        if key in section:
-            try:
-                setattr(cfg, attr, parse_sequence(section[key]))
-            except (ConfigError, ValueError) as exc:
-                problems.append(f"bad value for {key}: {exc}")
-    grab("k", int, "k", positive=True)
-    grab("n", int, "N", positive=True)
-    grab("m", int, "samples", positive=True)
-    grab("samples", int, "samples", positive=True)
-    grab("seed", int, "seed")
-    grab("n0", int, "n0", positive=True)
-    grab("m_horizon", int, "m_horizon", positive=True)
-    grab("h", Fraction, "H", positive=True)
-    grab("a", int, "a")
-    grab("r", Fraction, "r")
-    grab("bins", int, "bins", positive=True)
-    grab("budget_arcs", int, "budget_arcs", positive=True)
-    if "alphas" in section:
-        try:
-            cfg.alphas = tuple(float(v) for v in section["alphas"].split(","))
-        except ValueError as exc:
-            problems.append(f"bad value for alphas: {exc}")
-    if "checkpoints" in section:
-        try:
-            cfg.checkpoints = tuple(int(v) for v in section["checkpoints"].split(","))
-        except ValueError as exc:
-            problems.append(f"bad value for checkpoints: {exc}")
-    if "out" in section:
-        cfg.out = section["out"]
-
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return argv
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +203,8 @@ def report_tsv(report: experiments.ExperimentReport) -> bytes | None:
     return buf.getvalue().encode()
 
 
-def emit_report(report: experiments.ExperimentReport, out_dir: str) -> None:
+def emit_report(report: experiments.ExperimentReport, out_dir: str) -> int:
+    """Write the report and its TSV; the exit status of its verdict."""
     base = os.path.join(out_dir, report.experiment)
     atomic_write(base + ".json", report.to_json_bytes())
     tsv = report_tsv(report)
@@ -262,10 +212,13 @@ def emit_report(report: experiments.ExperimentReport, out_dir: str) -> None:
         atomic_write(base + ".tsv", tsv)
     print(f"{report.experiment}: verdict={report.verdict} "
           f"config={report.config_hash} -> {base}.json")
+    return 0 if report.verdict in ("pass", "reported") else 2
 
 
-def _verdict_status(reports) -> int:
-    return 0 if all(r.verdict in ("pass", "reported") for r in reports) else 2
+def _write_json(path: str, payload: dict) -> None:
+    """Write a payload as canonical JSON, as ``ExperimentReport`` does."""
+    atomic_write(path, json.dumps(experiments._canonical(payload), sort_keys=True,
+                                  indent=2, allow_nan=False).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +235,7 @@ def cmd_rio(args) -> int:
     else:
         rep = experiments.rio_truncated_measure(
             sys_spec, seq, args.k, args.N, args.M, args.seed)
-    emit_report(rep, args.out)
-    return _verdict_status([rep])
+    return emit_report(rep, args.out)
 
 
 def _circle_map_a(system: str, use: str) -> int:
@@ -311,8 +263,7 @@ def cmd_ear(args) -> int:
         rep = experiments.ear_truncated_measure(
             parse_system(args.system), seq, args.n0, args.M_horizon,
             args.samples, args.seed)
-    emit_report(rep, args.out)
-    return _verdict_status([rep])
+    return emit_report(rep, args.out)
 
 
 def cmd_petrov(args) -> int:
@@ -322,20 +273,13 @@ def cmd_petrov(args) -> int:
     payload = {
         "a": args.a, "seq": seq.describe(), "H": str(Fraction(args.H)),
         "profile": [
-            {"N": s.N, "S_N": f"{s.S_N.numerator}/{s.S_N.denominator}",
-             "R_N": f"{s.R_N.numerator}/{s.R_N.denominator}", "ratio": s.ratio}
-            for s in profile
+            {"N": s.N, "S_N": s.S_N, "R_N": s.R_N, "ratio": s.ratio} for s in profile
         ],
     }
-    atomic_write(os.path.join(args.out, "petrov.json"),
-                 json.dumps(payload, sort_keys=True, indent=2).encode() + b"\n")
+    _write_json(os.path.join(args.out, "petrov.json"), payload)
     for s in profile:
         print(f"petrov N={s.N}: ratio={s.ratio:.6g}")
     return 0
-
-
-def _finite(x: float) -> float | None:
-    return x if math.isfinite(x) else None
 
 
 def cmd_ulam(args) -> int:
@@ -348,11 +292,10 @@ def cmd_ulam(args) -> int:
         "residual": op.residual, "second_eigenvalue": op.second_eig,
         "second_eigenvalue_converged": op.second_eig_converged,
         "gap": op.gap, "c_lower": bounds.c_lower, "c_upper": bounds.c_upper,
-        "c": bounds.c, "decay_C": _finite(fit.C), "decay_tau": _finite(fit.tau),
-        "decay_residual": _finite(fit.residual), "decay_flagged": fit.flagged,
+        "c": bounds.c, "decay_C": fit.C, "decay_tau": fit.tau,
+        "decay_residual": fit.residual, "decay_flagged": fit.flagged,
     }
-    atomic_write(os.path.join(args.out, "ulam.json"),
-                 json.dumps(payload, sort_keys=True, indent=2).encode() + b"\n")
+    _write_json(os.path.join(args.out, "ulam.json"), payload)
     if args.density_csv:
         buf = io.StringIO()
         ulam.write_density_csv(buf, op)
@@ -360,10 +303,10 @@ def cmd_ulam(args) -> int:
     if args.series_seq:
         seq = parse_sequence(args.series_seq)
         series = ulam.theoremB_series(op, seq, args.terms)
-        atomic_write(os.path.join(args.out, "ulam_series.json"), json.dumps({
+        _write_json(os.path.join(args.out, "ulam_series.json"), {
             "verdict": series.verdict, "tail_exponent": series.tail_exponent,
-            "partial_sums": list(series.partial_sums),
-        }, sort_keys=True, indent=2).encode() + b"\n")
+            "partial_sums": series.partial_sums,
+        })
         print(f"series verdict: {series.verdict}")
     print(f"ulam bins={op.N}: |lambda2|={op.second_eig:.6g} tau={fit.tau:.6g} c={bounds.c:.6g}")
     if not op.second_eig_converged:
@@ -403,8 +346,7 @@ def cmd_nt(args) -> int:
                    "L_gen": [list(r) for r in lat.L_gen],
                    "bruteforce_solutions": len(brute),
                    "bruteforce_complete": complete}
-    atomic_write(os.path.join(args.out, f"nt_{args.kind}.json"),
-                 json.dumps(payload, sort_keys=True, indent=2).encode() + b"\n")
+    _write_json(os.path.join(args.out, f"nt_{args.kind}.json"), payload)
     print(json.dumps(payload, sort_keys=True))
     if payload.get("bruteforce_complete") is False:
         print(f"error: the {args.kind} generators miss a brute-force solution",
@@ -435,8 +377,7 @@ def cmd_orbit(args) -> int:
         checkpoints = [int(v) for v in args.checkpoints.split(",")]
         rep = experiments.boshernitzan_scan(sys_spec, alphas, checkpoints,
                                             args.samples, args.seed)
-        emit_report(rep, args.out)
-        return _verdict_status([rep])
+        return emit_report(rep, args.out)
     buf = io.StringIO()
     dynamics.write_orbit_csv(buf, sys_spec, Fraction(args.x), args.steps)
     path = os.path.join(args.out, "orbit.csv")
@@ -447,44 +388,17 @@ def cmd_orbit(args) -> int:
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    ns = argparse.Namespace(
-        system=cfg.system.describe() if cfg.system else None,
-        seq=cfg.seq.describe() if cfg.seq else None,
-        seq_conv=cfg.seq_conv.describe() if cfg.seq_conv else None,
-        k=cfg.k, N=cfg.N, M=cfg.samples, samples=cfg.samples, seed=cfg.seed,
-        n0=cfg.n0, M_horizon=cfg.m_horizon, H=cfg.H, a=cfg.a, r=cfg.r,
-        bins=cfg.bins, out=cfg.out, budget_arcs=cfg.budget_arcs,
-        exact=False, sigma=None, density_csv=None, series_seq=None, terms=50,
-        scan_alphas=None, checkpoints=",".join(str(c) for c in cfg.checkpoints),
-        piecewise=False, set_out=None, x="1/3", steps=32,
-    )
-    if cfg.experiment in ("rio", "rio_dichotomy"):
-        return cmd_rio(ns)
-    if cfg.experiment == "ear":
-        return cmd_ear(ns)
-    if cfg.experiment == "ear_exact":
-        ns.exact = True
-        return cmd_ear(ns)
-    if cfg.experiment == "petrov":
-        ns.N = str(cfg.N)
-        return cmd_petrov(ns)
-    if cfg.experiment == "ulam":
-        return cmd_ulam(ns)
-    if cfg.experiment == "exact":
-        ns.n = cfg.N
-        return cmd_exact(ns)
-    if cfg.experiment == "boshernitzan":
-        ns.scan_alphas = ",".join(str(a) for a in cfg.alphas)
-        return cmd_orbit(ns)
-    raise ConfigError([f"unhandled experiment {cfg.experiment!r}"])
+        run_args = build_parser().parse_args(parse_config(fh.read()))
+    return run_args.func(run_args)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="recurlab",
         description="Quantitative-recurrence experiments for expanding maps. "
@@ -594,18 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    except RecurlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (RecurlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,13 +20,14 @@ each block, so its samples are drawn once.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
@@ -258,9 +259,26 @@ def _sample_start(start, master_seed: int, index: int):
     return start(master_seed, index)
 
 
+@cache
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory for the next block. glibc hands the top of the
+    heap back once 128-270 KB of it is free, so the ~120 KB numpy temporaries
+    of each block could fault their pages in afresh (5,000 minor faults an
+    orbit scan), as the layout of earlier allocations fell: on the length of
+    the paths involved, for one. Arrays below 4 MB now come from the heap,
+    which keeps up to 8 MB free."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not glibc
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int):
     """Samples 0..M-1 of the orbit backend of ``sys`` over ``horizon`` steps,
     in blocks of max(1, _BLOCK // horizon) orbits."""
+    _keep_freed_heap()
     start = orbit_backend(sys, horizon)
     rows = max(1, _BLOCK // horizon)
     for lo in range(0, M, rows):

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from recurlab.circle import IntervalSet, PowerLaw, PowerLog
-from recurlab.cli import atomic_write, main, parse_config, parse_sequence, parse_system
+from recurlab.cli import (
+    _EXPERIMENTS, atomic_write, build_parser, main, parse_config, parse_sequence, parse_system,
+)
 from recurlab import experiments, number_theory, ulam
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
@@ -78,10 +80,11 @@ seed = 3
 """
 
     def test_valid_config(self):
-        cfg = parse_config(self.GOOD)
-        assert cfg.experiment == "rio"
-        assert cfg.system == IntegerCircleMap(2)
-        assert cfg.k == 2 and cfg.N == 50 and cfg.samples == 500
+        argv = parse_config(self.GOOD)
+        args = build_parser().parse_args(argv)
+        assert argv[0] == "rio"
+        assert parse_system(args.system) == IntegerCircleMap(2)
+        assert args.k == 2 and args.N == 50 and args.M == 500
 
     def test_all_problems_collected(self):
         bad = """\
@@ -357,6 +360,87 @@ class TestEndToEnd:
         assert main(["run", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys, argv", [
+        ({"experiment": "rio", "system": "doubling", "seq": "powerlaw:1/4,1", "k": "2",
+          "n": "20", "samples": "100", "seed": "3"},
+         ["rio", "--system", "doubling", "--seq", "powerlaw:1/4,1", "--k", "2",
+          "--N", "20", "--M", "100", "--seed", "3"]),
+        ({"experiment": "rio_dichotomy", "system": "circle:3", "seq": "powerlaw:1/2,1",
+          "seq_conv": "powerlog:1,2", "k": "4", "n": "40", "m": "100"},
+         ["rio", "--system", "circle:3", "--seq", "powerlaw:1/2,1",
+          "--seq-conv", "powerlog:1,2", "--k", "4", "--N", "40", "--M", "100"]),
+        ({"experiment": "ear_exact", "system": "doubling", "seq": "powerlaw:1,2",
+          "n0": "2", "m_horizon": "6"},
+         ["ear", "--exact", "--system", "doubling", "--seq", "powerlaw:1,2",
+          "--n0", "2", "--M-horizon", "6"]),
+        ({"experiment": "boshernitzan", "system": "doubling", "alphas": "1,2",
+          "checkpoints": "10,100", "samples": "40", "seed": "5"},
+         ["orbit", "--system", "doubling", "--scan-alphas", "1,2",
+          "--checkpoints", "10,100", "--samples", "40", "--seed", "5"]),
+    ])
+    def test_config_and_command_line_write_the_same_bytes(self, keys, argv, tmp_path):
+        cfg, cli = tmp_path / "cfg", tmp_path / "cli"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       + f"out = {cfg}\n")
+        assert main(["run", str(ini)]) == main(argv + ["--out", str(cli)]) == 0
+        names = sorted(p.name for p in cli.iterdir())
+        assert names and sorted(p.name for p in cfg.iterdir()) == names
+        for name in names:
+            assert (cfg / name).read_bytes() == (cli / name).read_bytes()
+
+    def test_petrov_config_takes_the_command_line_horizons(self, tmp_path):
+        ini = tmp_path / "petrov.ini"
+        ini.write_text(f"[run]\nexperiment = petrov\nseq = powerlaw:1/4,1\nout = {tmp_path}\n")
+        assert main(["run", str(ini)]) == 0
+        profile = json.loads((tmp_path / "petrov.json").read_bytes())["profile"]
+        assert [row["N"] for row in profile] == [8, 12, 16, 20]
+
+    @pytest.mark.parametrize("head, missing", [
+        ("experiment = exact\nsystem = doubling\n", ["n", "r"]),
+        ("experiment = boshernitzan\nsystem = doubling\n", ["alphas"]),
+    ])
+    def test_config_names_each_missing_key(self, head, missing):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[run]\n" + head)
+        assert len(exc.value.problems) == len(missing)
+        for key, problem in zip(missing, exc.value.problems):
+            assert problem.endswith(f"needs a {key}")
+
+    VALUES = {"system": "doubling", "seq": "powerlaw:1,2", "seq_conv": "powerlog:1,2",
+              "k": "2", "n": "3", "m": "10", "samples": "10", "seed": "1", "n0": "2",
+              "m_horizon": "5", "h": "1/2", "a": "3", "r": "1/10", "bins": "64",
+              "budget_arcs": "100", "alphas": "1,2", "checkpoints": "10,100", "out": "x"}
+
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+    def test_every_config_key_parses_on_the_command_line(self, experiment):
+        head, required, optional = _EXPERIMENTS[experiment]
+        keys = sorted(required | optional | {"out"})
+        argv = parse_config(f"[run]\nexperiment = {experiment}\n"
+                            + "".join(f"{k} = {self.VALUES[k]}\n" for k in keys))
+        assert argv[:len(head)] == head and len(argv) == len(head) + len(keys)
+        args = build_parser().parse_args(argv)   # a usage error exits here
+        assert args.out == "x"
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv, file, key", [
+        (["petrov", "--seq", "table:0,0,0", "--N", "2"], "petrov.json", "ratio"),
+        (["ulam", "--system", "doubling", "--bins", "64", "--series-seq", "table:0,0,0,0",
+          "--terms", "4"], "ulam_series.json", "tail_exponent"),
+    ])
+    def test_non_finite_values_are_written_as_null(self, argv, file, key, tmp_path):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((tmp_path / file).read_bytes(), parse_constant=reject)
+        if key == "ratio":
+            payload = payload["profile"][0]
+        assert payload[key] is None
+
     def test_ear_sigma_reads_the_system(self, tmp_path):
         argv = ["ear", "--sigma", "1", "--n0", "4", "--M-horizon", "8"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -373,3 +457,4 @@ class TestEndToEnd:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
