@@ -3,7 +3,8 @@
 Everything in this module is exact. Points are `Fraction`s in [0, 1). A set
 of arcs is stored, and operated on, as integers over one scale L, the least
 common denominator of its endpoints; they become `Fraction`s only on
-request (``arcs``) and in the text form. All set operations return
+request (``arcs``), and the text form writes them in lowest terms from the
+integers. All set operations return
 canonical normal forms, so equality of sets is equality of representations.
 
 Arcs are half-open [lo, hi). A set that differs from another on finitely
@@ -26,6 +27,7 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import mpmath
+import numpy as np
 
 
 def circle_point(x) -> Fraction:
@@ -131,7 +133,10 @@ class IntervalSet:
     def from_scaled(L: int, arcs: Sequence[tuple[int, int]]) -> "IntervalSet":
         """The set of canonical arcs on the circle of circumference L (as
         ``merge_scaled_arcs`` returns them), with L reduced to its least."""
-        g = math.gcd(L, *chain.from_iterable(arcs))
+        # a gcd of 1 over the first two arcs is the gcd over all of them
+        g = math.gcd(L, *chain.from_iterable(arcs[:2]))
+        if g > 1:
+            g = math.gcd(g, *chain.from_iterable(arcs))
         if g > 1:
             arcs = [(lo // g, hi // g) for lo, hi in arcs]
         return IntervalSet(L // g, tuple(arcs))
@@ -208,19 +213,58 @@ class IntervalSet:
 
     def to_text(self) -> str:
         """Canonical text form: one 'num/den,num/den' line per arc, each
-        endpoint in lowest terms."""
+        endpoint in lowest terms.
+
+        Written TEXT_BLOCK arcs at a time: one ``np.gcd`` reduces a block's
+        endpoints against L, and the reduced integers become ASCII digits
+        on arrays (``_ascii_lines``). Scales of 2^64 and above take object
+        arrays of Python ints, which ``str`` formats.
+        """
         L = self.L
-
-        def frac(e: int) -> str:
-            g = math.gcd(e, L)
-            return f"{e // g}/{L // g}"
-
-        lines = [f"{frac(lo)},{frac(hi)}" for lo, hi in self.scaled]
-        return "\n".join(lines) + ("\n" if lines else "")
+        dtype = np.uint32 if L < 2**32 else np.uint64 if L < 2**64 else object
+        Ld = np.dtype(dtype).type(L)
+        blocks = []
+        for start in range(0, len(self.scaled), TEXT_BLOCK):
+            block = self.scaled[start:start + TEXT_BLOCK]
+            e = np.fromiter(chain.from_iterable(block), dtype, 2 * len(block))
+            g = np.gcd(e, Ld)
+            # per arc: lo's numerator and denominator, then hi's
+            vals = np.stack([e // g, Ld // g], axis=1).reshape(-1, 4)
+            if dtype is object:
+                blocks.append("".join(map("{}/{},{}/{}\n".format, *vals.T)))
+            else:
+                blocks.append(_ascii_lines(vals, len(str(L))).decode("ascii"))
+        return "".join(blocks)
 
     @staticmethod
     def from_text(text: str) -> "IntervalSet":
         return IntervalSet.from_arcs(line.split(",") for line in text.splitlines() if line.strip())
+
+
+TEXT_BLOCK = 8192  # arcs per block of IntervalSet.to_text
+
+_SEPARATORS = np.frombuffer(b"/,/\n", np.uint8)
+
+
+def _ascii_lines(vals: np.ndarray, width: int) -> bytes:
+    """'a/b,c/d\\n' for each row (a, b, c, d) of unsigned integers below
+    10**width: a (values x width+1) byte matrix of digits, filled by
+    repeated division by 10, with each value's separator in the last
+    column. A leading zero is masked to a NUL byte, which the end drops."""
+    v = vals.reshape(-1).copy()
+    q, digit = np.empty_like(v), np.empty_like(v)
+    digits = np.empty((v.size, width + 1), np.uint8)
+    digits[:, width] = np.tile(_SEPARATORS, len(vals))
+    for col in range(width - 1, -1, -1):
+        np.floor_divide(v, 10, out=q)  # by a constant: far cheaper than divmod
+        np.multiply(q, 10, out=digit)
+        np.subtract(v, digit, out=digit)
+        digit += ord("0")
+        if col < width - 1:
+            digit *= v > 0
+        digits[:, col] = digit
+        v, q = q, v
+    return digits.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------

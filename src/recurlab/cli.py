@@ -18,6 +18,7 @@ import configparser
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -248,6 +249,12 @@ def _circle_map_a(system: str, use: str) -> int:
 
 
 def cmd_ear(args) -> int:
+    if args.exact:
+        _reject_unused(args, "ear --exact", "--sigma", "--samples", "--seed")
+    elif args.sigma is not None:
+        _reject_unused(args, "ear --sigma", "--seq", "--samples", "--seed")
+    else:
+        _reject_unused(args, "ear (Monte Carlo)", "--budget-arcs")
     seq = parse_sequence(args.seq)
     if args.exact:
         rep = experiments.ear_exact(_circle_map_a(args.system, "exact ear"), seq,
@@ -283,6 +290,8 @@ def cmd_petrov(args) -> int:
 
 
 def cmd_ulam(args) -> int:
+    if not args.series_seq:
+        _reject_unused(args, "ulam without --series-seq", "--terms")
     sys_spec = parse_system(args.system)
     op = ulam.build_ulam(sys_spec, args.bins)
     bounds = ulam.density_bounds(op)
@@ -317,14 +326,17 @@ def cmd_ulam(args) -> int:
 
 
 def cmd_nt(args) -> int:
+    failure = None
     if args.kind == "gcd":
-        records = []
-        for m in range(1, args.max + 1):
-            for n in range(1, args.max + 1):
-                g = number_theory.gcd_mersenne(args.a, m, n)
-                records.append({"m": m, "n": n, "gcd": str(g), "ok": True})
-        payload = {"a": args.a, "max": args.max, "identity_holds": True,
-                   "cases": len(records)}
+        a = args.a
+        cases = [(m, n) for m in range(1, args.max + 1) for n in range(1, args.max + 1)]
+        wrong = [(m, n) for m, n in cases
+                 if number_theory.gcd_mersenne(a, m, n) != a ** math.gcd(m, n) - 1]
+        payload = {"a": a, "max": args.max, "identity_holds": not wrong,
+                   "cases": len(cases)}
+        if wrong:
+            m, n = wrong[0]
+            failure = f"gcd(a^m - 1, a^n - 1) != a^gcd(m, n) - 1 at a={a}, m={m}, n={n}"
     elif args.kind == "lattice":
         lat = number_theory.scalar_lattice(args.a, args.m, args.n)
         brute = number_theory.scalar_lattice_bruteforce(args.a, args.m, args.n, args.bound)
@@ -346,11 +358,12 @@ def cmd_nt(args) -> int:
                    "L_gen": [list(r) for r in lat.L_gen],
                    "bruteforce_solutions": len(brute),
                    "bruteforce_complete": complete}
+    if payload.get("bruteforce_complete") is False:
+        failure = f"the {args.kind} generators miss a brute-force solution"
     _write_json(os.path.join(args.out, f"nt_{args.kind}.json"), payload)
     print(json.dumps(payload, sort_keys=True))
-    if payload.get("bruteforce_complete") is False:
-        print(f"error: the {args.kind} generators miss a brute-force solution",
-              file=sys.stderr)
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
         return 2
     return 0
 
@@ -371,6 +384,10 @@ def cmd_exact(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.scan_alphas:
+        _reject_unused(args, "orbit --scan-alphas", "--x", "--steps")
+    else:
+        _reject_unused(args, "an orbit trace", "--checkpoints", "--samples", "--seed")
     sys_spec = parse_system(args.system)
     if args.scan_alphas:
         alphas = [float(v) for v in args.scan_alphas.split(",")]
@@ -396,6 +413,23 @@ def cmd_run(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Noted(argparse.Action):
+    """Store the option's value and note that it was given, so that a mode
+    which would ignore it can refuse it (``_reject_unused``)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+def _reject_unused(args, mode: str, *options: str) -> None:
+    """A usage error (exit 2) if ``mode`` was given any of ``options``,
+    which it would ignore."""
+    unused = [o for o in options if o in getattr(args, "given", ())]
+    if unused:
+        build_parser().error(f"{mode} does not use {', '.join(unused)}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every command, built once per process."""
@@ -410,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False, budget=False):
         p.add_argument("--out", default=".", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0, action=_Noted)
         if budget:
-            p.add_argument("--budget-arcs", dest="budget_arcs", type=int,
+            p.add_argument("--budget-arcs", dest="budget_arcs", type=int, action=_Noted,
                            default=exact_sets.DEFAULT_ARC_BUDGET)
 
     p = sub.add_parser("rio", help="truncated infinitely-often return measure")
@@ -428,12 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ear", help="eventually-always return experiments")
     p.add_argument("--system", default="doubling")
-    p.add_argument("--seq", default="powerlaw:1,2")
+    p.add_argument("--seq", default="powerlaw:1,2", action=_Noted)
     p.add_argument("--n0", type=int, default=4)
     p.add_argument("--M-horizon", dest="M_horizon", type=int, default=18)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=2000, action=_Noted)
     p.add_argument("--exact", action="store_true", help="exact interval arithmetic path")
-    p.add_argument("--sigma", default=None,
+    p.add_argument("--sigma", default=None, action=_Noted,
                    help="run the exact complement-measure bound check at this sigma")
     common(p, seed=True, budget=True)
     p.set_defaults(func=cmd_ear)
@@ -452,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-csv", dest="density_csv", default=None)
     p.add_argument("--series-seq", dest="series_seq", default=None,
                    help="also evaluate the return-ball summability series")
-    p.add_argument("--terms", type=int, default=50)
+    p.add_argument("--terms", type=int, default=50, action=_Noted)
     common(p)
     p.set_defaults(func=cmd_ulam)
 
@@ -491,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="orbit traces and orbit statistics")
     p.add_argument("--system", required=True)
-    p.add_argument("--x", default="1/3")
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--x", default="1/3", action=_Noted)
+    p.add_argument("--steps", type=int, default=64, action=_Noted)
     p.add_argument("--scan-alphas", dest="scan_alphas", default=None,
                    help="run the minimal-weighted-distance scan for these alphas")
-    p.add_argument("--checkpoints", default="100,1000,10000")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--checkpoints", default="100,1000,10000", action=_Noted)
+    p.add_argument("--samples", type=int, default=1000, action=_Noted)
     common(p, seed=True)
     p.set_defaults(func=cmd_orbit)
 

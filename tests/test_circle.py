@@ -37,6 +37,28 @@ arc_strategy = st.lists(
     max_size=6,
 )
 iset_strategy = arc_strategy.map(random_interval_sets)
+# the widths of the text writer switch at 2^32 and 2^64
+SCALES = (2**32 - 1, 2**32, 2**64 - 1, 2**64)
+
+
+@st.composite
+def sets_at_scale(draw, L):
+    """Up to six arcs with distinct endpoints in [0, L), the last one ending
+    at L - 1, so that L stays the set's scale (gcd(L - 1, L) = 1)."""
+    k = draw(st.integers(0, 5))
+    ends = sorted(draw(st.sets(st.integers(0, L - 2), min_size=2 * k + 1,
+                               max_size=2 * k + 1)))
+    return IntervalSet.from_scaled(L, list(zip(ends[::2], ends[1::2] + [L - 1])))
+
+
+def fraction_text(s: IntervalSet) -> str:
+    """The text form from one ``Fraction`` per endpoint, an oracle that
+    shares no code with ``to_text``."""
+    def frac(e: int) -> str:
+        f = Fraction(e, s.L)
+        return f"{f.numerator}/{f.denominator}"
+
+    return "".join(f"{frac(lo)},{frac(hi)}\n" for lo, hi in s.scaled)
 
 
 class TestCircleDistance:
@@ -128,6 +150,44 @@ class TestIntervalSet:
         # x lies in [lo, lo + w) mod 1 when x rotated by -lo lies in [0, w)
         inside = any(circle_point(x - lo) < w for lo, w in arcs)
         assert random_interval_sets(arcs).contains(x) == inside
+
+
+class TestTextForm:
+    """``to_text`` against per-endpoint ``Fraction`` text, and back."""
+
+    @pytest.mark.parametrize("s, text", [
+        (IntervalSet.empty(), ""),
+        (IntervalSet.full(), "0/1,1/1\n"),
+        (IntervalSet.arc(Fraction(-1, 10), Fraction(1, 10)), "0/1,1/10\n9/10,1/1\n"),
+    ])
+    def test_small_sets(self, s, text):
+        assert s.to_text() == fraction_text(s) == text
+        assert IntervalSet.from_text(text) == s
+
+    @given(iset_strategy)
+    @settings(max_examples=60)
+    def test_matches_fraction_text(self, s):
+        assert s.to_text() == fraction_text(s)
+
+    @pytest.mark.parametrize("L", SCALES)
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_matches_fraction_text_at_width_edges(self, L, data):
+        s = data.draw(sets_at_scale(L))
+        assert s.L == L
+        text = s.to_text()
+        assert text == fraction_text(s)
+        assert IntervalSet.from_text(text) == s
+
+    @pytest.mark.parametrize("count", (8191, 8192, 8193))
+    @pytest.mark.parametrize("L", (100_003, *SCALES))
+    def test_block_edges(self, count, L):
+        step = L // count
+        s = IntervalSet.from_scaled(L, [(k * step + 1, k * step + 2) for k in range(count)])
+        assert (s.L, s.arc_count) == (L, count)
+        text = s.to_text()
+        assert text == fraction_text(s)
+        assert IntervalSet.from_text(text) == s
 
 
 class TestRadiusSequences:

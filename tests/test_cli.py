@@ -148,6 +148,29 @@ class TestOptions:
         assert exc.value.code == 2
         assert "recurlab: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["ear", "--exact", "--sigma", "1"],
+        ["ear", "--exact", "--samples", "10"],
+        ["ear", "--exact", "--seed", "1"],
+        ["ear", "--sigma", "1", "--samples", "10"],
+        ["ear", "--sigma", "1", "--seed", "1"],
+        ["ear", "--sigma", "1", "--seq", "powerlaw:1,2"],
+        ["ear", "--samples", "10", "--budget-arcs", "10"],
+        ["orbit", "--system", "doubling", "--checkpoints", "10"],
+        ["orbit", "--system", "doubling", "--samples", "10"],
+        ["orbit", "--system", "doubling", "--seed", "1"],
+        ["orbit", "--system", "doubling", "--scan-alphas", "1", "--x", "1/5"],
+        ["orbit", "--system", "doubling", "--scan-alphas", "1", "--steps", "8"],
+        ["ulam", "--system", "doubling", "--bins", "16", "--terms", "4"],
+    ])
+    def test_options_that_a_mode_would_ignore_are_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "recurlab: error:" in err and "does not use" in err
+        assert not list(tmp_path.iterdir())
+
     def test_precision_bits_config_key_rejected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(TestConfigFiles.GOOD + "precision_bits = 64\n")
@@ -247,9 +270,20 @@ class TestEndToEnd:
     def test_nt_gcd_json(self, tmp_path):
         code = main(["nt", "gcd", "--a", "3", "--max", "6", "--out", str(tmp_path)])
         assert code == 0
+        assert (tmp_path / "nt_gcd.json").read_bytes() == (
+            b'{\n  "a": 3,\n  "cases": 36,\n  "identity_holds": true,\n  "max": 6\n}\n')
+
+    def test_nt_gcd_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        gcd = number_theory.gcd_mersenne
+        monkeypatch.setattr(number_theory, "gcd_mersenne",
+                            lambda a, m, n: gcd(a, m, n) + ((m, n) == (4, 6)))
+        code = main(["nt", "gcd", "--a", "3", "--max", "6", "--out", str(tmp_path)])
+        assert code == 2
         payload = json.loads((tmp_path / "nt_gcd.json").read_bytes())
-        assert payload["identity_holds"] is True
+        assert payload["identity_holds"] is False
         assert payload["cases"] == 36
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: gcd(a^m - 1, a^n - 1) != a^gcd(m, n) - 1 at a=3, m=4, n=6"]
 
     def test_nt_lattice_complete(self, tmp_path):
         code = main(["nt", "lattice", "--a", "2", "--m", "4", "--n", "2",

@@ -4,7 +4,10 @@ Each case is pinned by the sha256 of what a user sees: the ``E_n:`` line
 that ``recurlab exact`` prints and the ``--set-out`` text, for several n at
 one radius; for the eventually-always sets, the measure, the profile and
 the ``to_text()`` of the materialised set. The digests were taken from the
-``Fraction`` arcs that the integer arcs replaced.
+``Fraction`` arcs that the integer arcs replaced. The large sets span
+several text blocks and each integer width of the text writer (scales
+below 2^32, below 2^64 and above); their digests were taken from the
+per-endpoint text writer that the array writer replaced.
 """
 
 import hashlib
@@ -31,6 +34,14 @@ SYSTEMS = {
     "pw-neg4": (NEG4, ("--piecewise",), (1, 2, 3)),
 }
 EAR_SEQS = ("powerlaw:1,2", "powerlaw:1/4,1")
+# (system, exact's extra flags, n, r) of one large set each
+LARGE = {
+    "closed-2-n16": ("circle:2", (), 16, "1/12"),
+    "closed-3-n9": ("circle:3", (), 9, "1/20"),
+    "pw-bench-n14": (BENCH, ("--piecewise",), 14, "1/12"),
+    "closed-2-n14-scale-2^54": ("circle:2", (), 14, f"1/{2**40}"),
+    "closed-2-n14-scale-2^84": ("circle:2", (), 14, f"1/{2**70}"),
+}
 
 
 def _digest(parts) -> str:
@@ -41,8 +52,7 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def exact_digest(name: str, r: str, tmp_path, capsys) -> str:
-    system, flags, ns = SYSTEMS[name]
+def exact_digest(system: str, flags, ns, r: str, tmp_path, capsys) -> str:
     out = tmp_path / "set.txt"
     parts = []
     for n in ns:
@@ -159,6 +169,19 @@ GOLDEN = {
         "6d2f52111ec64d242959adefd2359b65d61994e846c610ae08eff7941552ea7c",
 }
 
+LARGE_GOLDEN = {
+    "closed-2-n16":
+        "a2b80c8428d4aee8e7e8646ffe1eb6ad9a99a4e7a25fdf99d6f934028018eb0f",
+    "closed-3-n9":
+        "f743d0fe226c007145b112cd170b934b107c328e03261d11b99eb69715fe7cbd",
+    "pw-bench-n14":
+        "2b90d4a2dc5335f0d0e58c599217353d51f751cb5cd6042295e187703c3be30a",
+    "closed-2-n14-scale-2^54":
+        "9abfc895179556103e0e502b63745961acecdc4b41ae88700c5eca7f325d6860",
+    "closed-2-n14-scale-2^84":
+        "b8309926fcfb74ae983f51f3227e302ae026eb28d7aa30db2eb806cc188f90cf",
+}
+
 EAR_GOLDEN = {
     (2, "powerlaw:1,2"):
         "6ee4a9bed212c0d8f871b09a4c6b2d091875bfb5076df82f4ad3300ac8869ac1",
@@ -174,7 +197,14 @@ EAR_GOLDEN = {
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("r", RADII)
 def test_exact_text_is_unchanged(name, r, tmp_path, capsys):
-    assert exact_digest(name, r, tmp_path, capsys) == GOLDEN[(name, r)]
+    system, flags, ns = SYSTEMS[name]
+    assert exact_digest(system, flags, ns, r, tmp_path, capsys) == GOLDEN[(name, r)]
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_large_exact_text_is_unchanged(name, tmp_path, capsys):
+    system, flags, n, r = LARGE[name]
+    assert exact_digest(system, flags, (n,), r, tmp_path, capsys) == LARGE_GOLDEN[name]
 
 
 @pytest.mark.parametrize("a", (2, 3))
