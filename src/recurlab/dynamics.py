@@ -8,7 +8,8 @@ orbit of a sampled point is represented:
   of X0 without iterating, to within +-2 ulps of 2**-64.
 * fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
   integers X ~ x * 2**P stepped one at a time, with the forward error
-  bounded in integer ulps.
+  bounded in integer ulps (for a beta-map, read from a table built once
+  per run).
 * lattice (other integer circle maps, toral maps, rational rotations and
   piecewise-affine maps), ``LatticeOrbit``: the orbit of a dyadic start
   stays on a lattice S**-1 * Z**d, one integer scale S per call, so points
@@ -22,11 +23,13 @@ decision of ``experiments.Radii``. A float band settles almost every entry;
 the rest are resolved exactly, and a fixed-point entry that its error bound
 leaves open is computed again at twice the precision. The experiments reduce
 over blocks of samples (the orbit class's ``block``): a shift block reads all
-its windows in one kernel call, and a
-``SteppedBlock`` iterates its orbits, each with its lazy decisions and early
-exit. ``ExactOrbit`` steps the same orbits in ``Fraction``s; it is the
-oracle the lattice backend is tested against. The orbit command's CSV
-trace (``write_orbit_csv``) shares its generator of exact orbit points.
+its windows in one kernel call, and a ``SteppedBlock`` iterates its orbits.
+Each stepped orbit is walked once per call, for all its radius tables, and
+stops at the first decisive step: a fixed-point orbit in one loop that
+steps, measures and decides, a lattice orbit through lazy decisions on one
+stream of distances. ``ExactOrbit`` steps the same orbits in ``Fraction``s;
+it is the oracle the lattice backend is tested against. The orbit command's
+CSV trace (``write_orbit_csv``) shares its generator of exact orbit points.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, tee
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -111,14 +114,18 @@ def _return_distances(sys: SystemSpec, x, n: int) -> Iterator:
 # ---------------------------------------------------------------------------
 # Stepped orbits: the fixed-point and lattice backends, and the exact oracle
 #
-# Decisions read a radius table ``radii`` (``experiments.Radii``) for n in
-# [radii.n_lo, radii.n_hi]. Stepped orbits yield them one step at a time, so
-# ``True in`` and ``False not in`` stop the orbit at the first decisive step.
+# Decisions read radius tables ``radii`` (``experiments.Radii``) for n in
+# [radii.n_lo, radii.n_hi], all tables of one call over one range, which
+# ``SteppedBlock.any_below_each`` checks. An orbit's ``_decisions(tables,
+# running_min, stop)`` gives one sequence of decisions per table from one
+# walk of the orbit; a table's sequence may end at its first decision
+# ``stop``, so ``any`` and ``False not in`` stop the walk at the first
+# decisive step of the last table read.
 # ---------------------------------------------------------------------------
 
 class SteppedBlock:
-    """Stepped orbits, one row each: ``any_below`` stops a row at its first
-    hit and ``all_min_below`` at its first miss."""
+    """Stepped orbits, one row each: ``any_below_each`` stops a row once
+    every table has had a hit and ``all_min_below`` at its first miss."""
 
     def __init__(self, orbits: Sequence[_Stepped]):
         self.orbits = orbits
@@ -135,19 +142,23 @@ class SteppedBlock:
         return np.array([list(o.below(radii)) for o in self.orbits], dtype=bool)
 
     def any_below_each(self, tables) -> list[np.ndarray]:
-        return [np.array([True in o.below(radii) for o in self.orbits]) for radii in tables]
+        if len({(radii.n_lo, radii.n_hi) for radii in tables}) != 1:
+            raise ValueError("the tables of one call must share one range of n")
+        hits = [list(map(any, o._decisions(tables, False, True))) for o in self.orbits]
+        return list(np.array(hits, dtype=bool).reshape(len(self.orbits), len(tables)).T)
 
     def any_below(self, radii) -> np.ndarray:
         return self.any_below_each([radii])[0]
 
     def all_min_below(self, radii) -> np.ndarray:
-        return np.array([False not in o.min_below(radii) for o in self.orbits])
+        return np.array([False not in o._decisions([radii], True, False)[0] for o in self.orbits])
 
 
 class _Stepped:
     """Decisions and distances from ``_dists(n_hi)``, the lazy integer
     distances S * d(T^n x, x), n = 1, 2, ..., over the orbit's scale ``S``.
-    Decisions are ``Radii.decide``'s, lazy, for n from radii.n_lo on."""
+    Decisions are ``Radii.decide``'s, lazy, for n from radii.n_lo on; the
+    tables of one call share the walk through ``tee``."""
 
     block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
 
@@ -155,21 +166,22 @@ class _Stepped:
         S = self.S
         return np.fromiter((D / S for D in self._dists(n_hi)), float, n_hi)
 
-    def below(self, radii) -> Iterator[bool]:
+    def below(self, radii):
         """d_n < r_n for n in [radii.n_lo, radii.n_hi]."""
-        return self._decide(radii, False)
+        return self._decisions([radii], False)[0]
 
-    def min_below(self, radii) -> Iterator[bool]:
+    def min_below(self, radii):
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi]."""
-        return self._decide(radii, True)
+        return self._decisions([radii], True)[0]
 
-    def _series(self, n_hi: int, running_min: bool) -> Iterator:
-        """The distances up to n_hi, or their running minima."""
-        ds = self._dists(n_hi)
-        return accumulate(ds, min) if running_min else ds
+    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
+        ds = self._dists(tables[0].n_hi)
+        if running_min:
+            ds = accumulate(ds, min)
+        return [self._decide(radii, islice(d, radii.n_lo - 1, None))
+                for radii, d in zip(tables, tee(ds, len(tables)))]
 
-    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
-        ds = islice(self._series(radii.n_hi, running_min), radii.n_lo - 1, None)
+    def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
         return radii.decide(ds, self.S)
 
 
@@ -188,10 +200,9 @@ class ExactOrbit(_Stepped):
     def distances(self, n_hi: int) -> np.ndarray:
         return np.fromiter(self._dists(n_hi), float, n_hi)
 
-    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
+    def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
         # d < r_n in Fractions, or in mpmath well past d's denominator when
         # r_n is irrational: no float band, so that it checks the one of Radii
-        ds = islice(self._series(radii.n_hi, running_min), radii.n_lo - 1, None)
         for n, d in enumerate(ds, radii.n_lo):
             r = radii.seq.exact(n)
             if r is None:
@@ -220,10 +231,11 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
 
     P keeps about 128 random bits to the horizon: an even slope a sheds
     v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
-    of A^n divides det A^n). Piecewise maps take P = 128 and
-    S = 2**P * q**horizon * L, q the lcm of the slope and intercept
-    denominators and L that of the branch ends, so every slope divides
-    exactly and every branch end is an integer over S."""
+    of A^n divides det A^n; the largest v2 of a slope numerator for a
+    piecewise map). Piecewise maps take S = 2**P * q**horizon * L, q the lcm
+    of the slope and intercept denominators and L that of the branch ends,
+    so every slope divides exactly and every branch end is an integer over
+    S."""
     # on the circle, d = min(t, S - t) / S with t = (X - X0) mod S, and
     # min(t, S - t) = S/2 - |S/2 - t| (S is even)
     if isinstance(sys, ToralLinear):
@@ -238,7 +250,7 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
                 yield max([half - abs(half - (x - x0) % S) for x, x0 in zip(X, X0)])
         return P, S, walk
     if isinstance(sys, PiecewiseLinear):
-        P = 128
+        P = 128 + horizon * max(_v2(b.slope.numerator) for b in sys.branches)
         q = math.lcm(*(f.denominator for b in sys.branches for f in (b.slope, b.intercept)))
         S = (q ** horizon * math.lcm(*(b.hi.denominator for b in sys.branches))) << P
         branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
@@ -310,43 +322,51 @@ def required_bits(sys: SystemSpec, horizon: int) -> int:
 
 @lru_cache(maxsize=16)
 def _fixed_point_constants(sys: SystemSpec, P: int, horizon: int
-                           ) -> tuple[int, int | None, int | None]:
-    """(required bits, multiplier, shift) of a fixed-point orbit. They take an
-    mpmath float and an isqrt of a 2P-bit integer, so each (sys, P, horizon)
-    builds them once, not once per sample."""
+                           ) -> tuple[int, int | None, int | None, list[int] | None]:
+    """(required bits, multiplier, shift, error table) of a fixed-point
+    orbit, built once per (sys, P, horizon), not once per sample: the
+    multiplier takes an mpmath float or an isqrt of a 2P-bit integer.
+
+    A beta-map's table holds err_ulp after k = 0..horizon steps while no step
+    has come near a branch end: beta < (multiplier + 1) / 2**P <= grow / 2**64
+    scales the error, and the truncated multiplier and product add one ulp
+    each, so e <- ceil(grow * e / 2**64) + 2. Entry k has about k * log2(beta)
+    bits, so the table takes about 0.05 * horizon**2 bytes for the golden
+    mean (2 KB at 200 steps, 1.2 MB at 5,000)."""
     need = required_bits(sys, horizon)
+    if P < need:  # refused by the caller
+        return need, None, None, None
     if isinstance(sys, BetaMap):
-        return need, sys.beta.scaled(P), None
+        mult = sys.beta.scaled(P)
+        grow, err = -(-(mult + 1) >> (P - _W)), [1]  # X0 itself rounds the true point
+        for _ in range(horizon):
+            err.append(-((-grow * err[-1]) >> _W) + 2)
+        return need, mult, None, err
     if isinstance(sys, Rotation):
-        return need, None, sys.alpha.scaled(P)
-    return need, None, None
-
-
-def _min_pair(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The running minimum of (distance, error bound) pairs: the minimum's
-    error is at most the largest bound so far, the latest, since the bounds
-    never shrink."""
-    return (a[0] if a[0] <= b[0] else b[0]), b[1]
+        return need, None, sys.alpha.scaled(P), None
+    return need, None, None, None
 
 
 class FixedPointOrbit(_Stepped):
     """Orbit of x ~ X0 / 2**P under a beta-map or rotation, with explicit
     error accounting: ``err_ulp`` is an integer upper bound, in ulps of
-    2**-P, on the distance of X / 2**P from the true point. A beta step whose
-    image is within that bound of an integer may belong to the other branch,
-    so from such a step on (past step ``sure``) the bound is all of [0, 1).
+    2**-P, on the distance of X / 2**P from the true point. A rotation adds
+    one ulp a step; a beta-map reads its bound from the table of
+    ``_fixed_point_constants``. A beta step whose image is within that bound
+    of an integer may belong to the other branch, so from such a step on
+    (past step ``sure``) the bound is all of [0, 1).
+
     Distances are integers over S = 2**P within 2 * err_ulp of the true
-    ones, and decisions are certified against that bound; an entry it leaves
-    open is computed again at 2P bits from the same start."""
+    ones. ``_walk`` steps, measures and decides one table in one loop, and
+    ``_decisions`` several tables in one pass; an entry that the error
+    bound leaves open is computed again at 2P bits from the same start."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
-        need, self._mult, self._shift = _fixed_point_constants(sys, P, horizon)
+        need, self._mult, self._shift, self._err = _fixed_point_constants(sys, P, horizon)
         if P < need:
             raise PrecisionBudgetError(need, P)
         if self._mult is None and self._shift is None:
             raise ValueError(f"no fixed-point orbit for {sys.describe()}")
-        if self._mult is not None:  # beta < (_mult + 1) / 2**P <= _grow / 2**64
-            self._grow = -(-(self._mult + 1) >> (P - _W))
         self.sys = sys
         self.P = P
         self.horizon = horizon
@@ -360,24 +380,21 @@ class FixedPointOrbit(_Stepped):
         self.sure = horizon
 
     def step(self) -> int:
-        if self.step_count >= self.horizon:
-            raise PrecisionBudgetError(
-                required_bits(self.sys, self.step_count + 1), self.P
-            )
-        if self._mult is not None:
+        k = self.step_count
+        if k >= self.horizon:
+            raise PrecisionBudgetError(required_bits(self.sys, k + 1), self.P)
+        self.step_count = k + 1
+        if self._mult is None:
+            self.X = X = (self.X + self._shift) & self._mask
+            self.err_ulp += 1
+        else:
             self.X = X = ((self.X * self._mult) >> self.P) & self._mask
             if self.err_ulp < self.S:
-                # beta <= _grow / 2**64 scales the error; the truncated
-                # multiplier and the truncated product add one ulp each
-                e = -((-self._grow * self.err_ulp) >> _W) + 2
+                e = self._err[k + 1]
                 if X < e or X + e >= self.S:  # the true image may be across a branch end
-                    e, self.sure = self.S, self.step_count
+                    e, self.sure = self.S, k
                 self.err_ulp = e
-        else:
-            self.X = (self.X + self._shift) & self._mask
-            self.err_ulp += 1
-        self.step_count += 1
-        return self.X
+        return X
 
     def dist_to_start(self) -> int:
         """S * d(T^k x, x) in the system's metric, as an integer; its error
@@ -393,21 +410,71 @@ class FixedPointOrbit(_Stepped):
         underflow to 0 once P passes about 1075 bits."""
         return Fraction(2 * self.err_ulp, self.S)
 
-    def _pairs(self, n_hi: int) -> Iterator[tuple[int, int]]:
-        # from X0 again, so decisions are a function of the sample, as for
-        # the other two backends
+    def _restart(self) -> None:
         self.X, self.step_count, self.err_ulp, self.sure = self.X0, 0, 1, self.horizon
-        for _ in range(n_hi):
-            self.step()
-            yield self.dist_to_start(), 2 * self.err_ulp
 
-    def _dists(self, n_hi: int) -> Iterator[int]:
-        return (D for D, _ in self._pairs(n_hi))
+    def _walk(self, n_hi: int, running_min: bool = False, radii=None,
+              stop: bool | None = None) -> tuple[list[int], list[bool]]:
+        """The loop of one table. From X0 again, it takes steps 1..n_hi and
+        the distances D = S * d_n, or their running minima, whose bound is
+        the latest since the bounds never shrink. From n = radii.n_lo on, it
+        decides D / S < r_n as ``Radii.decide`` does, for D within
+        2 * err_ulp, up to the first decision ``stop``. Returns the D before
+        n_lo (every D, without radii) and the decisions."""
+        S, X0, mask, circle, step = self.S, self.X0, self._mask, self._circle, self.step
+        self._restart()
+        n_lo = radii.n_lo if radii else n_hi + 1
+        lo, hi = radii.band(S) if radii else ((), ())
+        ds, out, D = [], [], S
+        for n in range(1, n_hi + 1):
+            X = step()
+            d = min((X - X0) & mask, (X0 - X) & mask) if circle else abs(X - X0)
+            if running_min:
+                d = D = d if d < D else D
+            if n < n_lo:
+                ds.append(d)
+                continue
+            i, e = n - n_lo, self.err_ulp << 1
+            out.append(hit := d + e < lo[i] or (d - e <= hi[i] and radii.settle(
+                i, d, S, e, lambda i: self._refine(radii, i, running_min))))
+            if hit is stop:
+                break
+        return ds, out
 
-    def _pair_series(self, n_hi: int, running_min: bool) -> Iterator[tuple[int, int]]:
-        """(D, 2 * err_ulp) up to n_hi, or their running minima."""
-        pairs = self._pairs(n_hi)
-        return accumulate(pairs, _min_pair) if running_min else pairs
+    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
+        """Each table's decisions from one walk. Several tables are decided
+        at each step, as ``_walk`` decides one, until each has had its
+        decision ``stop``. One table takes ``_walk`` itself: the loop over
+        the tables would cost it every step (6-10% on the beta ops of the
+        mc-iterated benchmark)."""
+        if len(tables) == 1:
+            return [self._walk(tables[0].n_hi, running_min, tables[0], stop)[1]]
+        S, X0, mask, circle, step = self.S, self.X0, self._mask, self._circle, self.step
+        n_lo, n_hi = tables[0].n_lo, tables[0].n_hi
+        ds, _ = self._walk(n_lo - 1, running_min)
+        D = ds[-1] if ds else S
+        open_ = [(*radii.band(S), [], radii) for radii in tables]
+        decisions = [out for _, _, out, _ in open_]
+        for i in range(n_hi - n_lo + 1):
+            X = step()
+            d = min((X - X0) & mask, (X0 - X) & mask) if circle else abs(X - X0)
+            if running_min:
+                d = D = d if d < D else D
+            e = self.err_ulp << 1
+            for lo, hi, out, radii in open_:
+                out.append(hit := d + e < lo[i] or (d - e <= hi[i] and radii.settle(
+                    i, d, S, e, lambda i: self._refine(radii, i, running_min))))
+                if hit is stop:  # the loop goes on over the old list
+                    open_ = [t for t in open_ if t[2] is not out]
+            if not open_:
+                break
+        return decisions
+
+    def _refine(self, radii, i: int, running_min: bool) -> bool | None:
+        """Entry i of ``radii`` at 2P bits."""
+        fine = self._fine()
+        ds, _ = fine._walk(radii.n_lo + i, running_min)
+        return radii.resolve(i, ds[-1], fine.S, 2 * fine.err_ulp)
 
     def _fine(self) -> FixedPointOrbit:
         """The orbit of the same start at 2P bits."""
@@ -417,23 +484,15 @@ class FixedPointOrbit(_Stepped):
         """d(T^n x, x) for n = 1..n_hi, each within 2 * err_ulp / S. If a step
         is near a branch end (``sure`` < n_hi), they are taken at 2P bits; a
         sample still unsure there raises PrecisionBudgetError."""
-        d = super().distances(n_hi)
-        if self.sure >= n_hi:
-            return d
-        fine = self._fine()
-        d = _Stepped.distances(fine, n_hi)
-        if fine.sure < n_hi:
-            raise PrecisionBudgetError(2 * fine.P, fine.P)
-        return d
-
-    def _decide(self, radii, running_min: bool) -> Iterator[bool]:
-        def refine(i: int) -> bool | None:  # the same entry at 2P bits
-            fine = self._fine()
-            *_, (D, e) = fine._pair_series(radii.n_lo + i, running_min)
-            return radii.resolve(i, D, fine.S, e)
-
-        pairs = islice(self._pair_series(radii.n_hi, running_min), radii.n_lo - 1, None)
-        return radii.decide_within(pairs, self.S, refine)
+        orbit = self
+        ds, _ = orbit._walk(n_hi)
+        if orbit.sure < n_hi:
+            orbit = self._fine()
+            ds, _ = orbit._walk(n_hi)
+            if orbit.sure < n_hi:
+                raise PrecisionBudgetError(2 * orbit.P, orbit.P)
+        S = orbit.S
+        return np.fromiter((D / S for D in ds), float, n_hi)
 
 
 # ---------------------------------------------------------------------------

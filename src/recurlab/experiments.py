@@ -168,10 +168,12 @@ class Radii:
     E / S of the true distance. Step one is a float band: ``approx`` is
     within a relative _REL of r_n (libm's error is below 1e-14), so D + E
     under the band's low end is a hit and D - E over its high end a miss.
-    Step two resolves the few entries inside the band exactly, against
-    ``scaled_radius``; mpmath runs only for those. Each table counts its
-    ``gray`` entries, the ``mp`` resolutions among them, and the entries
-    left ``undecided`` by a fixed-point error bound, which read as misses."""
+    Step two, ``settle``, resolves the few entries inside the band exactly,
+    against ``scaled_radius``; mpmath runs only for those. Exact distances
+    take ``decide``; the fixed-point loop reads ``band(S)`` itself. Each
+    table counts its ``gray`` entries, the ``mp`` resolutions among them,
+    and the entries left ``undecided`` by a fixed-point error bound, which
+    read as misses."""
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
         self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi
@@ -220,20 +222,11 @@ class Radii:
         integer distances D = S * d_n of ``ds``."""
         lo, hi = self.band(S)
         for i, D in enumerate(ds):
-            yield D < lo[i] or (D <= hi[i] and self._gray(i, D, S, 0, None))
+            yield D < lo[i] or (D <= hi[i] and self.settle(i, D, S, 0, None))
 
-    def decide_within(self, pairs: Iterable[tuple[int, int]], S: int,
-                      refine: Callable[[int], bool | None]) -> Iterator[bool]:
-        """``decide`` for pairs (D, e) of an integer distance D and an integer
-        bound e, with d_n within e / S of D / S. An entry that e leaves open
-        is handed to ``refine(i)``, and counted if still open. (Exact
-        distances take ``decide``: the pairs double its cost per entry.)"""
-        lo, hi = self.band(S)
-        for i, (D, e) in enumerate(pairs):
-            yield D + e < lo[i] or (D - e <= hi[i] and self._gray(i, D, S, e, refine))
-
-    def _gray(self, i: int, D: int, S: int, E: int, refine) -> bool:
-        """One entry inside the band: counted, resolved, refined if open."""
+    def settle(self, i: int, D: int, S: int, E: int, refine: Callable | None) -> bool:
+        """One entry inside the band: counted, resolved, handed to
+        ``refine(i)`` if E leaves it open, and counted if still open."""
         self.gray += 1
         hit = self.resolve(i, D, S, E)
         if hit is None and refine is not None:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
+import numpy as np
 import pytest
 
 from recurlab import experiments
@@ -17,8 +18,10 @@ from recurlab.dynamics import (
     ExactOrbit,
     FixedPointOrbit,
     LatticeOrbit,
+    _fixed_point_constants,
     _lattice,
     orbit_backend,
+    required_bits,
     sample_bits,
 )
 from recurlab.experiments import (
@@ -120,7 +123,7 @@ class TestFixedPointCertified:
         for i in range(4):
             orbit = start(63, i)
             got = list(orbit.below(radii))
-            assert got == [D / orbit.S < r for D, r in zip(orbit._dists(N), radii.approx)]
+            assert got == [d < r for d, r in zip(orbit.distances(N), radii.approx)]
         assert radii.undecided == 0
 
     def test_distance_is_an_integer_in_the_system_metric(self):
@@ -270,3 +273,166 @@ def test_beta_distances_still_unsure_at_twice_the_bits_raise(monkeypatch):
         self.sys, self.X0, self.P, self.horizon))
     with pytest.raises(PrecisionBudgetError):
         FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, 5).distances(3)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point decision loop against a step-by-step reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("double", (False, True))
+def test_error_table_is_the_step_recurrence(double):
+    # P > 1024 bits, and 2P as for the entries computed again
+    golden, N = BetaMap("golden"), 2000
+    P = required_bits(golden, N) * (2 if double else 1)
+    assert P > 1024
+    table = _fixed_point_constants(golden, P, N)[3]
+    grow = math.ceil(Fraction(golden.beta.scaled(P) + 1, 1 << (P - 64)))
+    want = [1]
+    for _ in range(N):
+        want.append(math.ceil(Fraction(grow * want[-1], 1 << 64)) + 2)
+    assert table == want
+    # steps read it while no step comes near a branch end
+    orbit = FixedPointOrbit(golden, sample_bits(11, 0, P), P, N)
+    for k in range(1, N + 1):
+        orbit.step()
+        assert orbit.err_ulp == want[k] and orbit.sure == N
+
+
+def stepped_pairs(sys, X0: int, P: int, N: int, running_min: bool) -> list[tuple[int, int]]:
+    """(D, 2 * err_ulp) after each of N steps, from ``step`` and
+    ``dist_to_start``; a running minimum takes the latest bound."""
+    orbit, pairs = FixedPointOrbit(sys, X0, P, N), []
+    for _ in range(N):
+        orbit.step()
+        d = orbit.dist_to_start()
+        pairs.append((min(d, pairs[-1][0]) if running_min and pairs else d, 2 * orbit.err_ulp))
+    return pairs
+
+
+def stepped_reference(sys, X0: int, P: int, radii: Radii, running_min: bool) -> list[bool]:
+    """d_n < r_n (or min_{j <= n} d_j < r_n) from ``stepped_pairs`` and
+    ``Radii.resolve``: the band's gray entries counted, resolved at P bits,
+    else at 2P bits, else counted undecided."""
+    S, (lo, hi) = 1 << P, radii.band(1 << P)
+    coarse = stepped_pairs(sys, X0, P, radii.n_hi, running_min)[radii.n_lo - 1:]
+    fine = stepped_pairs(sys, X0 << P, 2 * P, radii.n_hi, running_min)[radii.n_lo - 1:]
+    out = []
+    for i, ((D, e), (D2, e2)) in enumerate(zip(coarse, fine)):
+        if D + e < lo[i] or D - e > hi[i]:
+            out.append(D + e < lo[i])
+            continue
+        radii.gray += 1
+        hit = radii.resolve(i, D, S, e)
+        if hit is None:
+            hit = radii.resolve(i, D2, S << P, e2)
+        radii.undecided += hit is None
+        out.append(bool(hit))
+    return out
+
+
+def loop_cases():
+    """(system, start, P, N): seeded samples, and on the golden mean a start
+    at a branch end, which leaves every entry to 2P bits."""
+    N = 40
+    for spec in ("beta:golden", "beta:sqrt2", "beta:5/2", "rotation:golden"):
+        start = orbit_backend(parse_system(spec), N)
+        for i in range(3):
+            orbit = start(65, i)
+            yield parse_system(spec), orbit.X0, orbit.P, N
+    yield BetaMap("golden"), golden_branch_end(201), 201, N
+
+
+@pytest.mark.parametrize("sys, X0, P, N", list(loop_cases()))
+def test_decision_loop_equals_the_stepped_reference(sys, X0, P, N):
+    tables = [("powerlog:1,2", 1), ("powerlaw:1/2,1", 5), (QUARTER_ROOT, 1)]
+    for running_min in (False, True):
+        # radii just past each D plus the bound at n = 3: only that step's
+        # bound decides them at P bits, and the later ones go to 2P bits
+        pairs = stepped_pairs(sys, X0, P, N, running_min)
+        tight = ExplicitTable(tuple(Fraction(D + pairs[2][1] + 1, 1 << P) for D, _ in pairs))
+        for seq, n_lo in [(parse_sequence(s), k) for s, k in tables] + [(tight, 3)]:
+            got, want = Radii(seq, n_lo, N), Radii(seq, n_lo, N)
+            orbit = FixedPointOrbit(sys, X0, P, N)
+            decided = orbit.min_below(got) if running_min else orbit.below(got)
+            assert list(decided) == stepped_reference(sys, X0, P, want, running_min)
+            assert (got.gray, got.mp, got.undecided) == (want.gray, want.mp, want.undecided)
+
+
+@pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3",
+                                  "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2"))
+def test_tables_share_one_walk(spec, monkeypatch):
+    # each table's hits and counters as if it were decided alone, from as
+    # many steps as the table that walks furthest alone takes
+    N, specs = 120, ("powerlog:1,2", "powerlaw:1/2,1", "powerlaw:1,2")
+    start = orbit_backend(parse_system(spec), N)
+    orbits = [start(66, i) for i in range(25)]
+    steps = []
+    if isinstance(orbits[0], FixedPointOrbit):
+        step = FixedPointOrbit.step
+        monkeypatch.setattr(FixedPointOrbit, "step", lambda o: steps.append(o) or step(o))
+    else:
+        dists = LatticeOrbit._dists
+        monkeypatch.setattr(LatticeOrbit, "_dists", lambda o, n: (
+            steps.append(o) or D for D in dists(o, n)))
+    together = [Radii(parse_sequence(s), 4, N) for s in specs]
+    hits = orbits[0].block(orbits).any_below_each(together)
+    walked = [steps.count(o) for o in orbits]
+    alone = []
+    for radii, got, shared in zip([Radii(parse_sequence(s), 4, N) for s in specs], hits, together):
+        steps.clear()
+        assert np.array_equal(got, orbits[0].block(orbits).any_below(radii))
+        assert (shared.gray, shared.mp, shared.undecided) == (radii.gray, radii.mp, radii.undecided)
+        alone.append([steps.count(o) for o in orbits])
+    assert walked == [max(col) for col in zip(*alone)]
+    assert len({int(h.sum()) for h in hits}) > 1  # the tables stop at different steps
+
+
+@pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3"))
+@pytest.mark.parametrize("running_min", (False, True))
+def test_tables_decided_together_decide_as_alone(spec, running_min):
+    # every decision and counter of every table, not only the first hit; on
+    # the golden mean also from a branch end, which leaves entries to 2P bits
+    N, specs = 60, ("powerlog:1,2", "powerlaw:1/2,1", "powerlaw:1,2")
+    start = orbit_backend(parse_system(spec), N)
+    orbits = [start(67, i) for i in range(4)]
+    if spec == "beta:golden":
+        orbits.append(FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, N))
+    for orbit in orbits:
+        shared = [Radii(parse_sequence(s), 3, N) for s in specs]
+        together = orbit._decisions(shared, running_min)
+        alone = [Radii(parse_sequence(s), 3, N) for s in specs]
+        assert [list(d) for d in together] == [
+            list(orbit.min_below(r) if running_min else orbit.below(r)) for r in alone]
+        assert [(r.gray, r.mp, r.undecided) for r in shared] == [
+            (r.gray, r.mp, r.undecided) for r in alone]
+
+
+@pytest.mark.parametrize("spec", ("beta:golden", "circle:3"))
+def test_tables_of_one_call_share_their_range(spec):
+    # one walk serves every table only over one range of n
+    start = orbit_backend(parse_system(spec), 50)
+    block = start(66, 0).block([start(66, i) for i in range(3)])
+    seq = parse_sequence("powerlaw:1,2")
+    for other in (Radii(seq, 4, 50), Radii(seq, 5, 40)):
+        with pytest.raises(ValueError):
+            block.any_below_each([Radii(seq, 4, 40), other])
+
+
+def test_dichotomy_steps_each_orbit_once(monkeypatch):
+    # as many fixed-point steps as the convergent table alone needs: the
+    # divergent one has its first hit no later on these samples
+    steps = 0
+    original = FixedPointOrbit.step
+
+    def counted(self):
+        nonlocal steps
+        steps += 1
+        return original(self)
+
+    monkeypatch.setattr(FixedPointOrbit, "step", counted)
+    golden, conv = BetaMap("golden"), parse_sequence("powerlog:1,2")
+    rio_dichotomy(golden, conv, parse_sequence("powerlaw:1/2,1"), 10, 1000, 200, 1)
+    assert steps == 113_837
+    steps = 0
+    rio_truncated_measure(golden, conv, 10, 1000, 200, 1)
+    assert steps == 113_837
