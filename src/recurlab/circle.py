@@ -173,10 +173,8 @@ class IntervalSet:
     def arc_count(self) -> int:
         return len(self.scaled)
 
-    def is_empty(self) -> bool:
-        return not self.scaled
-
     def contains(self, x) -> bool:
+        """Kept as the point-membership oracle of the arc-sweep tests."""
         p = circle_point(x)
         # lo <= p*L < hi for integers lo, hi exactly when lo <= floor(p*L) < hi
         X = p.numerator * self.L // p.denominator
@@ -207,6 +205,7 @@ class IntervalSet:
             self.L, [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi])
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
+        """Kept as the inclusion oracle of the arc-sweep tests."""
         return self.intersect(other) == self
 
     # -- serialization -----------------------------------------------------
@@ -238,6 +237,7 @@ class IntervalSet:
 
     @staticmethod
     def from_text(text: str) -> "IntervalSet":
+        """Kept as the parser of the ``to_text`` round-trip tests."""
         return IntervalSet.from_arcs(line.split(",") for line in text.splitlines() if line.strip())
 
 
@@ -294,6 +294,12 @@ class RadiusSequence:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def summable(self) -> bool | None:
+        """Whether sum r_n converges, read from the family's parameters; None
+        when they do not say. A finite table has no tail, and the rules of
+        an ``EarRadius`` are opaque callables, so both read None."""
+        return None
+
 
 def _check_positive_kappa(kappa: Fraction) -> Fraction:
     if kappa <= 0:
@@ -336,6 +342,10 @@ class PowerLaw(RadiusSequence):
     def describe(self) -> str:
         return f"powerlaw:{self.kappa},{self.gamma}"
 
+    def summable(self) -> bool:
+        """The p-series test: sum n^-gamma converges iff gamma > 1."""
+        return self.gamma > 1
+
 
 @dataclass(frozen=True)
 class PowerLog(RadiusSequence):
@@ -374,6 +384,10 @@ class PowerLog(RadiusSequence):
 
     def describe(self) -> str:
         return f"powerlog:{self.kappa},{self.theta}"
+
+    def summable(self) -> bool:
+        """Bertrand's series: sum 1/(n (log n)^theta) converges iff theta > 1."""
+        return self.theta > 1
 
 
 @dataclass(frozen=True)

@@ -216,12 +216,6 @@ def emit_report(report: experiments.ExperimentReport, out_dir: str) -> int:
     return 0 if report.verdict in ("pass", "reported") else 2
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Write a payload as canonical JSON, as ``ExperimentReport`` does."""
-    atomic_write(path, json.dumps(experiments._canonical(payload), sort_keys=True,
-                                  indent=2, allow_nan=False).encode() + b"\n")
-
-
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
@@ -283,7 +277,7 @@ def cmd_petrov(args) -> int:
             {"N": s.N, "S_N": s.S_N, "R_N": s.R_N, "ratio": s.ratio} for s in profile
         ],
     }
-    _write_json(os.path.join(args.out, "petrov.json"), payload)
+    atomic_write(os.path.join(args.out, "petrov.json"), experiments.canonical_json(payload))
     for s in profile:
         print(f"petrov N={s.N}: ratio={s.ratio:.6g}")
     return 0
@@ -302,9 +296,9 @@ def cmd_ulam(args) -> int:
         "second_eigenvalue_converged": op.second_eig_converged,
         "gap": op.gap, "c_lower": bounds.c_lower, "c_upper": bounds.c_upper,
         "c": bounds.c, "decay_C": fit.C, "decay_tau": fit.tau,
-        "decay_residual": fit.residual, "decay_flagged": fit.flagged,
+        "decay_flagged": fit.flagged,
     }
-    _write_json(os.path.join(args.out, "ulam.json"), payload)
+    atomic_write(os.path.join(args.out, "ulam.json"), experiments.canonical_json(payload))
     if args.density_csv:
         buf = io.StringIO()
         ulam.write_density_csv(buf, op)
@@ -312,10 +306,9 @@ def cmd_ulam(args) -> int:
     if args.series_seq:
         seq = parse_sequence(args.series_seq)
         series = ulam.theoremB_series(op, seq, args.terms)
-        _write_json(os.path.join(args.out, "ulam_series.json"), {
-            "verdict": series.verdict, "tail_exponent": series.tail_exponent,
-            "partial_sums": series.partial_sums,
-        })
+        atomic_write(os.path.join(args.out, "ulam_series.json"), experiments.canonical_json({
+            "verdict": series.verdict, "partial_sums": series.partial_sums,
+        }))
         print(f"series verdict: {series.verdict}")
     print(f"ulam bins={op.N}: |lambda2|={op.second_eig:.6g} tau={fit.tau:.6g} c={bounds.c:.6g}")
     if not op.second_eig_converged:
@@ -360,7 +353,8 @@ def cmd_nt(args) -> int:
                    "bruteforce_complete": complete}
     if payload.get("bruteforce_complete") is False:
         failure = f"the {args.kind} generators miss a brute-force solution"
-    _write_json(os.path.join(args.out, f"nt_{args.kind}.json"), payload)
+    atomic_write(os.path.join(args.out, f"nt_{args.kind}.json"),
+                 experiments.canonical_json(payload))
     print(json.dumps(payload, sort_keys=True))
     if failure:
         print(f"error: {failure}", file=sys.stderr)

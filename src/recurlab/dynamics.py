@@ -397,18 +397,13 @@ class FixedPointOrbit(_Stepped):
         return X
 
     def dist_to_start(self) -> int:
-        """S * d(T^k x, x) in the system's metric, as an integer; its error
-        is bounded by S * err_bound."""
+        """S * d(T^k x, x) in the system's metric, as an integer, within
+        2 * err_ulp. Kept as the reference of the decision tests, which
+        rebuild each decision from it."""
         if self._circle:
             t = (self.X - self.X0) & self._mask
             return min(t, self.S - t)
         return abs(self.X - self.X0)
-
-    @property
-    def err_bound(self) -> Fraction:
-        """Bound on the distance error, exactly: as a float, 2**-P would
-        underflow to 0 once P passes about 1075 bits."""
-        return Fraction(2 * self.err_ulp, self.S)
 
     def _restart(self) -> None:
         self.X, self.step_count, self.err_ulp, self.sure = self.X0, 0, 1, self.horizon

@@ -96,23 +96,26 @@ class ExperimentReport:
                           separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def payload(self) -> dict:
-        return {
+    def to_json_bytes(self) -> bytes:
+        return canonical_json({
             "schema": SCHEMA_VERSION,
             "experiment": self.experiment,
-            "config": _canonical(self.config),
+            "config": self.config,
             "config_hash": self.config_hash,
-            "results": _canonical(self.results),
+            "results": self.results,
             "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.payload(), sort_keys=True, indent=2,
-                          allow_nan=False).encode() + b"\n"
+            "notes": self.notes,
+        })
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def canonical_json(obj) -> bytes:
+    """The canonical bytes of every JSON file written: ``_canonical`` values,
+    sorted keys, an indent of 2, no NaN, and a final newline."""
+    return json.dumps(_canonical(obj), sort_keys=True, indent=2,
+                      allow_nan=False).encode() + b"\n"
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clipped to [0, 1].
 
     The end at an extreme count is the estimate itself, exactly: 0.0 at zero
@@ -121,6 +124,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
+    z = _Z95
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom

@@ -244,7 +244,7 @@ def solve_exact(A: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     return tuple(row[-1] for row in aug)
 
 
-def check_no_root_of_unity(B: Matrix, q_bound: int | None = None) -> None:
+def check_no_root_of_unity(B: Matrix) -> None:
     """Raise if some eigenvalue of B is a root of unity.
 
     A degree-d integer matrix can only have primitive k-th roots of unity
@@ -252,11 +252,9 @@ def check_no_root_of_unity(B: Matrix, q_bound: int | None = None) -> None:
     all q up to that bound is therefore a complete check.
     """
     d = len(B)
-    if q_bound is None:
-        q_bound = 2 * d * d
     I = mat_identity(d)
     P = I
-    for q in range(1, q_bound + 1):
+    for q in range(1, 2 * d * d + 1):
         P = mat_mul(P, B)
         if mat_det(mat_sub(P, I)) == 0:
             raise RootOfUnityError(q)

@@ -38,7 +38,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +52,8 @@ KRYLOV_MAX = 400     # matrix-vector products after which the |lambda2| solve gi
 KRYLOV_TOL = 1e-11   # Ritz-pair residual that counts as converged
 _BLOCK = 32          # Arnoldi steps between thick restarts
 _KEEP = 12           # Ritz vectors that a thick restart keeps
+SUPPORT_TOL = 1e-9   # density above which a bin counts as support
+DECAY_STEPS = 9      # n = 1..DECAY_STEPS in the correlation table
 
 # 2-point Gauss-Legendre nodes on [0, 1] (weights 1/2 each)
 _GAUSS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -422,13 +423,13 @@ class DensityBounds:
         return max(self.c_upper, 1.0 / self.c_lower)
 
 
-def density_bounds(op: UlamOperator, support_tol: float = 1e-9) -> DensityBounds:
+def density_bounds(op: UlamOperator) -> DensityBounds:
     """Min/max of the discrete invariant density over its support bins."""
     if op.residual > POWER_TOL:
         raise EigenvalueLocationError(
             f"density not converged: power-iteration residual {op.residual:.3g}"
         )
-    support = op.density > support_tol
+    support = op.density > SUPPORT_TOL
     lo = float(op.density[support].min())
     hi = float(op.density[support].max())
     return DensityBounds(lo, hi)
@@ -440,13 +441,14 @@ def density_bounds(op: UlamOperator, support_tol: float = 1e-9) -> DensityBounds
 
 @dataclass(frozen=True)
 class DecayFit:
-    """p(n) table and the least-squares exponential fit p(n) ~ C e^{-tau n}."""
+    """The correlation table p(n), n = 1..DECAY_STEPS, and the exponential
+    bound p(n) <= C e^{-tau n} on it. tau = -log|lambda2| is the rate of the
+    certified Galerkin solve, and C the least constant for that rate."""
 
     table: tuple[tuple[int, float], ...]
     C: float
     tau: float
-    residual: float
-    flagged: bool  # no measurable decay (spectral gap ~ 0)
+    flagged: bool  # no measurable decay (gap < 1e-6) or |lambda2| unconverged
 
 
 def default_test_pairs(N: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -465,47 +467,34 @@ def _bv_norm(g: np.ndarray) -> float:
     return float(np.abs(np.diff(g)).sum() + np.abs(g).max())
 
 
-def correlation_decay_fit(
-    op: UlamOperator,
-    test_pairs: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-    n_max: int = 9,
-    fit_start: int = 5,
-) -> DecayFit:
-    """Empirical correlations |∫ f(T^n x) g(x) dμ − ∫f dμ ∫g dμ| via matrix
-    powers, normalized by ||f||_L1(mu) * ||g||_BV, fitted on n in
-    [fit_start, n_max] (the early steps are transient).
+def correlation_decay_fit(op: UlamOperator) -> DecayFit:
+    """Correlations |∫ f(T^n x) g(x) dμ − ∫f dμ ∫g dμ| of the default test
+    pairs via matrix powers, normalized by ||f||_L1(mu) * ||g||_BV; p(n) is
+    their maximum over the pairs.
 
-    Exact zeros (dyadic cancellation) are dropped from the fit.
+    The rate is tau = -log|lambda2|, from ``op``'s Galerkin solve, not a fit
+    of the table: the correlations of BV observables decay like |lambda2|^n
+    (Lasota-Yorke spectral gap). C = max_n p(n) e^{tau n} is the least
+    constant with p(n) <= C e^{-tau n} for n = 1..DECAY_STEPS.
     """
-    if test_pairs is None:
-        test_pairs = default_test_pairs(op.N)
     p = op.bin_prob
-    table = []
     per_pair = []
-    for f, g in test_pairs:
+    for f, g in default_test_pairs(op.N):
         norm = float((p * np.abs(f)).sum()) * _bv_norm(g)
         mean_f = float((p * f).sum())
         mean_g = float((p * g).sum())
         v = p * g
         vals = []
-        for n in range(1, n_max + 1):
+        for _ in range(DECAY_STEPS):
             v = op.P.apply_left(v)
-            corr = abs(float((v * f).sum()) - mean_f * mean_g)
-            vals.append(corr / norm)
+            vals.append(abs(float((v * f).sum()) - mean_f * mean_g) / norm)
         per_pair.append(vals)
-    for n in range(1, n_max + 1):
-        table.append((n, max(vals[n - 1] for vals in per_pair)))
-
-    pts = [(n, v) for n, v in table if n >= fit_start and v > 1e-14]
-    if len(pts) < 3:
-        return DecayFit(tuple(table), math.nan, math.nan, math.nan, True)
-    xs = np.array([n for n, _ in pts], dtype=float)
-    ys = np.log(np.array([v for _, v in pts]))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    tau = -float(slope)
-    flagged = tau < 1e-3 or op.gap < 1e-6
-    return DecayFit(tuple(table), float(math.exp(intercept)), tau, residual, flagged)
+    table = tuple((n, max(vals[n - 1] for vals in per_pair))
+                  for n in range(1, DECAY_STEPS + 1))
+    tau = -math.log(op.second_eig)
+    C = max(v * math.exp(tau * n) for n, v in table)
+    flagged = op.gap < 1e-6 or not op.second_eig_converged
+    return DecayFit(table, C, tau, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +506,9 @@ class SeriesReport:
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
     verdict: str   # "converging" | "diverging" | "inconclusive"
-    tail_exponent: float
+
+
+_VERDICTS = {True: "converging", False: "diverging", None: "inconclusive"}
 
 
 def theoremB_series(
@@ -526,11 +517,18 @@ def theoremB_series(
     """Partial sums of sum over n of ∫ μ(B(x, r_n)) dμ(x), by density-weighted
     quadrature over bins.
 
-    The convergence verdict is a log-log tail-slope heuristic: fitted decay
-    exponent of the terms < -1 means summable.
+    The verdict is the theorem's, read from the radius family
+    (``seq.summable()``): the series converges exactly when sum r_n does,
+    for every map accepted here, since each has an invariant density h <= c
+    (Lasota-Yorke; Parry for beta-maps).
+    - Above: μ(B(x, r)) <= c * 2r, so each term is at most 2c r_n.
+    - Below, for any probability measure: cut the space into K = ceil(1/r)
+      arcs I_k of length 1/K <= r. B(x, r) contains the arc of x, so the
+      term is at least sum_k μ(I_k)^2 >= (sum_k μ(I_k))^2 / K = 1/K >=
+      r/(1 + r) by Cauchy-Schwarz.
+    No lower bound on h is used, so no map needs a certified c. A family
+    whose parameters do not decide sum r_n reads "inconclusive".
     """
-    if n_terms < 4:
-        raise ValueError("need at least 4 terms")
     N = op.N
     p = op.bin_prob
     cum = np.concatenate(([0.0], np.cumsum(p)))  # cum[k] = mu([0, k/N))
@@ -554,23 +552,8 @@ def theoremB_series(
         # cumsum adds in bin order, as a running total would
         terms.append(float(np.cumsum(p * ball)[-1]))
     partial = np.cumsum(terms)
-
-    # tail slope of log(term) vs log(n) over the second half
-    half = n_terms // 2
-    xs = np.log(np.arange(half + 1, n_terms + 1, dtype=float))
-    ys = np.array(terms[half:])
-    pos = ys > 0
-    if pos.sum() >= 3:
-        slope = float(np.polyfit(xs[pos], np.log(ys[pos]), 1)[0])
-    else:
-        slope = -math.inf  # terms hit zero: trivially summable
-    if slope < -1.05:
-        verdict = "converging"
-    elif slope > -0.95:
-        verdict = "diverging"
-    else:
-        verdict = "inconclusive"
-    return SeriesReport(tuple(terms), tuple(float(s) for s in partial), verdict, slope)
+    return SeriesReport(tuple(terms), tuple(float(s) for s in partial),
+                        _VERDICTS[seq.summable()])
 
 
 # ---------------------------------------------------------------------------

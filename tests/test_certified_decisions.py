@@ -248,7 +248,7 @@ def test_beta_step_at_a_branch_end_is_not_certified():
     orbit = FixedPointOrbit(golden, X0, P, 5)
     orbit.step()
     assert abs(Fraction(orbit.dist_to_start(), 1 << P) - Fraction(X0, 1 << P)) > 0.2
-    assert orbit.sure == 0 and orbit.err_bound >= 1
+    assert orbit.sure == 0 and Fraction(2 * orbit.err_ulp, orbit.S) >= 1
     radii = Radii(ExplicitTable((Fraction(1, 2),) * 5), 1, 5)
     assert list(orbit.below(radii)) == [False] * 5  # 0.618... is not below 1/2
     assert radii.gray == 5 and radii.undecided == 0

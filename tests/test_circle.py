@@ -92,8 +92,8 @@ class TestIntervalSet:
     def test_empty_and_full(self):
         assert IntervalSet.empty().measure == 0
         assert IntervalSet.full().measure == 1
-        assert IntervalSet.empty().is_empty()
-        assert IntervalSet.full().complement().is_empty()
+        assert not IntervalSet.empty().scaled
+        assert not IntervalSet.full().complement().scaled
 
     def test_overlapping_arcs_merge(self):
         s = IntervalSet.from_arcs(

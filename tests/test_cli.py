@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -333,7 +334,7 @@ class TestEndToEnd:
         payload = json.loads((tmp_path / "petrov.json").read_bytes())
         assert [row["N"] for row in payload["profile"]] == [4, 8]
 
-    def test_ulam_json(self, tmp_path):
+    def test_ulam_json(self, tmp_path, capsys):
         code = main(["ulam", "--system", "doubling", "--bins", "64",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -341,6 +342,25 @@ class TestEndToEnd:
         assert payload["second_eigenvalue"] == pytest.approx(0.5, abs=1e-9)
         assert payload["second_eigenvalue_converged"] is True
         assert payload["c"] == pytest.approx(1.0)
+        # the rate of the Galerkin solve, although the 64-bin Ulam matrix is
+        # nilpotent off the constants
+        assert payload["decay_tau"] == -math.log(payload["second_eigenvalue"])
+        assert payload["decay_flagged"] is False
+        assert "tau=0.693147 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, verdict", [
+        ("powerlog:1,1", "diverging"), ("powerlaw:1,1", "diverging"),
+        ("powerlaw:1/2,1/2", "diverging"), ("powerlog:1,2", "converging"),
+        ("powerlaw:1,3/2", "converging"), ("ear:1", "inconclusive"),
+    ])
+    def test_ulam_series_verdict(self, spec, verdict, tmp_path, capsys):
+        code = main(["ulam", "--system", "doubling", "--bins", "384",
+                     "--series-seq", spec, "--out", str(tmp_path)])
+        assert code == 0
+        assert f"series verdict: {verdict}\n" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "ulam_series.json").read_bytes())
+        assert sorted(payload) == ["partial_sums", "verdict"]
+        assert payload["verdict"] == verdict
 
     def test_ulam_unconverged_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ulam, "KRYLOV_MAX", 40)
@@ -349,6 +369,7 @@ class TestEndToEnd:
         assert code == 2
         payload = json.loads((tmp_path / "ulam.json").read_bytes())
         assert payload["second_eigenvalue_converged"] is False
+        assert payload["decay_flagged"] is True
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "KRYLOV_MAX = 40" in err[0]
 
@@ -459,21 +480,15 @@ class TestEndToEnd:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("argv, file, key", [
-        (["petrov", "--seq", "table:0,0,0", "--N", "2"], "petrov.json", "ratio"),
-        (["ulam", "--system", "doubling", "--bins", "64", "--series-seq", "table:0,0,0,0",
-          "--terms", "4"], "ulam_series.json", "tail_exponent"),
-    ])
-    def test_non_finite_values_are_written_as_null(self, argv, file, key, tmp_path):
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        argv = ["petrov", "--seq", "table:0,0,0", "--N", "2"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        payload = json.loads((tmp_path / file).read_bytes(), parse_constant=reject)
-        if key == "ratio":
-            payload = payload["profile"][0]
-        assert payload[key] is None
+        payload = json.loads((tmp_path / "petrov.json").read_bytes(), parse_constant=reject)
+        assert payload["profile"][0]["ratio"] is None
 
     def test_ear_sigma_reads_the_system(self, tmp_path):
         argv = ["ear", "--sigma", "1", "--n0", "4", "--M-horizon", "8"]

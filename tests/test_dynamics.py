@@ -82,7 +82,7 @@ class TestFixedPointOrbit:
             orbit.step()
             pt = (pt + alpha) % 1
             approx = orbit.X / (1 << P)
-            assert abs(approx - float(pt)) <= orbit.err_bound
+            assert abs(approx - float(pt)) <= Fraction(2 * orbit.err_ulp, orbit.S)
 
     def test_beta_error_bound_honest_against_higher_precision(self):
         # the same start run at double the precision acts as ground truth
@@ -93,7 +93,7 @@ class TestFixedPointOrbit:
             lo.step()
             hi.step()
             gap = abs(lo.X / (1 << lo.P) - hi.X / (1 << hi.P))
-            assert gap <= lo.err_bound
+            assert gap <= Fraction(2 * lo.err_ulp, lo.S)
 
     def test_error_bound_stays_finite_and_honest_past_float_range(self):
         # P = 1454 > 1024 bits and 2000 golden-mean steps: a float ulp count
@@ -107,9 +107,10 @@ class TestFixedPointOrbit:
             lo.step()
             hi.step()
             gap = Fraction(abs((lo.X << P) - hi.X), 1 << (2 * P))
-            assert gap <= lo.err_bound
+            assert gap <= Fraction(2 * lo.err_ulp, lo.S)
         assert isinstance(lo.err_ulp, int)
-        assert math.isfinite(lo.err_bound) and 0 < lo.err_bound < 2.0 ** -60
+        bound = Fraction(2 * lo.err_ulp, lo.S)
+        assert math.isfinite(bound) and 0 < bound < 2.0 ** -60
 
     def test_distance_uses_interval_metric_for_beta(self):
         # beta-maps act on [0,1); points near the two ends are far apart

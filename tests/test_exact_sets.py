@@ -77,7 +77,7 @@ class TestRecurrenceSet:
     def test_zero_radius_is_empty(self):
         res = build_recurrence_set(2, 3, Fraction(0))
         assert res.measure == 0
-        assert res.set.is_empty()
+        assert not res.set.scaled
 
     def test_radius_out_of_range_rejected(self):
         with pytest.raises(ValueError):
