@@ -317,6 +317,7 @@ class PowerLaw(RadiusSequence):
     def __post_init__(self):
         object.__setattr__(self, "kappa", _check_positive_kappa(Fraction(self.kappa)))
         object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "_floats", (float(self.kappa), -float(self.gamma)))
 
     def exact(self, n: int) -> Fraction | None:
         if n < 1:
@@ -329,7 +330,8 @@ class PowerLaw(RadiusSequence):
         return None
 
     def approx(self, n: int) -> float:
-        return float(self.kappa) * n ** (-float(self.gamma))
+        k, g = self._floats  # libm's pow: tail_bound is reported
+        return k * n ** g
 
     def mp(self, n: int):
         e = self.exact(n)
@@ -361,6 +363,7 @@ class PowerLog(RadiusSequence):
     def __post_init__(self):
         object.__setattr__(self, "kappa", _check_positive_kappa(Fraction(self.kappa)))
         object.__setattr__(self, "theta", Fraction(self.theta))
+        object.__setattr__(self, "_floats", (float(self.kappa), float(self.theta)))
 
     def exact(self, n: int) -> Fraction | None:
         if n < 1:
@@ -370,9 +373,8 @@ class PowerLog(RadiusSequence):
         return None
 
     def approx(self, n: int) -> float:
-        if n <= 2:
-            return float(self.kappa) / n
-        return float(self.kappa) / (n * math.log(n) ** float(self.theta))
+        k, t = self._floats
+        return k / n if n <= 2 else k / (n * math.log(n) ** t)
 
     def mp(self, n: int):
         e = self.exact(n)
@@ -425,12 +427,12 @@ class EarRadius(RadiusSequence):
 
 def ear_log2_delta(sigma: Fraction) -> Callable[[int], Fraction]:
     """Delta_m = ceil((2 + sigma) * log2(m)), kept integral for exactness."""
-    s = Fraction(sigma)
+    slope = float(2 + Fraction(sigma))
 
     def rule(m: int) -> Fraction:
         if m == 1:
             return Fraction(1)
-        bits = Fraction(math.ceil(float(2 + s) * math.log2(m)))
+        bits = Fraction(math.ceil(slope * math.log2(m)))
         return max(bits, Fraction(1))
 
     return rule

@@ -284,8 +284,14 @@ def cmd_petrov(args) -> int:
 
 
 def cmd_ulam(args) -> int:
-    if not args.series_seq:
+    seq = parse_sequence(args.series_seq) if args.series_seq else None
+    if seq is None:
         _reject_unused(args, "ulam without --series-seq", "--terms")
+    elif isinstance(seq, ExplicitTable):  # a table bounds the terms
+        n = len(seq.values)
+        if args.terms > n and "--terms" in getattr(args, "given", ()):
+            build_parser().error(f"--terms {args.terms} runs past the {n} entries of the table")
+        args.terms = min(args.terms, n)
     sys_spec = parse_system(args.system)
     op = ulam.build_ulam(sys_spec, args.bins)
     bounds = ulam.density_bounds(op)
@@ -303,8 +309,7 @@ def cmd_ulam(args) -> int:
         buf = io.StringIO()
         ulam.write_density_csv(buf, op)
         atomic_write(args.density_csv, buf.getvalue().encode())
-    if args.series_seq:
-        seq = parse_sequence(args.series_seq)
+    if seq is not None:
         series = ulam.theoremB_series(op, seq, args.terms)
         atomic_write(os.path.join(args.out, "ulam_series.json"), experiments.canonical_json({
             "verdict": series.verdict, "partial_sums": series.partial_sums,

@@ -609,7 +609,10 @@ class DyadicOrbitView:
         ``candidates(row, n, i)``."""
         lo, hi = radii.band64
         hit = v < lo
-        gray = np.argwhere(hit != (v <= hi))
+        mask = hit != (v <= hi)
+        if not mask.any():  # the common case: no entry to look up
+            return hit[self._rows]
+        gray = np.argwhere(mask)
         radii.gray += len(gray)
         for row, i in gray:
             n = radii.n_lo + int(i)

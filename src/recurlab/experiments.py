@@ -166,7 +166,8 @@ def _floor_scaled(x: float, S: int) -> int | float:
 
 class Radii:
     """r_n for n in [n_lo, n_hi] and the one decision d_n < r_n that every
-    orbit backend makes against them. List entry i is r_{n_lo + i}.
+    orbit backend makes against them. Entry i, of the list ``approx`` and of
+    the arrays of ``bounds`` and ``band64``, is r_{n_lo + i}.
 
     A backend hands in an integer distance D over an integer scale S, within
     E / S of the true distance. Step one is a float band: ``approx`` is
@@ -194,22 +195,21 @@ class Radii:
         return float(sum(min(1.0, 2.0 * r) for r in self.approx))
 
     @cached_property
-    def bounds(self) -> tuple[list[float], list[float]]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Floats lo_i < r_n < hi_i: approx widened by 2 _REL, which covers
-        _REL and the rounding of the band itself. Radii too small for a
-        relative bound (subnormal or 0) get the whole line as their band."""
-        lo, hi = [], []
-        for a in self.approx:
-            tiny = a < _TINY
-            lo.append(0.0 if tiny else a * (1 - 2 * _REL))
-            hi.append(math.inf if tiny else a * (1 + 2 * _REL))
-        return lo, hi
+        _REL and the rounding of the band itself (IEEE products, the same
+        floats in an array as one by one). Radii too small for a relative
+        bound (subnormal or 0) get the whole line as their band."""
+        a = np.array(self.approx)
+        tiny = a < _TINY
+        return (np.where(tiny, 0.0, a * (1 - 2 * _REL)),
+                np.where(tiny, math.inf, a * (1 + 2 * _REL)))
 
     @cached_property
     def band64(self) -> tuple[np.ndarray, np.ndarray]:
         """The band at S = 2**64, widened by the windows' _SLACK, as uint64:
         a 64-bit distance below lo is surely < r_n, one above hi surely not."""
-        lo, hi = (np.floor(np.array(b) * 2.0 ** _W64) for b in self.bounds)
+        lo, hi = (np.floor(b * 2.0 ** _W64) for b in self.bounds)
         top = np.nextafter(2.0 ** _W64, 0)  # the largest float below 2**64
         return (np.clip(lo - _SLACK, 0, top).astype(np.uint64),
                 np.clip(hi + _SLACK, 0, top).astype(np.uint64))
@@ -218,7 +218,8 @@ class Radii:
         """floor(lo_i * S) and floor(hi_i * S), built once per S: an integer
         below the first is below r_n * S, one above the second is not."""
         if S not in self._bands:
-            self._bands[S] = tuple([_floor_scaled(x, S) for x in b] for b in self.bounds)
+            self._bands[S] = tuple([_floor_scaled(x, S) for x in b.tolist()]
+                                   for b in self.bounds)
         return self._bands[S]
 
     def decide(self, ds: Iterable[int], S: int) -> Iterator[bool]:

@@ -180,6 +180,22 @@ class TestCounters:
         assert radii.gray >= 6 * N
         assert (radii.mp, radii.undecided) == (0, 0)
 
+    def test_only_the_gray_row_is_looked_up(self):
+        # r_n half an ulp of 2**-P above d_n of row 2 on odd n, equal on even
+        # n: every entry of that row is gray, and no entry of the others
+        N, rows = 60, 5
+        P = N + 64
+        block = DyadicOrbitView([sample_bits(41, i, P) for i in range(rows)], P, N)
+        half_ulp = Fraction(1, 1 << (P + 1))
+        d = [block.exact_dist(n, 2) for n in range(1, N + 1)]
+        nudged = ExplicitTable(tuple(v + (n % 2) * half_ulp for n, v in enumerate(d, 1)))
+        for seq, gray in ((nudged, N), (parse_sequence("powerlaw:1/2,1"), 0)):
+            radii = Radii(seq, 1, N)
+            assert block.below(radii).tolist() == [
+                [below_by_mpmath(block.exact_dist(n, row), seq, n) for n in range(1, N + 1)]
+                for row in range(rows)]
+            assert (radii.gray, radii.mp, radii.undecided) == (gray, 0, 0)
+
 
 def test_dichotomy_draws_each_sample_once(monkeypatch):
     drawn = []

@@ -362,6 +362,23 @@ class TestEndToEnd:
         assert sorted(payload) == ["partial_sums", "verdict"]
         assert payload["verdict"] == verdict
 
+    def test_ulam_series_of_a_short_table_takes_its_length(self, tmp_path, capsys):
+        code = main(["ulam", "--system", "doubling", "--bins", "64",
+                     "--series-seq", "table:1/2,1/4", "--out", str(tmp_path)])
+        assert code == 0
+        assert "series verdict: inconclusive\n" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "ulam_series.json").read_bytes())
+        assert len(payload["partial_sums"]) == 2
+
+    def test_ulam_terms_past_the_table_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ulam", "--system", "doubling", "--bins", "64", "--series-seq",
+                  "table:1/2,1/4", "--terms", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "recurlab: error: --terms 3" in err and " 2 entries" in err
+        assert not list(tmp_path.iterdir())
+
     def test_ulam_unconverged_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ulam, "KRYLOV_MAX", 40)
         code = main(["ulam", "--system", "circle:3", "--bins", "128",
