@@ -6,30 +6,22 @@ orbit of a sampled point is represented:
 * shift (the doubling map), ``DyadicOrbitView``: T^n x is the dyadic start
   X0 / 2**P shifted by n bits, so d(T^n x, x) is read from a 64-bit window
   of X0 without iterating, to within +-2 ulps of 2**-64.
-* fixed-point (beta-maps, irrational rotations), ``FixedPointOrbit``:
-  integers X ~ x * 2**P stepped one at a time, with the forward error
-  bounded in integer ulps (for a beta-map, read from a table built once
-  per run).
+* quadratic (beta-maps and rotations by an irrational quadratic integer w:
+  the golden mean, sqrt(k)), ``FixedPointOrbit``: each point of a dyadic
+  start is exactly (a + b w) / 2**P with integers a and b.
 * lattice (other integer circle maps, toral maps, rational rotations and
-  piecewise-affine maps), ``LatticeOrbit``: the orbit of a dyadic start
-  stays on a lattice S**-1 * Z**d, one integer scale S per call, so points
-  and distances are exact integers over S.
+  beta-maps, piecewise-affine maps), ``LatticeOrbit``: the orbit of a dyadic
+  start stays on a lattice S**-1 * Z**d, one integer scale S per call, so
+  points and distances are exact integers over S.
 
 Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
-min_{j <= n} d_j < r_n over an index range. Every decision is certified:
-each backend hands an integer distance over its scale, with its error bound
-(the windows' slack, the fixed-point error, 0 on the lattice), to the one
-decision of ``experiments.Radii``. A float band settles almost every entry;
-the rest are resolved exactly, and a fixed-point entry that its error bound
-leaves open is computed again at twice the precision. The experiments reduce
-over blocks of samples (the orbit class's ``block``): a shift block reads all
-its windows in one kernel call, and a ``SteppedBlock`` iterates its orbits.
-Each stepped orbit is walked once per call, for all its radius tables, and
-stops at the first decisive step: a fixed-point orbit in one loop that
-steps, measures and decides, a lattice orbit through lazy decisions on one
-stream of distances. ``ExactOrbit`` steps the same orbits in ``Fraction``s;
-it is the oracle the lattice backend is tested against. The orbit command's
-CSV trace (``write_orbit_csv``) shares its generator of exact orbit points.
+min_{j <= n} d_j < r_n over an index range, all exact: each backend hands an
+integer distance over its scale and its error bound (the windows' slack, E,
+0 on the lattice) to the one decision of ``experiments.Radii``. A shift
+block reads all its windows in one kernel call; a ``SteppedBlock`` walks
+each orbit once per call, for all its radius tables, up to the first
+decisive step. ``ExactOrbit`` steps rational orbits in ``Fraction``s, as the
+lattice backend's oracle and for the orbit command's CSV trace.
 """
 
 from __future__ import annotations
@@ -59,8 +51,7 @@ from .systems import (
     ToralLinear,
 )
 
-GUARD_BITS = 64
-_W = 64
+_W = 64  # bits of a window, and the guard bits of a sample
 
 
 # ---------------------------------------------------------------------------
@@ -85,42 +76,31 @@ def point_distance(sys: SystemSpec, x, y):
 def _exact_step(sys: SystemSpec, x):
     if isinstance(sys, (IntegerCircleMap, PiecewiseLinear, ToralLinear)):
         return sys.apply(x)
-    if isinstance(sys, Rotation):
-        alpha = sys.alpha.exact()
-        if alpha is None:
-            raise ValueError("exact iteration needs a rational rotation angle")
-        y = Fraction(x) + alpha
-        return y - math.floor(y)
-    raise ValueError(f"{sys.describe()} has no exact orbit; use a fixed-point orbit")
+    alpha = sys.alpha.exact() if isinstance(sys, Rotation) else None
+    if alpha is None:
+        raise ValueError(f"{sys.describe()}: a trace needs a rational system (orbit --scan-alphas)")
+    y = Fraction(x) + alpha
+    return y - math.floor(y)
 
 
 def _exact_orbit(sys: SystemSpec, x) -> Iterator:
     """x, T x, T^2 x, ... exactly: the start as Fractions (a tuple of them on
     the torus), then one ``_exact_step`` per further point."""
+    if isinstance(sys, BetaMap) and sys.beta.exact() is not None:
+        sys = sys.as_piecewise()
     pt = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
     while True:
         yield pt
         pt = _exact_step(sys, pt)
 
 
-def _return_distances(sys: SystemSpec, x, n: int) -> Iterator:
-    """d(T^k x, x) exactly, for k = 1, ..., n."""
-    orbit = _exact_orbit(sys, x)
-    start = next(orbit)
-    for pt in islice(orbit, n):
-        yield point_distance(sys, pt, start)
-
-
 # ---------------------------------------------------------------------------
-# Stepped orbits: the fixed-point and lattice backends, and the exact oracle
+# Stepped orbits: the quadratic and lattice backends, and the exact oracle
 #
-# Decisions read radius tables ``radii`` (``experiments.Radii``) for n in
-# [radii.n_lo, radii.n_hi], all tables of one call over one range, which
-# ``SteppedBlock.any_below_each`` checks. An orbit's ``_decisions(tables,
-# running_min, stop)`` gives one sequence of decisions per table from one
-# walk of the orbit; a table's sequence may end at its first decision
-# ``stop``, so ``any`` and ``False not in`` stop the walk at the first
-# decisive step of the last table read.
+# An orbit's ``_decisions(tables, running_min, stop)`` gives one sequence of
+# decisions per radius table (``experiments.Radii``, all over one range of n)
+# from one walk; a sequence may end at the table's first decision ``stop``,
+# so ``any`` and ``False not in`` stop the walk at the last table's.
 # ---------------------------------------------------------------------------
 
 class SteppedBlock:
@@ -158,7 +138,8 @@ class _Stepped:
     """Decisions and distances from ``_dists(n_hi)``, the lazy integer
     distances S * d(T^n x, x), n = 1, 2, ..., over the orbit's scale ``S``.
     Decisions are ``Radii.decide``'s, lazy, for n from radii.n_lo on; the
-    tables of one call share the walk through ``tee``."""
+    tables of one call share the walk through ``tee``, and one table reads
+    the stream itself."""
 
     block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
 
@@ -178,8 +159,9 @@ class _Stepped:
         ds = self._dists(tables[0].n_hi)
         if running_min:
             ds = accumulate(ds, min)
+        streams = tee(ds, len(tables)) if len(tables) > 1 else (ds,)
         return [self._decide(radii, islice(d, radii.n_lo - 1, None))
-                for radii, d in zip(tables, tee(ds, len(tables)))]
+                for radii, d in zip(tables, streams)]
 
     def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
         return radii.decide(ds, self.S)
@@ -190,15 +172,17 @@ class ExactOrbit(_Stepped):
     circle), with ``Fraction`` distances decided exactly. The Monte Carlo
     experiments use ``LatticeOrbit``; this is its oracle."""
 
+    S = 1  # the distances are exact Fractions
+
     def __init__(self, sys: SystemSpec, coords: Sequence[Fraction]):
         self.sys = sys
         self.x0 = tuple(coords) if isinstance(sys, ToralLinear) else coords[0]
 
     def _dists(self, n_hi: int) -> Iterator[Fraction]:
-        return _return_distances(self.sys, self.x0, n_hi)
-
-    def distances(self, n_hi: int) -> np.ndarray:
-        return np.fromiter(self._dists(n_hi), float, n_hi)
+        """d(T^n x, x) exactly, for n = 1..n_hi."""
+        orbit = _exact_orbit(self.sys, self.x0)
+        start = next(orbit)
+        return (point_distance(self.sys, pt, start) for pt in islice(orbit, n_hi))
 
     def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
         # d < r_n in Fractions, or in mpmath well past d's denominator when
@@ -303,191 +287,151 @@ class LatticeOrbit(_Stepped):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point orbits
+# Quadratic orbits: beta-maps and irrational rotations, exactly
 # ---------------------------------------------------------------------------
 
-def required_bits(sys: SystemSpec, horizon: int) -> int:
-    """Fractional bits needed so step-``horizon`` values are accurate to
-    2**-64: the forward error grows by the slope modulus per step."""
-    if isinstance(sys, BetaMap):
-        growth = math.ceil(horizon * math.log2(float(sys.beta))) + 1
-    elif isinstance(sys, Rotation):
-        growth = math.ceil(math.log2(horizon + 1)) + 1  # additive ulp drift
-    elif isinstance(sys, IntegerCircleMap):
-        growth = horizon * math.ceil(math.log2(abs(sys.a)))
-    else:
-        raise ValueError(f"no fixed-point orbit for {sys.describe()}")
-    return growth + GUARD_BITS
-
-
 @lru_cache(maxsize=16)
-def _fixed_point_constants(sys: SystemSpec, P: int, horizon: int
-                           ) -> tuple[int, int | None, int | None, list[int] | None]:
-    """(required bits, multiplier, shift, error table) of a fixed-point
-    orbit, built once per (sys, P, horizon), not once per sample: the
-    multiplier takes an mpmath float or an isqrt of a 2P-bit integer.
-
-    A beta-map's table holds err_ulp after k = 0..horizon steps while no step
-    has come near a branch end: beta < (multiplier + 1) / 2**P <= grow / 2**64
-    scales the error, and the truncated multiplier and product add one ulp
-    each, so e <- ceil(grow * e / 2**64) + 2. Entry k has about k * log2(beta)
-    bits, so the table takes about 0.05 * horizon**2 bytes for the golden
-    mean (2 KB at 200 steps, 1.2 MB at 5,000)."""
-    need = required_bits(sys, horizon)
-    if P < need:  # refused by the caller
-        return need, None, None, None
+def _quadratic_constants(sys: SystemSpec, P: int, horizon: int) -> tuple:
+    """(c0, c1, W, Q, P, S - 1, E, S - E) of one call's orbits, built once:
+    w**2 = c1 w + c0, W = floor(w * 2**Q), and y's scale S and bound E (see
+    ``FixedPointOrbit``). Q is 64 bits past g, where 2**(P + g) > |b| over
+    the horizon: |b| / 2**P = |x_n - x_n'| / (w - w'), x_n' the conjugate of
+    x_n, and for a beta-map |x_n'| <= M max(1, |w'|)**n with M = 1 +
+    floor(w) / |1 - |w'||, bounded for the golden mean (a Pisot number) and
+    growing by sqrt(k) a step for sqrt(k). A rotation's b is n * 2**P."""
     if isinstance(sys, BetaMap):
-        mult = sys.beta.scaled(P)
-        grow, err = -(-(mult + 1) >> (P - _W)), [1]  # X0 itself rounds the true point
-        for _ in range(horizon):
-            err.append(-((-grow * err[-1]) >> _W) + 2)
-        return need, mult, None, err
-    if isinstance(sys, Rotation):
-        return need, None, sys.alpha.scaled(P), None
-    return need, None, None, None
+        w, omega = float(sys.beta), sys.beta
+        c0, c1 = omega.quadratic()
+        lam = abs(c1 - w)
+        g = 1 + math.ceil(horizon * math.log2(max(1.0, lam))
+                          + math.log2((2 + math.floor(w) / abs(1 - lam)) / (2 * w - c1)))
+    elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
+        c0, c1, g, omega = None, None, horizon.bit_length(), sys.alpha
+    else:
+        raise ValueError(f"{sys.describe()} has no quadratic orbit")
+    Q = max(g, 0) + 64
+    W = omega.floor_of(0, 1 << Q, 1)
+    if c0 is None:  # c1 is W * 2**P; y = x * 2**(P + Q), within |b| < 2**(P + Q - 64)
+        return None, W << P, W, Q, P, (1 << (P + Q)) - 1, 1 << (P + Q - 64), None
+    e = (1 << (P - 64)) + 1  # y = x * 2**P, within |b| / 2**Q + 1
+    return c0, c1, W, Q, P, (1 << P) - 1, e, (1 << P) - e
 
 
 class FixedPointOrbit(_Stepped):
-    """Orbit of x ~ X0 / 2**P under a beta-map or rotation, with explicit
-    error accounting: ``err_ulp`` is an integer upper bound, in ulps of
-    2**-P, on the distance of X / 2**P from the true point. A rotation adds
-    one ulp a step; a beta-map reads its bound from the table of
-    ``_fixed_point_constants``. A beta step whose image is within that bound
-    of an integer may belong to the other branch, so from such a step on
-    (past step ``sure``) the bound is all of [0, 1).
-
-    Distances are integers over S = 2**P within 2 * err_ulp of the true
-    ones. ``_walk`` steps, measures and decides one table in one loop, and
-    ``_decisions`` several tables in one pass; an entry that the error
-    bound leaves open is computed again at 2P bits from the same start."""
+    """The exact orbit of x = X0 / 2**P under a beta-map x -> w x mod 1 or a
+    rotation x -> x + w mod 1, w an irrational quadratic integer: each point
+    is (a + b w) / 2**P with integers a and b. (The name is that of the
+    fixed-point orbit it replaced.) ``step`` maps (a, b) to (c0 b, a + c1 b),
+    takes floor(x) * 2**P from a, and returns y = a + floor(b W / 2**Q),
+    within E = S / 2**64 + 1 of x * S for S = 2**P; floor(x) is y's unless y
+    is within E of a multiple of S, where ``IrrationalConstant.floor_of``
+    takes it. A rotation adds 2**P to b and keeps only y in a, at
+    S = 2**(P + Q), y = S / 2 at x0. Distances S * d(T^n x, x), within
+    E, meet the band of ``Radii`` widened by E; an entry inside it is
+    decided from exact floors of the distances (``_floors``)."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
-        need, self._mult, self._shift, self._err = _fixed_point_constants(sys, P, horizon)
-        if P < need:
-            raise PrecisionBudgetError(need, P)
-        if self._mult is None and self._shift is None:
-            raise ValueError(f"no fixed-point orbit for {sys.describe()}")
-        self.sys = sys
-        self.P = P
-        self.horizon = horizon
-        self.S = 1 << P
-        self._mask = self.S - 1
+        self._k = _quadratic_constants(sys, P, horizon)
+        self.sys, self.P, self.horizon = sys, P, horizon
+        self._omega = sys.beta if isinstance(sys, BetaMap) else sys.alpha
         self._circle = uses_circle_metric(sys)
-        self.X0 = X0 % self.S
-        self.X = self.X0
-        self.step_count = 0
-        self.err_ulp = 1  # X0 itself rounds the true point
-        self.sure = horizon
+        self.S, self.E = self._k[5] + 1, self._k[6]
+        self.X0 = X0 % (1 << P)
+        self._a0 = self.S >> 1 if self._circle else self.X0  # a, and y, at x = x0
+        self.a, self.b = self._a0, 0
 
     def step(self) -> int:
-        k = self.step_count
-        if k >= self.horizon:
-            raise PrecisionBudgetError(required_bits(self.sys, k + 1), self.P)
-        self.step_count = k + 1
-        if self._mult is None:
-            self.X = X = (self.X + self._shift) & self._mask
-            self.err_ulp += 1
-        else:
-            self.X = X = ((self.X * self._mult) >> self.P) & self._mask
-            if self.err_ulp < self.S:
-                e = self._err[k + 1]
-                if X < e or X + e >= self.S:  # the true image may be across a branch end
-                    e, self.sure = self.S, k
-                self.err_ulp = e
-        return X
+        c0, c1, W, Q, P, mask, e, top = self._k
+        if c0 is None:
+            self.b += 1 << P
+            self.a = y = (self.a + c1) & mask
+            return y
+        a, b = c0 * self.b, self.a + c1 * self.b
+        y = a + ((b * W) >> Q)
+        m, r = y >> P, y & mask
+        if r < e or r > top:  # y is within e of an integer times 2**P
+            m = self._omega.floor_of(a, b, mask + 1)
+            r = y - (m << P)
+        if m:
+            a -= m << P
+        self.a, self.b = a, b
+        return r
 
-    def dist_to_start(self) -> int:
-        """S * d(T^k x, x) in the system's metric, as an integer, within
-        2 * err_ulp. Kept as the reference of the decision tests, which
-        rebuild each decision from it."""
-        if self._circle:
-            t = (self.X - self.X0) & self._mask
-            return min(t, self.S - t)
-        return abs(self.X - self.X0)
-
-    def _restart(self) -> None:
-        self.X, self.step_count, self.err_ulp, self.sure = self.X0, 0, 1, self.horizon
-
-    def _walk(self, n_hi: int, running_min: bool = False, radii=None,
-              stop: bool | None = None) -> tuple[list[int], list[bool]]:
-        """The loop of one table. From X0 again, it takes steps 1..n_hi and
-        the distances D = S * d_n, or their running minima, whose bound is
-        the latest since the bounds never shrink. From n = radii.n_lo on, it
-        decides D / S < r_n as ``Radii.decide`` does, for D within
-        2 * err_ulp, up to the first decision ``stop``. Returns the D before
-        n_lo (every D, without radii) and the decisions."""
-        S, X0, mask, circle, step = self.S, self.X0, self._mask, self._circle, self.step
-        self._restart()
-        n_lo = radii.n_lo if radii else n_hi + 1
-        lo, hi = radii.band(S) if radii else ((), ())
-        ds, out, D = [], [], S
+    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
+        """Each table's decisions from one walk that steps, measures and
+        decides up to each table's decision ``stop``. One table has its own
+        branch: the loop over tables costs 6-10% on mc-iterated's beta ops."""
+        radii = tables[0]
+        n_lo, n_hi = radii.n_lo, radii.n_hi
+        if n_hi > self.horizon:
+            raise ValueError(f"quadratic orbit built for {self.horizon} steps, not {n_hi}")
+        S, E, Y0, step = self.S, self.E, self._a0, self.step
+        self.a, self.b = self._a0, 0
+        (lo, hi), out, D, open_ = radii.band(S, E), [], S, None
+        if len(tables) > 1:
+            open_ = [(*radii.band(S, E), [], radii) for radii in tables]
+            decisions = [t[2] for t in open_]
         for n in range(1, n_hi + 1):
-            X = step()
-            d = min((X - X0) & mask, (X0 - X) & mask) if circle else abs(X - X0)
+            d = abs(step() - Y0)
             if running_min:
                 d = D = d if d < D else D
             if n < n_lo:
-                ds.append(d)
                 continue
-            i, e = n - n_lo, self.err_ulp << 1
-            out.append(hit := d + e < lo[i] or (d - e <= hi[i] and radii.settle(
-                i, d, S, e, lambda i: self._refine(radii, i, running_min))))
-            if hit is stop:
-                break
-        return ds, out
-
-    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
-        """Each table's decisions from one walk. Several tables are decided
-        at each step, as ``_walk`` decides one, until each has had its
-        decision ``stop``. One table takes ``_walk`` itself: the loop over
-        the tables would cost it every step (6-10% on the beta ops of the
-        mc-iterated benchmark)."""
-        if len(tables) == 1:
-            return [self._walk(tables[0].n_hi, running_min, tables[0], stop)[1]]
-        S, X0, mask, circle, step = self.S, self.X0, self._mask, self._circle, self.step
-        n_lo, n_hi = tables[0].n_lo, tables[0].n_hi
-        ds, _ = self._walk(n_lo - 1, running_min)
-        D = ds[-1] if ds else S
-        open_ = [(*radii.band(S), [], radii) for radii in tables]
-        decisions = [out for _, _, out, _ in open_]
-        for i in range(n_hi - n_lo + 1):
-            X = step()
-            d = min((X - X0) & mask, (X0 - X) & mask) if circle else abs(X - X0)
-            if running_min:
-                d = D = d if d < D else D
-            e = self.err_ulp << 1
+            i = n - n_lo
+            if open_ is None:
+                out.append(hit := d < lo[i] or (d <= hi[i] and radii.settle(
+                    i, d, S, E, self._floors(n, d, running_min))))
+                if hit is stop:
+                    break
+                continue
             for lo, hi, out, radii in open_:
-                out.append(hit := d + e < lo[i] or (d - e <= hi[i] and radii.settle(
-                    i, d, S, e, lambda i: self._refine(radii, i, running_min))))
+                out.append(hit := d < lo[i] or (d <= hi[i] and radii.settle(
+                    i, d, S, E, self._floors(n, d, running_min))))
                 if hit is stop:  # the loop goes on over the old list
                     open_ = [t for t in open_ if t[2] is not out]
             if not open_:
                 break
-        return decisions
+        return [out] if open_ is None else decisions
 
-    def _refine(self, radii, i: int, running_min: bool) -> bool | None:
-        """Entry i of ``radii`` at 2P bits."""
-        fine = self._fine()
-        ds, _ = fine._walk(radii.n_lo + i, running_min)
-        return radii.resolve(i, ds[-1], fine.S, 2 * fine.err_ulp)
+    def _floor_at(self) -> Callable[[int], int]:
+        """T -> floor(d(x, x_0) * T) exactly, x the point: d = (A + B w) / 2**P."""
+        unit, floor_of = 1 << self.P, self._omega.floor_of
+        A, B = 0 if self._circle else self.a - self.X0, self.b
+        if self._circle:  # (x - x_0) mod 1 = (b w / 2**P) mod 1, folded at 1/2
+            A -= floor_of(A, B, unit) * unit
+            if floor_of(2 * A, 2 * B, unit):
+                A, B = unit - A, -B
+        elif floor_of(A, B, unit) < 0:
+            A, B = -A, -B
+        return lambda T: floor_of(A * T, B * T, unit)
 
-    def _fine(self) -> FixedPointOrbit:
-        """The orbit of the same start at 2P bits."""
-        return FixedPointOrbit(self.sys, self.X0 << self.P, 2 * self.P, self.horizon)
+    def _floors(self, n: int, D: int, running_min: bool) -> Iterator[Callable[[int], int]]:
+        """``_floor_at`` of the points j whose d_j may decide entry n: j = n,
+        or for a running minimum D each j <= n with floor(d_j * S) <= D + E,
+        as the j of the minimum has. A twin of the orbit walks them again."""
+        twin = FixedPointOrbit(self.sys, self.X0, self.P, self.horizon)
+        for j in range(1, n + 1):
+            twin.step()
+            if (running_min or j == n) and (floor_at := twin._floor_at())(self.S) <= D + self.E:
+                yield floor_at
 
     def distances(self, n_hi: int) -> np.ndarray:
-        """d(T^n x, x) for n = 1..n_hi, each within 2 * err_ulp / S. If a step
-        is near a branch end (``sure`` < n_hi), they are taken at 2P bits; a
-        sample still unsure there raises PrecisionBudgetError."""
-        orbit = self
-        ds, _ = orbit._walk(n_hi)
-        if orbit.sure < n_hi:
-            orbit = self._fine()
-            ds, _ = orbit._walk(n_hi)
-            if orbit.sure < n_hi:
-                raise PrecisionBudgetError(2 * orbit.P, orbit.P)
-        S = orbit.S
-        return np.fromiter((D / S for D in ds), float, n_hi)
+        """d(T^n x, x) for n = 1..n_hi, correctly rounded: (D - E) / S where
+        (D + E) / S rounds alike, else floor(d * T) / T at a T that grows
+        until (floor(d * T) + 1) / T rounds alike too, as it does for an
+        irrational d (b != 0; a beta-map's d is |a - X0| / 2**P if b = 0)."""
+        if n_hi > self.horizon:
+            raise ValueError(f"quadratic orbit built for {self.horizon} steps, not {n_hi}")
+        S, E, self.a, self.b, out = self.S, self.E, self._a0, 0, []
+        for _ in range(n_hi):
+            D = abs(self.step() - self._a0)
+            if (x := (D - E) / S) != (D + E) / S:
+                floor_at, T = self._floor_at(), 1 << 64
+                while self.b and (F := floor_at(T)) / T != (F + 1) / T:
+                    T *= T
+                x = F / T if self.b else abs(self.a - self.X0) / (1 << self.P)
+            out.append(x)
+        return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +556,10 @@ class DyadicOrbitView:
         mask = hit != (v <= hi)
         if not mask.any():  # the common case: no entry to look up
             return hit[self._rows]
-        gray = np.argwhere(mask)
-        radii.gray += len(gray)
-        for row, i in gray:
+        for row, i in np.argwhere(mask):
             n = radii.n_lo + int(i)
             d = min(self.exact_dist(int(j), int(row)) for j in candidates(row, n, i))
-            hit[row, i] = radii.resolve(int(i), d.numerator, d.denominator)
+            hit[row, i] = radii.settle(int(i), d.numerator, d.denominator)
         return hit[self._rows]
 
 
@@ -641,18 +583,19 @@ def orbit_backend(sys: SystemSpec, horizon: int
     """The one dispatch on the system type for the Monte Carlo experiments:
     returns ``start``, where ``start(master_seed, index)`` is the orbit of
     that sample over ``horizon`` steps. The doubling map draws
-    ``sample_bits(seed, i, horizon + 64)``, beta-maps
-    P = max(256, ceil(horizon * log2 beta) + 128) bits, and exact systems
-    ``sample_bits(seed, i * d + c, P)`` for coordinate c, P from ``_lattice``."""
+    ``sample_bits(seed, i, horizon + 64)``, irrational beta-maps
+    P = max(256, ceil(horizon * log2 beta) + 128) bits, irrational rotations
+    256, and exact systems ``sample_bits(seed, i * d + c, P)`` for coordinate
+    c, P from ``_lattice``."""
     if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = horizon + GUARD_BITS
+        P = horizon + _W
         return lambda seed, i: DyadicOrbitView(sample_bits(seed, i, P), P, horizon)
-    if isinstance(sys, BetaMap):
-        P = max(256, math.ceil(horizon * math.log2(float(sys.beta))) + 2 * GUARD_BITS)
+    if isinstance(sys, BetaMap) and sys.beta.exact() is None:
+        P = max(256, math.ceil(horizon * math.log2(float(sys.beta))) + 2 * _W)
     elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
-        P = max(256, required_bits(sys, horizon))
+        P = 256
     else:
-        P, S, walk = _lattice(sys, horizon)
+        P, S, walk = _lattice(sys.as_piecewise() if isinstance(sys, BetaMap) else sys, horizon)
         unit, d = S >> P, sys.d
 
         def start(seed: int, i: int) -> LatticeOrbit:
@@ -672,10 +615,7 @@ def write_orbit_csv(fileobj, sys: SystemSpec, x, n: int) -> int:
     writer.writerow(["step", "point", "dist_to_start"])
     points = list(islice(_exact_orbit(sys, x), n + 1))
     for k, pt in enumerate(points):
-        if isinstance(sys, ToralLinear):
-            rendered = ";".join(f"{float(v):.15g}" for v in pt)
-        else:
-            rendered = f"{float(pt):.15g}"
+        coords = pt if isinstance(sys, ToralLinear) else (pt,)
         d = float(point_distance(sys, pt, points[0]))
-        writer.writerow([k, rendered, f"{d:.15g}"])
+        writer.writerow([k, ";".join(f"{float(v):.15g}" for v in coords), f"{d:.15g}"])
     return n + 1

@@ -33,13 +33,13 @@ class NonExpandingSystemError(RecurlabError):
 
 
 class PrecisionBudgetError(RecurlabError):
-    def __init__(self, required_bits: int, available_bits: int):
-        self.required_bits = required_bits
+    def __init__(self, needed_bits: int, available_bits: int):
+        self.needed_bits = needed_bits
         self.available_bits = available_bits
         super().__init__(
-            f"orbit needs {required_bits} fractional bits to stay accurate "
+            f"orbit needs {needed_bits} fractional bits to stay accurate "
             f"(have {available_bits}); the bits follow the horizon, so shorten it "
-            f"(rio --N, ear --M-horizon, orbit --checkpoints) or draw other samples (--seed)"
+            f"(rio --N, ear --M-horizon, orbit --checkpoints)"
         )
 
 

@@ -173,17 +173,17 @@ class Radii:
     E / S of the true distance. Step one is a float band: ``approx`` is
     within a relative _REL of r_n (libm's error is below 1e-14), so D + E
     under the band's low end is a hit and D - E over its high end a miss.
-    Step two, ``settle``, resolves the few entries inside the band exactly,
-    against ``scaled_radius``; mpmath runs only for those. Exact distances
-    take ``decide``; the fixed-point loop reads ``band(S)`` itself. Each
-    table counts its ``gray`` entries, the ``mp`` resolutions among them,
-    and the entries left ``undecided`` by a fixed-point error bound, which
-    read as misses."""
+    Step two, ``settle``, decides the few entries inside the band exactly:
+    against ``scaled_radius`` when E leaves no doubt, else from exact floors
+    of the distance at growing scales; mpmath runs only for those. Exact
+    distances take ``decide``; the quadratic orbits' loop reads
+    ``band(S, E)`` itself. Each table counts its ``gray`` entries and the
+    ``mp`` resolutions among them."""
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
         self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi
-        self.gray = self.mp = self.undecided = 0
-        self._bands: dict[int, tuple[list, list]] = {}
+        self.gray = self.mp = 0
+        self._bands: dict[tuple[int, int], tuple[list, list]] = {}
 
     @cached_property
     def approx(self) -> list[float]:
@@ -214,31 +214,31 @@ class Radii:
         return (np.clip(lo - _SLACK, 0, top).astype(np.uint64),
                 np.clip(hi + _SLACK, 0, top).astype(np.uint64))
 
-    def band(self, S: int) -> tuple[list, list]:
-        """floor(lo_i * S) and floor(hi_i * S), built once per S: an integer
-        below the first is below r_n * S, one above the second is not."""
-        if S not in self._bands:
-            self._bands[S] = tuple([_floor_scaled(x, S) for x in b.tolist()]
-                                   for b in self.bounds)
-        return self._bands[S]
+    def band(self, S: int, E: int = 0) -> tuple[list, list]:
+        """floor(lo_i * S) - E and floor(hi_i * S) + E, built once per
+        (S, E): an integer within E of d * S that is below the first has
+        d < r_n, one above the second has not."""
+        if (S, E) not in self._bands:
+            lo, hi = ([_floor_scaled(x, S) for x in b.tolist()] for b in self.bounds)
+            self._bands[S, E] = ([v - E for v in lo], [v + E for v in hi]) if E else (lo, hi)
+        return self._bands[S, E]
 
     def decide(self, ds: Iterable[int], S: int) -> Iterator[bool]:
         """Lazily, d_n < r_n for n = n_lo, n_lo + 1, ... and the exact
         integer distances D = S * d_n of ``ds``."""
         lo, hi = self.band(S)
         for i, D in enumerate(ds):
-            yield D < lo[i] or (D <= hi[i] and self.settle(i, D, S, 0, None))
+            yield D < lo[i] or (D <= hi[i] and self.settle(i, D, S))
 
-    def settle(self, i: int, D: int, S: int, E: int, refine: Callable | None) -> bool:
-        """One entry inside the band: counted, resolved, handed to
-        ``refine(i)`` if E leaves it open, and counted if still open."""
+    def settle(self, i: int, D: int, S: int, E: int = 0,
+               floors: Iterable[Callable[[int], int]] = ()) -> bool:
+        """One entry inside the band, counted and decided: by ``resolve`` if
+        E leaves no doubt (always when D is exact, E = 0), else exactly from
+        ``floors``, functions S' -> floor(d * S') of distances d one of
+        which is below r_n exactly when the entry is a hit."""
         self.gray += 1
         hit = self.resolve(i, D, S, E)
-        if hit is None and refine is not None:
-            hit = refine(i)
-        if hit is None:
-            self.undecided += 1
-        return bool(hit)
+        return hit if hit is not None else any(self._floor_below(i, f) for f in floors)
 
     def resolve(self, i: int, D: int, S: int, E: int = 0) -> bool | None:
         """d < r_n exactly (n = n_lo + i) for a distance d within E / S of
@@ -248,6 +248,19 @@ class Radii:
             self.mp += 1
         t = scaled_radius(self.seq, n, S)
         return True if D + E <= t else False if D - E > t else None
+
+    def _floor_below(self, i: int, floor_at: Callable[[int], int]) -> bool:
+        """d < r_n from floor_at(S) = floor(d * S): at S = r_n's denominator
+        if r_n is rational, else at S = 2**64, 2**128, 2**256, ... until
+        floor(d * S) and floor(r_n * S) differ, which ends unless d = r_n."""
+        n = self.n_lo + i
+        r = self.seq.exact(n)
+        if r is not None:
+            return floor_at(r.denominator) < r.numerator
+        S = 1 << 64
+        while (F := floor_at(S)) == (t := scaled_radius(self.seq, n, S)):
+            S *= S
+        return F < t
 
 
 def _sample_start(start, master_seed: int, index: int):

@@ -1,13 +1,14 @@
 """Dynamical system definitions shared by the exact, spectral and orbit modules.
 
 A system is a small immutable description; the heavy machinery (exact set
-construction, Ulam matrices, precision-budgeted orbits) lives elsewhere and
-dispatches on these types.
+construction, Ulam matrices, exact orbits) lives elsewhere and dispatches on
+these types.
 
-Irrational constants (the golden ratio, rotation angles) are stored
+Irrational constants (the golden ratio, square roots) are stored
 symbolically and rendered on demand either as mpmath values at the current
-working precision or as exact floor(value * 2**P) integers for fixed-point
-orbit arithmetic, so no precision is baked in at construction time.
+working precision or as exact integer floors of (a + b * value) / den, which
+the exact orbits of beta-maps and rotations step with, so no precision is
+baked in at construction time.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ from .errors import ConfigError, NonExpandingSystemError
 from .number_theory import mat_det
 
 
-def _scaled_sqrt(k: int, P: int) -> int:
-    """floor(sqrt(k) * 2**P) exactly, for integer k >= 0."""
-    return math.isqrt(k << (2 * P))
-
-
 class IrrationalConstant:
-    """A positive real constant with exact fixed-point rendering.
+    """A positive real constant with exact integer floors.
 
     ``kind`` is one of:
-      - "rational": value = frac
+      - "rational": value = frac (decimal literals parse to this, exactly)
       - "quadratic": value = (p + q*sqrt(s)) / t with integer p, q >= 0, s, t
-      - "decimal": value parsed from a decimal literal (exact as a Fraction)
     """
 
     __slots__ = ("kind", "params", "label")
@@ -72,13 +67,25 @@ class IrrationalConstant:
             return Fraction(p + q * r, t)
         return None
 
-    def scaled(self, P: int) -> int:
-        """floor(value * 2**P) exactly."""
-        e = self.exact()
-        if e is not None:
-            return (e.numerator << P) // e.denominator
+    def quadratic(self) -> tuple[int, int]:
+        """(c0, c1) with value**2 = c1 * value + c0 in integers, for an
+        irrational value that is an algebraic integer, as the golden mean
+        and every sqrt(k) are; ValueError for any other value."""
+        if self.exact() is None:
+            p, q, s, t = self.params
+            c1, c0 = Fraction(2 * p, t), Fraction(q * q * s - p * p, t * t)
+            if c1.denominator == c0.denominator == 1:
+                return int(c0), int(c1)
+        raise ValueError(f"{self.label} is not an irrational quadratic integer")
+
+    def floor_of(self, a: int, b: int, den: int) -> int:
+        """floor((a + b * value) / den) exactly, for integers a, b, den > 0
+        and an irrational value: (u + v sqrt(s)) / (t den) has the floor of
+        (u + floor(v sqrt(s))) / (t den), and floor(v sqrt(s)) is an isqrt."""
         p, q, s, t = self.params
-        return ((p << P) + q * _scaled_sqrt(s, P)) // t
+        u, v = t * a + p * b, q * b
+        r = math.isqrt(v * v * s)
+        return (u + (r if v >= 0 else -r - 1)) // (t * den)
 
     def mp(self):
         e = self.exact()
@@ -237,6 +244,16 @@ class BetaMap:
     @property
     def d(self) -> int:
         return 1
+
+    def as_piecewise(self) -> PiecewiseLinear:
+        """The map for a rational beta: branches x -> beta x - k on
+        [k / beta, (k + 1) / beta), the last one ending at 1."""
+        beta = self.beta.exact()
+        if beta is None:
+            raise ValueError(f"{self.describe()} has no piecewise-affine form: beta is irrational")
+        ends = [k / beta for k in range(math.ceil(beta))] + [Fraction(1)]
+        return PiecewiseLinear(tuple(Branch(lo, hi, beta, Fraction(-k))
+                                     for k, (lo, hi) in enumerate(zip(ends, ends[1:]))))
 
     def describe(self) -> str:
         return f"beta:{self.beta.label}"

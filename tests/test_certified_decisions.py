@@ -1,5 +1,5 @@
 """Certified hit/miss decisions: the float band of ``Radii``, its exact
-resolution, the fixed-point error bound, and the counters they keep."""
+resolution, the exact quadratic orbits against mpmath, and the counters."""
 
 import math
 from fractions import Fraction
@@ -10,18 +10,15 @@ import numpy as np
 import pytest
 
 from recurlab import experiments
-from recurlab.circle import ExplicitTable, PowerLaw
+from recurlab.circle import ExplicitTable, PowerLaw, RadiusSequence
 from recurlab.cli import parse_sequence, parse_system
-from recurlab.errors import PrecisionBudgetError
 from recurlab.dynamics import (
     DyadicOrbitView,
     ExactOrbit,
     FixedPointOrbit,
     LatticeOrbit,
-    _fixed_point_constants,
     _lattice,
     orbit_backend,
-    required_bits,
     sample_bits,
 )
 from recurlab.experiments import (
@@ -70,7 +67,7 @@ class TestTiesAtTheFloor:
                     .below(Radii(seq, 2, 2))) == [True]
 
 
-class TestFixedPointCertified:
+class TestQuadraticOrbits:
     @staticmethod
     def exact_distances(beta: Fraction, x0: Fraction, N: int) -> list[Fraction]:
         """d(T^n x, x), n = 1..N, for x -> beta x mod 1 in Fractions."""
@@ -87,6 +84,7 @@ class TestFixedPointCertified:
         start = orbit_backend(beta, N)
         for i in range(3):
             orbit = start(61, i)
+            assert isinstance(orbit, LatticeOrbit)
             d = self.exact_distances(Fraction(5, 2), Fraction(orbit.X0, orbit.S), N)
             rho = list(accumulate(d, min))
             for spec in ("powerlaw:1,1", "powerlaw:1/2,1"):
@@ -96,26 +94,12 @@ class TestFixedPointCertified:
                 assert got == [v < seq.exact(n) for n, v in enumerate(d, 1)]
                 assert list(orbit.min_below(radii)) == [
                     v < seq.exact(n) for n, v in enumerate(rho, 1)]
-                assert (radii.gray, radii.undecided) == (0, 0)
+                assert radii.gray == 0
             assert any(got) and not all(got)
 
-    def test_entries_inside_the_error_bound_are_computed_again(self):
-        # r_n half an ulp of 2**-P above d_n is a hit that only 2P bits can
-        # show; r_n = d_n is a tie no precision decides: counted, a miss
-        beta, N, P = parse_system("beta:5/2"), 40, 256
-        X0 = sample_bits(62, 0, P)
-        d = TestFixedPointCertified.exact_distances(Fraction(5, 2), Fraction(X0, 1 << P), N)
-        half_ulp = Fraction(1, 1 << (P + 1))
-        radii = Radii(ExplicitTable(tuple(v + (n % 2) * half_ulp for n, v in enumerate(d, 1))),
-                      1, N)
-        assert list(FixedPointOrbit(beta, X0, P, N).below(radii)) == [
-            n % 2 == 1 for n in range(1, N + 1)]
-        assert radii.gray == N
-        assert radii.undecided == N // 2
-
     def test_irrational_rotation_equals_the_exact_orbit_where_decidable(self):
-        # golden-mean rotation: the float decision and the certified one
-        # agree on seeded samples, with no entry left open
+        # golden-mean rotation: the float decision and the exact one agree on
+        # seeded samples
         rot, N = Rotation("golden"), 300
         start = orbit_backend(rot, N)
         seq = parse_sequence("powerlog:1,2")
@@ -124,15 +108,25 @@ class TestFixedPointCertified:
             orbit = start(63, i)
             got = list(orbit.below(radii))
             assert got == [d < r for d, r in zip(orbit.distances(N), radii.approx)]
-        assert radii.undecided == 0
 
-    def test_distance_is_an_integer_in_the_system_metric(self):
+    def test_exact_distance_is_in_the_system_metric(self):
+        unit = 1 << 128
         beta = FixedPointOrbit(BetaMap("golden"), 1, 128, horizon=1)
-        beta.X = (1 << 128) - 1
-        assert beta.dist_to_start() == (1 << 128) - 2  # interval: the far end
+        beta.a = unit - 1  # x = 1 - 2**-128 and x0 = 2**-128
+        assert beta._floor_at()(unit) == unit - 2  # interval: the far end
         rot = FixedPointOrbit(Rotation("golden"), 1, 128, horizon=1)
-        rot.X = (1 << 128) - 1
-        assert rot.dist_to_start() == 2  # circle: across 0
+        rot.step()  # x - x0 = w - 1 = 0.618..., which is 2 - w = 0.381... around the circle
+        T = 1 << 400
+        assert rot._floor_at()(T) == 3 * T // 2 - math.isqrt(5 * T * T // 4) - 1  # T (3 - sqrt 5) / 2
+
+    def test_walks_refuse_to_run_past_the_horizon(self):
+        orbit = FixedPointOrbit(BetaMap("golden"), 12345, 256, horizon=2)
+        seq = parse_sequence("powerlaw:1,1")
+        for run in (lambda: orbit.below(Radii(seq, 1, 3)), lambda: orbit.distances(3),
+                    lambda: orbit._decisions([Radii(seq, 1, 3)] * 2, False)):
+            with pytest.raises(ValueError):
+                run()
+        assert list(orbit.below(Radii(seq, 1, 2))) == [True, True]  # x0 is tiny, and so d_n
 
 
 def test_lattice_rotation_with_an_irrational_radius_equals_the_exact_orbit():
@@ -164,7 +158,7 @@ class TestCounters:
             for j, h in enumerate(block.any_below_each(tables)):
                 hits[j] += int(h.sum())
         assert 0 < hits[1] < hits[0] < M
-        assert all((r.gray, r.mp, r.undecided) == (0, 0, 0) for r in tables)
+        assert all((r.gray, r.mp) == (0, 0) for r in tables)
 
     def test_all_gray_table_is_counted(self):
         # the table of test_gray_band_decided_row_by_row: every entry of the
@@ -178,7 +172,7 @@ class TestCounters:
         radii = Radii(ExplicitTable(tuple(v + (n % 2) * ulp for n, v in enumerate(d, 1))), 1, N)
         block.below(radii)
         assert radii.gray >= 6 * N
-        assert (radii.mp, radii.undecided) == (0, 0)
+        assert radii.mp == 0
 
     def test_only_the_gray_row_is_looked_up(self):
         # r_n half an ulp of 2**-P above d_n of row 2 on odd n, equal on even
@@ -194,7 +188,7 @@ class TestCounters:
             assert block.below(radii).tolist() == [
                 [below_by_mpmath(block.exact_dist(n, row), seq, n) for n in range(1, N + 1)]
                 for row in range(rows)]
-            assert (radii.gray, radii.mp, radii.undecided) == (gray, 0, 0)
+            assert (radii.gray, radii.mp) == (gray, 0)
 
 
 def test_dichotomy_draws_each_sample_once(monkeypatch):
@@ -252,126 +246,177 @@ def test_dichotomy_rejects_an_empty_window():
                       10, 5, 100)
 
 
-def test_beta_step_at_a_branch_end_is_not_certified():
-    # golden mean, P = 201, x = ceil(2**P / beta) / 2**P: beta x is 1 plus
-    # about 2**-202, so T x is tiny and d_1 = x = 0.618..., but the truncated
-    # multiplier lands just below 1 and the fixed-point d_1 reads 0.381...
-    golden, P = BetaMap("golden"), 201
-    with mpmath.workprec(1000):
-        beta = (1 + mpmath.sqrt(5)) / 2
-        X0 = int(mpmath.ceil(mpmath.mpf(2) ** P / beta))
-        assert 0 < beta * X0 - mpmath.mpf(2) ** P < 1
-    orbit = FixedPointOrbit(golden, X0, P, 5)
-    orbit.step()
-    assert abs(Fraction(orbit.dist_to_start(), 1 << P) - Fraction(X0, 1 << P)) > 0.2
-    assert orbit.sure == 0 and Fraction(2 * orbit.err_ulp, orbit.S) >= 1
-    radii = Radii(ExplicitTable((Fraction(1, 2),) * 5), 1, 5)
-    assert list(orbit.below(radii)) == [False] * 5  # 0.618... is not below 1/2
-    assert radii.gray == 5 and radii.undecided == 0
-
-
 def golden_branch_end(P: int) -> int:
     """ceil(2**P / beta) for the golden mean beta: beta x is just above 1."""
     with mpmath.workprec(4 * P):
         return int(mpmath.ceil(mpmath.mpf(2) ** P * 2 / (1 + mpmath.sqrt(5))))
 
 
-def test_beta_distances_past_a_branch_end_are_computed_again():
-    # P bits read d_1 = 0.381... and d_2 = 9.3e-61; the orbit is x, then
-    # points below 2**-197, so every d_n is x = 0.618... to within 2**-197
-    d = FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, 5).distances(3)
-    assert d.tolist() == pytest.approx([(math.sqrt(5) - 1) / 2] * 3, abs=1e-15)
+def test_beta_step_at_a_branch_end_takes_the_right_branch():
+    # golden mean, P = 201, x = ceil(2**P / beta) / 2**P: beta x is 1 plus
+    # about 2**-202, so T x is tiny and d_1 = x = 0.618...; the Q-bit
+    # multiplier reads it within |b| of 1, and the exact floor picks branch 1
+    golden, P = BetaMap("golden"), 201
+    X0 = golden_branch_end(P)
+    with mpmath.workprec(1000):
+        beta = (1 + mpmath.sqrt(5)) / 2
+        assert 0 < beta * X0 - mpmath.mpf(2) ** P < 1
+    orbit = FixedPointOrbit(golden, X0, P, 5)
+    orbit.step()
+    assert (orbit.a, orbit.b) == (-(1 << P), X0)  # x_1 = (X0 beta - 2**P) / 2**P
+    assert orbit.distances(3).tolist() == pytest.approx([(math.sqrt(5) - 1) / 2] * 3, abs=1e-15)
+    radii = Radii(ExplicitTable((Fraction(1, 2),) * 5), 1, 5)
+    assert list(orbit.below(radii)) == [False] * 5  # 0.618... is not below 1/2
+    assert radii.gray == 0
 
 
-def test_beta_distances_still_unsure_at_twice_the_bits_raise(monkeypatch):
-    # stands in for a start that 2P bits do not settle either
-    monkeypatch.setattr(FixedPointOrbit, "_fine", lambda self: FixedPointOrbit(
-        self.sys, self.X0, self.P, self.horizon))
-    with pytest.raises(PrecisionBudgetError):
-        FixedPointOrbit(BetaMap("golden"), golden_branch_end(201), 201, 5).distances(3)
+def test_periodic_golden_start_returns_exactly():
+    # x0 = 1/2 -> beta/2 -> (beta - 1)/2 -> 1/2 under the golden mean: the
+    # third point is dyadic again (b = 0), so d_3 = d_6 = 0 exactly
+    P = 256
+    orbit = FixedPointOrbit(BetaMap("golden"), 1 << (P - 1), P, 6)
+    d = orbit.distances(6)
+    assert (orbit.a, orbit.b) == (1 << (P - 1), 0)
+    with mpmath.workprec(200):  # correctly rounded
+        assert d.tolist() == [float((mpmath.sqrt(5) - 1) / 4),
+                              float((3 - mpmath.sqrt(5)) / 4), 0.0] * 2
+    radii = Radii(ExplicitTable((Fraction(1, 10 ** 30),) * 6), 1, 6)
+    assert list(orbit.below(radii)) == [False, False, True] * 2
+    assert list(orbit.min_below(radii)) == [False, False, True, True, True, True]
 
 
 # ---------------------------------------------------------------------------
-# The fixed-point decision loop against a step-by-step reference
+# Quadratic orbits against an mpmath orbit
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("double", (False, True))
-def test_error_table_is_the_step_recurrence(double):
-    # P > 1024 bits, and 2P as for the entries computed again
-    golden, N = BetaMap("golden"), 2000
-    P = required_bits(golden, N) * (2 if double else 1)
-    assert P > 1024
-    table = _fixed_point_constants(golden, P, N)[3]
-    grow = math.ceil(Fraction(golden.beta.scaled(P) + 1, 1 << (P - 64)))
-    want = [1]
-    for _ in range(N):
-        want.append(math.ceil(Fraction(grow * want[-1], 1 << 64)) + 2)
-    assert table == want
-    # steps read it while no step comes near a branch end
-    orbit = FixedPointOrbit(golden, sample_bits(11, 0, P), P, N)
-    for k in range(1, N + 1):
-        orbit.step()
-        assert orbit.err_ulp == want[k] and orbit.sure == N
+QUADRATIC = ("beta:golden", "beta:sqrt2", "beta:sqrt3", "rotation:golden", "rotation:sqrt2")
 
 
-def stepped_pairs(sys, X0: int, P: int, N: int, running_min: bool) -> list[tuple[int, int]]:
-    """(D, 2 * err_ulp) after each of N steps, from ``step`` and
-    ``dist_to_start``; a running minimum takes the latest bound."""
-    orbit, pairs = FixedPointOrbit(sys, X0, P, N), []
-    for _ in range(N):
-        orbit.step()
-        d = orbit.dist_to_start()
-        pairs.append((min(d, pairs[-1][0]) if running_min and pairs else d, 2 * orbit.err_ulp))
-    return pairs
-
-
-def stepped_reference(sys, X0: int, P: int, radii: Radii, running_min: bool) -> list[bool]:
-    """d_n < r_n (or min_{j <= n} d_j < r_n) from ``stepped_pairs`` and
-    ``Radii.resolve``: the band's gray entries counted, resolved at P bits,
-    else at 2P bits, else counted undecided."""
-    S, (lo, hi) = 1 << P, radii.band(1 << P)
-    coarse = stepped_pairs(sys, X0, P, radii.n_hi, running_min)[radii.n_lo - 1:]
-    fine = stepped_pairs(sys, X0 << P, 2 * P, radii.n_hi, running_min)[radii.n_lo - 1:]
-    out = []
-    for i, ((D, e), (D2, e2)) in enumerate(zip(coarse, fine)):
-        if D + e < lo[i] or D - e > hi[i]:
-            out.append(D + e < lo[i])
-            continue
-        radii.gray += 1
-        hit = radii.resolve(i, D, S, e)
-        if hit is None:
-            hit = radii.resolve(i, D2, S << P, e2)
-        radii.undecided += hit is None
-        out.append(bool(hit))
+def mp_distances(sys, X0: int, P: int, N: int) -> list:
+    """d(T^n x, x), n = 1..N, for x = X0 / 2**P, by mpmath at 3000 bits: a
+    step loses at most log2(beta) < 1 bit."""
+    beta = isinstance(sys, BetaMap)
+    with mpmath.workprec(3000):
+        w = (sys.beta if beta else sys.alpha).mp()
+        x0 = mpmath.ldexp(X0, -P)
+        x, out = x0, []
+        for _ in range(N):
+            x = x * w if beta else x + w
+            x -= mpmath.floor(x)
+            t = x - x0 if beta else (x - x0) % 1
+            out.append(abs(t) if beta else min(t, 1 - t))
     return out
 
 
-def loop_cases():
-    """(system, start, P, N): seeded samples, and on the golden mean a start
-    at a branch end, which leaves every entry to 2P bits."""
-    N = 40
-    for spec in ("beta:golden", "beta:sqrt2", "beta:5/2", "rotation:golden"):
-        start = orbit_backend(parse_system(spec), N)
+def mp_below(ds: list, seq, n_lo: int) -> list[bool]:
+    """d_n < r_n at 3000 bits, n = n_lo, n_lo + 1, ..."""
+    with mpmath.workprec(3000):
+        return [d < seq.mp(n) for n, d in enumerate(ds[n_lo - 1:], n_lo)]
+
+
+def running_min(ds: list) -> list:
+    with mpmath.workprec(3000):
+        return list(accumulate(ds, min))
+
+
+def quadratic_cases():
+    """(spec, X0, P): seeded samples, and on the golden mean a start at a
+    branch end."""
+    for spec in QUADRATIC:
+        start = orbit_backend(parse_system(spec), 60)
         for i in range(3):
             orbit = start(65, i)
-            yield parse_system(spec), orbit.X0, orbit.P, N
-    yield BetaMap("golden"), golden_branch_end(201), 201, N
+            yield spec, orbit.X0, orbit.P
+    yield "beta:golden", golden_branch_end(201), 201
 
 
-@pytest.mark.parametrize("sys, X0, P, N", list(loop_cases()))
-def test_decision_loop_equals_the_stepped_reference(sys, X0, P, N):
-    tables = [("powerlog:1,2", 1), ("powerlaw:1/2,1", 5), (QUARTER_ROOT, 1)]
-    for running_min in (False, True):
-        # radii just past each D plus the bound at n = 3: only that step's
-        # bound decides them at P bits, and the later ones go to 2P bits
-        pairs = stepped_pairs(sys, X0, P, N, running_min)
-        tight = ExplicitTable(tuple(Fraction(D + pairs[2][1] + 1, 1 << P) for D, _ in pairs))
-        for seq, n_lo in [(parse_sequence(s), k) for s, k in tables] + [(tight, 3)]:
-            got, want = Radii(seq, n_lo, N), Radii(seq, n_lo, N)
-            orbit = FixedPointOrbit(sys, X0, P, N)
-            decided = orbit.min_below(got) if running_min else orbit.below(got)
-            assert list(decided) == stepped_reference(sys, X0, P, want, running_min)
-            assert (got.gray, got.mp, got.undecided) == (want.gray, want.mp, want.undecided)
+@pytest.mark.parametrize("spec, X0, P", list(quadratic_cases()))
+def test_quadratic_orbit_equals_an_mpmath_orbit(spec, X0, P):
+    # distances within E of the mpmath ones and correctly rounded, and every
+    # decision as the mpmath distances decide it
+    sys, N = parse_system(spec), 60
+    ds = mp_distances(sys, X0, P, N)
+    orbit = FixedPointOrbit(sys, X0, P, N)
+    with mpmath.workprec(3000):
+        assert all(abs(abs(orbit.step() - orbit._a0) - d * orbit.S) <= orbit.E for d in ds)
+        assert orbit.distances(N).tolist() == [float(d) for d in ds]
+    for spec_r, n_lo in (("powerlog:1,2", 1), ("powerlaw:1/2,1", 5), (QUARTER_ROOT, 1)):
+        seq = parse_sequence(spec_r)
+        assert list(orbit.below(Radii(seq, n_lo, N))) == mp_below(ds, seq, n_lo)
+        assert list(orbit.min_below(Radii(seq, n_lo, N))) == mp_below(running_min(ds), seq, n_lo)
+
+
+class NearRadius(RadiusSequence):
+    """r_n = (F_n + sqrt(2) - 2 + 2 (n % 2)) / T: irrational, above
+    (F_n + 1) / T on odd n and below F_n / T on even n."""
+
+    def __init__(self, floors: list[int], T: int):
+        self.floors, self.T = floors, T
+
+    def exact(self, n: int):
+        return None
+
+    def mp(self, n: int):
+        return (self.floors[n - 1] + 2 * (n % 2) - 2 + mpmath.sqrt(2)) / self.T
+
+    def approx(self, n: int) -> float:
+        return float(self.mp(n))
+
+
+@pytest.mark.parametrize("spec", QUADRATIC)
+def test_gray_entries_are_decided_exactly(spec):
+    # radii within 2/T of d_n, T = 2**64 S, above it on odd n and below it on
+    # even n, rational and irrational: every entry is gray, E leaves it
+    # open, and the exact floors decide it
+    sys, N = parse_system(spec), 30
+    orbit = orbit_backend(sys, N)(72, 0)
+    ds = mp_distances(sys, orbit.X0, orbit.P, N)
+    T = orbit.S << 64
+    with mpmath.workprec(3000):
+        floors = [int(mpmath.floor(d * T)) for d in ds]
+    rational = ExplicitTable(tuple(Fraction(F + n % 2, T) for n, F in enumerate(floors, 1)))
+    for seq, mp in ((rational, 0), (NearRadius(floors, T), N)):
+        radii = Radii(seq, 1, N)
+        assert list(orbit.below(radii)) == [n % 2 == 1 for n in range(1, N + 1)]
+        assert (radii.gray, radii.mp) == (N, mp)
+        assert list(orbit.min_below(Radii(seq, 1, N))) == mp_below(running_min(ds), seq, 1)
+
+
+@pytest.mark.parametrize("offset", (0, 1 << (256 - 42)))
+def test_distances_near_the_bound_are_decided_exactly(offset):
+    # x0 = (floor(2**P beta / 2) + offset) / 2**P shadows the 3-cycle
+    # beta/2 -> (beta - 1)/2 -> 1/2, while b is near 2**P: d_3, d_6 and d_9
+    # are below 2**-240 (offset 0), where D's error of up to E = 2**-64 S
+    # hides them, or near 2**-40, where it exceeds the float band; radii
+    # within 2**-320 of each d_n, above it on odd n and below it on even n
+    golden, P, N = BetaMap("golden"), 256, 9
+    X0 = golden.beta.floor_of(0, 1 << (P - 1), 1) + offset
+    ds, T = mp_distances(golden, X0, P, N), 1 << 320
+    with mpmath.workprec(3000):
+        assert all(ds[n - 1] < mpmath.ldexp(1, -240 if offset == 0 else -30) for n in (3, 6, 9))
+        seq = ExplicitTable(tuple(Fraction(int(mpmath.floor(d * T)) + n % 2, T)
+                                  for n, d in enumerate(ds, 1)))
+    orbit = FixedPointOrbit(golden, X0, P, N)
+    assert list(orbit.below(Radii(seq, 1, N))) == [n % 2 == 1 for n in range(1, N + 1)]
+    assert list(orbit.min_below(Radii(seq, 1, N))) == mp_below(running_min(ds), seq, 1)
+
+
+@pytest.mark.parametrize("spec", QUADRATIC)
+def test_coefficients_stay_within_the_bound(spec):
+    # |b| < 2**(P + Q - 64) over the horizon, the conjugate bound that Q is
+    # sized from; for the golden mean (a Pisot number) b stays within a bit
+    # of 2**P at any horizon, and Q = 67
+    sys, N = parse_system(spec), 300
+    start = orbit_backend(sys, N)
+    for i in range(3):
+        orbit, top = start(73, i), 0
+        for _ in range(N):
+            orbit.step()
+            top = max(top, abs(orbit.b))
+        Q = orbit._k[3]
+        assert top < 1 << (orbit.P + Q - 64)
+        if spec == "beta:golden":
+            assert top < 1 << (orbit.P + 1) and Q == 67
 
 
 @pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3",
@@ -397,7 +442,7 @@ def test_tables_share_one_walk(spec, monkeypatch):
     for radii, got, shared in zip([Radii(parse_sequence(s), 4, N) for s in specs], hits, together):
         steps.clear()
         assert np.array_equal(got, orbits[0].block(orbits).any_below(radii))
-        assert (shared.gray, shared.mp, shared.undecided) == (radii.gray, radii.mp, radii.undecided)
+        assert (shared.gray, shared.mp) == (radii.gray, radii.mp)
         alone.append([steps.count(o) for o in orbits])
     assert walked == [max(col) for col in zip(*alone)]
     assert len({int(h.sum()) for h in hits}) > 1  # the tables stop at different steps
@@ -407,7 +452,7 @@ def test_tables_share_one_walk(spec, monkeypatch):
 @pytest.mark.parametrize("running_min", (False, True))
 def test_tables_decided_together_decide_as_alone(spec, running_min):
     # every decision and counter of every table, not only the first hit; on
-    # the golden mean also from a branch end, which leaves entries to 2P bits
+    # the golden mean also from a branch end
     N, specs = 60, ("powerlog:1,2", "powerlaw:1/2,1", "powerlaw:1,2")
     start = orbit_backend(parse_system(spec), N)
     orbits = [start(67, i) for i in range(4)]
@@ -419,8 +464,7 @@ def test_tables_decided_together_decide_as_alone(spec, running_min):
         alone = [Radii(parse_sequence(s), 3, N) for s in specs]
         assert [list(d) for d in together] == [
             list(orbit.min_below(r) if running_min else orbit.below(r)) for r in alone]
-        assert [(r.gray, r.mp, r.undecided) for r in shared] == [
-            (r.gray, r.mp, r.undecided) for r in alone]
+        assert [(r.gray, r.mp) for r in shared] == [(r.gray, r.mp) for r in alone]
 
 
 @pytest.mark.parametrize("spec", ("beta:golden", "circle:3"))
@@ -435,7 +479,7 @@ def test_tables_of_one_call_share_their_range(spec):
 
 
 def test_dichotomy_steps_each_orbit_once(monkeypatch):
-    # as many fixed-point steps as the convergent table alone needs: the
+    # as many quadratic steps as the convergent table alone needs: the
     # divergent one has its first hit no later on these samples
     steps = 0
     original = FixedPointOrbit.step

@@ -398,6 +398,25 @@ class TestEndToEnd:
         assert lines[0] == "step,point,dist_to_start"
         assert len(lines) == 6
 
+    def test_orbit_csv_of_a_rational_beta_map(self, tmp_path):
+        # 1/3 -> 5/6 -> 1/12 -> 5/24 -> 25/48 -> 29/96 under x -> 5x/2 mod 1
+        code = main(["orbit", "--system", "beta:5/2", "--x", "1/3",
+                     "--steps", "5", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "orbit.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [
+            "0.333333333333333", "0.833333333333333", "0.0833333333333333",
+            "0.208333333333333", "0.520833333333333", "0.302083333333333"]
+
+    @pytest.mark.parametrize("system", ("beta:golden", "rotation:golden"))
+    def test_orbit_trace_of_an_irrational_system_is_refused(self, system, tmp_path, capsys):
+        code = main(["orbit", "--system", system, "--x", "1/3", "--steps", "5",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "a trace needs a rational system" in err and "orbit --scan-alphas" in err
+        assert not (tmp_path / "orbit.csv").exists()
+
     def test_run_config_file(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(

@@ -1,10 +1,11 @@
-"""Orbit computation: exact iteration, fixed-point precision, the dyadic view."""
+"""Orbit computation: exact iteration, quadratic orbits, the dyadic view."""
 
 import io
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,14 +15,13 @@ from recurlab.dynamics import (
     FixedPointOrbit,
     derive_seed,
     point_distance,
-    required_bits,
     sample_bits,
     write_orbit_csv,
 )
 from recurlab.circle import ExplicitTable, PowerLaw
 from recurlab.errors import PrecisionBudgetError
 from recurlab.experiments import _BLOCK, Radii, boshernitzan_scan
-from recurlab.systems import BetaMap, IntegerCircleMap, Rotation, ToralLinear
+from recurlab.systems import BetaMap, IntegerCircleMap, IrrationalConstant, Rotation, ToralLinear
 
 DOUBLING = IntegerCircleMap(2)
 CAT_MAP = ToralLinear(((2, 1), (1, 1)))
@@ -60,63 +60,39 @@ class TestExactIteration:
 
 
 class TestFixedPointOrbit:
-    def test_precision_budget_enforced(self):
-        with pytest.raises(PrecisionBudgetError):
-            FixedPointOrbit(BetaMap("golden"), 12345, 32, horizon=1000)
+    def test_golden_orbit_is_exact_past_float_range(self):
+        # P = 1454 > 1024 bits and 2000 golden-mean steps: y stays within E
+        # of x * S, E = S / 2**64 + 1, against mpmath at 4000 bits, and b
+        # within a bit of 2**P (the conjugate orbit stays bounded)
+        golden, P, N = BetaMap("golden"), 1454, 2000
+        X0 = sample_bits(11, 0, P)
+        orbit = FixedPointOrbit(golden, X0, P, horizon=N)
+        assert orbit.E == (orbit.S >> 64) + 1
+        with mpmath.workprec(4000):
+            w, x = golden.beta.mp(), mpmath.ldexp(X0, -P)
+            for _ in range(N):
+                x = x * w
+                x -= mpmath.floor(x)
+                assert abs(orbit.step() - x * orbit.S) <= orbit.E
+                assert abs(orbit.b) < 1 << (P + 1)
 
-    def test_horizon_enforced(self):
-        orbit = FixedPointOrbit(BetaMap("golden"), 12345, 256, horizon=2)
-        orbit.step()
-        orbit.step()
-        with pytest.raises(PrecisionBudgetError):
-            orbit.step()
+    @pytest.mark.parametrize("label", ("golden", "sqrt2", "sqrt3", "sqrt8"))
+    def test_floor_of_is_exact(self, label):
+        # floor((a + b w) / den) against mpmath, for both signs of a and b
+        # and at points that land on an integer when b = 0
+        w = IrrationalConstant.parse(label)
+        rng = random.Random(label)
+        cases = [(0, -1, 1), (0, 1, 1), (6, 0, 3), (-6, 0, 3), (7, 0, 3), (-7, 0, 3)]
+        cases += [(rng.randrange(-1 << 300, 1 << 300), rng.randrange(-1 << 300, 1 << 300),
+                   rng.randrange(1, 1 << 200)) for _ in range(200)]
+        with mpmath.workprec(2000):
+            for a, b, den in cases:
+                assert w.floor_of(a, b, den) == int(mpmath.floor((a + b * w.mp()) / den))
 
-    def test_rotation_orbit_matches_exact(self):
-        alpha = Fraction(5, 17)
-        P = 128
-        x0 = Fraction(3, 16)
-        orbit = FixedPointOrbit(Rotation(alpha), (x0.numerator << P) // x0.denominator,
-                                P, horizon=40)
-        pt = x0
-        for _ in range(40):
-            orbit.step()
-            pt = (pt + alpha) % 1
-            approx = orbit.X / (1 << P)
-            assert abs(approx - float(pt)) <= Fraction(2 * orbit.err_ulp, orbit.S)
-
-    def test_beta_error_bound_honest_against_higher_precision(self):
-        # the same start run at double the precision acts as ground truth
-        x0_bits = random.Random(3).getrandbits(128)
-        lo = FixedPointOrbit(BetaMap("golden"), x0_bits << (192 - 128), 192, horizon=60)
-        hi = FixedPointOrbit(BetaMap("golden"), x0_bits << (384 - 128), 384, horizon=60)
-        for _ in range(60):
-            lo.step()
-            hi.step()
-            gap = abs(lo.X / (1 << lo.P) - hi.X / (1 << hi.P))
-            assert gap <= Fraction(2 * lo.err_ulp, lo.S)
-
-    def test_error_bound_stays_finite_and_honest_past_float_range(self):
-        # P = 1454 > 1024 bits and 2000 golden-mean steps: a float ulp count
-        # would overflow near step 1472, and a float 2**-P underflows
-        golden = BetaMap("golden")
-        P = required_bits(golden, 2000)
-        x0_bits = sample_bits(11, 0, P)
-        lo = FixedPointOrbit(golden, x0_bits, P, horizon=2000)
-        hi = FixedPointOrbit(golden, x0_bits << P, 2 * P, horizon=2000)
-        for _ in range(2000):
-            lo.step()
-            hi.step()
-            gap = Fraction(abs((lo.X << P) - hi.X), 1 << (2 * P))
-            assert gap <= Fraction(2 * lo.err_ulp, lo.S)
-        assert isinstance(lo.err_ulp, int)
-        bound = Fraction(2 * lo.err_ulp, lo.S)
-        assert math.isfinite(bound) and 0 < bound < 2.0 ** -60
-
-    def test_distance_uses_interval_metric_for_beta(self):
-        # beta-maps act on [0,1); points near the two ends are far apart
-        orbit = FixedPointOrbit(BetaMap("golden"), 1, 128, horizon=1)
-        orbit.X = (1 << 128) - 1
-        assert orbit.dist_to_start() > 0.9
+    def test_rational_systems_have_no_quadratic_orbit(self):
+        for sys in (Rotation(Fraction(5, 17)), BetaMap(Fraction(5, 2)), BetaMap("sqrt4")):
+            with pytest.raises(ValueError):
+                FixedPointOrbit(sys, 12345, 256, horizon=10)
 
 
 class TestDyadicOrbitView:
@@ -262,6 +238,14 @@ class TestOrbitCsv:
         assert lines[0] == "step,point,dist_to_start"
         assert len(lines) == 8
 
-    def test_required_bits_grows_with_horizon(self):
-        assert required_bits(DOUBLING, 200) > required_bits(DOUBLING, 100)
-        assert required_bits(BetaMap("golden"), 100) < required_bits(DOUBLING, 100)
+    def test_rational_beta_trace_is_exact(self):
+        # 1/3 -> 5/6 -> 1/12 -> 5/24 under x -> 5x/2 mod 1
+        buf = io.StringIO()
+        write_orbit_csv(buf, BetaMap(Fraction(5, 2)), Fraction(1, 3), 3)
+        assert [row.split(",")[1] for row in buf.getvalue().splitlines()[1:]] == [
+            f"{float(v):.15g}" for v in (Fraction(1, 3), Fraction(5, 6), Fraction(1, 12), Fraction(5, 24))]
+
+    @pytest.mark.parametrize("sys", (BetaMap("golden"), Rotation("golden")))
+    def test_irrational_trace_is_refused(self, sys):
+        with pytest.raises(ValueError, match="a trace needs a rational system"):
+            write_orbit_csv(io.StringIO(), sys, Fraction(1, 3), 3)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from recurlab.circle import ExplicitTable, IntervalSet, PowerLaw, PowerLog
 from recurlab import experiments
 from recurlab.cli import parse_system
-from recurlab.dynamics import ExactOrbit, FixedPointOrbit, orbit_backend, sample_bits
+from recurlab.dynamics import ExactOrbit, orbit_backend, sample_bits
 from recurlab.exact_sets import build_recurrence_set
 from recurlab.experiments import (
     ExperimentReport,
@@ -223,7 +223,7 @@ class TestBoshernitzanScan:
 
 
 class TestOrbitBackendsAgree:
-    """On the same start, the shift and fixed-point backends decide as the
+    """On the same start, the shift and lattice backends decide as the
     exact Fraction orbit does (seeded samples, N <= 500)."""
 
     @staticmethod
@@ -254,15 +254,16 @@ class TestOrbitBackendsAgree:
         assert below == [n % 2 == 1 for n in range(1, N + 1)]
         assert (below, min_below) == self.decisions(exact, radii)
 
-    def test_fixed_point_equals_exact_for_rational_rotation(self):
-        rot, N, P = Rotation(Fraction(5, 17)), 400, 256
-        for i in range(6):
-            X0 = sample_bits(23, i, P)
-            for seq in (QUARTER, ExplicitTable((Fraction(1, 17),) * N)):
-                radii = Radii(seq, 1, N)
-                fixed = FixedPointOrbit(rot, X0, P, N)
-                exact = ExactOrbit(rot, [Fraction(X0, 1 << P)])
-                assert self.decisions(fixed, radii) == self.decisions(exact, radii)
+    def test_lattice_equals_exact_for_rational_rotation_and_beta(self):
+        N = 400
+        for sys in (Rotation(Fraction(5, 17)), BetaMap(Fraction(5, 2))):
+            start = orbit_backend(sys, N)
+            for i in range(6):
+                orbit = start(23, i)
+                exact = ExactOrbit(sys, [Fraction(orbit.X0, orbit.S)])
+                for seq in (QUARTER, ExplicitTable((Fraction(1, 17),) * N)):
+                    radii = Radii(seq, 1, N)
+                    assert self.decisions(orbit, radii) == self.decisions(exact, radii)
 
 
 class TestBlockReductions:

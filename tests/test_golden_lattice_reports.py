@@ -126,3 +126,48 @@ GOLDEN = {
 def test_lattice_backend_report_bytes(system, name):
     report = CASES[name](parse_system(system))
     assert hashlib.sha256(report.to_json_bytes()).hexdigest() == GOLDEN[(system, name)]
+
+
+# Rational beta-maps run on the lattice through ``BetaMap.as_piecewise``, at
+# the lattice's own sample width; pinned when they moved there from the
+# fixed-point backend, whose wider samples gave other reports.
+RATIONAL_BETA = {
+    ("beta:5/2", "ear-powerlog"):
+        "1a794719739ab3a5670eaf725121a86cfe7a0e750a76233274bcc3fa36d66c26",
+    ("beta:5/2", "ear-rational"):
+        "d8c82990572b659e858bc79bc2d340719deed108082230b35c919339b9236603",
+    ("beta:5/2", "orbit-scan"):
+        "22370029bfc1bb09d2be426cdf03c16dfcc87c6c6eaeb7fb43fa2b6caa2f20ce",
+    ("beta:5/2", "rio-dichotomy"):
+        "ad717f79b1dbb1d9264dbb68abc2282d830b90395a0ef8dea5c66fa355dbe248",
+    ("beta:5/2", "rio-powerlog"):
+        "8790c8f82352c72d6d2a39a488f077e2bdd622767743ad8625b231858e4d1140",
+    ("beta:5/2", "rio-rational"):
+        "4bc4f289a0943d3c362a1410d4ed08bb4fc2194f2cfc7afed1686295788d6a04",
+    ("beta:5/2", "scan-powerlog"):
+        "8f9a830293e03f5f5338eb5eb9f45f18fadd03568f18f7a6db6913ec086d75c9",
+    ("beta:5/2", "scan-rational"):
+        "a1cd4ce0fbb20b1084bd7867b7adc89d6bf69585905308028ebe05a811ad7c34",
+    ("beta:4/3", "ear-powerlog"):
+        "9cb30925b002bfeb352ec7f978dea7350aaa954f0c2adba6c10aeaeb061cc045",
+    ("beta:4/3", "ear-rational"):
+        "75c23c2327c51f53a05ee05a6721e7ef158f898aa1ec00db6844e5b08bff4943",
+    ("beta:4/3", "orbit-scan"):
+        "503005b8daa8f8de6a05b1e6c019c445def0661c51a1917b1246a4e50be90408",
+    ("beta:4/3", "rio-dichotomy"):
+        "2b0c6dc05bc21ee9a5eb5292d91f8d6c1c7b16cfd864241fbd09b0496e1eb433",
+    ("beta:4/3", "rio-powerlog"):
+        "d6822621c07a4f68217ff646caacffdfd0cbf73c5cc73442df0b502a69e9be20",
+    ("beta:4/3", "rio-rational"):
+        "57857b99aeea6fad7a481bef6d2b565e27d3925eecb80c8d09bd1951c0220452",
+    ("beta:4/3", "scan-powerlog"):
+        "00e15a1a029c817d5e56921d20c904b12196000cf52fa1a97882571e17f17e34",
+    ("beta:4/3", "scan-rational"):
+        "b82c47444b1f24f18a9373f739778e832f8801929df614c515bd2554b832821a",
+}
+
+
+@pytest.mark.parametrize("system, name", sorted(RATIONAL_BETA))
+def test_rational_beta_report_bytes(system, name):
+    report = CASES[name](parse_system(system))
+    assert hashlib.sha256(report.to_json_bytes()).hexdigest() == RATIONAL_BETA[(system, name)]

@@ -19,6 +19,7 @@ SYSTEMS = (
     "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2",
     "piecewise:0,1/2,-2,1;1/2,1,2,-1",        # a negative slope
     "piecewise:0,2/5,5/2,0;2/5,1,5/3,-2/3",   # slope, intercept and end denominators 2, 3, 5
+    "beta:5/2", "beta:4/3",                   # rational beta-maps, as piecewise-affine maps
 )
 SEQS = ("powerlaw:1,1", "powerlaw:1/2,1", "powerlog:1,2", "powerlaw:1/4,1/2")
 
