@@ -368,13 +368,12 @@ def cmd_nt(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    r = Fraction(args.r)
-    if args.piecewise:
-        res = exact_sets.build_recurrence_set_piecewise(
-            parse_system(args.system), args.n, r, branch_budget=args.budget_arcs)
-    else:
-        a = _circle_map_a(args.system, "closed-form construction (--piecewise takes others)")
-        res = exact_sets.build_recurrence_set(a, args.n, r, arc_budget=args.budget_arcs)
+    sys_spec, r, budget = parse_system(args.system), Fraction(args.r), args.budget_arcs
+    if isinstance(sys_spec, IntegerCircleMap) and not args.piecewise:  # the closed form
+        res = exact_sets.build_recurrence_set(sys_spec.a, args.n, r, arc_budget=budget,
+                                              materialize=bool(args.set_out))
+    else:  # branch composition; a map without affine branches refuses
+        res = exact_sets.build_recurrence_set_piecewise(sys_spec, args.n, r, branch_budget=budget)
     print(f"E_{args.n}: measure={res.measure} ({float(res.measure):.6g}), "
           f"arcs={res.arc_count}")
     if args.set_out and res.set is not None:

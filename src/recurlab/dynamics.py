@@ -20,8 +20,9 @@ integer distance over its scale and its error bound (the windows' slack, E,
 0 on the lattice) to the one decision of ``experiments.Radii``. A shift
 block reads all its windows in one kernel call; a ``SteppedBlock`` walks
 each orbit once per call, for all its radius tables, up to the first
-decisive step. ``ExactOrbit`` steps rational orbits in ``Fraction``s, as the
-lattice backend's oracle and for the orbit command's CSV trace.
+decisive step. ``ExactOrbit`` steps rational orbits in ``Fraction``s by the
+system's own ``apply``, as the lattice backend's oracle and for the orbit
+command's CSV trace.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .number_theory import mat_det
 from .systems import (
     BetaMap,
     IntegerCircleMap,
-    PiecewiseLinear,
     Rotation,
     SystemSpec,
     ToralLinear,
+    uses_circle_metric,
 )
 
 _W = 64  # bits of a window, and the guard bits of a sample
@@ -57,12 +58,6 @@ _W = 64  # bits of a window, and the guard bits of a sample
 # ---------------------------------------------------------------------------
 # Metrics and exact iteration
 # ---------------------------------------------------------------------------
-
-def uses_circle_metric(sys: SystemSpec) -> bool:
-    """Torus-type systems measure distance around the circle; interval maps
-    (piecewise-affine, beta) use plain absolute value on [0, 1]."""
-    return isinstance(sys, (IntegerCircleMap, Rotation, ToralLinear))
-
 
 def point_distance(sys: SystemSpec, x, y):
     """d(x, y) in the system's metric, exact for rational inputs."""
@@ -74,20 +69,13 @@ def point_distance(sys: SystemSpec, x, y):
 
 
 def _exact_step(sys: SystemSpec, x):
-    if isinstance(sys, (IntegerCircleMap, PiecewiseLinear, ToralLinear)):
-        return sys.apply(x)
-    alpha = sys.alpha.exact() if isinstance(sys, Rotation) else None
-    if alpha is None:
-        raise ValueError(f"{sys.describe()}: a trace needs a rational system (orbit --scan-alphas)")
-    y = Fraction(x) + alpha
-    return y - math.floor(y)
+    """T x exactly; a system with an irrational constant refuses."""
+    return sys.apply(x)
 
 
 def _exact_orbit(sys: SystemSpec, x) -> Iterator:
     """x, T x, T^2 x, ... exactly: the start as Fractions (a tuple of them on
     the torus), then one ``_exact_step`` per further point."""
-    if isinstance(sys, BetaMap) and sys.beta.exact() is not None:
-        sys = sys.as_piecewise()
     pt = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
     while True:
         yield pt
@@ -216,7 +204,8 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
     P keeps about 128 random bits to the horizon: an even slope a sheds
     v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
     of A^n divides det A^n; the largest v2 of a slope numerator for a
-    piecewise map). Piecewise maps take S = 2**P * q**horizon * L, q the lcm
+    map with affine branches). The branches of ``as_piecewise`` (piecewise
+    maps, rational beta-maps) take S = 2**P * q**horizon * L, q the lcm
     of the slope and intercept denominators and L that of the branch ends,
     so every slope divides exactly and every branch end is an integer over
     S."""
@@ -233,13 +222,14 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
                 X = [sum(map(mul, row, X)) % S for row in A]
                 yield max([half - abs(half - (x - x0) % S) for x, x0 in zip(X, X0)])
         return P, S, walk
-    if isinstance(sys, PiecewiseLinear):
-        P = 128 + horizon * max(_v2(b.slope.numerator) for b in sys.branches)
-        q = math.lcm(*(f.denominator for b in sys.branches for f in (b.slope, b.intercept)))
-        S = (q ** horizon * math.lcm(*(b.hi.denominator for b in sys.branches))) << P
+    if not isinstance(sys, (IntegerCircleMap, Rotation)):  # affine branches
+        pw = sys.as_piecewise().branches
+        P = 128 + horizon * max(_v2(b.slope.numerator) for b in pw)
+        q = math.lcm(*(f.denominator for b in pw for f in (b.slope, b.intercept)))
+        S = (q ** horizon * math.lcm(*(b.hi.denominator for b in pw))) << P
         branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
                      b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
-                    for b in sys.branches]
+                    for b in pw]
 
         def walk(X0, n_hi):
             X = X0
@@ -595,7 +585,7 @@ def orbit_backend(sys: SystemSpec, horizon: int
     elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
         P = 256
     else:
-        P, S, walk = _lattice(sys.as_piecewise() if isinstance(sys, BetaMap) else sys, horizon)
+        P, S, walk = _lattice(sys, horizon)
         unit, d = S >> P, sys.d
 
         def start(seed: int, i: int) -> LatticeOrbit:

@@ -28,9 +28,8 @@ from .circle import (
     merge_scaled_arcs,
     scaled_measure,
 )
-from .dynamics import uses_circle_metric
 from .errors import ArcBudgetExceeded, BranchBudgetExceeded
-from .systems import IntegerCircleMap, PiecewiseLinear, SystemSpec
+from .systems import PiecewiseLinear, SystemSpec, uses_circle_metric
 
 DEFAULT_ARC_BUDGET = 1 << 22
 DEFAULT_BRANCH_BUDGET = 1 << 22
@@ -194,14 +193,6 @@ def build_recurrence_set(
 # Piecewise-affine branch machinery
 # ---------------------------------------------------------------------------
 
-def _as_piecewise(sys: SystemSpec) -> PiecewiseLinear:
-    if isinstance(sys, IntegerCircleMap):
-        return sys.as_piecewise()
-    if isinstance(sys, PiecewiseLinear):
-        return sys
-    raise TypeError(f"exact branch analysis needs a piecewise-affine map, got {sys!r}")
-
-
 def _integer_branches(pw: PiecewiseLinear) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
     """(q, L_b, m, branches): each branch (B_lo, B_hi, p, u) of ``pw`` maps
     [B_lo/L_b, B_hi/L_b) by x -> (p*x + u)/q, and m = lcm |p|."""
@@ -256,12 +247,14 @@ def build_recurrence_set_piecewise(
     *,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> RecurrenceSetResult:
-    """E_n for a piecewise-affine expanding map via exact branch composition.
+    """E_n for a map with affine branches (``sys.as_piecewise()``: integer
+    circle maps, rational beta-maps, piecewise maps) via exact branch
+    composition; any other system refuses with a ConfigError.
 
     On each affine branch of T^n the condition d(T^n x, x) < r is a linear
     inequality, so E_n restricted to a branch is an interval. d is the
     system's metric, as in the Monte Carlo experiments
-    (``dynamics.uses_circle_metric``): circle distance on an integer circle
+    (``systems.uses_circle_metric``): circle distance on an integer circle
     map, whose integer offsets j are enumerated, and plain absolute value on
     [0, 1] for an interval map.
 
@@ -269,7 +262,7 @@ def build_recurrence_set_piecewise(
     (never 0, as |P| > Q), so the interval's ends ((j*Q - U)*den(r) ∓
     num(r)*Q)/(C*den(r)) are integers over L = lcm(S, den(r)*lcm |C|).
     """
-    pw = _as_piecewise(sys)
+    pw = sys.as_piecewise()
     r = _check_radius(r)
     circle = uses_circle_metric(sys)
     branches = compose_branches(pw, n, branch_budget)

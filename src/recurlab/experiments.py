@@ -33,9 +33,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .circle import RadiusSequence
+from .circle import EarRadius, RadiusSequence, ear_log2_delta
 from .dynamics import orbit_backend
-from .exact_sets import DEFAULT_ARC_BUDGET, ear_truncated_A
+from .exact_sets import DEFAULT_ARC_BUDGET, build_ear_sets, ear_truncated_A
 from .systems import SystemSpec
 
 # bound here only for perfbench/tracing.py's probes, which raise on a missing name
@@ -447,13 +447,12 @@ def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
     radius family r_m = Delta_m / m with Delta_m ~ (2+sigma) log2 m.
 
     The comparison is asymptotic; failures below ``onset`` are recorded but
-    only m >= onset counts toward the verdict.
+    only m >= onset counts toward the verdict. It is exact for every sigma:
+    with 1 + sigma = u/q, mu <= m^-(u/q) iff mu^q <= m^-u.
     """
-    from .circle import EarRadius, ear_log2_delta
-    from .exact_sets import build_ear_sets
-
     t0 = time.monotonic()
     sigma = Fraction(sigma)
+    u, q = (1 + sigma).numerator, (1 + sigma).denominator
     seq = EarRadius(ear_log2_delta(sigma), lambda d: Fraction(1),
                     label=f"ear:log2,sigma={sigma}")
     rows = []
@@ -463,13 +462,8 @@ def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
         hyp_ok = Fraction(m) ** (sigma + 2) / delta * Fraction(1, 2) ** int(delta) <= 1
         cover = build_ear_sets(a, m, seq, materialize=False, arc_budget=arc_budget)
         comp = 1 - cover.measure
-        if sigma.denominator == 1:
-            eps = Fraction(1, m ** (1 + int(sigma)))
-            bound_ok = comp <= eps  # exact comparison
-            eps_f = float(eps)
-        else:
-            eps_f = float(m) ** (-(1.0 + float(sigma)))
-            bound_ok = float(comp) <= eps_f
+        bound_ok = comp ** q <= Fraction(m) ** -u
+        eps_f = float(Fraction(m) ** -u) if q == 1 else float(m) ** (-(1.0 + float(sigma)))
         if m >= onset and not bound_ok:
             all_ok_past_onset = False
         rows.append({"m": m, "delta": delta, "hypothesis_ok": bool(hyp_ok),

@@ -1,8 +1,10 @@
 """Dynamical system definitions shared by the exact, spectral and orbit modules.
 
-A system is a small immutable description; the heavy machinery (exact set
-construction, Ulam matrices, exact orbits) lives elsewhere and dispatches on
-these types.
+A system is a small immutable description that answers what every exact
+consumer asks of it: its affine branches (``as_piecewise``), its exact step
+(``apply``) and its metric (``uses_circle_metric``). Exact set construction,
+Ulam matrices and the Monte Carlo orbit backends live elsewhere and ask the
+system for these.
 
 Irrational constants (the golden ratio, square roots) are stored
 symbolically and rendered on demand either as mpmath values at the current
@@ -111,6 +113,22 @@ class IrrationalConstant:
         return hash((self.kind, self.params))
 
 
+def _rational(sys, c: IrrationalConstant) -> Fraction:
+    """c exactly, for the exact step of ``sys``. An irrational c has none:
+    such orbits are stepped in Z[c] by the Monte Carlo backend."""
+    if (v := c.exact()) is None:
+        raise ValueError(f"{sys.describe()}: a trace needs a rational system (orbit --scan-alphas)")
+    return v
+
+
+class _System:
+    def as_piecewise(self) -> PiecewiseLinear:
+        """The map as expanding affine branches with rational data on [0, 1),
+        for exact branch composition. A map without them refuses here."""
+        raise ConfigError([f"{self.describe()} has no expanding affine branches "
+                           f"with rational data on [0, 1)"])
+
+
 @dataclass(frozen=True)
 class Branch:
     """One affine branch x -> slope*x + intercept on the domain [lo, hi)."""
@@ -136,7 +154,7 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(_System):
     """Piecewise-affine expanding map of [0, 1) with rational data.
 
     Branch domains must partition [0, 1); every slope modulus must exceed 1
@@ -181,6 +199,9 @@ class PiecewiseLinear:
     def d(self) -> int:
         return 1
 
+    def as_piecewise(self) -> PiecewiseLinear:
+        return self
+
     def branch_at(self, x: Fraction) -> Branch:
         for b in self.branches:
             if b.lo <= x < b.hi:
@@ -198,7 +219,7 @@ class PiecewiseLinear:
 
 
 @dataclass(frozen=True)
-class IntegerCircleMap:
+class IntegerCircleMap(_System):
     """T x = a x mod 1 on the circle, |a| >= 2."""
 
     a: int
@@ -216,10 +237,10 @@ class IntegerCircleMap:
         return y - math.floor(y)
 
     def as_piecewise(self) -> PiecewiseLinear:
-        """The same map written as |a| affine branches on [0, 1)."""
+        """The same map as its a affine branches on [0, 1); a < 2 has none."""
         a = self.a
         if a < 2:
-            raise ValueError("piecewise form implemented for a >= 2 only")
+            return super().as_piecewise()
         br = [
             Branch(Fraction(k, a), Fraction(k + 1, a), Fraction(a), Fraction(-k))
             for k in range(a)
@@ -231,7 +252,7 @@ class IntegerCircleMap:
 
 
 @dataclass(frozen=True)
-class BetaMap:
+class BetaMap(_System):
     """T x = beta * x mod 1 on [0, 1), beta > 1 (possibly irrational)."""
 
     beta: IrrationalConstant
@@ -245,12 +266,20 @@ class BetaMap:
     def d(self) -> int:
         return 1
 
+    def apply(self, x: Fraction) -> Fraction:
+        """beta x mod 1 exactly, for a rational beta and x in [0, 1)."""
+        beta, x = _rational(self, self.beta), Fraction(x)
+        if not 0 <= x < 1:
+            raise ValueError(f"{x} outside [0, 1)")
+        y = beta * x
+        return y - math.floor(y)
+
     def as_piecewise(self) -> PiecewiseLinear:
         """The map for a rational beta: branches x -> beta x - k on
         [k / beta, (k + 1) / beta), the last one ending at 1."""
         beta = self.beta.exact()
         if beta is None:
-            raise ValueError(f"{self.describe()} has no piecewise-affine form: beta is irrational")
+            return super().as_piecewise()
         ends = [k / beta for k in range(math.ceil(beta))] + [Fraction(1)]
         return PiecewiseLinear(tuple(Branch(lo, hi, beta, Fraction(-k))
                                      for k, (lo, hi) in enumerate(zip(ends, ends[1:]))))
@@ -260,7 +289,7 @@ class BetaMap:
 
 
 @dataclass(frozen=True)
-class ToralLinear:
+class ToralLinear(_System):
     """T x = A x mod 1 on the d-torus, A an integer matrix with det != 0."""
 
     A: tuple[tuple[int, ...], ...]
@@ -290,7 +319,7 @@ class ToralLinear:
 
 
 @dataclass(frozen=True)
-class Rotation:
+class Rotation(_System):
     """T x = x + alpha mod 1; the isometric contrast system."""
 
     alpha: IrrationalConstant
@@ -302,8 +331,20 @@ class Rotation:
     def d(self) -> int:
         return 1
 
+    def apply(self, x: Fraction) -> Fraction:
+        """x + alpha mod 1 exactly, for a rational alpha."""
+        y = Fraction(x) + _rational(self, self.alpha)
+        return y - math.floor(y)
+
     def describe(self) -> str:
         return f"rotation:{self.alpha.label}"
 
 
 SystemSpec = IntegerCircleMap | BetaMap | PiecewiseLinear | ToralLinear | Rotation
+
+
+def uses_circle_metric(sys: SystemSpec) -> bool:
+    """The metric d of E_n = {x : d(T^n x, x) < r_n}: torus-type systems
+    measure distance around the circle; interval maps (piecewise-affine,
+    beta) use plain absolute value on [0, 1]."""
+    return isinstance(sys, (IntegerCircleMap, Rotation, ToralLinear))

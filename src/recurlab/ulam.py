@@ -13,7 +13,7 @@ The Ulam matrix is its (0,0) block. A piecewise-constant basis cannot
 resolve the subleading spectrum (for the doubling map on dyadic bins the
 Ulam matrix is nilpotent off the constants, while the transfer operator has
 eigenvalue 1/2 with eigenfunction x - 1/2), which a degree-1 basis can.
-|lambda2| comes from a thick-restarted Arnoldi solve (Morgan 1996): a basis
+|lambda2| comes from an Arnoldi solve with thick restarts (Morgan 1996): a basis
 of _BLOCK + 1 vectors that, when full, keeps the span of its _KEEP Ritz
 vectors of largest modulus, so memory stays fixed and each dense eigen-solve
 is at most _BLOCK x _BLOCK. Clustered spectra, which restarts cannot hold,
@@ -42,9 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import RadiusSequence
-from .errors import EigenvalueLocationError, NonExpandingSystemError
-from .systems import BetaMap, IntegerCircleMap, PiecewiseLinear, SystemSpec
-from .dynamics import uses_circle_metric
+from .errors import EigenvalueLocationError
+from .systems import BetaMap, SystemSpec, uses_circle_metric
 
 POWER_TOL = 1e-10
 POWER_MAXIT = 100_000
@@ -108,27 +107,14 @@ class UlamOperator:
 
 
 def _branches(sys: SystemSpec) -> list[tuple]:
-    """(lo, hi, slope, intercept) per branch, with |slope| > 1: Fractions for
-    integer circle and piecewise maps, floats for beta maps."""
-    if isinstance(sys, IntegerCircleMap):
-        if sys.a < 2:
-            raise NonExpandingSystemError("integer circle map needs a >= 2 here")
-        sys = sys.as_piecewise()
-    if isinstance(sys, PiecewiseLinear):
-        return [(b.lo, b.hi, b.slope, b.intercept) for b in sys.branches]
-    if isinstance(sys, BetaMap):
+    """(lo, hi, slope, intercept) per branch, with |slope| > 1: floats for
+    beta maps, rational or not, and the Fractions of ``sys.as_piecewise()``
+    for every other map (which refuses a map without affine branches)."""
+    if isinstance(sys, BetaMap):  # k / beta < 1 for exactly these k
         beta = float(sys.beta)
-        out = []
-        k = 0
-        while k / beta < 1.0:
-            lo = k / beta
-            hi = min((k + 1) / beta, 1.0)
-            out.append((lo, hi, beta, float(-k)))
-            k += 1
-        return out
-    raise NonExpandingSystemError(
-        f"{sys.describe()} is not an expanding interval map"
-    )
+        return [(k / beta, min((k + 1) / beta, 1.0), beta, float(-k))
+                for k in range(math.ceil(beta))]
+    return [(b.lo, b.hi, b.slope, b.intercept) for b in sys.as_piecewise().branches]
 
 
 def _ratio(num: np.ndarray, den: int) -> np.ndarray:
@@ -304,7 +290,8 @@ def _second_eigenvalue(G: SparseMatrix) -> tuple[float, bool]:
     for good when the first Ritz value it would drop has a modulus above
     0.95 of the top: a cluster of moduli wider than _KEEP (integer circle
     maps on bins that are not a power of a), which restarts scramble. The
-    solve then runs as plain Arnoldi from the start vector. KRYLOV_MAX
+    basis then only grows, from where it is: after a restart it still
+    satisfies the Arnoldi relation, so nothing is rerun. KRYLOV_MAX
     matrix-vector products without convergence are reported as
     unconverged.
     """
@@ -323,7 +310,6 @@ def _second_eigenvalue(G: SparseMatrix) -> tuple[float, bool]:
     k = 0                # Arnoldi steps taken: the basis holds k + 1 vectors
     check = 10
     restarting = True
-    restarted = False
     last = math.inf      # the top residual when the basis was last full
     theta = 0.0
     for used in range(1, KRYLOV_MAX + 1):
@@ -356,13 +342,8 @@ def _second_eigenvalue(G: SparseMatrix) -> tuple[float, bool]:
                 p = Z.shape[1]
                 if abs(ritz[order[p]]) > 0.95 * theta:   # a cluster
                     restarting = False
-                    if restarted:
-                        blocks[0][0] = start
-                        H[:] = 0
-                        k, check = 0, 10
-                        continue
                 elif res * 10 <= last and _restart(blocks, H, Z, beta):
-                    k, last, check, restarted = p, res, p + 10, True
+                    k, last, check = p, res, p + 10
                     continue
                 last = res
         if full and used < KRYLOV_MAX:
@@ -375,7 +356,7 @@ def _restart(blocks: list[np.ndarray], H: np.ndarray, Z: np.ndarray, beta: float
     """Thick restart in place onto the span of Z's columns: V <- Z^T V and
     H <- [[Z^T H Z], [beta Z[-1]]], with the last basis vector kept next.
     Refused (False) when Z is not an invariant subspace of H to within
-    1e-3 KRYLOV_TOL, since the restarted basis would then lose the Arnoldi
+    1e-3 KRYLOV_TOL, since the new basis would then lose the Arnoldi
     relation that the residual test reads."""
     k, p = Z.shape
     R = len(blocks[0])

@@ -12,7 +12,7 @@ from recurlab.circle import IntervalSet, PowerLaw, PowerLog
 from recurlab.cli import (
     _EXPERIMENTS, atomic_write, build_parser, main, parse_config, parse_sequence, parse_system,
 )
-from recurlab import experiments, number_theory, ulam
+from recurlab import exact_sets, experiments, number_theory, ulam
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
 
@@ -438,11 +438,39 @@ class TestEndToEnd:
         ["ear", "--exact", "--system", "toral:2,1;1,1"],
         ["ear", "--sigma", "1", "--system", "beta:golden"],
         ["exact", "--system", "beta:golden", "--n", "3", "--r", "1/10"],
+        *(["exact", "--system", system, "--n", "3", "--r", "1/10", "--piecewise"]
+          for system in ("rotation:1/3", "toral:2,1;1,1", "beta:golden")),
     ])
     def test_exact_paths_need_an_integer_circle_map(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        set_out = ["--set-out", str(tmp_path / "set.txt")] if argv[0] == "exact" else []
+        assert main(argv + set_out + ["--out", str(tmp_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_exact_rational_beta_composes_with_or_without_the_flag(self, tmp_path, capsys):
+        argv = ["exact", "--system", "beta:5/2", "--n", "3", "--r", "1/10"]
+        assert main(argv + ["--set-out", str(tmp_path / "a.txt")]) == 0
+        assert main(argv + ["--piecewise", "--set-out", str(tmp_path / "b.txt")]) == 0
+        text = (tmp_path / "a.txt").read_bytes()
+        assert text and text == (tmp_path / "b.txt").read_bytes()
+        assert capsys.readouterr().out.count("E_3: measure=892/4875") == 2
+
+    def test_exact_builds_arcs_only_for_set_out(self, tmp_path, capsys, monkeypatch):
+        argv = ["exact", "--n", "23", "--r", "1/12"]
+        assert main(argv) == 0
+        assert "arcs=8388607" in capsys.readouterr().out
+        out = tmp_path / "set.txt"
+        assert main(argv + ["--set-out", str(out)]) == 1
+        assert "budget 4194304" in capsys.readouterr().err
+        assert not out.exists()
+
+        def no_arcs(*args):
+            raise AssertionError("arcs built")
+
+        monkeypatch.setattr(exact_sets, "_en_scaled_arcs", no_arcs)
+        assert main(["exact", "--n", "4", "--r", "1/10"]) == 0
+        assert "arcs=15" in capsys.readouterr().out
 
     def test_ear_exact_config_needs_an_integer_circle_map(self, tmp_path, capsys):
         cfg = tmp_path / "ear.ini"

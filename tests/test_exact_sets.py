@@ -117,20 +117,29 @@ class TestPiecewiseConstruction:
         res = build_recurrence_set_piecewise(parse_system("piecewise:0,1/2,2,0;1/2,1,2,-1"), 1, r)
         assert res.measure == 2 * r
 
-    def test_interval_map_sets_agree_with_its_orbits(self):
-        # an interval map measures |T^n x - x|, as its Monte Carlo orbits do;
-        # E_n in the circle metric would hold points where it is near 1
-        pw = parse_system("piecewise:0,1/3,3,0;1/3,1,3/2,-1/2")
-        r = Fraction(1, 4)
+    @staticmethod
+    def assert_sets_agree_with_orbits(spec, r):
+        sys = parse_system(spec)
         for n in (1, 2, 3):
-            iset = build_recurrence_set_piecewise(pw, n, r).set
+            iset = build_recurrence_set_piecewise(sys, n, r).set
             ends = {e for arc in iset.arcs for e in arc}
             radii = Radii(ExplicitTable((r,) * n), n, n)
             for j in range(997):
                 x = Fraction(j, 997)
                 if x not in ends:
-                    [hit] = ExactOrbit(pw, [x]).below(radii)
+                    [hit] = ExactOrbit(sys, [x]).below(radii)
                     assert iset.contains(x) == hit, (n, x)
+
+    def test_interval_map_sets_agree_with_its_orbits(self):
+        # an interval map measures |T^n x - x|, as its Monte Carlo orbits do;
+        # E_n in the circle metric would hold points where it is near 1
+        self.assert_sets_agree_with_orbits("piecewise:0,1/3,3,0;1/3,1,3/2,-1/2", Fraction(1, 4))
+
+    def test_rational_beta_sets_agree_with_its_orbits(self):
+        # beta:5/2 composes the branches of BetaMap.as_piecewise, and its
+        # orbits step by BetaMap.apply
+        self.assert_sets_agree_with_orbits("beta:5/2", Fraction(1, 10))
+
 
 class TestPairCorrelation:
     def test_known_intersection(self):

@@ -5,8 +5,10 @@ import json
 import math
 import resource
 import sys
+import types
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,28 @@ class TestEventuallyAlwaysExperiments:
         exact = float(ear_exact(2, seq, 3, 10).results["measure_float"])
         rep = ear_truncated_measure(DOUBLING, seq, 3, 10, 5000, master_seed=4)
         assert rep.results["ci_low"] - 0.02 <= exact <= rep.results["ci_high"] + 0.02
+
+    @pytest.mark.parametrize("sigma", [Fraction(1, 2), Fraction(3, 2)])
+    def test_bound_check_is_exact_for_a_fractional_sigma(self, sigma):
+        # mu <= m^-(1 + sigma) against mpmath at 256 bits, far past any tie
+        rows = prop_ear_bound_check(sigma, range(4, 17)).results["table"]
+        with mpmath.workprec(256):
+            for row in rows:
+                m, comp = row["m"], row["complement_measure"]
+                eps = mpmath.mpf(m) ** -(1 + mpmath.mpf(sigma.numerator) / sigma.denominator)
+                assert row["bound_ok"] == (mpmath.mpf(comp.numerator) / comp.denominator <= eps)
+                assert row["epsilon"] == float(m) ** (-(1.0 + float(sigma)))
+
+    @pytest.mark.parametrize("side, ok", [(-1, True), (1, False)])
+    def test_bound_check_decides_a_near_tie(self, side, ok, monkeypatch):
+        # a complement 1e-30 from 5^(-3/2), on a side that no float can tell
+        with mpmath.workprec(256):
+            eps = Fraction(mpmath.nstr(mpmath.mpf(5) ** -1.5, 60))
+        comp = eps + side * Fraction(1, 10 ** 30)
+        monkeypatch.setattr(experiments, "build_ear_sets",
+                            lambda *args, **kw: types.SimpleNamespace(measure=1 - comp))
+        [row] = prop_ear_bound_check(Fraction(1, 2), [5]).results["table"]
+        assert row["bound_ok"] is ok
 
     def test_bound_check_passes_past_onset(self):
         rep = prop_ear_bound_check(1, range(2, 19))

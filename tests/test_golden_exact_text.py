@@ -201,6 +201,13 @@ def test_exact_text_is_unchanged(name, r, tmp_path, capsys):
     assert exact_digest(system, flags, ns, r, tmp_path, capsys) == GOLDEN[(name, r)]
 
 
+@pytest.mark.parametrize("r", RADII)
+def test_piecewise_maps_compose_without_the_flag(r, tmp_path, capsys):
+    # a map with no closed form gets branch composition unasked
+    system, _, ns = SYSTEMS["pw-bench"]
+    assert exact_digest(system, (), ns, r, tmp_path, capsys) == GOLDEN[("pw-bench", r)]
+
+
 @pytest.mark.parametrize("name", LARGE)
 def test_large_exact_text_is_unchanged(name, tmp_path, capsys):
     system, flags, n, r = LARGE[name]

@@ -230,6 +230,20 @@ class TestSpectrum:
         assert op.second_eig_converged
         assert op.second_eig == pytest.approx(1 / a, abs=1e-9)
 
+    def test_a_late_cluster_keeps_growing_the_restarted_basis(self, monkeypatch):
+        # at 384 bins circle:5 restarts once before its cluster of moduli 1/5
+        # shows; the restarted basis grows on, with no rerun from the start
+        op = build_ulam(IntegerCircleMap(5), 384)
+        products = []
+        apply_left = ulam.SparseMatrix.apply_left
+        monkeypatch.setattr(ulam.SparseMatrix, "apply_left",
+                            lambda self, w: products.append(1) or apply_left(self, w))
+        second, converged = ulam._second_eigenvalue(op.galerkin)
+        assert converged and len(products) <= 80
+        moduli = np.sort(np.abs(np.linalg.eigvals(op.galerkin.dense())))[::-1]
+        assert second == pytest.approx(1 / 5, abs=1e-9)
+        assert second == pytest.approx(moduli[1], abs=1e-9)
+
     def test_tripling_converges_at_1024_bins(self, tripling_op):
         # about a thousand eigenvalues share the modulus 1/3 here
         assert tripling_op.second_eig_converged
