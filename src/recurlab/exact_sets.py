@@ -7,8 +7,10 @@ endpoints, and the branches of T^n of a piecewise-affine map, are integers
 over one scale known in advance; `Fraction`s appear only in measures and
 the text form. Overlaps mu(E_i ∩ E_j) come in closed form from the gcd
 identity gcd(a^i - 1, a^j - 1) = |a^gcd(i,j) - 1|, without building any
-arc. The eventually-always intersection builds only those arcs of each
-cover that meet the running intersection.
+arc. One builder makes the eventually-always covers C_m: it builds only
+those arcs of C_m that meet a given set (the whole circle for C_m alone,
+the running intersection for A_{n0,M}) and counts only the arcs it builds,
+so a radius of 0 or at least 1/2 builds none.
 
 Hard budgets replace silent truncation: a computation that would need more
 arcs or composed branches than allowed raises, naming the limit.
@@ -32,7 +34,6 @@ from .errors import ArcBudgetExceeded, BranchBudgetExceeded
 from .systems import PiecewiseLinear, SystemSpec, uses_circle_metric
 
 DEFAULT_ARC_BUDGET = 1 << 22
-DEFAULT_BRANCH_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ DEFAULT_BRANCH_BUDGET = 1 << 22
 
 @dataclass(frozen=True)
 class RecurrenceSetResult:
-    """E_n for one system, radius and index.
+    """E_n for one system, radius and index, or the cover C_m with ``n`` = m.
 
     ``arc_count`` counts arcs on the circle (an arc crossing 0 counts once,
     even though the stored IntervalSet keeps it split); for T x = a x mod 1
@@ -82,17 +83,6 @@ class PetrovSummary:
 
 
 @dataclass(frozen=True)
-class EarCoverResult:
-    """C_m = union over k <= m of {x : d(T^k x, x) < r_m} for T x = a x mod 1."""
-
-    m: int
-    r: Fraction
-    set: IntervalSet | None
-    measure: Fraction
-    arc_count: int
-
-
-@dataclass(frozen=True)
 class EarTruncationResult:
     """A_{n0,M} = intersection of C_m over m in [n0, M], with the measure
     profile after each successive intersection (non-increasing in m)."""
@@ -115,6 +105,7 @@ def _check_multiplier(a: int) -> int:
 
 
 def _check_radius(r, upper=Fraction(1, 2)) -> Fraction:
+    """r as a Fraction in [0, upper]; EAR radii take upper = inf."""
     r = Fraction(r)
     if not 0 <= r <= upper:
         raise ValueError(f"radius must lie in [0, {upper}], got {r}")
@@ -205,7 +196,7 @@ def _integer_branches(pw: PiecewiseLinear) -> tuple[int, int, int, list[tuple[in
 
 
 def compose_branches(
-    pw: PiecewiseLinear, n: int, branch_budget: int = DEFAULT_BRANCH_BUDGET
+    pw: PiecewiseLinear, n: int, branch_budget: int = DEFAULT_ARC_BUDGET
 ) -> list[tuple[int, int, int, int]]:
     """Maximal affine branches (X_lo, X_hi, P, U) of T^n, sorted by X_lo.
 
@@ -245,7 +236,7 @@ def build_recurrence_set_piecewise(
     n: int,
     r,
     *,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
+    branch_budget: int = DEFAULT_ARC_BUDGET,
 ) -> RecurrenceSetResult:
     """E_n for a map with affine branches (``sys.as_piecewise()``: integer
     circle maps, rational beta-maps, piecewise maps) via exact branch
@@ -342,16 +333,17 @@ def pair_correlation(a: int, i: int, j: int, r_i, r_j) -> PairCorrelation:
     return PairCorrelation(a, i, j, mu_i, mu_j, inter, excess, bound, excess <= bound)
 
 
-def _exact_radii(seq: RadiusSequence, N: int) -> list[Fraction]:
+def _radii(seq: RadiusSequence, ns: Iterable[int], upper) -> list[Fraction]:
+    """The exact r_n of ``seq`` for each n of ``ns``, each in [0, upper]."""
     radii = []
-    for n in range(1, N + 1):
+    for n in ns:
         e = seq.exact(n)
         if e is None:
             raise ValueError(
                 f"exact computation needs an exact radius sequence; "
                 f"{seq.describe()} has no exact value at n={n}"
             )
-        radii.append(_check_radius(e))
+        radii.append(_check_radius(e, upper))
     return radii
 
 
@@ -373,7 +365,7 @@ def petrov_profile(
     if not horizons or horizons[0] < 1:
         raise ValueError("horizons must be positive")
     N = horizons[-1]
-    radii = _exact_radii(seq, N)
+    radii = _radii(seq, range(1, N + 1), Fraction(1, 2))
     mus = [2 * r for r in radii]
     out = []
     S = Fraction(0)
@@ -395,21 +387,6 @@ def petrov_profile(
 # Eventually-always sets (exact, doubling-style circle maps)
 # ---------------------------------------------------------------------------
 
-def _ear_scaled_cover(a: int, m: int, r: Fraction, L: int) -> list[tuple[int, int]]:
-    """Scaled canonical arcs of C_m = union over k<=m of E_{k,m} (radius r)."""
-    if r == 0:
-        return []
-    if 2 * r >= 1:
-        return [(0, L)]
-    arcs: list[tuple[int, int]] = []
-    for k in range(1, m + 1):
-        Mk = _fixed_point_count(a, k)
-        w = r.numerator * (L // (r.denominator * Mk))
-        sp = L // Mk
-        arcs.extend((c * sp - w, c * sp + w) for c in range(Mk))
-    return merge_scaled_arcs(arcs, L)
-
-
 def _ear_denominator(a: int, m: int, dens: Iterable[int]) -> int:
     # arc endpoints of E_{k,m} have denominator den(r) * M_k, so the common
     # scale must be divisible by every such product
@@ -418,16 +395,23 @@ def _ear_denominator(a: int, m: int, dens: Iterable[int]) -> int:
     ))
 
 
-def _ear_cover_near(
+def _ear_scaled_cover(
     a: int, m: int, r: Fraction, L: int, near: list[tuple[int, int]], arc_budget: int
 ) -> list[tuple[int, int]]:
-    """The arcs of C_m (radius r, 0 < 2r < 1) that meet an arc of ``near``,
-    merged, so that intersecting them with ``near`` gives near ∩ C_m.
+    """The arcs of C_m = union over k <= m of E_{k,m} (radius r) that meet an
+    arc of ``near``, merged, so that intersecting them with ``near`` gives
+    near ∩ C_m; near = [(0, L)] gives C_m itself. r = 0 builds no arc, and
+    for 2r >= 1 C_m is the whole circle, so ``near`` comes back as it is.
 
     The arc of E_{k,m} centred at c*sp (sp = L/M_k) meets [lo, hi) iff
     (lo - w)/sp < c < (hi + w)/sp. Indices outside [0, M_k) name the same
-    arcs mod L; merge_scaled_arcs folds them back.
+    arcs mod L; merge_scaled_arcs folds them back. ``arc_budget`` caps the
+    count of the arcs built.
     """
+    if r == 0:
+        return []
+    if 2 * r >= 1:
+        return near
     spans = []
     for k in range(1, m + 1):
         sp = L // _fixed_point_count(a, k)
@@ -452,28 +436,24 @@ def build_ear_sets(
     *,
     materialize: bool = True,
     arc_budget: int = DEFAULT_ARC_BUDGET,
-) -> EarCoverResult:
-    """C_m = {x : some iterate T^k x, k <= m, lies within r_m of x}, exactly.
+) -> RecurrenceSetResult:
+    """C_m = {x : some iterate T^k x, k <= m, lies within r_m of x}, exactly,
+    with ``n`` = m in the result.
 
-    Each E_{k,m} has measure 2 r_m, so mu(C_m) <= 2 m r_m; the complement
-    bound mu(complement of C_m) >= 1 - 2 m r_m follows.
+    ``_ear_scaled_cover`` builds it near the whole circle, so ``arc_budget``
+    caps the arcs that it builds: none when r_m = 0 or 2 r_m >= 1. Each
+    E_{k,m} has measure 2 r_m, so mu(C_m) <= 2 m r_m; the complement bound
+    mu(complement of C_m) >= 1 - 2 m r_m follows.
     """
     _check_multiplier(a)
     if m < 1:
         raise ValueError("m must be >= 1")
-    r = seq.exact(m)
-    if r is None:
-        raise ValueError(f"{seq.describe()} has no exact value at m={m}")
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
-    total = sum(_fixed_point_count(a, k) for k in range(1, m + 1))
-    if total > arc_budget:
-        raise ArcBudgetExceeded(total, arc_budget)
+    (r,) = _radii(seq, [m], math.inf)
     L = _ear_denominator(a, m, [r.denominator])
-    scaled = _ear_scaled_cover(a, m, r, L)
-    measure = Fraction(scaled_measure(scaled), L)
+    scaled = _ear_scaled_cover(a, m, r, L, [(0, L)], arc_budget)
     iset = IntervalSet.from_scaled(L, scaled) if materialize else None
-    return EarCoverResult(m, r, iset, measure, _circle_arc_count(scaled, L))
+    return RecurrenceSetResult(m, r, iset, Fraction(scaled_measure(scaled), L),
+                               _circle_arc_count(scaled, L))
 
 
 def ear_truncated_A(
@@ -495,26 +475,14 @@ def ear_truncated_A(
     _check_multiplier(a)
     if not 1 <= n0 <= M:
         raise ValueError("need 1 <= n0 <= M")
-    radii = {}
-    for m in range(n0, M + 1):
-        r = seq.exact(m)
-        if r is None:
-            raise ValueError(f"{seq.describe()} has no exact value at m={m}")
-        if r < 0:
-            raise ValueError(f"radius must be non-negative, got {r}")
-        radii[m] = r
-    L = _ear_denominator(a, M, [r.denominator for r in radii.values()])
+    radii = _radii(seq, range(n0, M + 1), math.inf)
+    L = _ear_denominator(a, M, {r.denominator for r in radii})
     cur: list[tuple[int, int]] = [(0, L)]
     profile = []
-    for m in range(n0, M + 1):
-        r = radii[m]
-        if r == 0:
-            cur = []
-        elif 2 * r < 1:  # otherwise C_m is the whole circle
-            cur = intersect_scaled_arcs(cur, _ear_cover_near(a, m, r, L, cur, arc_budget))
+    for m, r in enumerate(radii, n0):
+        cur = intersect_scaled_arcs(cur, _ear_scaled_cover(a, m, r, L, cur, arc_budget))
         profile.append((m, Fraction(scaled_measure(cur), L)))
         if not cur:
             break
-    measure = profile[-1][1] if profile else Fraction(0)
     iset = IntervalSet.from_scaled(L, cur) if materialize else None
-    return EarTruncationResult(n0, M, iset, measure, tuple(profile))
+    return EarTruncationResult(n0, M, iset, profile[-1][1], tuple(profile))

@@ -237,15 +237,13 @@ class IntegerCircleMap(_System):
         return y - math.floor(y)
 
     def as_piecewise(self) -> PiecewiseLinear:
-        """The same map as its a affine branches on [0, 1); a < 2 has none."""
-        a = self.a
-        if a < 2:
-            return super().as_piecewise()
-        br = [
-            Branch(Fraction(k, a), Fraction(k + 1, a), Fraction(a), Fraction(-k))
-            for k in range(a)
-        ]
-        return PiecewiseLinear(tuple(br))
+        """The same map as its |a| affine branches on [k/|a|, (k+1)/|a|):
+        x -> a x - k for a >= 2, and x -> a x + k + 1 for a <= -2, whose
+        image touches 1 at the branch's left end (``apply`` folds it to 0)."""
+        a, n = self.a, abs(self.a)
+        return PiecewiseLinear(tuple(
+            Branch(Fraction(k, n), Fraction(k + 1, n), a, -k if a > 0 else k + 1)
+            for k in range(n)))
 
     def describe(self) -> str:
         return f"circle:{self.a}"

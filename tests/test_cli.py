@@ -334,8 +334,9 @@ class TestEndToEnd:
         payload = json.loads((tmp_path / "petrov.json").read_bytes())
         assert [row["N"] for row in payload["profile"]] == [4, 8]
 
-    def test_ulam_json(self, tmp_path, capsys):
-        code = main(["ulam", "--system", "doubling", "--bins", "64",
+    @pytest.mark.parametrize("system", ["doubling", "circle:-2"])
+    def test_ulam_json(self, system, tmp_path, capsys):
+        code = main(["ulam", "--system", system, "--bins", "64",
                      "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "ulam.json").read_bytes())
@@ -448,13 +449,25 @@ class TestEndToEnd:
         assert line.startswith("config error: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_exact_rational_beta_composes_with_or_without_the_flag(self, tmp_path, capsys):
-        argv = ["exact", "--system", "beta:5/2", "--n", "3", "--r", "1/10"]
+    # a rational beta-map composes either way; a negative circle map takes
+    # the closed form without the flag and composes its branches with it
+    @pytest.mark.parametrize("system, measure", [
+        ("beta:5/2", "892/4875"), ("circle:-2", "1/5"), ("circle:-3", "1/5")])
+    def test_exact_writes_the_same_set_with_or_without_the_flag(self, system, measure,
+                                                                tmp_path, capsys):
+        argv = ["exact", "--system", system, "--n", "3", "--r", "1/10"]
         assert main(argv + ["--set-out", str(tmp_path / "a.txt")]) == 0
         assert main(argv + ["--piecewise", "--set-out", str(tmp_path / "b.txt")]) == 0
         text = (tmp_path / "a.txt").read_bytes()
         assert text and text == (tmp_path / "b.txt").read_bytes()
-        assert capsys.readouterr().out.count("E_3: measure=892/4875") == 2
+        assert capsys.readouterr().out.count(f"E_3: measure={measure} ") == 2
+
+    def test_ear_sigma_builds_no_arc_for_a_whole_circle(self, tmp_path, capsys):
+        # r_m >= 1/2 up to m = 22 at sigma = 1, so no cover has an arc to build
+        assert main(["ear", "--sigma", "1", "--n0", "4", "--M-horizon", "22",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "prop_ear_bound_check.json").read_bytes())
+        assert {row["complement_measure"] for row in report["results"]["table"]} == {"0/1"}
 
     def test_exact_builds_arcs_only_for_set_out(self, tmp_path, capsys, monkeypatch):
         argv = ["exact", "--n", "23", "--r", "1/12"]

@@ -135,6 +135,18 @@ class TestPiecewiseConstruction:
         # E_n in the circle metric would hold points where it is near 1
         self.assert_sets_agree_with_orbits("piecewise:0,1/3,3,0;1/3,1,3/2,-1/2", Fraction(1, 4))
 
+    def test_negative_circle_map_sets_agree_with_its_orbits(self):
+        # branch k of circle:-2 maps [k/2, (k+1)/2) by x -> -2x + k + 1
+        self.assert_sets_agree_with_orbits("circle:-2", Fraction(1, 10))
+
+    @pytest.mark.parametrize("a", [-2, -3, -5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_negative_circle_map_composes_to_the_closed_form(self, a, n):
+        for r in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 50)):
+            res = build_recurrence_set_piecewise(IntegerCircleMap(a), n, r)
+            closed = build_recurrence_set(a, n, r)
+            assert (res.set, res.measure, res.arc_count) == (closed.set, 2 * r, closed.arc_count)
+
     def test_rational_beta_sets_agree_with_its_orbits(self):
         # beta:5/2 composes the branches of BetaMap.as_piecewise, and its
         # orbits step by BetaMap.apply
@@ -238,14 +250,39 @@ class TestPetrov:
 
 
 class TestEventuallyAlwaysSets:
-    def test_cover_equals_union_of_recurrence_sets(self):
-        seq = ExplicitTable(tuple(Fraction(1, 3 * m) for m in range(1, 9)))
-        for m in [2, 4, 6]:
-            cover = build_ear_sets(2, m, seq)
-            r_m = seq.exact(m)
-            parts = [build_recurrence_set(2, k, r_m).set for k in range(1, m + 1)]
+    @pytest.mark.parametrize("a", [2, 3, -2])
+    # every E_k has an arc at 0, and at 1/7 and 2/5 arcs of E_k and E_{k'}
+    # overlap around other centres too; 0 gives no arc, and from 1/2 on
+    # every E_k is the whole circle
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 50), Fraction(1, 7),
+                                   Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)])
+    def test_cover_equals_union_of_recurrence_sets(self, a, r):
+        # the closed-form E_k joined by union_all is a construction of its own
+        seq = ExplicitTable((r,) * 6)
+        for m in range(1, 7):
+            cover = build_ear_sets(a, m, seq)
+            parts = [build_recurrence_set(a, k, min(r, Fraction(1, 2))).set
+                     for k in range(1, m + 1)]
             assert cover.set == IntervalSet.union_all(parts)
-            assert cover.measure <= 2 * m * r_m
+            assert cover.measure == cover.set.measure <= 2 * m * r
+
+    def test_cover_counts_only_the_arcs_it_builds(self):
+        # r_22 >= 1/2 at sigma = 1: the whole circle, with no arc built,
+        # although the sum of |2^k - 1| over k <= 22 is twice the budget
+        seq = EarRadius(ear_log2_delta(1), lambda d: Fraction(1), "ear")
+        assert 2 * seq.exact(22) >= 1
+        cover = build_ear_sets(2, 22, seq, materialize=False)
+        assert (cover.n, cover.measure, cover.arc_count) == (22, 1, 1)
+        assert build_ear_sets(2, 22, seq, arc_budget=0).set == IntervalSet.full()
+        zero = build_ear_sets(2, 22, ExplicitTable((Fraction(0),) * 22), arc_budget=0)
+        assert (zero.set, zero.measure, zero.arc_count) == (IntervalSet.empty(), 0, 0)
+
+    def test_cover_budget_is_enforced(self):
+        seq = PowerLaw(Fraction(1), Fraction(2))
+        with pytest.raises(ArcBudgetExceeded) as exc:
+            build_ear_sets(2, 10, seq, arc_budget=100)
+        assert exc.value.budget == 100 and exc.value.needed > 100
+        assert build_ear_sets(2, 10, seq, arc_budget=exc.value.needed).measure > 0
 
     @pytest.mark.parametrize("m", list(range(1, 19)))
     def test_cover_and_complement_bounds(self, m):

@@ -117,7 +117,7 @@ def brute_force_ulam(sys, N):
 class TestExactAssembly:
     @pytest.mark.parametrize("N", [16, 17, 96, 100])
     @pytest.mark.parametrize("system", [
-        "circle:2", "circle:3", "circle:5", BENCH_PIECEWISE,
+        "circle:2", "circle:3", "circle:5", "circle:-2", "circle:-3", BENCH_PIECEWISE,
         "piecewise:0,1/2,-2,1;1/2,1,2,-1",
         # three branches, the first with an image [1/10, 9/10) that is not whole
         "piecewise:0,2/5,2,1/10;2/5,7/10,-10/3,7/3;7/10,1,10/3,-7/3",
