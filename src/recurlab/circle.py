@@ -1,11 +1,14 @@
 """Exact arithmetic on the circle R/Z and finite unions of rational arcs.
 
 Everything in this module is exact. Points are `Fraction`s in [0, 1). A set
-of arcs is stored, and operated on, as integers over one scale L, the least
-common denominator of its endpoints; they become `Fraction`s only on
-request (``arcs``), and the text form writes them in lowest terms from the
-integers. All set operations return
-canonical normal forms, so equality of sets is equality of representations.
+of arcs is stored, and operated on, as one (n, 2) integer array of (lo, hi)
+rows over one scale L, the least common denominator of its endpoints. The
+array is int64 while L < 2^62, which leaves room for wrapped arcs
+(-L < lo, hi < 2L), and holds Python ints (dtype ``object``) from 2^62 on.
+Merge, intersection and the text form are array passes; endpoints become
+`Fraction`s only on request (``arcs``), and the text form writes them in
+lowest terms from the integers. All set operations return canonical normal
+forms, so equality of sets is equality of representations.
 
 Arcs are half-open [lo, hi). A set that differs from another on finitely
 many points has the same canonical measure, which is all the downstream
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import mpmath
@@ -47,99 +49,121 @@ def circle_dist(x, y) -> Fraction:
 #
 # Heavy sweeps (recurrence-set intersections, EAR unions) run on arcs whose
 # endpoints are integers over a common denominator L, i.e. on the circle of
-# circumference L. These kernels are shared by IntervalSet and by the bulk
-# routines in exact_sets, which generate scaled arcs directly.
+# circumference L. An arc list is an (n, 2) integer array of (lo, hi) rows,
+# in the dtype that ``arc_dtype(L)`` names. These kernels are shared by
+# IntervalSet and by the bulk routines in exact_sets, which generate scaled
+# arcs directly.
 # ---------------------------------------------------------------------------
 
-def merge_scaled_arcs(arcs: list[tuple[int, int]], L: int) -> list[tuple[int, int]]:
+def arc_dtype(L: int):
+    """int64 while arcs on the circle of circumference L, wrapped ones
+    (-L < lo, hi < 2L) included, fit in it with headroom; Python ints
+    (``object``) for scales of 2^62 and above, where numpy would wrap."""
+    return np.int64 if L < 2**62 else object
+
+
+def as_arcs(arcs, L: int) -> np.ndarray:
+    """``arcs`` as an (n, 2) array of the dtype for scale L."""
+    return np.asarray(arcs, arc_dtype(L)).reshape(-1, 2)
+
+
+def merge_scaled_arcs(arcs: np.ndarray, L: int) -> np.ndarray:
     """Canonicalise integer arcs on a circle of circumference L.
 
-    Input arcs may be unsorted and may have lo < 0 or hi > L (wrapping);
-    each must satisfy lo < hi. Output is sorted, disjoint, non-adjacent,
-    confined to [0, L), with wrap arcs split at 0.
+    ``arcs`` is an (n, 2) integer array: rows may be unsorted, may wrap
+    (lo < 0 or hi > L), and rows with hi <= lo are empty. The output, in
+    the input's dtype, is sorted, disjoint, non-adjacent, confined to
+    [0, L), with wrap arcs split at 0. In array passes: shift the rows
+    that leave [0, L] by a multiple of L, split the wraps, sort by left
+    end, and keep the start of each run of arcs that reach the running
+    maximum of the right ends. Rows inside [0, L] are never rewritten, so
+    object arrays make new integers only for the rows that wrap.
     """
-    flat: list[tuple[int, int]] = []
-    for lo, hi in arcs:
-        if hi <= lo:
-            continue
-        if hi - lo >= L:
-            return [(0, L)]
-        lo_m = lo % L
-        hi_m = lo_m + (hi - lo)
-        if hi_m <= L:
-            flat.append((lo_m, hi_m))
-        else:
-            flat.append((lo_m, L))
-            flat.append((0, hi_m - L))
-    if not flat:
-        return []
-    flat.sort()
-    merged = [flat[0]]
-    for lo, hi in flat[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi:
-            if hi > mhi:
-                merged[-1] = (mlo, hi)
-        else:
-            merged.append((lo, hi))
-    if len(merged) == 1 and merged[0] == (0, L):
-        return [(0, L)]
-    return merged
+    lo, hi = arcs[:, 0], arcs[:, 1]
+    keep = hi > lo
+    if not keep.all():
+        lo, hi = lo[keep], hi[keep]
+    if len(lo) == 0:
+        return arcs[:0]
+    out = (lo < 0) | (hi > L)
+    if out.any():
+        lo_o, hi_o = lo[out], hi[out]
+        if (hi_o - lo_o >= L).any():
+            return np.asarray([(0, L)], arcs.dtype)
+        shift = lo_o // L * L
+        lo_o, hi_o = lo_o - shift, hi_o - shift  # lo_o in [0, L)
+        wrap = hi_o > L
+        lo = np.concatenate((lo[~out], lo_o, np.zeros_like(lo_o[wrap])))
+        hi = np.concatenate((hi[~out], np.minimum(hi_o, L), hi_o[wrap] - L))
+    order = lo.argsort(kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    starts = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+    return np.stack((lo[np.r_[0, starts]], reach[np.r_[starts - 1, len(lo) - 1]]), axis=1)
 
 
-def scaled_measure(arcs: Sequence[tuple[int, int]]) -> int:
-    return sum(hi - lo for lo, hi in arcs)
+def scaled_measure(arcs: np.ndarray) -> int:
+    return int((arcs[:, 1] - arcs[:, 0]).sum())
 
 
-def intersect_scaled_arcs(
-    a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Intersection of two canonical scaled arc lists (two-pointer sweep)."""
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+def intersect_scaled_arcs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection of two canonical scaled arc arrays of one dtype.
+
+    Arc i of ``a`` meets the arcs j0 <= j < j1 of ``b``, found by two
+    ``searchsorted`` calls; each meeting pair gives one output arc, in
+    order, so the output is canonical too.
+    """
+    j0 = np.searchsorted(b[:, 1], a[:, 0], side="right")
+    j1 = np.searchsorted(b[:, 0], a[:, 1], side="left")
+    n = np.maximum(j1 - j0, 0)
+    ia = np.repeat(np.arange(len(a)), n)
+    ib = np.arange(n.sum()) + np.repeat(j0 - (np.cumsum(n) - n), n)
+    return np.stack((np.maximum(a[ia, 0], b[ib, 0]), np.minimum(a[ia, 1], b[ib, 1])), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Finite disjoint union of half-open arcs with exact rational endpoints,
-    stored as integers: (lo, hi) in ``scaled`` is [lo/L, hi/L), with L the
-    least such scale, so equal sets have equal fields. Instances are
-    immutable and canonical; construct through ``from_arcs``,
-    ``from_scaled`` or the set operations, never directly.
+    stored as integers: row (lo, hi) of the (n, 2) array ``scaled`` is
+    [lo/L, hi/L), with L the least such scale, so equal sets have equal
+    fields. ``scaled`` is int64 below the scale 2^62 and holds Python ints
+    above (``arc_dtype``). Instances are immutable (the array is read-only)
+    and canonical; construct through ``from_arcs``, ``from_scaled`` or the
+    set operations, never directly. An empty set has ``arc_count`` 0.
     """
 
     L: int
-    scaled: tuple[tuple[int, int], ...]
+    scaled: np.ndarray
+
+    def __post_init__(self):
+        view = self.scaled.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "scaled", view)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IntervalSet) and self.L == other.L
+                and np.array_equal(self.scaled, other.scaled))
 
     @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(1, ())
+        return IntervalSet(1, as_arcs((), 1))
 
     @staticmethod
     def full() -> "IntervalSet":
-        return IntervalSet(1, ((0, 1),))
+        return IntervalSet(1, as_arcs((0, 1), 1))
 
     @staticmethod
-    def from_scaled(L: int, arcs: Sequence[tuple[int, int]]) -> "IntervalSet":
+    def from_scaled(L: int, arcs) -> "IntervalSet":
         """The set of canonical arcs on the circle of circumference L (as
         ``merge_scaled_arcs`` returns them), with L reduced to its least."""
+        arcs = as_arcs(arcs, L)
         # a gcd of 1 over the first two arcs is the gcd over all of them
-        g = math.gcd(L, *chain.from_iterable(arcs[:2]))
+        g = math.gcd(L, *arcs[:2].ravel().tolist())
         if g > 1:
-            g = math.gcd(g, *chain.from_iterable(arcs))
+            g = math.gcd(g, int(np.gcd.reduce(arcs, axis=None)))
         if g > 1:
-            arcs = [(lo // g, hi // g) for lo, hi in arcs]
-        return IntervalSet(L // g, tuple(arcs))
+            L //= g
+            arcs = as_arcs(arcs // g, L)
+        return IntervalSet(L, arcs)
 
     @staticmethod
     def from_arcs(arcs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
@@ -150,9 +174,9 @@ class IntervalSet:
         """
         pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in arcs]
         L = math.lcm(*[f.denominator for p in pairs for f in p])
-        return IntervalSet.from_scaled(L, merge_scaled_arcs([
+        return IntervalSet.from_scaled(L, merge_scaled_arcs(np.array([
             (lo.numerator * (L // lo.denominator), hi.numerator * (L // hi.denominator))
-            for lo, hi in pairs], L))
+            for lo, hi in pairs], object).reshape(-1, 2), L))
 
     @staticmethod
     def arc(lo, hi) -> "IntervalSet":
@@ -163,7 +187,8 @@ class IntervalSet:
     @property
     def arcs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The arcs as ``Fraction`` pairs."""
-        return tuple((Fraction(lo, self.L), Fraction(hi, self.L)) for lo, hi in self.scaled)
+        return tuple((Fraction(lo, self.L), Fraction(hi, self.L))
+                     for lo, hi in self.scaled.tolist())
 
     @property
     def measure(self) -> Fraction:
@@ -173,19 +198,14 @@ class IntervalSet:
     def arc_count(self) -> int:
         return len(self.scaled)
 
-    def contains(self, x) -> bool:
-        """Kept as the point-membership oracle of the arc-sweep tests."""
-        p = circle_point(x)
-        # lo <= p*L < hi for integers lo, hi exactly when lo <= floor(p*L) < hi
-        X = p.numerator * self.L // p.denominator
-        return any(lo <= X < hi for lo, hi in self.scaled)
-
     # -- algebra -----------------------------------------------------------
 
     @staticmethod
-    def _on_one_scale(sets: Sequence["IntervalSet"]) -> tuple[int, list[list[tuple[int, int]]]]:
+    def _on_one_scale(sets: Sequence["IntervalSet"]) -> tuple[int, list[np.ndarray]]:
+        # converted to the common scale's dtype before the multiply, which
+        # would wrap in int64 past 2^63
         L = math.lcm(*(s.L for s in sets))
-        return L, [[(lo * (L // s.L), hi * (L // s.L)) for lo, hi in s.scaled] for s in sets]
+        return L, [as_arcs(s.scaled, L) * (L // s.L) for s in sets]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.union_all([self, other])
@@ -193,20 +213,16 @@ class IntervalSet:
     @staticmethod
     def union_all(sets: Sequence["IntervalSet"]) -> "IntervalSet":
         L, parts = IntervalSet._on_one_scale(sets)
-        return IntervalSet.from_scaled(L, merge_scaled_arcs(list(chain(*parts)), L))
+        return IntervalSet.from_scaled(L, merge_scaled_arcs(np.concatenate(parts), L))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         L, (a, b) = IntervalSet._on_one_scale([self, other])
         return IntervalSet.from_scaled(L, intersect_scaled_arcs(a, b))
 
     def complement(self) -> "IntervalSet":
-        ends = [0, *chain.from_iterable(self.scaled), self.L]
-        return IntervalSet.from_scaled(
-            self.L, [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi])
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        """Kept as the inclusion oracle of the arc-sweep tests."""
-        return self.intersect(other) == self
+        n = 2 * self.arc_count
+        gaps = np.insert(self.scaled.ravel(), [0, n], [0, self.L]).reshape(-1, 2)
+        return IntervalSet.from_scaled(self.L, gaps[gaps[:, 0] < gaps[:, 1]])
 
     # -- serialization -----------------------------------------------------
 
@@ -214,18 +230,18 @@ class IntervalSet:
         """Canonical text form: one 'num/den,num/den' line per arc, each
         endpoint in lowest terms.
 
-        Written TEXT_BLOCK arcs at a time: one ``np.gcd`` reduces a block's
-        endpoints against L, and the reduced integers become ASCII digits
-        on arrays (``_ascii_lines``). Scales of 2^64 and above take object
-        arrays of Python ints, which ``str`` formats.
+        Written TEXT_BLOCK arcs at a time, each block a slice of ``scaled``:
+        one ``np.gcd`` reduces a block's endpoints against L, and the
+        reduced integers become ASCII digits on arrays (``_ascii_lines``).
+        Scales of 2^64 and above take object arrays of Python ints, which
+        ``str`` formats.
         """
         L = self.L
         dtype = np.uint32 if L < 2**32 else np.uint64 if L < 2**64 else object
         Ld = np.dtype(dtype).type(L)
         blocks = []
-        for start in range(0, len(self.scaled), TEXT_BLOCK):
-            block = self.scaled[start:start + TEXT_BLOCK]
-            e = np.fromiter(chain.from_iterable(block), dtype, 2 * len(block))
+        for start in range(0, self.arc_count, TEXT_BLOCK):
+            e = self.scaled[start:start + TEXT_BLOCK].ravel().astype(dtype)
             g = np.gcd(e, Ld)
             # per arc: lo's numerator and denominator, then hi's
             vals = np.stack([e // g, Ld // g], axis=1).reshape(-1, 4)
@@ -234,11 +250,6 @@ class IntervalSet:
             else:
                 blocks.append(_ascii_lines(vals, len(str(L))).decode("ascii"))
         return "".join(blocks)
-
-    @staticmethod
-    def from_text(text: str) -> "IntervalSet":
-        """Kept as the parser of the ``to_text`` round-trip tests."""
-        return IntervalSet.from_arcs(line.split(",") for line in text.splitlines() if line.strip())
 
 
 TEXT_BLOCK = 8192  # arcs per block of IntervalSet.to_text

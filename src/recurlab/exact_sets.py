@@ -4,13 +4,18 @@ For the circle map T x = a x mod 1 the set E_n is a union of |a^n - 1| arcs
 of radius r/(a^n - 1) centered at the fixed points j/(a^n - 1) of T^n, so
 mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact. Arc
 endpoints, and the branches of T^n of a piecewise-affine map, are integers
-over one scale known in advance; `Fraction`s appear only in measures and
-the text form. Overlaps mu(E_i ∩ E_j) come in closed form from the gcd
-identity gcd(a^i - 1, a^j - 1) = |a^gcd(i,j) - 1|, without building any
-arc. One builder makes the eventually-always covers C_m: it builds only
-those arcs of C_m that meet a given set (the whole circle for C_m alone,
-the running intersection for A_{n0,M}) and counts only the arcs it builds,
-so a radius of 0 or at least 1/2 builds none.
+over one scale known in advance; arcs are (n, 2) integer arrays in the
+dtype of ``circle.arc_dtype`` (int64 below the scale 2^62, Python ints
+above), and `Fraction`s appear only in measures and the text form. E_n's
+arcs come from one ``np.arange`` of its centres. Overlaps mu(E_i ∩ E_j)
+come in closed form from the gcd identity gcd(a^i - 1, a^j - 1) =
+|a^gcd(i,j) - 1|, without building any arc. One builder makes the
+eventually-always covers C_m: it builds only those arcs of C_m that meet a
+given set (the whole circle for C_m alone, the running intersection for
+A_{n0,M}) and counts only the arcs it builds, so a radius of 0 or at least
+1/2 builds none. It finds the centre indices of those arcs in float64,
+within a proven error bound, and takes exact integer division wherever the
+bound leaves the floor in doubt.
 
 Hard budgets replace silent truncation: a computation that would need more
 arcs or composed branches than allowed raises, naming the limit.
@@ -23,9 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .circle import (
     IntervalSet,
     RadiusSequence,
+    arc_dtype,
+    as_arcs,
     intersect_scaled_arcs,
     merge_scaled_arcs,
     scaled_measure,
@@ -119,24 +128,25 @@ def _fixed_point_count(a: int, n: int) -> int:
     return abs(a ** n - 1)
 
 
-def _en_scaled_arcs(M: int, w: int, L: int) -> list[tuple[int, int]]:
-    """Canonical scaled arcs of E_n: radius w around the M points k*(L/M).
+def _en_scaled_arcs(M: int, w: int, L: int) -> np.ndarray:
+    """Canonical scaled arcs of E_n: radius w around the M points k*(L/M),
+    from one ``np.arange`` of the centres.
 
     Requires L % M == 0 and 2*w <= L//M (disjoint arcs); the arc around 0
     comes out split as [0, w) and [L-w, L).
     """
     if w <= 0:
-        return []
+        return as_arcs((), L)
     sp = L // M
     if 2 * w >= sp:
-        return [(0, L)]
-    arcs = [(0, w)]
-    arcs.extend((k * sp - w, k * sp + w) for k in range(1, M))
-    arcs.append((L - w, L))
+        return as_arcs((0, L), L)
+    centres = np.arange(M + 1, dtype=arc_dtype(L)) * sp
+    arcs = np.stack((centres - w, centres + w), axis=1)
+    arcs[0, 0], arcs[-1, 1] = 0, L
     return arcs
 
 
-def _circle_arc_count(arcs: Sequence[tuple[int, int]], L: int) -> int:
+def _circle_arc_count(arcs: np.ndarray, L: int) -> int:
     """Arc count on the circle: the canonical form splits an arc crossing 0
     into [0, .) and [., L) pieces; count those as one arc."""
     c = len(arcs)
@@ -161,7 +171,8 @@ def build_recurrence_set(
 
     The measure is always the closed form 2r (r <= 1/2 keeps the arcs
     disjoint); the IntervalSet is materialized only when requested and the
-    arc count fits the budget.
+    arcs it builds fit the budget: M + 1 (the arc at 0 in two halves), or
+    one when 2r = 1 makes E_n the whole circle.
     """
     _check_multiplier(a)
     r = _check_radius(r)
@@ -172,8 +183,9 @@ def build_recurrence_set(
     arc_count = 1 if measure == 1 else M
     if not materialize:
         return RecurrenceSetResult(n, r, None, measure, arc_count)
-    if M + 1 > arc_budget:
-        raise ArcBudgetExceeded(M + 1, arc_budget)
+    built = 1 if measure == 1 else M + 1
+    if built > arc_budget:
+        raise ArcBudgetExceeded(built, arc_budget)
     L = M * r.denominator
     w = r.numerator
     scaled = _en_scaled_arcs(M, w, L)
@@ -280,7 +292,7 @@ def build_recurrence_set_piecewise(
             xlo, xhi = max(xlo, lo), min(xhi, hi)
             if xlo < xhi:
                 arcs.append((xlo, xhi))
-    iset = IntervalSet.from_scaled(L, merge_scaled_arcs(arcs, L))
+    iset = IntervalSet.from_scaled(L, merge_scaled_arcs(as_arcs(arcs, L), L))
     return RecurrenceSetResult(n, r, iset, iset.measure, _circle_arc_count(iset.scaled, iset.L))
 
 
@@ -395,38 +407,83 @@ def _ear_denominator(a: int, m: int, dens: Iterable[int]) -> int:
     ))
 
 
-def _ear_scaled_cover(
-    a: int, m: int, r: Fraction, L: int, near: list[tuple[int, int]], arc_budget: int
-) -> list[tuple[int, int]]:
-    """The arcs of C_m = union over k <= m of E_{k,m} (radius r) that meet an
-    arc of ``near``, merged, so that intersecting them with ``near`` gives
-    near ∩ C_m; near = [(0, L)] gives C_m itself. r = 0 builds no arc, and
-    for 2r >= 1 C_m is the whole circle, so ``near`` comes back as it is.
+# The float index t = fl(fl(x_f * M_k) -+ fl(r)) of _ear_scaled_cover, with
+# u = 2^-53, x = lo/L in [0, 1] and M_k exact in float64. x_f = x (1 + d)
+# with |d| <= 3.01 u: Python's int division rounds once, numpy's on int64
+# rounds lo, L and the quotient. d moves x M_k by at most 3.01 u M_k, the
+# product's rounding by u M_k (1 + 3.01 u), fl(r) by u r and the last
+# rounding by u (M_k + r)(1 + 4.02 u), so |t - (x M_k -+ r)| <=
+# 5.1 u M_k + 2.1 u r, which is below 2^-50 (M_k + 1). Twice that is the
+# bound kept. Past 2^40 the bound nears the float spacing of t, and every
+# index is exact.
+_INDEX_ERR = 2.0 ** -49
+_FLOAT_INDEX_MAX = 2 ** 40
 
-    The arc of E_{k,m} centred at c*sp (sp = L/M_k) meets [lo, hi) iff
-    (lo - w)/sp < c < (hi + w)/sp. Indices outside [0, M_k) name the same
-    arcs mod L; merge_scaled_arcs folds them back. ``arc_budget`` caps the
-    count of the arcs built.
+
+def _certified(t: np.ndarray, bound: float, rounded, exact) -> np.ndarray:
+    """``rounded(t)`` (np.floor or np.ceil) of float values t, each within
+    ``bound`` of the exact value it stands for, as int64; the entries with
+    an integer within ``bound`` of t take ``exact(indices)`` instead."""
+    out = rounded(t).astype(np.int64)
+    unsure = np.flatnonzero(np.abs(t - np.rint(t)) <= bound)
+    if unsure.size:
+        out[unsure] = exact(unsure)
+    return out
+
+
+def _ear_scaled_cover(
+    a: int, m: int, r: Fraction, L: int, near: np.ndarray, arc_budget: int
+) -> np.ndarray:
+    """The arcs of C_m = union over k <= m of E_{k,m} (radius r) that meet an
+    arc of ``near`` (a canonical scaled arc array), merged, so that
+    intersecting them with ``near`` gives near ∩ C_m; near = [(0, L)] gives
+    C_m itself. r = 0 builds no arc, and for 2r >= 1 C_m is the whole
+    circle, so ``near`` comes back as it is.
+
+    The arc of E_{k,m} centred at c*sp (sp = L/M_k, w = r*sp) meets
+    [lo, hi) iff x*M_k - r < c < y*M_k + r, with x = lo/L and y = hi/L.
+    x and y go to float64 once per call, and for each k the index bounds
+    are a few float operations per near arc, within a proven bound of
+    their exact values (``_INDEX_ERR``). A bound with an integer within
+    that error, and every bound once M_k reaches 2^40, takes the exact
+    floor division instead. Only the endpoints c*sp -+ w of the centres
+    found are built, in the array dtype. Indices outside [0, M_k) name the
+    same arcs mod L; merge_scaled_arcs folds them back. ``arc_budget``
+    caps the count of the arcs built.
     """
     if r == 0:
-        return []
+        return as_arcs((), L)
     if 2 * r >= 1:
         return near
-    spans = []
+    lo, hi = near[:, 0], near[:, 1]
+    x, y, rf = np.asarray(lo / L, float), np.asarray(hi / L, float), float(r)
+    spans, count = [], 0
     for k in range(1, m + 1):
-        sp = L // _fixed_point_count(a, k)
+        Mk = _fixed_point_count(a, k)
+        sp = L // Mk
         w = r.numerator * (sp // r.denominator)
-        done = 0  # centres below this are taken; lo >= 0 keeps every c >= 0
-        for lo, hi in near:
-            c0 = max((lo - w) // sp + 1, done)
-            done = -(-(hi + w) // sp)
-            if c0 < done:
-                spans.append((sp, w, c0, done))
-    count = sum(c1 - c0 for _, _, c0, c1 in spans)
+        below = lambda i: (lo[i] - w) // sp  # floor(x M_k - r), exactly
+        above = lambda i: -((-w - hi[i]) // sp)  # ceil(y M_k + r), exactly
+        if Mk < _FLOAT_INDEX_MAX:
+            bound = _INDEX_ERR * (Mk + 1)
+            c0 = _certified(x * Mk - rf, bound, np.floor, below) + 1
+            c1 = _certified(y * Mk + rf, bound, np.ceil, above)
+        else:  # past what float64 resolves: every index exact
+            c0, c1 = below(slice(None)) + 1, above(slice(None))
+        # centres below the previous arc's end are taken; lo >= 0 keeps c0 >= 0
+        c0[1:] = np.maximum(c0[1:], c1[:-1])
+        n = np.maximum(c1 - c0, 0)
+        count += int(n.sum())
+        spans.append((sp, w, c0, n))
     if count > arc_budget:
         raise ArcBudgetExceeded(count, arc_budget)
-    return merge_scaled_arcs(
-        [(c * sp - w, c * sp + w) for sp, w, c0, c1 in spans for c in range(c0, c1)], L)
+    parts = []
+    for sp, w, c0, n in spans:
+        n = n.astype(np.int64)
+        centres = np.arange(n.sum()) + np.repeat(c0 - (np.cumsum(n) - n), n)
+        centres = centres.astype(arc_dtype(L)) * sp
+        parts.append(np.stack((centres - w, centres + w), axis=1))
+    return merge_scaled_arcs(np.concatenate(parts), L)
 
 
 def build_ear_sets(
@@ -450,7 +507,7 @@ def build_ear_sets(
         raise ValueError("m must be >= 1")
     (r,) = _radii(seq, [m], math.inf)
     L = _ear_denominator(a, m, [r.denominator])
-    scaled = _ear_scaled_cover(a, m, r, L, [(0, L)], arc_budget)
+    scaled = _ear_scaled_cover(a, m, r, L, as_arcs((0, L), L), arc_budget)
     iset = IntervalSet.from_scaled(L, scaled) if materialize else None
     return RecurrenceSetResult(m, r, iset, Fraction(scaled_measure(scaled), L),
                                _circle_arc_count(scaled, L))
@@ -477,12 +534,12 @@ def ear_truncated_A(
         raise ValueError("need 1 <= n0 <= M")
     radii = _radii(seq, range(n0, M + 1), math.inf)
     L = _ear_denominator(a, M, {r.denominator for r in radii})
-    cur: list[tuple[int, int]] = [(0, L)]
+    cur = as_arcs((0, L), L)
     profile = []
     for m, r in enumerate(radii, n0):
         cur = intersect_scaled_arcs(cur, _ear_scaled_cover(a, m, r, L, cur, arc_budget))
         profile.append((m, Fraction(scaled_measure(cur), L)))
-        if not cur:
+        if len(cur) == 0:
             break
     iset = IntervalSet.from_scaled(L, cur) if materialize else None
     return EarTruncationResult(n0, M, iset, profile[-1][1], tuple(profile))

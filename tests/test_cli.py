@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from recurlab.circle import IntervalSet, PowerLaw, PowerLog
+from recurlab.circle import PowerLaw, PowerLog
 from recurlab.cli import (
     _EXPERIMENTS, atomic_write, build_parser, main, parse_config, parse_sequence, parse_system,
 )
 from recurlab import exact_sets, experiments, number_theory, ulam
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
+from oracles import from_text
 
 
 class TestSystemParsing:
@@ -265,8 +266,8 @@ class TestEndToEnd:
                      "--set-out", str(set_file), "--out", str(tmp_path)])
         assert code == 0
         from recurlab.exact_sets import build_recurrence_set
-        loaded = IntervalSet.from_text(set_file.read_text())
-        assert loaded == build_recurrence_set(2, 3, Fraction(1, 12)).set
+        loaded = from_text(set_file.read_text())
+        assert loaded == build_recurrence_set(2, 3, Fraction(1, 12)).set.arcs
 
     def test_nt_gcd_json(self, tmp_path):
         code = main(["nt", "gcd", "--a", "3", "--max", "6", "--out", str(tmp_path)])
@@ -484,6 +485,14 @@ class TestEndToEnd:
         monkeypatch.setattr(exact_sets, "_en_scaled_arcs", no_arcs)
         assert main(["exact", "--n", "4", "--r", "1/10"]) == 0
         assert "arcs=15" in capsys.readouterr().out
+
+    def test_exact_whole_circle_is_one_arc_against_the_budget(self, tmp_path, capsys):
+        # 2r = 1 builds the one arc [0, 1), whatever 2^25 - 1 fixed points T^25 has
+        out = tmp_path / "set.txt"
+        assert main(["exact", "--system", "doubling", "--n", "25", "--r", "1/2",
+                     "--set-out", str(out)]) == 0
+        assert "arcs=1" in capsys.readouterr().out
+        assert out.read_text() == "0/1,1/1\n"
 
     def test_ear_exact_config_needs_an_integer_circle_map(self, tmp_path, capsys):
         cfg = tmp_path / "ear.ini"
