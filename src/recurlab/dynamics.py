@@ -18,11 +18,11 @@ Each gives float distances d(T^n x, x) and the decisions d_n < r_n and
 min_{j <= n} d_j < r_n over an index range, all exact: each backend hands an
 integer distance over its scale and its error bound (the windows' slack, E,
 0 on the lattice) to the one decision of ``experiments.Radii``. A shift
-block reads all its windows in one kernel call; a ``SteppedBlock`` walks
-each orbit once per call, for all its radius tables, up to the first
-decisive step. ``ExactOrbit`` steps rational orbits in ``Fraction``s by the
-system's own ``apply``, as the lattice backend's oracle and for the orbit
-command's CSV trace.
+block reads all its windows in one kernel call. The two stepped backends
+stream their distances into ``Radii.decide``, each orbit walked once per
+call for all its radius tables, and only as far as the last table reads.
+``_exact_orbit`` steps rational orbits in ``Fraction``s by the system's own
+``apply``, for the orbit command's CSV trace.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from itertools import accumulate, islice, tee
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from .circle import circle_dist
@@ -83,12 +82,12 @@ def _exact_orbit(sys: SystemSpec, x) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# Stepped orbits: the quadratic and lattice backends, and the exact oracle
+# Stepped orbits: the quadratic and lattice backends
 #
-# An orbit's ``_decisions(tables, running_min, stop)`` gives one sequence of
+# An orbit's ``_decisions(tables, running_min)`` gives one lazy sequence of
 # decisions per radius table (``experiments.Radii``, all over one range of n)
-# from one walk; a sequence may end at the table's first decision ``stop``,
-# so ``any`` and ``False not in`` stop the walk at the last table's.
+# from one walk, so ``any`` and ``False not in`` stop the walk at the step
+# that the last table reads.
 # ---------------------------------------------------------------------------
 
 class SteppedBlock:
@@ -112,24 +111,23 @@ class SteppedBlock:
     def any_below_each(self, tables) -> list[np.ndarray]:
         if len({(radii.n_lo, radii.n_hi) for radii in tables}) != 1:
             raise ValueError("the tables of one call must share one range of n")
-        hits = [list(map(any, o._decisions(tables, False, True))) for o in self.orbits]
+        hits = [list(map(any, o._decisions(tables, False))) for o in self.orbits]
         return list(np.array(hits, dtype=bool).reshape(len(self.orbits), len(tables)).T)
 
-    def any_below(self, radii) -> np.ndarray:
-        return self.any_below_each([radii])[0]
-
     def all_min_below(self, radii) -> np.ndarray:
-        return np.array([False not in o._decisions([radii], True, False)[0] for o in self.orbits])
+        return np.array([False not in o._decisions([radii], True)[0] for o in self.orbits])
 
 
 class _Stepped:
     """Decisions and distances from ``_dists(n_hi)``, the lazy integer
-    distances S * d(T^n x, x), n = 1, 2, ..., over the orbit's scale ``S``.
-    Decisions are ``Radii.decide``'s, lazy, for n from radii.n_lo on; the
-    tables of one call share the walk through ``tee``, and one table reads
-    the stream itself."""
+    distances D, n = 1, 2, ..., within ``E`` of S * d(T^n x, x) over the
+    orbit's scale ``S``. Decisions are ``Radii.decide``'s, lazy, for n from
+    radii.n_lo on; the tables of one call share the walk through ``tee``,
+    and one table reads the stream itself. An entry that E leaves open is
+    settled from the orbit's ``_floors``."""
 
     block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
+    E = 0  # exact distances: no entry is left open
 
     def distances(self, n_hi: int) -> np.ndarray:
         S = self.S
@@ -143,46 +141,15 @@ class _Stepped:
         """min(d_1, ..., d_n) < r_n for n in [radii.n_lo, radii.n_hi]."""
         return self._decisions([radii], True)[0]
 
-    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
+    def _decisions(self, tables, running_min: bool) -> list:
         ds = self._dists(tables[0].n_hi)
         if running_min:
             ds = accumulate(ds, min)
         streams = tee(ds, len(tables)) if len(tables) > 1 else (ds,)
-        return [self._decide(radii, islice(d, radii.n_lo - 1, None))
+        S, E = self.S, self.E
+        floors = (lambda n, D: self._floors(n, D, running_min)) if E else None
+        return [radii.decide(islice(d, radii.n_lo - 1, None), S, E, floors)
                 for radii, d in zip(tables, streams)]
-
-    def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
-        return radii.decide(ds, self.S)
-
-
-class ExactOrbit(_Stepped):
-    """The exact orbit of a rational start (its coordinates, one on the
-    circle), with ``Fraction`` distances decided exactly. The Monte Carlo
-    experiments use ``LatticeOrbit``; this is its oracle."""
-
-    S = 1  # the distances are exact Fractions
-
-    def __init__(self, sys: SystemSpec, coords: Sequence[Fraction]):
-        self.sys = sys
-        self.x0 = tuple(coords) if isinstance(sys, ToralLinear) else coords[0]
-
-    def _dists(self, n_hi: int) -> Iterator[Fraction]:
-        """d(T^n x, x) exactly, for n = 1..n_hi."""
-        orbit = _exact_orbit(self.sys, self.x0)
-        start = next(orbit)
-        return (point_distance(self.sys, pt, start) for pt in islice(orbit, n_hi))
-
-    def _decide(self, radii, ds: Iterator) -> Iterator[bool]:
-        # d < r_n in Fractions, or in mpmath well past d's denominator when
-        # r_n is irrational: no float band, so that it checks the one of Radii
-        for n, d in enumerate(ds, radii.n_lo):
-            r = radii.seq.exact(n)
-            if r is None:
-                with mpmath.workprec(d.denominator.bit_length() + 64):
-                    hit = mpmath.mpf(d.numerator) / d.denominator < radii.seq.mp(n)
-                yield hit
-            else:
-                yield d < r
 
 
 # ---------------------------------------------------------------------------
@@ -347,41 +314,13 @@ class FixedPointOrbit(_Stepped):
         self.a, self.b = a, b
         return r
 
-    def _decisions(self, tables, running_min: bool, stop: bool | None = None) -> list:
-        """Each table's decisions from one walk that steps, measures and
-        decides up to each table's decision ``stop``. One table has its own
-        branch: the loop over tables costs 6-10% on mc-iterated's beta ops."""
-        radii = tables[0]
-        n_lo, n_hi = radii.n_lo, radii.n_hi
+    def _dists(self, n_hi: int) -> Iterator[int]:
+        """From x0 on, lazily, |y - y0| for the ``step``s y of n = 1..n_hi."""
         if n_hi > self.horizon:
             raise ValueError(f"quadratic orbit built for {self.horizon} steps, not {n_hi}")
-        S, E, Y0, step = self.S, self.E, self._a0, self.step
-        self.a, self.b = self._a0, 0
-        (lo, hi), out, D, open_ = radii.band(S, E), [], S, None
-        if len(tables) > 1:
-            open_ = [(*radii.band(S, E), [], radii) for radii in tables]
-            decisions = [t[2] for t in open_]
-        for n in range(1, n_hi + 1):
-            d = abs(step() - Y0)
-            if running_min:
-                d = D = d if d < D else D
-            if n < n_lo:
-                continue
-            i = n - n_lo
-            if open_ is None:
-                out.append(hit := d < lo[i] or (d <= hi[i] and radii.settle(
-                    i, d, S, E, self._floors(n, d, running_min))))
-                if hit is stop:
-                    break
-                continue
-            for lo, hi, out, radii in open_:
-                out.append(hit := d < lo[i] or (d <= hi[i] and radii.settle(
-                    i, d, S, E, self._floors(n, d, running_min))))
-                if hit is stop:  # the loop goes on over the old list
-                    open_ = [t for t in open_ if t[2] is not out]
-            if not open_:
-                break
-        return [out] if open_ is None else decisions
+        Y0, step = self._a0, self.step
+        self.a, self.b = Y0, 0
+        return (abs(step() - Y0) for _ in range(n_hi))
 
     def _floor_at(self) -> Callable[[int], int]:
         """T -> floor(d(x, x_0) * T) exactly, x the point: d = (A + B w) / 2**P."""
@@ -410,11 +349,8 @@ class FixedPointOrbit(_Stepped):
         (D + E) / S rounds alike, else floor(d * T) / T at a T that grows
         until (floor(d * T) + 1) / T rounds alike too, as it does for an
         irrational d (b != 0; a beta-map's d is |a - X0| / 2**P if b = 0)."""
-        if n_hi > self.horizon:
-            raise ValueError(f"quadratic orbit built for {self.horizon} steps, not {n_hi}")
-        S, E, self.a, self.b, out = self.S, self.E, self._a0, 0, []
-        for _ in range(n_hi):
-            D = abs(self.step() - self._a0)
+        S, E, out = self.S, self.E, []
+        for D in self._dists(n_hi):
             if (x := (D - E) / S) != (D + E) / S:
                 floor_at, T = self._floor_at(), 1 << 64
                 while self.b and (F := floor_at(T)) / T != (F + 1) / T:
@@ -482,14 +418,6 @@ class DyadicOrbitView:
         first = u_lo & 7  # column u - 8 * t_lo of the reshape has top bit u
         return win.reshape(len(self.starts), -1)[:, first:first + n_hi - n_lo + 1]
 
-    def windows_batch(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """floor(T^n x * 2**64) up to -0/+1 for n in [n_lo, n_hi] (uint64)."""
-        return self._windows(n_lo, n_hi)[self._rows]
-
-    def window(self, n: int) -> int:
-        """``windows_batch(n, n)`` of the first start, as an int."""
-        return int(self._windows(n, n)[0, 0])
-
     def exact_dist(self, n: int, row: int = 0) -> Fraction:
         X0 = self.starts[row]
         t = ((X0 << n) - X0) % (1 << self.P)
@@ -530,9 +458,6 @@ class DyadicOrbitView:
 
     def any_below_each(self, tables) -> list[np.ndarray]:
         return [hit.any(axis=-1) for hit in self._below_each(tables)]
-
-    def any_below(self, radii) -> np.ndarray:
-        return self.any_below_each([radii])[0]
 
     def all_min_below(self, radii) -> np.ndarray:
         return self.min_below(radii).all(axis=-1)

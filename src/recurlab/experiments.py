@@ -175,9 +175,9 @@ class Radii:
     under the band's low end is a hit and D - E over its high end a miss.
     Step two, ``settle``, decides the few entries inside the band exactly:
     against ``scaled_radius`` when E leaves no doubt, else from exact floors
-    of the distance at growing scales; mpmath runs only for those. Exact
-    distances take ``decide``; the quadratic orbits' loop reads
-    ``band(S, E)`` itself. Each table counts its ``gray`` entries and the
+    of the distance at growing scales; mpmath runs only for those. Both
+    stepped backends stream their distances into ``decide``; the shift
+    windows read ``band64``. Each table counts its ``gray`` entries and the
     ``mp`` resolutions among them."""
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
@@ -223,12 +223,15 @@ class Radii:
             self._bands[S, E] = ([v - E for v in lo], [v + E for v in hi]) if E else (lo, hi)
         return self._bands[S, E]
 
-    def decide(self, ds: Iterable[int], S: int) -> Iterator[bool]:
-        """Lazily, d_n < r_n for n = n_lo, n_lo + 1, ... and the exact
-        integer distances D = S * d_n of ``ds``."""
-        lo, hi = self.band(S)
-        for i, D in enumerate(ds):
-            yield D < lo[i] or (D <= hi[i] and self.settle(i, D, S))
+    def decide(self, ds: Iterable[int], S: int, E: int = 0,
+               floors: Callable[[int, int], Iterable] | None = None) -> Iterator[bool]:
+        """Lazily, d_n < r_n for n = n_lo, n_lo + 1, ... and the integer
+        distances D of ``ds``, each within E of S * d_n. When E > 0, an entry
+        inside the band is settled from ``floors(n, D)``."""
+        lo, hi = self.band(S, E)
+        for i, D in enumerate(ds):  # lo <= hi: a miss takes one comparison
+            yield D <= hi[i] and (D < lo[i] or self.settle(
+                i, D, S, E, floors(self.n_lo + i, D) if E else ()))
 
     def settle(self, i: int, D: int, S: int, E: int = 0,
                floors: Iterable[Callable[[int], int]] = ()) -> bool:

@@ -1,15 +1,23 @@
-"""Oracles of the arc tests, in plain ``Fraction`` and tuple code.
+"""Oracles of the arc and orbit tests, in plain ``Fraction`` and tuple code.
 
 They share no code with the array kernels of ``recurlab.circle`` and
 ``recurlab.exact_sets``: point membership, inclusion and the text parser
 read a set's ``Fraction`` arcs, and ``merge_arcs``, ``intersect_arcs`` and
 ``ear_cover`` are the per-arc loops that the array passes replaced, on
-lists of ``(lo, hi)`` integer tuples.
+lists of ``(lo, hi)`` integer tuples. ``ExactOrbit`` steps a rational
+orbit by the system's own ``apply`` and decides d_n < r_n in ``Fraction``s
+or mpmath, with no float band and none of ``Radii``' decision code.
 """
 
 from fractions import Fraction
+from itertools import accumulate
+
+import mpmath
+import numpy as np
 
 from recurlab.circle import circle_point
+from recurlab.dynamics import SteppedBlock, point_distance
+from recurlab.systems import ToralLinear
 
 
 def contains(s, x) -> bool:
@@ -96,3 +104,51 @@ def ear_cover(a: int, m: int, r: Fraction, L: int, near) -> list[tuple[int, int]
             done = -(-(hi + w) // sp)
             arcs.extend((c * sp - w, c * sp + w) for c in range(c0, done))
     return merge_arcs(arcs, L)
+
+
+class ExactOrbit:
+    """The exact orbit of a rational start (its coordinates, one on the
+    circle), with ``Fraction`` distances decided exactly: the oracle of the
+    stepped backends, with ``below``, ``min_below``, ``distances`` and a
+    ``block`` as theirs."""
+
+    block = SteppedBlock
+
+    def __init__(self, sys, coords):
+        self.sys = sys
+        toral = isinstance(sys, ToralLinear)
+        self.x0 = tuple(map(Fraction, coords)) if toral else Fraction(coords[0])
+
+    def _dists(self, n_hi: int):
+        """d(T^n x, x) exactly, for n = 1..n_hi."""
+        x, out = self.x0, []
+        for _ in range(n_hi):
+            x = self.sys.apply(x)
+            out.append(point_distance(self.sys, x, self.x0))
+        return out
+
+    def distances(self, n_hi: int) -> np.ndarray:
+        return np.array([float(d) for d in self._dists(n_hi)])
+
+    def below(self, radii) -> list[bool]:
+        return self._decisions([radii], False)[0]
+
+    def min_below(self, radii) -> list[bool]:
+        return self._decisions([radii], True)[0]
+
+    def _decisions(self, tables, running_min: bool) -> list[list[bool]]:
+        ds = list(self._dists(tables[0].n_hi))
+        if running_min:
+            ds = list(accumulate(ds, min))
+        return [[_below(ds[n - 1], radii.seq, n) for n in range(radii.n_lo, radii.n_hi + 1)]
+                for radii in tables]
+
+
+def _below(d: Fraction, seq, n: int) -> bool:
+    """d < r_n in Fractions, or in mpmath well past d's denominator when r_n
+    is irrational."""
+    r = seq.exact(n)
+    if r is not None:
+        return d < r
+    with mpmath.workprec(d.denominator.bit_length() + 64):
+        return mpmath.mpf(d.numerator) / d.denominator < seq.mp(n)

@@ -14,7 +14,6 @@ from recurlab.circle import ExplicitTable, PowerLaw, RadiusSequence
 from recurlab.cli import parse_sequence, parse_system
 from recurlab.dynamics import (
     DyadicOrbitView,
-    ExactOrbit,
     FixedPointOrbit,
     LatticeOrbit,
     _lattice,
@@ -28,6 +27,7 @@ from recurlab.experiments import (
     rio_truncated_measure,
 )
 from recurlab.systems import BetaMap, IntegerCircleMap, Rotation
+from oracles import ExactOrbit
 
 DOUBLING = IntegerCircleMap(2)
 QUARTER_ROOT = "powerlaw:1/4,1/2"  # r_2 = 2**-5/2, irrational
@@ -420,7 +420,8 @@ def test_coefficients_stay_within_the_bound(spec):
 
 
 @pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3",
-                                  "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2"))
+                                  "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2",
+                                  "toral:2,1;1,1", "beta:sqrt2"))
 def test_tables_share_one_walk(spec, monkeypatch):
     # each table's hits and counters as if it were decided alone, from as
     # many steps as the table that walks furthest alone takes
@@ -441,14 +442,15 @@ def test_tables_share_one_walk(spec, monkeypatch):
     alone = []
     for radii, got, shared in zip([Radii(parse_sequence(s), 4, N) for s in specs], hits, together):
         steps.clear()
-        assert np.array_equal(got, orbits[0].block(orbits).any_below(radii))
+        assert np.array_equal(got, orbits[0].block(orbits).any_below_each([radii])[0])
         assert (shared.gray, shared.mp) == (radii.gray, radii.mp)
         alone.append([steps.count(o) for o in orbits])
     assert walked == [max(col) for col in zip(*alone)]
     assert len({int(h.sum()) for h in hits}) > 1  # the tables stop at different steps
 
 
-@pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3"))
+@pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3",
+                                  "toral:2,1;1,1", "beta:sqrt2"))
 @pytest.mark.parametrize("running_min", (False, True))
 def test_tables_decided_together_decide_as_alone(spec, running_min):
     # every decision and counter of every table, not only the first hit; on

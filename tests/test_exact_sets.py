@@ -7,7 +7,6 @@ import pytest
 
 from recurlab.circle import EarRadius, ExplicitTable, IntervalSet, PowerLaw, circle_dist, ear_log2_delta
 from recurlab.cli import parse_system
-from recurlab.dynamics import ExactOrbit
 from recurlab.errors import ArcBudgetExceeded
 from recurlab.exact_sets import (
     build_ear_sets,
@@ -20,7 +19,7 @@ from recurlab.exact_sets import (
 )
 from recurlab.experiments import Radii
 from recurlab.systems import Branch, IntegerCircleMap, PiecewiseLinear
-from oracles import contains, is_subset_of
+from oracles import ExactOrbit, contains, is_subset_of
 
 
 def exact_orbit_point(a: int, n: int, x: Fraction) -> Fraction:

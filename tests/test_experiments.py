@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from recurlab.circle import ExplicitTable, IntervalSet, PowerLaw, PowerLog
 from recurlab import experiments
 from recurlab.cli import parse_system
-from recurlab.dynamics import ExactOrbit, orbit_backend, sample_bits
+from recurlab.dynamics import orbit_backend, sample_bits
 from recurlab.exact_sets import build_recurrence_set
 from recurlab.experiments import (
     ExperimentReport,
@@ -33,6 +33,7 @@ from recurlab.experiments import (
     write_tsv,
 )
 from recurlab.systems import BetaMap, IntegerCircleMap, Rotation, ToralLinear
+from oracles import ExactOrbit
 
 DOUBLING = IntegerCircleMap(2)
 QUARTER = PowerLaw(Fraction(1, 4), Fraction(1))
