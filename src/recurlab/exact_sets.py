@@ -43,6 +43,7 @@ from .errors import ArcBudgetExceeded, BranchBudgetExceeded
 from .systems import PiecewiseLinear, SystemSpec, uses_circle_metric
 
 DEFAULT_ARC_BUDGET = 1 << 22
+_BLOCK = 1 << 14  # entries per block of an array pass on object integers
 
 
 # ---------------------------------------------------------------------------
@@ -207,40 +208,42 @@ def _integer_branches(pw: PiecewiseLinear) -> tuple[int, int, int, list[tuple[in
     return q, Lb, math.lcm(*(abs(p) for _, _, p, _ in ints)), ints
 
 
+def _int_dtype(bound: int):
+    """int64 for values at most ``bound`` in magnitude, else Python ints."""
+    return np.int64 if bound < 2**63 else object
+
+
 def compose_branches(
     pw: PiecewiseLinear, n: int, branch_budget: int = DEFAULT_ARC_BUDGET
-) -> list[tuple[int, int, int, int]]:
-    """Maximal affine branches (X_lo, X_hi, P, U) of T^n, sorted by X_lo.
-
-    With q, L_b and m from ``_integer_branches`` and S = L_b*m^n, T^n x =
-    (P*x + U)/q^n on [X_lo/S, X_hi/S), with the value already reduced into
-    [0, 1) (U absorbs the mod-1 subtractions along the orbit). After k steps
-    |P| divides m^k, so every domain end is an integer over S.
-    """
+) -> np.ndarray:
+    """Maximal affine branches of T^n as rows (X_lo, X_hi, P, U), sorted by
+    X_lo: with q, L_b, m from ``_integer_branches`` and S = L_b*m^n, T^n x =
+    (P*x + U)/q^n on [X_lo/S, X_hi/S), and every end is an integer over S
+    (|P| divides m^k after k steps). A level is one broadcast against the
+    base branches. Every value is at most L_b*(2q^n + m^n)*m^n, the bound of
+    int64: a base branch maps into [0, 1], so P*x + U lies in [0, q^k] on a
+    branch of T^k and |U| <= |P| + q^k; the ends before the clip are at
+    most L_b*(2q^k + |P|)*m^n/|P|, the new P and U at most m^n and 4m^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     q, Lb, m, branches = _integer_branches(pw)
     mn, qk = m ** n, 1
-    cur = [(0, Lb * mn, 1, 0)]  # T^0, one branch
+    dt = _int_dtype(Lb * (2 * q ** n + mn) * mn)
+    blo, bhi, p, u = np.array(branches, dt).T
+    lo, hi, P, U = np.array([[0], [Lb * mn], [1], [0]], dt)  # T^0, one branch
     for _ in range(n):
-        nxt = []
-        for lo, hi, P, U in cur:
-            k = mn // P
-            for blo, bhi, p, u in branches:
-                # T^k x = B/L_b at x*S = (B*q^k - U*L_b)*m^n/P
-                xlo = (blo * qk - U * Lb) * k
-                xhi = (bhi * qk - U * Lb) * k
-                if P < 0:
-                    xlo, xhi = xhi, xlo
-                xlo, xhi = max(xlo, lo), min(xhi, hi)
-                if xlo < xhi:
-                    nxt.append((xlo, xhi, p * P, p * U + u * qk))
-        if len(nxt) > branch_budget:
-            raise BranchBudgetExceeded(len(nxt), branch_budget)
-        cur = nxt
+        # T^k x = B/L_b at x*S = (B*q^k - U*L_b)*m^n/P
+        k, ULb = (mn // P)[:, None], (U * Lb)[:, None]
+        xlo, xhi = (blo * qk - ULb) * k, (bhi * qk - ULb) * k
+        neg = (P < 0)[:, None]
+        xlo, xhi = np.where(neg, xhi, xlo), np.where(neg, xlo, xhi)
+        xlo, xhi = np.maximum(xlo, lo[:, None]), np.minimum(xhi, hi[:, None])
+        i, j = np.nonzero(xlo < xhi)
+        if len(i) > branch_budget:
+            raise BranchBudgetExceeded(len(i), branch_budget)
+        lo, hi, P, U = xlo[i, j], xhi[i, j], p[j] * P[i], p[j] * U[i] + u[j] * qk
         qk *= q
-    cur.sort()
-    return cur
+    return np.stack((lo, hi, P, U), axis=1)[lo.argsort(kind="stable")]
 
 
 def build_recurrence_set_piecewise(
@@ -263,37 +266,42 @@ def build_recurrence_set_piecewise(
 
     On a branch, T^n x - x - j = (C*x + U - j*Q)/Q with Q = q^n and C = P - Q
     (never 0, as |P| > Q), so the interval's ends ((j*Q - U)*den(r) ∓
-    num(r)*Q)/(C*den(r)) are integers over L = lcm(S, den(r)*lcm |C|).
+    num(r)*Q)/(C*den(r)) are integers over L = lcm(S, den(r)*lcm |C|),
+    built by ``_branch_intervals`` in blocks of branches for one merge.
     """
     pw = sys.as_piecewise()
     r = _check_radius(r)
-    circle = uses_circle_metric(sys)
     branches = compose_branches(pw, n, branch_budget)
     q, Lb, m, _ = _integer_branches(pw)
-    Q, S = q ** n, Lb * m ** n
-    rn, rd = r.numerator, r.denominator
-    L = math.lcm(S, rd * math.lcm(*{abs(P - Q) for _, _, P, _ in branches}))
-    arcs: list[tuple[int, int]] = []
-    for lo, hi, P, U in branches:
-        C = P - Q
-        k = L // (C * rd)
-        js: Iterable[int] = (0,)
-        if circle:
-            # the integers within r of (C*x + U)/Q = V/(Q*S) on the domain
-            D = Q * S * rd
-            vmin, vmax = sorted((C * lo + U * S, C * hi + U * S))
-            js = range(-((rn * Q * S - vmin * rd) // D), (vmax * rd + rn * Q * S) // D + 1)
-        lo, hi = lo * (L // S), hi * (L // S)
-        for j in js:
-            xlo = ((j * Q - U) * rd - rn * Q) * k
-            xhi = ((j * Q - U) * rd + rn * Q) * k
-            if C < 0:
-                xlo, xhi = xhi, xlo
-            xlo, xhi = max(xlo, lo), min(xhi, hi)
-            if xlo < xhi:
-                arcs.append((xlo, xhi))
-    iset = IntervalSet.from_scaled(L, merge_scaled_arcs(as_arcs(arcs, L), L))
+    Q, mn = q ** n, m ** n
+    L = math.lcm(Lb * mn, r.denominator * math.lcm(*set(np.abs(branches[:, 2] - Q).tolist())))
+    dt, circle = _int_dtype(4 * mn * L * r.denominator), uses_circle_metric(sys)
+    parts = [_branch_intervals(branches[b:b + _BLOCK].astype(dt), Q, Lb * mn, L, r, circle)
+             for b in range(0, len(branches), _BLOCK)]
+    iset = IntervalSet.from_scaled(L, merge_scaled_arcs(np.concatenate(parts), L))
     return RecurrenceSetResult(n, r, iset, iset.measure, _circle_arc_count(iset.scaled, iset.L))
+
+
+def _branch_intervals(br: np.ndarray, Q: int, S: int, L: int, r: Fraction, circle: bool):
+    """The intervals of E_n over L on the branch rows of ``br``, clipped to
+    their domains (empty ones too), with the offsets j of all rows expanded
+    by one ``repeat``. Every value is at most 4*m^n*L*den(r), the bound of
+    int64: |C| and |U| are below 2m^n (``compose_branches``); C*x + U =
+    Q*(T^n x - x) lies in [-Q, Q], so j is -1, 0 or 1; the ends before the
+    clip are at most 3.5*m^n*L/|C|, and the j bounds 1.5*Q*S*den(r)."""
+    lo, hi, P, U = br.T
+    C, rn, rd, s = P - Q, r.numerator, r.denominator, L // S
+    j0, nj = np.zeros_like(C), np.ones(len(C), np.int64)
+    if circle:  # the integers within r of (C*x + U)/Q = V/(Q*S) on the domain
+        D, V = Q * S * rd, np.sort(np.stack((C * lo, C * hi), axis=1) + U[:, None] * S, axis=1)
+        j0 = -((rn * Q * S - V[:, 0] * rd) // D)
+        nj = ((V[:, 1] * rd + rn * Q * S) // D + 1 - j0).astype(np.int64)
+    i = np.repeat(np.arange(len(C)), nj)
+    j = np.arange(len(i)) + np.repeat(j0 - (np.cumsum(nj) - nj), nj)
+    k, w, neg, U = (L // (C * rd))[i], rn * Q, (C < 0)[i], (j * Q - U[i]) * rd
+    xlo, xhi = (U - w) * k, (U + w) * k
+    xlo, xhi = np.where(neg, xhi, xlo), np.where(neg, xlo, xhi)
+    return np.stack((np.maximum(xlo, (lo * s)[i]), np.minimum(xhi, (hi * s)[i])), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +428,14 @@ _INDEX_ERR = 2.0 ** -49
 _FLOAT_INDEX_MAX = 2 ** 40
 
 
-def _certified(t: np.ndarray, bound: float, rounded, exact) -> np.ndarray:
+def _certified(t: np.ndarray, bound: np.ndarray, rounded, exact, dtype) -> np.ndarray:
     """``rounded(t)`` (np.floor or np.ceil) of float values t, each within
-    ``bound`` of the exact value it stands for, as int64; the entries with
-    an integer within ``bound`` of t take ``exact(indices)`` instead."""
-    out = rounded(t).astype(np.int64)
-    unsure = np.flatnonzero(np.abs(t - np.rint(t)) <= bound)
-    if unsure.size:
-        out[unsure] = exact(unsure)
+    ``bound`` (broadcast) of the exact value it stands for, in ``dtype``;
+    entries with an integer that near take ``exact(rows, cols)`` instead."""
+    out = rounded(t).astype(np.int64).astype(dtype, copy=False)
+    rows, cols = np.nonzero(np.abs(t - np.rint(t)) <= bound)
+    if rows.size:
+        out[rows, cols] = exact(rows, cols)
     return out
 
 
@@ -442,48 +450,52 @@ def _ear_scaled_cover(
 
     The arc of E_{k,m} centred at c*sp (sp = L/M_k, w = r*sp) meets
     [lo, hi) iff x*M_k - r < c < y*M_k + r, with x = lo/L and y = hi/L.
-    x and y go to float64 once per call, and for each k the index bounds
-    are a few float operations per near arc, within a proven bound of
-    their exact values (``_INDEX_ERR``). A bound with an integer within
-    that error, and every bound once M_k reaches 2^40, takes the exact
-    floor division instead. Only the endpoints c*sp -+ w of the centres
-    found are built, in the array dtype. Indices outside [0, M_k) name the
-    same arcs mod L; merge_scaled_arcs folds them back. ``arc_budget``
-    caps the count of the arcs built.
+    x and y go to float64 once per call; the index bounds are a few float
+    operations on a (k, near arc) grid, taken max(1, 2^14/len(near)) rows
+    of k at a time, within a proven bound of their exact values
+    (``_INDEX_ERR``). A bound with an integer within that error, and every
+    bound once M_k reaches 2^40, takes exact floor division instead. The
+    indices are int64 when 4|a|^m < 2^63, as each lies in [0, M_k + 1] and
+    a block counts at most the sum of M_k + 2. Only the endpoints c*sp -+ w
+    of the centres found are built, in the array dtype, from one
+    ``repeat``. Indices outside [0, M_k) name the same arcs mod L;
+    merge_scaled_arcs folds them back. ``arc_budget`` caps the arcs built.
     """
     if r == 0:
         return as_arcs((), L)
     if 2 * r >= 1:
         return near
+    dt, idx = arc_dtype(L), _int_dtype(4 * abs(a) ** m)
+    Ms = [_fixed_point_count(a, k) for k in range(1, m + 1)]
+    sp = np.array([L // M for M in Ms], dt)
+    w = r.numerator * (sp // r.denominator)
+    Mf = np.array([float(min(M, _FLOAT_INDEX_MAX)) for M in Ms])[:, None]
+    err = np.where(Mf < _FLOAT_INDEX_MAX, _INDEX_ERR * (Mf + 1), np.inf)  # inf: all exact
     lo, hi = near[:, 0], near[:, 1]
     x, y, rf = np.asarray(lo / L, float), np.asarray(hi / L, float), float(r)
-    spans, count = [], 0
-    for k in range(1, m + 1):
-        Mk = _fixed_point_count(a, k)
-        sp = L // Mk
-        w = r.numerator * (sp // r.denominator)
-        below = lambda i: (lo[i] - w) // sp  # floor(x M_k - r), exactly
-        above = lambda i: -((-w - hi[i]) // sp)  # ceil(y M_k + r), exactly
-        if Mk < _FLOAT_INDEX_MAX:
-            bound = _INDEX_ERR * (Mk + 1)
-            c0 = _certified(x * Mk - rf, bound, np.floor, below) + 1
-            c1 = _certified(y * Mk + rf, bound, np.ceil, above)
-        else:  # past what float64 resolves: every index exact
-            c0, c1 = below(slice(None)) + 1, above(slice(None))
-        # centres below the previous arc's end are taken; lo >= 0 keeps c0 >= 0
-        c0[1:] = np.maximum(c0[1:], c1[:-1])
-        n = np.maximum(c1 - c0, 0)
-        count += int(n.sum())
-        spans.append((sp, w, c0, n))
+    step, picked, count = max(1, _BLOCK // max(1, len(near))), [], 0
+    for k0 in range(0, m, step):
+        ks = slice(k0, k0 + step)
+        below = lambda i, j: (lo[j] - w[k0 + i]) // sp[k0 + i]  # floor(x M_k - r), exactly
+        above = lambda i, j: -((-w[k0 + i] - hi[j]) // sp[k0 + i])  # ceil(y M_k + r), exactly
+        c0 = _certified(x * Mf[ks] - rf, err[ks], np.floor, below, idx) + 1
+        c1 = _certified(y * Mf[ks] + rf, err[ks], np.ceil, above, idx)
+        # centres below the previous arc's end are taken
+        c0[:, 1:] = np.maximum(c0[:, 1:], c1[:, :-1])
+        i, j = np.nonzero(c1 > c0)
+        picked.append((i + k0, c0[i, j], c1[i, j] - c0[i, j]))
+        count += int(picked[-1][2].sum())
     if count > arc_budget:
         raise ArcBudgetExceeded(count, arc_budget)
-    parts = []
-    for sp, w, c0, n in spans:
-        n = n.astype(np.int64)
-        centres = np.arange(n.sum()) + np.repeat(c0 - (np.cumsum(n) - n), n)
-        centres = centres.astype(arc_dtype(L)) * sp
-        parts.append(np.stack((centres - w, centres + w), axis=1))
-    return merge_scaled_arcs(np.concatenate(parts), L)
+    k, c0, n = (np.concatenate(p) for p in zip(*picked))
+    n = n.astype(np.int64)
+    k, arcs = np.repeat(k, n), np.empty((count, 2), dt)
+    # in place, so that only the endpoints are ever held as new integers
+    arcs[:, 0] = np.arange(count) + np.repeat(c0 - (np.cumsum(n) - n), n)
+    arcs[:, 0] *= sp[k]
+    arcs[:, 1] = arcs[:, 0] + w[k]
+    arcs[:, 0] -= w[k]
+    return merge_scaled_arcs(arcs, L)
 
 
 def build_ear_sets(

@@ -218,10 +218,10 @@ class Radii:
         """floor(lo_i * S) - E and floor(hi_i * S) + E, built once per
         (S, E): an integer within E of d * S that is below the first has
         d < r_n, one above the second has not."""
-        if (S, E) not in self._bands:
+        if (band := self._bands.get((S, E))) is None:
             lo, hi = ([_floor_scaled(x, S) for x in b.tolist()] for b in self.bounds)
-            self._bands[S, E] = ([v - E for v in lo], [v + E for v in hi]) if E else (lo, hi)
-        return self._bands[S, E]
+            band = self._bands[S, E] = ([v - E for v in lo], [v + E for v in hi]) if E else (lo, hi)
+        return band
 
     def decide(self, ds: Iterable[int], S: int, E: int = 0,
                floors: Callable[[int, int], Iterable] | None = None) -> Iterator[bool]:

@@ -2,13 +2,15 @@
 
 They share no code with the array kernels of ``recurlab.circle`` and
 ``recurlab.exact_sets``: point membership, inclusion and the text parser
-read a set's ``Fraction`` arcs, and ``merge_arcs``, ``intersect_arcs`` and
-``ear_cover`` are the per-arc loops that the array passes replaced, on
-lists of ``(lo, hi)`` integer tuples. ``ExactOrbit`` steps a rational
+read a set's ``Fraction`` arcs, and ``merge_arcs``, ``intersect_arcs``,
+``ear_cover``, ``compose_branches`` and ``recurrence_arcs`` are the
+per-arc and per-branch loops that the array passes replaced, on lists of
+integer tuples. ``ExactOrbit`` steps a rational
 orbit by the system's own ``apply`` and decides d_n < r_n in ``Fraction``s
 or mpmath, with no float band and none of ``Radii``' decision code.
 """
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -17,7 +19,8 @@ import numpy as np
 
 from recurlab.circle import circle_point
 from recurlab.dynamics import SteppedBlock, point_distance
-from recurlab.systems import ToralLinear
+from recurlab.exact_sets import _integer_branches
+from recurlab.systems import ToralLinear, uses_circle_metric
 
 
 def contains(s, x) -> bool:
@@ -104,6 +107,62 @@ def ear_cover(a: int, m: int, r: Fraction, L: int, near) -> list[tuple[int, int]
             done = -(-(hi + w) // sp)
             arcs.extend((c * sp - w, c * sp + w) for c in range(c0, done))
     return merge_arcs(arcs, L)
+
+
+def compose_branches(pw, n: int) -> list[tuple[int, int, int, int]]:
+    """The affine branches (X_lo, X_hi, P, U) of T^n over S = L_b*m^n,
+    sorted: for each branch of T^k and each base branch, the part of its
+    domain that T^k maps into the base branch's."""
+    q, Lb, m, branches = _integer_branches(pw)
+    mn, qk = m ** n, 1
+    cur = [(0, Lb * mn, 1, 0)]  # T^0, one branch
+    for _ in range(n):
+        nxt = []
+        for lo, hi, P, U in cur:
+            k = mn // P
+            for blo, bhi, p, u in branches:
+                # T^k x = B/L_b at x*S = (B*q^k - U*L_b)*m^n/P
+                xlo = (blo * qk - U * Lb) * k
+                xhi = (bhi * qk - U * Lb) * k
+                if P < 0:
+                    xlo, xhi = xhi, xlo
+                xlo, xhi = max(xlo, lo), min(xhi, hi)
+                if xlo < xhi:
+                    nxt.append((xlo, xhi, p * P, p * U + u * qk))
+        cur = nxt
+        qk *= q
+    return sorted(cur)
+
+
+def recurrence_arcs(sys, n: int, r: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+    """E_n of a map with affine branches as ``Fraction`` arcs: on each
+    branch of T^n, for each integer offset j within r of T^n x - x on the
+    branch (j = 0 alone for an interval map), the interval where
+    |T^n x - x - j| < r, clipped to the branch and merged."""
+    pw = sys.as_piecewise()
+    q, Lb, m, _ = _integer_branches(pw)
+    branches = compose_branches(pw, n)
+    Q, S = q ** n, Lb * m ** n
+    rn, rd = r.numerator, r.denominator
+    L = math.lcm(S, rd * math.lcm(*{abs(P - Q) for _, _, P, _ in branches}))
+    arcs = []
+    for lo, hi, P, U in branches:
+        C = P - Q
+        k = L // (C * rd)
+        js = [0]
+        if uses_circle_metric(sys):
+            # the integers within r of (C*x + U)/Q = V/(Q*S) on the domain
+            D = Q * S * rd
+            vmin, vmax = sorted((C * lo + U * S, C * hi + U * S))
+            js = range(-((rn * Q * S - vmin * rd) // D), (vmax * rd + rn * Q * S) // D + 1)
+        lo, hi = lo * (L // S), hi * (L // S)
+        for j in js:
+            xlo = ((j * Q - U) * rd - rn * Q) * k
+            xhi = ((j * Q - U) * rd + rn * Q) * k
+            if C < 0:
+                xlo, xhi = xhi, xlo
+            arcs.append((max(xlo, lo), min(xhi, hi)))
+    return tuple((Fraction(lo, L), Fraction(hi, L)) for lo, hi in merge_arcs(arcs, L))
 
 
 class ExactOrbit:

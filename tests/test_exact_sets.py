@@ -3,12 +3,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from recurlab.circle import EarRadius, ExplicitTable, IntervalSet, PowerLaw, circle_dist, ear_log2_delta
+import oracles
+from recurlab.circle import (EarRadius, ExplicitTable, IntervalSet, PowerLaw, as_arcs,
+                             circle_dist, ear_log2_delta)
 from recurlab.cli import parse_system
 from recurlab.errors import ArcBudgetExceeded
 from recurlab.exact_sets import (
+    _BLOCK,
+    _ear_denominator,
+    _ear_scaled_cover,
     build_ear_sets,
     build_recurrence_set,
     build_recurrence_set_piecewise,
@@ -153,6 +159,34 @@ class TestPiecewiseConstruction:
         self.assert_sets_agree_with_orbits("beta:5/2", Fraction(1, 10))
 
 
+# the piecewise map of the benchmark; it composes in int64 through n = 11
+# and in Python ints from n = 12, where L_b (2q^n + m^n) m^n = 3 (2^13 + 6^12) 6^12
+# passes 2^63. Its E_n pass, whose bound is 4 m^n L den(r), takes Python ints
+# from n = 4 or 5 (by r), and beta:5/2's from n = 8 or 9.
+BENCH_PIECEWISE = "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2"
+ORACLE_CASES = [
+    *((spec, n) for spec in ("circle:-2", "circle:-3", "circle:5", "beta:5/2",
+                             "piecewise:0,1/2,-2,1;1/2,1,2,-1", BENCH_PIECEWISE)
+      for n in (1, 2, 3)),
+    (BENCH_PIECEWISE, 5), ("beta:5/2", 7), ("beta:5/2", 9), (BENCH_PIECEWISE, 11),
+    (BENCH_PIECEWISE, 12),
+]
+
+
+@pytest.mark.parametrize("spec, n", ORACLE_CASES)
+def test_array_composition_equals_the_tuple_loops(spec, n):
+    sys = parse_system(spec)
+    branches = compose_branches(sys.as_piecewise(), n)
+    assert [tuple(row) for row in branches.tolist()] == oracles.compose_branches(sys.as_piecewise(), n)
+    for r in (Fraction(1, 50), Fraction(1, 3), Fraction(1, 2)):
+        assert build_recurrence_set_piecewise(sys, n, r).set.arcs == oracles.recurrence_arcs(sys, n, r)
+
+
+@pytest.mark.parametrize("n, dtype", [(11, np.int64), (12, object)])
+def test_composition_switches_to_python_ints_past_its_bound(n, dtype):
+    assert compose_branches(parse_system(BENCH_PIECEWISE).as_piecewise(), n).dtype == dtype
+
+
 class TestPairCorrelation:
     def test_known_intersection(self):
         pc = pair_correlation(2, 1, 2, Fraction(1, 10), Fraction(1, 10))
@@ -276,6 +310,15 @@ class TestEventuallyAlwaysSets:
         assert build_ear_sets(2, 22, seq, arc_budget=0).set == IntervalSet.full()
         zero = build_ear_sets(2, 22, ExplicitTable((Fraction(0),) * 22), arc_budget=0)
         assert (zero.set, zero.measure, zero.arc_count) == (IntervalSet.empty(), 0, 0)
+
+    def test_cover_in_blocks_of_k_equals_the_oracle(self):
+        # 5,000 near arcs leave 3 rows of k to a block, so m = 8 takes three
+        a, m, r = 2, 8, Fraction(1, 7)
+        L = _ear_denominator(a, m, [r.denominator])
+        near = [(i * (L // 5000), i * (L // 5000) + L // 15000) for i in range(5000)]
+        assert _BLOCK // len(near) < m
+        got = _ear_scaled_cover(a, m, r, L, as_arcs(near, L), 1 << 22)
+        assert [tuple(arc) for arc in got.tolist()] == oracles.ear_cover(a, m, r, L, near)
 
     def test_cover_budget_is_enforced(self):
         seq = PowerLaw(Fraction(1), Fraction(2))
