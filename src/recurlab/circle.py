@@ -7,8 +7,9 @@ array is int64 while L < 2^62, which leaves room for wrapped arcs
 (-L < lo, hi < 2L), and holds Python ints (dtype ``object``) from 2^62 on.
 Merge, intersection and the text form are array passes; endpoints become
 `Fraction`s only on request (``arcs``), and the text form writes them in
-lowest terms from the integers. All set operations return canonical normal
-forms, so equality of sets is equality of representations.
+lowest terms from the integers, reducing by gcds read from residue tables
+over the prime factors of L (``gcd_with``). All set operations return
+canonical normal forms, so equality of sets is equality of representations.
 
 Arcs are half-open [lo, hi). A set that differs from another on finitely
 many points has the same canonical measure, which is all the downstream
@@ -23,6 +24,7 @@ set like {[0, 1/10), [9/10, 1)} prints with two arcs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,28 +233,83 @@ class IntervalSet:
         endpoint in lowest terms.
 
         Written TEXT_BLOCK arcs at a time, each block a slice of ``scaled``:
-        one ``np.gcd`` reduces a block's endpoints against L, and the
-        reduced integers become ASCII digits on arrays (``_ascii_lines``).
-        Scales of 2^64 and above take object arrays of Python ints, which
-        ``str`` formats.
+        ``gcd_with(L)`` reduces a block's endpoints against L from residue
+        tables over L's prime factors, and the reduced integers become ASCII
+        digits on arrays (``_ascii_lines``). Scales of 2^64 and above take
+        object arrays of Python ints, which ``str`` formats.
         """
         L = self.L
         dtype = np.uint32 if L < 2**32 else np.uint64 if L < 2**64 else object
         Ld = np.dtype(dtype).type(L)
-        blocks = []
-        for start in range(0, self.arc_count, TEXT_BLOCK):
-            e = self.scaled[start:start + TEXT_BLOCK].ravel().astype(dtype)
-            g = np.gcd(e, Ld)
-            # per arc: lo's numerator and denominator, then hi's
-            vals = np.stack([e // g, Ld // g], axis=1).reshape(-1, 4)
-            if dtype is object:
-                blocks.append("".join(map("{}/{},{}/{}\n".format, *vals.T)))
-            else:
-                blocks.append(_ascii_lines(vals, len(str(L))).decode("ascii"))
-        return "".join(blocks)
+
+        def blocks():  # a generator: its arrays and tables go before the join
+            gcd = gcd_with(L, dtype)
+            for start in range(0, self.arc_count, TEXT_BLOCK):
+                e = self.scaled[start:start + TEXT_BLOCK].ravel().astype(dtype)
+                g = gcd(e)
+                # per arc: lo's numerator and denominator, then hi's
+                vals = np.stack([e // g, Ld // g], axis=1).reshape(-1, 4)
+                if dtype is object:
+                    yield "".join(map("{}/{},{}/{}\n".format, *vals.T))
+                else:
+                    yield _ascii_lines(vals, len(str(L))).decode("ascii")
+
+        return "".join(blocks())
 
 
 TEXT_BLOCK = 8192  # arcs per block of IntervalSet.to_text
+
+TABLE_MAX = 2**16  # the largest modulus of a gcd_with residue table
+
+
+@functools.cache
+def _small_primes() -> np.ndarray:
+    """The primes below TABLE_MAX (read-only uint64), sieved on first use."""
+    sieve = np.ones(TABLE_MAX, bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(TABLE_MAX)):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve).astype(np.uint64)
+    primes.flags.writeable = False
+    return primes
+
+
+def gcd_with(L: int, dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """e -> gcd(e, L) on arrays of ``dtype``, by residue tables when L < 2^64.
+
+    The prime powers of L up to TABLE_MAX (by trial division) are grouped
+    greedily into coprime parts q <= TABLE_MAX with tables t_q[x] = gcd(x, q),
+    built by strided products; the rest R of L (primes and prime powers above
+    TABLE_MAX) takes ``np.gcd``: gcd(e, L) = gcd(e, R) prod_q t_q[e mod q].
+    Object arrays (L >= 2^64) take ``np.gcd`` alone.
+    """
+    if dtype is object:
+        return lambda e: np.gcd(e, L)
+    primes = _small_primes()
+    tables, R = [], L
+    for p in primes[np.uint64(L) % primes == 0].tolist():
+        pk = math.gcd(L, p**64)  # the power of p in L, as L < 2^64
+        if pk <= TABLE_MAX:
+            R //= pk
+            joins = tables and len(tables[-1]) * pk <= TABLE_MAX
+            t = np.tile(tables.pop() if joins else np.ones(1, dtype), pk)  # t_q[x mod q]
+            pj = p
+            while pk % pj == 0:  # gcd(x, q pk) gains a factor p for each p^j | x
+                t[::pj] *= p
+                pj *= p
+            tables.append(t)
+    tables = [(dtype(len(t)), t) for t in tables]
+    R = dtype(R)
+
+    def gcd(e: np.ndarray) -> np.ndarray:
+        g = np.gcd(e, R) if R > 1 else np.ones_like(e)
+        for q, t in tables:
+            g *= t.take(e % q)
+        return g
+
+    return gcd
+
 
 _SEPARATORS = np.frombuffer(b"/,/\n", np.uint8)
 

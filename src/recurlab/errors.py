@@ -10,12 +10,12 @@ class RecurlabError(Exception):
 
 
 class ArcBudgetExceeded(RecurlabError):
-    def __init__(self, needed: int, budget: int, what: str = "arcs"):
+    def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"operation needs {needed} {what}, exceeding the configured budget {budget}; "
-            f"raise the budget explicitly to proceed"
+            f"operation needs {needed} arcs, exceeding the configured budget {budget}; "
+            f"raise it explicitly to proceed (exact --budget-arcs, ear --budget-arcs)"
         )
 
 
@@ -24,7 +24,8 @@ class BranchBudgetExceeded(RecurlabError):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"branch composition needs {needed} branches, exceeding the budget {budget}"
+            f"branch composition needs {needed} branches, exceeding the budget {budget}; "
+            f"here exact --budget-arcs caps branches, not arcs: raise it to proceed"
         )
 
 

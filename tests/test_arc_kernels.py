@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from recurlab.circle import IntervalSet, arc_dtype, as_arcs, intersect_scaled_arcs, merge_scaled_arcs
+from recurlab.circle import (
+    IntervalSet,
+    arc_dtype,
+    as_arcs,
+    gcd_with,
+    intersect_scaled_arcs,
+    merge_scaled_arcs,
+)
 from recurlab.exact_sets import (
     _FLOAT_INDEX_MAX,
     _ear_denominator,
@@ -145,3 +152,23 @@ def test_set_algebra_across_the_int64_switch():
     assert s1.union(s2.complement()) == IntervalSet.full()
     assert s1.intersect(s2.complement()).arcs == (
         (Fraction(1, L1), Fraction(1, 5)), (Fraction(3, 5), Fraction(L1 - 1, L1)))
+
+
+# one scale for each branch of gcd_with: no prime factor; two table parts
+# (2^2 3^2 5 17 = 3060 and 257); a prime power above the table bound; a prime
+# above it, with table parts (12 * 131071) and alone; and a rest of two primes
+# above it (65537 * 6700417) on uint64
+GCD_SCALES = (1, 786_420, 2**32, 1_572_852, 100_003, 2**64 - 1)
+
+
+@pytest.mark.parametrize("L", GCD_SCALES)
+@given(data=st.data())
+@settings(max_examples=20)
+def test_gcd_with_equals_math_gcd(L, data):
+    dtype = np.uint32 if L < 2**32 else np.uint64
+    # the ends 0 and L, and multiples of L // d, whose gcds with L are large
+    fixed = [0, 1, L - 1, L] + [L // d * k for d in range(1, 40) for k in (1, 2, 3)]
+    e = np.array([x for x in fixed if x <= L] + data.draw(st.lists(st.integers(0, L))), dtype)
+    g = gcd_with(L, dtype)(e)
+    assert g.dtype == dtype
+    assert g.tolist() == [math.gcd(x, L) for x in e.tolist()]

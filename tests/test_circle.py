@@ -13,10 +13,12 @@ from recurlab.circle import (
     IntervalSet,
     PowerLaw,
     PowerLog,
+    TEXT_BLOCK,
     circle_dist,
     circle_point,
     ear_log2_delta,
 )
+from recurlab.exact_sets import build_recurrence_set
 from oracles import contains, from_text, is_subset_of
 
 fractions01 = st.fractions(min_value=0, max_value=1)
@@ -186,6 +188,16 @@ class TestTextForm:
         step = L // count
         s = IntervalSet.from_scaled(L, [(k * step + 1, k * step + 2) for k in range(count)])
         assert (s.L, s.arc_count) == (L, count)
+        text = s.to_text()
+        assert text == fraction_text(s)
+        assert from_text(text) == s.arcs
+
+    def test_block_edge_at_a_smooth_scale(self):
+        # the first TEXT_BLOCK + 1 arcs of E_16 of doubling at r = 1/12, on the
+        # scale 786,420 = 2^2 3^2 5 17 257, which both residue tables reduce
+        arcs = build_recurrence_set(2, 16, Fraction(1, 12)).set.scaled[:TEXT_BLOCK + 1]
+        s = IntervalSet.from_scaled(786_420, arcs)
+        assert (s.L, s.arc_count) == (786_420, TEXT_BLOCK + 1)
         text = s.to_text()
         assert text == fraction_text(s)
         assert from_text(text) == s.arcs

@@ -194,6 +194,27 @@ class TestOptions:
                 main([command, "--help"])
             assert option in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, commands", [
+        (["exact", "--n", "4", "--r", "1/10", "--set-out", "{tmp}/e4.txt", "--budget-arcs", "5"],
+         ["exact", "ear"]),
+        (["ear", "--exact", "--n0", "3", "--M-horizon", "6", "--budget-arcs", "10"],
+         ["exact", "ear"]),
+        (["exact", "--system", "circle:5", "--n", "1", "--r", "1/12", "--piecewise",
+          "--budget-arcs", "4"], ["exact"]),
+    ])
+    def test_budget_errors_name_options_that_exist(self, argv, commands, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"budget {argv[-1]}" in err
+        assert ("caps branches" in err) == ("--piecewise" in argv)
+        named = re.findall(r"(\w+) (--[\w-]+)", err)
+        assert [c for c, _ in named] == commands
+        for command, option in named:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert option in capsys.readouterr().out
+
     def test_seed_and_budget_where_they_act(self, tmp_path):
         assert main(["ear", "--exact", "--n0", "3", "--M-horizon", "6",
                      "--budget-arcs", "10", "--out", str(tmp_path)]) == 1
