@@ -282,28 +282,39 @@ def gcd_with(L: int, dtype) -> Callable[[np.ndarray], np.ndarray]:
     greedily into coprime parts q <= TABLE_MAX with tables t_q[x] = gcd(x, q),
     built by strided products; the rest R of L (primes and prime powers above
     TABLE_MAX) takes ``np.gcd``: gcd(e, L) = gcd(e, R) prod_q t_q[e mod q].
-    Object arrays (L >= 2^64) take ``np.gcd`` alone.
+    A rest R < 2^32 with no prime factor below TABLE_MAX = 2^16 is a prime
+    (a composite has one below its square root), so gcd(e, R) is R where R
+    divides e and 1 elsewhere. Object arrays (L >= 2^64) take ``np.gcd``
+    alone.
     """
     if dtype is object:
         return lambda e: np.gcd(e, L)
     primes = _small_primes()
-    tables, R = [], L
+    tables, R, prime = [], L, True
     for p in primes[np.uint64(L) % primes == 0].tolist():
         pk = math.gcd(L, p**64)  # the power of p in L, as L < 2^64
-        if pk <= TABLE_MAX:
-            R //= pk
-            joins = tables and len(tables[-1]) * pk <= TABLE_MAX
-            t = np.tile(tables.pop() if joins else np.ones(1, dtype), pk)  # t_q[x mod q]
-            pj = p
-            while pk % pj == 0:  # gcd(x, q pk) gains a factor p for each p^j | x
-                t[::pj] *= p
-                pj *= p
-            tables.append(t)
+        if pk > TABLE_MAX:  # stays in R, which is then no prime
+            prime = False
+            continue
+        R //= pk
+        joins = tables and len(tables[-1]) * pk <= TABLE_MAX
+        t = np.tile(tables.pop() if joins else np.ones(1, dtype), pk)  # t_q[x mod q]
+        pj = p
+        while pk % pj == 0:  # gcd(x, q pk) gains a factor p for each p^j | x
+            t[::pj] *= p
+            pj *= p
+        tables.append(t)
     tables = [(dtype(len(t)), t) for t in tables]
-    R = dtype(R)
+    prime = prime and R < 2**32
+    R, one = dtype(R), dtype(1)
 
     def gcd(e: np.ndarray) -> np.ndarray:
-        g = np.gcd(e, R) if R > 1 else np.ones_like(e)
+        if R == 1:
+            g = np.ones_like(e)
+        elif prime:
+            g = np.where(e % R == 0, R, one)
+        else:
+            g = np.gcd(e, R)
         for q, t in tables:
             g *= t.take(e % q)
         return g

@@ -21,6 +21,9 @@ integer distance over its scale and its error bound (the windows' slack, E,
 block reads all its windows in one kernel call. The two stepped backends
 stream their distances into ``Radii.decide``, each orbit walked once per
 call for all its radius tables, and only as far as the last table reads.
+A block of beta-map orbits (``BetaBlock``) first walks all its rows at once
+in float64 segments under a proven error bound, joined by exact jumps in
+Z[w]; only a row that the bound leaves open takes that exact walk.
 ``_exact_orbit`` steps rational orbits in ``Fraction``s by the system's own
 ``apply``, for the orbit command's CSV trace.
 """
@@ -90,9 +93,19 @@ def _exact_orbit(sys: SystemSpec, x) -> Iterator:
 # that the last table reads.
 # ---------------------------------------------------------------------------
 
+def _one_range(tables) -> tuple[int, int]:
+    """(n_lo, n_hi), the one range of n of the radius tables of a call."""
+    if len(ranges := {(radii.n_lo, radii.n_hi) for radii in tables}) != 1:
+        raise ValueError("the tables of one call must share one range of n")
+    return ranges.pop()
+
+
 class SteppedBlock:
-    """Stepped orbits, one row each: ``any_below_each`` stops a row once
-    every table has had a hit and ``all_min_below`` at its first miss."""
+    """Stepped orbits, one row each, walked one orbit at a time:
+    ``any_below_each`` stops a row once every table has had a hit and
+    ``all_min_below`` at its first miss. These scalar walks are the exact
+    path of every stepped orbit; ``BetaBlock`` screens beta-map rows in
+    floats first and leaves to them only the rows that it cannot decide."""
 
     def __init__(self, orbits: Sequence[_Stepped]):
         self.orbits = orbits
@@ -109,8 +122,7 @@ class SteppedBlock:
         return np.array([list(o.below(radii)) for o in self.orbits], dtype=bool)
 
     def any_below_each(self, tables) -> list[np.ndarray]:
-        if len({(radii.n_lo, radii.n_hi) for radii in tables}) != 1:
-            raise ValueError("the tables of one call must share one range of n")
+        _one_range(tables)
         hits = [list(map(any, o._decisions(tables, False))) for o in self.orbits]
         return list(np.array(hits, dtype=bool).reshape(len(self.orbits), len(tables)).T)
 
@@ -236,6 +248,7 @@ class LatticeOrbit(_Stepped):
 
     def __init__(self, S: int, walk: Callable, horizon: int, X0):
         self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
+        self.row_entries = horizon  # see experiments._sample_blocks
 
     def _dists(self, n_hi: int) -> Iterator[int]:
         if n_hi > self.horizon:
@@ -285,7 +298,13 @@ class FixedPointOrbit(_Stepped):
     takes it. A rotation adds 2**P to b and keeps only y in a, at
     S = 2**(P + Q), y = S / 2 at x0. Distances S * d(T^n x, x), within
     E, meet the band of ``Radii`` widened by E; an entry inside it is
-    decided from exact floors of the distances (``_floors``)."""
+    decided from exact floors of the distances (``_floors``).
+
+    That walk is exact, and it is the whole story for a single orbit and for
+    rotations. A block of beta-map orbits (``block``) is a ``BetaBlock``:
+    it steps all its rows in floats and moves each row's (a, b) only at the
+    end of a float segment, by one jump of K - 1 steps and one ``step``;
+    ``row_entries``, its memory per row, is then K, not the horizon."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
         self._k = _quadratic_constants(sys, P, horizon)
@@ -296,6 +315,14 @@ class FixedPointOrbit(_Stepped):
         self.X0 = X0 % (1 << P)
         self._a0 = self.S >> 1 if self._circle else self.X0  # a, and y, at x = x0
         self.a, self.b = self._a0, 0
+
+    @property
+    def block(self) -> type[SteppedBlock]:
+        return SteppedBlock if self._k[0] is None else BetaBlock
+
+    @property
+    def row_entries(self) -> int:
+        return self.horizon if self._k[0] is None else _segments(self._omega)[1]
 
     def step(self) -> int:
         c0, c1, W, Q, P, mask, e, top = self._k
@@ -360,6 +387,161 @@ class FixedPointOrbit(_Stepped):
         return np.array(out)
 
 
+@lru_cache(maxsize=16)
+def _segments(omega) -> tuple:
+    """(w, K, eps, err, PQ, p, q) of the float segments of the beta-map with
+    slope omega (see ``BetaBlock``): w its float, the segment length K,
+    floats eps >= eps_K and err >= eps_K + 2**-51, the int64 table
+    PQ[:, j - 1] = (p_i, q_i), i = K - 1 - j, j = 1..K-1, of
+    omega**i = p_i + q_i omega, and omega**(K-1) = p + q omega. The bound is
+    summed in Fractions from omega <= (F + 1) / 2**100 and
+    |w - omega| <= |w - F / 2**100| + 2**-100, F = floor(omega * 2**100)."""
+    c0, c1 = omega.quadratic()
+    F = omega.floor_of(0, 1 << 100, 1)
+    w = F / (1 << 100)
+    e = math.frexp(w)[1]  # w < 2**e
+    delta = Fraction(2) ** (e - 53) + abs(Fraction(w) - Fraction(F, 1 << 100)) + Fraction(1, 1 << 100)
+    w_up = Fraction(F + 1, 1 << 100)
+    eps, K = w_up / (1 << 52) + delta, 1
+    while (after := w_up * eps + delta) <= Fraction(1, 1 << 30):
+        eps, K = after, K + 1
+    pq = [(1, 0)]
+    for _ in range(K - 1):
+        p, q = pq[-1]
+        pq.append((c0 * q, p + c1 * q))
+    up = lambda v: math.nextafter(float(v), math.inf)  # noqa: E731
+    return (w, K, up(eps), up(eps + Fraction(1, 1 << 51)),
+            np.array(pq[-2::-1], np.int64).reshape(-1, 2).T, *pq[-1])
+
+
+def _first(mask: np.ndarray, k: int) -> np.ndarray:
+    """Per column, the row of the first True of ``mask``; k where none is."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), k)
+
+
+class BetaBlock(SteppedBlock):
+    """Beta-map orbits x -> w x mod 1 (``FixedPointOrbit``s), decided in
+    certified float segments of K steps.
+
+    All running rows step together in float64, one numpy vector per step:
+    t = w x, m = floor(t), x = t - m and d = |x - x0|. The error bound, with
+    w the float of ``_segments``, 2**(e-1) < w < 2**e, and omega the slope:
+
+    * a segment starts from a float x within eps_0 = 2**-52 of the point:
+      x0 = X0 / 2**P rounded, or y / S rounded for the exact y of a ``step``,
+      which is within E / S <= 2**-64 + 2**-P of the point; and x <= 1;
+    * if x is within eps of the point, then fl(w x) is within
+      |fl(w x) - w x| + |w - omega| x + omega eps <= delta + omega eps of
+      omega times the point, where delta = 2**(e-53) + |w - omega| (w x is
+      below 2**e, so the product rounds by at most 2**(e-54)). So
+      eps_k = omega eps_{k-1} + delta bounds t's error at step k;
+    * m = floor(t) is the true digit wherever eps_K < t - m < 1 - eps_K
+      (t - m is exact, and a float below fl(c) is below c, so the float
+      compares are safe); then the new x is within eps_k of the point;
+    * d = fl(|x - x0|) is within eps_k + 2**-53 of the true distance, and a
+      running minimum within the largest of these. err = eps_K + 2**-51
+      adds a margin of 2**-52, above (2 E + 2) / S = 2**-63 + 2**(2 - P)
+      for every P >= 64 that the orbits take. An entry with
+      fl(d + err) < lo, or fl(d - err) > hi, for Radii.bounds lo < r_n < hi,
+      is a hit, or a miss, and lies outside ``Radii.band(S, E)`` too, so the
+      scalar walk would count it neither ``gray`` nor ``mp``.
+
+    K is the largest segment length with eps_K <= 2**-30 (at least 1). At a
+    segment's end each row still running moves its exact state by
+    omega**(K-1) = p + q omega: (a, b) -> (p a + c0 q b, q a + (p + c1 q) b)
+    less 2**P times (sum_j m_j p_{K-1-j}, sum_j m_j q_{K-1-j}), int64 dot
+    products of the digits m_1..m_{K-1} with the table ``PQ``. One ``step``
+    then gives the point K exactly, and the y that restarts the floats; its
+    digit must be the screened one.
+
+    Each row reads its entries as the scalar walk does, up to its stop. A
+    row that meets an uncertain digit, or an entry inside [lo - err,
+    hi + err], before its stop is decided by ``_decisions`` from its start,
+    and so is a row whose jump fails the digit check (which the bound
+    excludes)."""
+
+    def below(self, radii) -> np.ndarray:
+        return self._screen([radii], False, None)[0]
+
+    def any_below_each(self, tables) -> list[np.ndarray]:
+        return self._screen(tables, False, True)
+
+    def all_min_below(self, radii) -> np.ndarray:
+        return ~self._screen([radii], True, False)[0]
+
+    def _screen(self, tables, running_min: bool, stop: bool | None) -> list[np.ndarray]:
+        """Per table, whether each row's decisions (of the running minimum if
+        ``running_min``) reach the value ``stop``, read up to the first that
+        does; for stop None, the one table's decisions, a row per orbit."""
+        n_lo, n_hi = _one_range(tables)
+        orbits, rows = self.orbits, len(self.orbits)
+        first = orbits[0]
+        if n_hi > first.horizon:
+            raise ValueError(f"quadratic orbit built for {first.horizon} steps, not {n_hi}")
+        c0, c1, P, S = first._k[0], first._k[1], first.P, first.S
+        w, K, eps, err, PQ, p, q = _segments(first._omega)
+        cq, pcq = c0 * q, p + c1 * q
+        pad = (np.full(n_lo - 1, -np.inf), np.full(n_lo - 1, np.inf))  # n < n_lo: not read
+        bounds = [[np.concatenate([v, b]) for v, b in zip(pad, radii.bounds)] for radii in tables]
+        ended = np.zeros((len(tables), rows), bool)
+        hits = np.zeros((rows, n_hi), bool) if stop is None else None
+        x0 = np.array([o.X0 / S for o in orbits])
+        live, x, low = np.arange(rows), x0, np.full(rows, np.inf)
+        exact = []  # rows left to the scalar walk
+        for o in orbits:
+            o.a, o.b = o._a0, 0
+        for n0 in range(0, n_hi, K):
+            k = min(K, n_hi - n0)
+            frac, digit = np.empty((k, len(live))), np.empty((k, len(live)))
+            for s in range(k):
+                t = np.multiply(x, w, out=frac[s])
+                np.floor(t, out=digit[s])
+                x = np.subtract(t, digit[s], out=t)
+            j = _first((frac <= eps) | (frac >= 1 - eps), k)  # the first uncertain digit
+            d = np.abs(frac - x0[live])
+            if running_min:
+                d = np.minimum(np.minimum.accumulate(d), low[live])
+                low[live] = d[-1]
+            read = (np.arange(n0 + 1, n0 + k + 1) >= n_lo)[:, None]
+            bad = np.zeros(len(live), bool)
+            for i, (lo, hi) in enumerate(bounds):
+                hit, miss = d + err < lo[n0:n0 + k, None], d - err > hi[n0:n0 + k, None]
+                first_bad = np.minimum(_first(read & ~hit & ~miss, k), j)
+                if stop is None:  # every entry is read
+                    hits[live, n0:n0 + k] = hit.T
+                    bad |= first_bad < k
+                    continue
+                running = ~ended[i, live]
+                ends = running & (_first(hit if stop else miss, k) < first_bad)
+                ended[i, live[ends]] = True
+                bad |= running & ~ends & (first_bad < k)
+            exact += live[bad].tolist()
+            go = ~bad & ~ended[:, live].all(axis=0)
+            if n0 + k == n_hi or not go.any():
+                break
+            # the exact jump of each running row, then its one step
+            sp, sq = (PQ @ digit[:-1, go].astype(np.int64)).tolist()
+            kept, xs = [], []
+            for r, s_p, s_q, m in zip(live[go].tolist(), sp, sq, digit[-1, go].tolist()):
+                o = orbits[r]
+                a, b = o.a, o.b
+                o.a, o.b = p * a + cq * b - (s_p << P), q * a + pcq * b - (s_q << P)
+                b, y = o.b, o.step()
+                if (c0 * b - o.a) >> P == m:
+                    kept.append(r)
+                    xs.append(y / S)
+                else:
+                    exact.append(r)
+            live, x = np.array(kept, int), np.array(xs)
+        for r in exact:
+            decisions = orbits[r]._decisions(tables, running_min)
+            if stop is None:
+                hits[r, n_lo - 1:] = list(decisions[0])
+            else:
+                ended[:, r] = [stop in dec for dec in decisions]
+        return [hits[:, n_lo - 1:]] if stop is None else list(ended)
+
+
 # ---------------------------------------------------------------------------
 # Dyadic doubling-map orbits: the whole orbit is a window of X0
 # ---------------------------------------------------------------------------
@@ -383,7 +565,7 @@ class DyadicOrbitView:
         if P < horizon + _W:
             raise PrecisionBudgetError(horizon + _W, P)
         self.P = P
-        self.horizon = horizon
+        self.horizon = self.row_entries = horizon
         one = isinstance(X0, int)
         self.starts = [x % (1 << P) for x in ([X0] if one else X0)]
         self._rows = 0 if one else slice(None)  # one start: its row, 1-D

@@ -12,8 +12,12 @@ every system: any hit (``rio``; stepped orbits stop at the first hit), hits
 per n (the ``mu(E_n)`` scan), running minimum always below r_m
 (eventually-always; stepped orbits stop at the first miss) and the running
 minimum of n**(1/alpha) * d(T^n x, x) (Boshernitzan). A block holds about
-``_BLOCK`` orbit entries; on the doubling map it is read by one window
-kernel. A call computes its radius table once, and ``Radii`` makes every
+``_BLOCK`` orbit entries, counted by what a row holds: the horizon for the
+scan and Boshernitzan, which read matrices over n, and for the doubling
+map's windows (read by one kernel), the lattice walks and rotations; K
+digits for a beta-map's float segments (``dynamics.BetaBlock``), so a
+``rio`` or eventually-always call of up to _BLOCK // K samples is one
+block. A call computes its radius table once, and ``Radii`` makes every
 hit/miss decision against it; the dichotomy decides both of its tables on
 each block, so its samples are drawn once.
 """
@@ -28,6 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
@@ -289,15 +294,18 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int):
+def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int,
+                   dense: bool = False):
     """Samples 0..M-1 of the orbit backend of ``sys`` over ``horizon`` steps,
-    in blocks of max(1, _BLOCK // horizon) orbits."""
+    in blocks of about _BLOCK entries: max(1, _BLOCK // width) orbits, with
+    width the horizon for a call that reads a matrix over n (``dense``), and
+    else the backend's memory per row, ``row_entries``."""
     _keep_freed_heap()
     start = orbit_backend(sys, horizon)
-    rows = max(1, _BLOCK // horizon)
-    for lo in range(0, M, rows):
-        orbits = [_sample_start(start, master_seed, i) for i in range(lo, min(M, lo + rows))]
-        yield orbits[0].block(orbits)
+    orbits = (_sample_start(start, master_seed, i) for i in range(M))
+    for first in orbits:
+        rows = max(1, _BLOCK // (horizon if dense else first.row_entries))
+        yield first.block([first, *islice(orbits, rows - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +334,7 @@ def recurrence_measure_scan(sys: SystemSpec, seq: RadiusSequence, n_max: int,
     t0 = time.monotonic()
     radii = Radii(seq, 1, n_max)
     hits = np.zeros(n_max, dtype=np.int64)
-    for block in _sample_blocks(sys, n_max, M, master_seed):
+    for block in _sample_blocks(sys, n_max, M, master_seed, dense=True):
         hits += block.below(radii).sum(axis=0)
     rows = []
     for n in range(1, n_max + 1):
@@ -504,7 +512,7 @@ def boshernitzan_scan(sys: SystemSpec, alphas: Sequence[float],
     stats = np.empty((len(alphas), len(checkpoints), M))
     segments = [0] + checkpoints[:-1]  # n in (previous checkpoint, checkpoint]
     lo = 0
-    for block in _sample_blocks(sys, Nmax, M, master_seed):
+    for block in _sample_blocks(sys, Nmax, M, master_seed, dense=True):
         if lo == 0:  # the orbit class's own power convention
             powers = [block.powers(1.0 / a, Nmax) for a in alphas]
         d = block.distances(Nmax)

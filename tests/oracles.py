@@ -5,11 +5,13 @@ They share no code with the array kernels of ``recurlab.circle`` and
 read a set's ``Fraction`` arcs, and ``merge_arcs``, ``intersect_arcs``,
 ``ear_cover``, ``compose_branches`` and ``recurrence_arcs`` are the
 per-arc and per-branch loops that the array passes replaced, on lists of
-integer tuples. ``ExactOrbit`` steps a rational
+integer tuples; ``assert_same_text`` compares long texts without pytest's
+line-by-line diff. ``ExactOrbit`` steps a rational
 orbit by the system's own ``apply`` and decides d_n < r_n in ``Fraction``s
 or mpmath, with no float band and none of ``Radii``' decision code.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -34,6 +36,18 @@ def is_subset_of(a, b) -> bool:
     maximal, and both sets split an arc across 0 the same way, so this is
     inclusion of the sets."""
     return all(any(blo <= lo and hi <= bhi for blo, bhi in b.arcs) for lo, hi in a.arcs)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, by sha256 digests first. On a mismatch the assertion is
+    on the first line that differs, with its index, so a failing test
+    reports at once instead of diffing thousands of lines."""
+    if hashlib.sha256(got.encode()).digest() == hashlib.sha256(want.encode()).digest():
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (lines[i] if i < len(lines) else "<end of text>" for lines in (a, b))
+    assert x == y, f"the texts differ first at line {i}: {x!r} != {y!r}"
 
 
 def from_text(text: str) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -172,3 +172,17 @@ def test_gcd_with_equals_math_gcd(L, data):
     g = gcd_with(L, dtype)(e)
     assert g.dtype == dtype
     assert g.tolist() == [math.gcd(x, L) for x in e.tolist()]
+
+
+# a prime rest (12 * 131071, whose R = 131071 takes the np.where test); a
+# small-prime power above the table bound in R (2^17 * 3 * 5); and a rest of
+# two primes above 2^16 (65537 * 65539 > 2^32), which both take np.gcd
+@pytest.mark.parametrize("L", (12 * 131_071, 2**17 * 15, 6 * 65_537 * 65_539))
+@given(data=st.data())
+@settings(max_examples=20)
+def test_gcd_with_equals_np_gcd(L, data):
+    dtype = np.uint32 if L < 2**32 else np.uint64
+    R = L // math.gcd(L, 2**64 * 15)  # the part of L prime to 2, 3 and 5
+    fixed = [0, 1, L - 1, L, R, 2 * R, L - R] + [L // d * k for d in range(1, 40) for k in (1, 2)]
+    e = np.array(fixed + data.draw(st.lists(st.integers(0, L))), dtype)
+    assert np.array_equal(gcd_with(L, dtype)(e), np.gcd(e, dtype(L)))

@@ -13,10 +13,13 @@ from recurlab import experiments
 from recurlab.circle import ExplicitTable, PowerLaw, RadiusSequence
 from recurlab.cli import parse_sequence, parse_system
 from recurlab.dynamics import (
+    BetaBlock,
     DyadicOrbitView,
     FixedPointOrbit,
     LatticeOrbit,
+    SteppedBlock,
     _lattice,
+    _segments,
     orbit_backend,
     sample_bits,
 )
@@ -246,10 +249,15 @@ def test_dichotomy_rejects_an_empty_window():
                       10, 5, 100)
 
 
-def golden_branch_end(P: int) -> int:
-    """ceil(2**P / beta) for the golden mean beta: beta x is just above 1."""
+def branch_end(sys, P: int) -> int:
+    """ceil(2**P / beta): beta x is just above 1, so the first digit of x is
+    within any float's error of both 0 and 1."""
     with mpmath.workprec(4 * P):
-        return int(mpmath.ceil(mpmath.mpf(2) ** P * 2 / (1 + mpmath.sqrt(5))))
+        return int(mpmath.ceil(mpmath.mpf(2) ** P / sys.beta.mp()))
+
+
+def golden_branch_end(P: int) -> int:
+    return branch_end(BetaMap("golden"), P)
 
 
 def test_beta_step_at_a_branch_end_takes_the_right_branch():
@@ -481,8 +489,10 @@ def test_tables_of_one_call_share_their_range(spec):
 
 
 def test_dichotomy_steps_each_orbit_once(monkeypatch):
-    # as many quadratic steps as the convergent table alone needs: the
-    # divergent one has its first hit no later on these samples
+    # as many exact quadratic steps as the convergent table alone needs: the
+    # divergent one has its first hit no later on these samples. A beta-map
+    # block takes one step per float segment that a row passes (the scalar
+    # walk took 113,837 here, one per entry)
     steps = 0
     original = FixedPointOrbit.step
 
@@ -494,7 +504,124 @@ def test_dichotomy_steps_each_orbit_once(monkeypatch):
     monkeypatch.setattr(FixedPointOrbit, "step", counted)
     golden, conv = BetaMap("golden"), parse_sequence("powerlog:1,2")
     rio_dichotomy(golden, conv, parse_sequence("powerlaw:1/2,1"), 10, 1000, 200, 1)
-    assert steps == 113_837
+    assert steps == 3_824
     steps = 0
     rio_truncated_measure(golden, conv, 10, 1000, 200, 1)
-    assert steps == 113_837
+    assert steps == 3_824
+
+
+# ---------------------------------------------------------------------------
+# Beta-map blocks: the screened float walk against the scalar walk
+# ---------------------------------------------------------------------------
+
+BETAS = ("beta:golden", "beta:sqrt2", "beta:sqrt3")
+
+
+@pytest.mark.parametrize("spec", BETAS)
+def test_segment_bound_holds_against_mpmath(spec):
+    # the float walk of a segment, as BetaBlock steps it, stays within eps
+    # of the true orbit wherever its digits are certified; eps_K <= 2**-30
+    sys = parse_system(spec)
+    w, K, eps, err, *_ = _segments(sys.beta)
+    assert 2 ** -32 < eps <= 2 ** -30 and err >= eps + 2 ** -51
+    start = orbit_backend(sys, 60)
+    with mpmath.workprec(600):
+        omega = sys.beta.mp()
+        for i in range(20):
+            orbit = start(74, i)
+            x, xf = mpmath.ldexp(orbit.X0, -orbit.P), orbit.X0 / orbit.S
+            for _ in range(K):
+                t = xf * w
+                xf = t - math.floor(t)
+                x = x * omega
+                x -= mpmath.floor(x)
+                assert eps < xf < 1 - eps and abs(xf - x) <= eps
+
+
+def screened_and_scalar(orbits, make_tables, call):
+    """(decisions, counters, rows walked exactly) of a BetaBlock call, and
+    (decisions, counters) of the scalar SteppedBlock call on fresh tables."""
+    walked = []
+    dists = FixedPointOrbit._dists
+    FixedPointOrbit._dists = lambda o, n: walked.append(orbits.index(o)) or dists(o, n)
+    try:
+        tables = make_tables()
+        got = call(orbits[0].block(orbits), tables)
+    finally:
+        FixedPointOrbit._dists = dists
+    scalar = make_tables()
+    want = call(SteppedBlock(orbits), scalar)
+    counters = lambda ts: [(r.gray, r.mp) for r in ts]  # noqa: E731
+    return (got, counters(tables), sorted(set(walked))), (want, counters(scalar))
+
+
+def near_table(d: list, n: int, base) -> ExplicitTable:
+    """``base`` (r_j for j = 1..len(base)), with r_n within 2**-45 above d."""
+    T = 1 << 60
+    with mpmath.workprec(3000):
+        r = Fraction(int(mpmath.floor(d * T)), T) + Fraction(1, 1 << 45)
+    return ExplicitTable(tuple(r if j == n else v for j, v in enumerate(base, 1)))
+
+
+@pytest.mark.parametrize("spec", BETAS)
+def test_screened_block_decides_as_the_scalar_walk(spec):
+    # every decision and counter of any_below_each (1 and 3 tables),
+    # all_min_below and below as the scalar walk's, on seeded rows, a row
+    # whose first digit no float certifies, and a row with an entry within
+    # 2**-45 of its radius; those two rows, and only those, walk exactly
+    sys, N, n_lo = parse_system(spec), 90, 3
+    start = orbit_backend(sys, N)
+    orbits = [start(75, i) for i in range(40)]
+    assert isinstance(orbits[0].block(orbits), BetaBlock)
+    P = orbits[0].P
+    orbits.insert(7, FixedPointOrbit(sys, branch_end(sys, P), P, N))
+    base = tuple(Fraction(1, n * n) for n in range(1, N + 1))
+    misses = [g for g, o in enumerate(orbits) if g != 7 and
+              not any(o.below(Radii(ExplicitTable(base), n_lo, N)))]
+    g, n = misses[0], 50  # a row with no hit on base, and its gray entry
+    ds = mp_distances(sys, orbits[g].X0, P, N)
+    gray = near_table(ds[n - 1], n, base)
+    low = near_table(running_min(ds)[n - 1], n, (Fraction(1),) * N)
+    cases = [
+        (lambda: [Radii(gray, n_lo, N)], lambda b, t: b.any_below_each(t)),
+        (lambda: [Radii(parse_sequence(s), n_lo, N) for s in ("powerlaw:1/2,1", "powerlog:1,2")]
+         + [Radii(gray, n_lo, N)], lambda b, t: b.any_below_each(t)),
+        (lambda: [Radii(low, n_lo, N)], lambda b, t: [b.all_min_below(t[0])]),
+        (lambda: [Radii(gray, n_lo, N)], lambda b, t: [b.below(t[0])]),
+    ]
+    for make_tables, call in cases:
+        (got, counted, walked), (want, scalar) = screened_and_scalar(orbits, make_tables, call)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert counted == scalar
+        assert walked == sorted([7, g])
+
+
+@pytest.mark.parametrize("spec", BETAS)
+def test_screened_block_with_no_open_row_walks_no_row_exactly(spec, monkeypatch):
+    # seeded rows on the tables of mc-iterated: every row is decided in
+    # floats, and the exact steps are the segment ends that rows pass
+    sys, N = parse_system(spec), 200
+    start = orbit_backend(sys, N)
+    orbits = [start(76, i) for i in range(60)]
+    K = orbits[0].row_entries
+    walked, steps = [], []
+    dists, step = FixedPointOrbit._dists, FixedPointOrbit.step
+    monkeypatch.setattr(FixedPointOrbit, "_dists", lambda o, n: walked.append(o) or dists(o, n))
+    monkeypatch.setattr(FixedPointOrbit, "step", lambda o: steps.append(o) or step(o))
+    conv = Radii(parse_sequence("powerlaw:1,2"), 5, N)
+    hit = orbits[0].block(orbits).any_below_each([conv])[0]
+    assert not walked and (conv.gray, conv.mp) == (0, 0)
+    # a row with no hit passes every segment end before N
+    assert [steps.count(o) for o, h in zip(orbits, hit) if not h] == [(N - 1) // K] * (~hit).sum()
+    assert hit.tolist() == [any(o.below(Radii(parse_sequence("powerlaw:1,2"), 5, N)))
+                            for o in orbits]
+
+
+def test_beta_blocks_are_sized_by_the_segment():
+    # rio's call of mc-iterated (N = 200, M = 300) is one block; a call that
+    # reads a matrix over n keeps blocks of _BLOCK // N rows
+    golden = BetaMap("golden")
+    assert [len(b.orbits) for b in _sample_blocks(golden, 200, 300, 1)] == [300]
+    rows = experiments._BLOCK // 200
+    assert [len(b.orbits) for b in _sample_blocks(golden, 200, 300, 1, dense=True)] == \
+        [rows] * (300 // rows) + [300 % rows]

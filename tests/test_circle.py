@@ -19,7 +19,7 @@ from recurlab.circle import (
     ear_log2_delta,
 )
 from recurlab.exact_sets import build_recurrence_set
-from oracles import contains, from_text, is_subset_of
+from oracles import assert_same_text, contains, from_text, is_subset_of
 
 fractions01 = st.fractions(min_value=0, max_value=1)
 small_fracs = st.fractions(min_value=-3, max_value=3)
@@ -164,13 +164,14 @@ class TestTextForm:
         (IntervalSet.arc(Fraction(-1, 10), Fraction(1, 10)), "0/1,1/10\n9/10,1/1\n"),
     ])
     def test_small_sets(self, s, text):
-        assert s.to_text() == fraction_text(s) == text
+        assert_same_text(s.to_text(), text)
+        assert_same_text(fraction_text(s), text)
         assert from_text(text) == s.arcs
 
     @given(iset_strategy)
     @settings(max_examples=60)
     def test_matches_fraction_text(self, s):
-        assert s.to_text() == fraction_text(s)
+        assert_same_text(s.to_text(), fraction_text(s))
 
     @pytest.mark.parametrize("L", SCALES)
     @given(data=st.data())
@@ -179,7 +180,7 @@ class TestTextForm:
         s = data.draw(sets_at_scale(L))
         assert s.L == L
         text = s.to_text()
-        assert text == fraction_text(s)
+        assert_same_text(text, fraction_text(s))
         assert from_text(text) == s.arcs
 
     @pytest.mark.parametrize("count", (8191, 8192, 8193))
@@ -189,8 +190,18 @@ class TestTextForm:
         s = IntervalSet.from_scaled(L, [(k * step + 1, k * step + 2) for k in range(count)])
         assert (s.L, s.arc_count) == (L, count)
         text = s.to_text()
-        assert text == fraction_text(s)
+        assert_same_text(text, fraction_text(s))
         assert from_text(text) == s.arcs
+
+    def test_a_text_mismatch_names_its_first_line(self):
+        want = "".join(f"{k}/10007,{k + 1}/10007\n" for k in range(10_000))
+        got = want.replace("\n7000/10007,", "\n7000/10009,", 1)
+        with pytest.raises(AssertionError, match=r"line 7000: '7000/10009,7001/10007\\n' "
+                                                 r"!= '7000/10007,7001/10007\\n'"):
+            assert_same_text(got, want)
+        with pytest.raises(AssertionError, match="line 9999: '<end of text>'"):
+            assert_same_text(want[:-len("9999/10007,10000/10007\n")], want)
+        assert_same_text(want, want[:])
 
     def test_block_edge_at_a_smooth_scale(self):
         # the first TEXT_BLOCK + 1 arcs of E_16 of doubling at r = 1/12, on the
@@ -199,7 +210,7 @@ class TestTextForm:
         s = IntervalSet.from_scaled(786_420, arcs)
         assert (s.L, s.arc_count) == (786_420, TEXT_BLOCK + 1)
         text = s.to_text()
-        assert text == fraction_text(s)
+        assert_same_text(text, fraction_text(s))
         assert from_text(text) == s.arcs
 
 

@@ -299,7 +299,12 @@ class TestBlockReductions:
     @staticmethod
     def exact_backend(sys, horizon):
         P = horizon + 64
-        return lambda seed, i: ExactOrbit(sys, [Fraction(sample_bits(seed, i, P), 1 << P)])
+
+        def start(seed, i):  # blocked as the shift's windows are
+            orbit = ExactOrbit(sys, [Fraction(sample_bits(seed, i, P), 1 << P)])
+            orbit.row_entries = horizon
+            return orbit
+        return start
 
     @pytest.mark.parametrize("rows", [7, 33, None])  # None: the module's block size
     def test_shift_equals_exact_for_every_reduction(self, rows, monkeypatch):
