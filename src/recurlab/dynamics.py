@@ -21,11 +21,14 @@ integer distance over its scale and its error bound (the windows' slack, E,
 block reads all its windows in one kernel call. The two stepped backends
 stream their distances into ``Radii.decide``, each orbit walked once per
 call for all its radius tables, and only as far as the last table reads.
-A block of beta-map orbits (``BetaBlock``) first walks all its rows at once
-in float64 segments under a proven error bound, joined by exact jumps in
-Z[w]; only a row that the bound leaves open takes that exact walk.
-``_exact_orbit`` steps rational orbits in ``Fraction``s by the system's own
-``apply``, for the orbit command's CSV trace.
+A block of beta-map or lattice orbits (``ScreenedBlock``) first walks all
+its rows at once in float64 segments under a proven error bound; at each
+segment's end a per-family restart moves the exact points (Z[w] jumps for
+beta-maps, A**K X + B_K mod S for circle and toral maps, composed affine
+branches for piecewise maps), and only a row that the bound leaves open
+takes the exact walk. ``_exact_orbit`` steps rational orbits in
+``Fraction``s by the system's own ``apply``, for the orbit command's CSV
+trace.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice, tee
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -104,8 +107,9 @@ class SteppedBlock:
     """Stepped orbits, one row each, walked one orbit at a time:
     ``any_below_each`` stops a row once every table has had a hit and
     ``all_min_below`` at its first miss. These scalar walks are the exact
-    path of every stepped orbit; ``BetaBlock`` screens beta-map rows in
-    floats first and leaves to them only the rows that it cannot decide."""
+    path of every stepped orbit and the whole path of irrational rotations;
+    ``ScreenedBlock`` screens beta-map and lattice rows in floats first and
+    leaves to them only the rows that it cannot decide."""
 
     def __init__(self, orbits: Sequence[_Stepped]):
         self.orbits = orbits
@@ -165,6 +169,105 @@ class _Stepped:
 
 
 # ---------------------------------------------------------------------------
+# Screened blocks: stepped orbits in certified float segments
+# ---------------------------------------------------------------------------
+
+def _segment(growth, delta, cap: int | None = None) -> tuple[int, float, float]:
+    """(K, eps, err) of float segments whose error starts at eps_0 = 2**-52
+    and grows as eps_k = growth * eps_{k-1} + delta (Fractions): K the
+    largest length up to ``cap`` with eps_K <= 2**-30 (at least 1), and
+    floats eps >= eps_K and err >= eps_K + 2**-51."""
+    eps, K = growth / (1 << 52) + delta, 1
+    while K != cap and (after := growth * eps + delta) <= Fraction(1, 1 << 30):
+        eps, K = after, K + 1
+    up = lambda v: math.nextafter(float(v), math.inf)  # noqa: E731
+    return K, up(eps), up(eps + Fraction(1, 1 << 51))
+
+
+def _first(mask: np.ndarray, k: int) -> np.ndarray:
+    """Per column, the row of the first True of ``mask``; k where none is."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), k)
+
+
+class ScreenedBlock(SteppedBlock):
+    """Stepped orbits decided in certified float segments of K steps: one
+    screen for every family. A family gives ``_begin`` (K, eps, err and the
+    start floats x0), ``_walk`` (k float steps of the running rows: their
+    distances, each row's first open step, its digits) and ``_restart`` (the
+    exact move of the rows still running at a segment's end, and their new
+    floats). A segment starts from an exact point rounded, within
+    eps_0 = 2**-52, and each family proves, for its growth G and its delta,
+    that before a row's first open step its floats stay within
+    eps_k = G eps_{k-1} + delta of the orbit (``_segment``) and its
+    distances within eps_k + 2**-52. So an entry with fl(d + err) < lo, or
+    fl(d - err) > hi, for Radii.bounds lo < r_n < hi, is a hit, or a miss;
+    the margin 2**-52 is above (2 E + 2) / S at every scale S >= 2**128, so
+    the scalar walk would count it neither ``gray`` nor ``mp``. A row reads
+    its entries up to its stop, as the scalar walk does (every table's first
+    hit for ``any_below_each``, the first miss for ``all_min_below``, none
+    for ``below``); a row that meets an open step, or an entry inside
+    [lo - err, hi + err], before it is decided by ``_decisions``."""
+
+    def below(self, radii) -> np.ndarray:
+        return self._screen([radii], False, None)[0]
+
+    def any_below_each(self, tables) -> list[np.ndarray]:
+        return self._screen(tables, False, True)
+
+    def all_min_below(self, radii) -> np.ndarray:
+        return ~self._screen([radii], True, False)[0]
+
+    def _screen(self, tables, running_min: bool, stop: bool | None) -> list[np.ndarray]:
+        """Per table, whether each row's decisions (of the running minimum if
+        ``running_min``) reach the value ``stop``, read up to the first that
+        does; for stop None, the one table's decisions, a row per orbit."""
+        n_lo, n_hi = _one_range(tables)
+        orbits, rows = self.orbits, len(self.orbits)
+        if n_hi > orbits[0].horizon:
+            raise ValueError(f"orbit built for {orbits[0].horizon} steps, not {n_hi}")
+        K, eps, err, x0 = self._begin()
+        pad = (np.full(n_lo - 1, -np.inf), np.full(n_lo - 1, np.inf))  # n < n_lo: not read
+        bounds = [[np.concatenate([v, b]) for v, b in zip(pad, radii.bounds)] for radii in tables]
+        ended = np.zeros((len(tables), rows), bool)
+        hits = np.zeros((rows, n_hi), bool) if stop is None else None
+        live, x, low = np.arange(rows), x0, np.full(rows, np.inf)
+        exact = []  # rows left to the scalar walk
+        for n0 in range(0, n_hi, K):
+            k = min(K, n_hi - n0)
+            d, j, digits = self._walk(x, k, x0[..., live], eps)
+            if running_min:
+                d = np.minimum(np.minimum.accumulate(d), low[live])
+                low[live] = d[-1]
+            read = (np.arange(n0 + 1, n0 + k + 1) >= n_lo)[:, None]
+            bad = np.zeros(len(live), bool)
+            for i, (lo, hi) in enumerate(bounds):
+                hit, miss = d + err < lo[n0:n0 + k, None], d - err > hi[n0:n0 + k, None]
+                first_bad = np.minimum(_first(read & ~hit & ~miss, k), j)
+                if stop is None:  # every entry is read
+                    hits[live, n0:n0 + k] = hit.T
+                    bad |= first_bad < k
+                    continue
+                running = ~ended[i, live]
+                ends = running & (_first(hit if stop else miss, k) < first_bad)
+                ended[i, live[ends]] = True
+                bad |= running & ~ends & (first_bad < k)
+            exact += live[bad].tolist()
+            go = ~bad & ~ended[:, live].all(axis=0)
+            if n0 + k == n_hi or not go.any():
+                break
+            ok, x = self._restart(live[go], go, digits)  # a running row has no open step
+            exact += live[go][~ok].tolist()
+            live = live[go][ok]
+        for r in exact:
+            decisions = orbits[r]._decisions(tables, running_min)
+            if stop is None:
+                hits[r, n_lo - 1:] = list(decisions[0])
+            else:
+                ended[:, r] = [stop in dec for dec in decisions]
+        return [hits[:, n_lo - 1:]] if stop is None else list(ended)
+
+
+# ---------------------------------------------------------------------------
 # Lattice orbits: exact systems in integers
 # ---------------------------------------------------------------------------
 
@@ -173,12 +276,130 @@ def _v2(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
+class _Modular:
+    """X -> A X + B mod S: the lattice walk of integer circle maps (A = (a)),
+    rational rotations (A = (1), B = alpha S) and toral maps, X an int on
+    the circle and a tuple on the torus; called, it yields S * d(T^n x, x),
+    n = 1..n_hi. A float step is x -> A x + b mod 1, b = B / S rounded. With
+    G = ||A||_inf every value is below 2**e = 2**bit_length(G), so its d
+    products, d - 1 sums, the add, b and t - floor(t) give
+    delta = (d + 1) 2**(e-53). The map is continuous mod 1 and G-Lipschitz
+    in the max of the circle metrics, so no step is open, and min(t, 1 - t)
+    of t = fl(|x - x0|) (the max over coordinates) is within eps_k +
+    3 2**-54. A segment's end jumps X to A**K X + B_K mod S."""
+
+    def __init__(self, sys: SystemSpec, A, B, S: int, horizon: int):
+        self.A, self.B, self.S, self.torus = A, B, S, isinstance(sys, ToralLinear)
+        G = max(sum(map(abs, row)) for row in A)
+        self.segment = _segment(G, (len(A) + 1) * Fraction(2) ** (G.bit_length() - 53), horizon)
+        self.Af, self.b = np.array(A, float), B[0] / S
+
+    def __call__(self, X0, n_hi: int) -> Iterator[int]:
+        # min(t, S - t) = S/2 - |S/2 - t| for t = (X - X0) mod S (S is even)
+        S, A, half, X = self.S, self.A, self.S >> 1, X0
+        if self.torus:
+            for _ in range(n_hi):
+                X = [sum(map(mul, row, X)) % S for row in A]
+                yield max([half - abs(half - (x - x0) % S) for x, x0 in zip(X, X0)])
+            return
+        (a,), B = A[0], self.B[0]
+        for _ in range(n_hi):
+            X = (a * X + B) % S
+            yield half - abs(half - (X - X0) % S)
+
+    def walk(self, x: np.ndarray, k: int, x0: np.ndarray, eps: float) -> tuple:
+        pts, a = np.empty((k, *x.shape)), self.A[0][0]
+        for s in range(k):
+            t = np.matmul(self.Af, x, out=pts[s]) if self.torus else np.multiply(x, a, out=pts[s])
+            if self.b:
+                t += self.b
+            x = np.subtract(t, np.floor(t), out=t)
+        t = np.abs(pts - x0)
+        d = np.minimum(t, 1 - t)
+        return d.max(axis=1) if self.torus else d, k, None
+
+    @cached_property
+    def _jump(self) -> np.ndarray:  # [[A**K, B_K], [0, 1]] mod S
+        M = [[*row, b] for row, b in zip(self.A, self.B)] + [[0] * len(self.A) + [1]]
+        return np.linalg.matrix_power(np.array(M, object), self.segment[0]) % self.S
+
+    def jump(self, X: np.ndarray, go: np.ndarray, digits) -> np.ndarray:
+        J, d = self._jump, len(self.A)
+        return (X.reshape(len(X), d) @ J[:d, :d].T + J[:d, d]).reshape(X.shape) % self.S
+
+
+class _Affine:
+    """X -> p X // d + c on the branch of X, an image S folded to 0: the
+    lattice walk of piecewise maps and rational beta-maps. A float step
+    takes the digit i (the interior branch ends at or below x) and
+    t = s_i x + c_i, s_i and c_i rounded. With G = max |s_i| and
+    2**e > G (1 + 2**-29), delta = 2**(e-53) + 2 max |fl(s_i) - s_i| +
+    max |fl(c_i) - c_i| covers the product, the sum and the rounded data
+    while i is right: it is, unless x is in [fl(h - eps), fl(h + eps)] for
+    an end h (fl(h) errs by 2**-54 < eps - eps_{k-1}) or t >= fl(1 - eps)
+    (an image 1 folds), where the step is open. At a segment's end, with
+    s_i = u_i / q and c_i = g_i / q, the K digits compose to
+    q**K X_K = U X + V S, U = prod_j u_{i_j} and
+    V = sum_j g_{i_j} q**j prod_{l > j} u_{i_l}, all int64 while
+    K max(1, |g|) max(q, |u|)**K < 2**63 (K is capped so, or the data take
+    Python ints): one multiply-add and one exact division a row."""
+
+    def __init__(self, branches, S: int, q: int, horizon: int):
+        self.S, s, c = S, [b.slope for b in branches], [b.intercept for b in branches]
+        self.branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
+                          b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
+                         for b in branches]
+        self.ends, self.s, self.c = (np.array([float(v) for v in vs])
+                                     for vs in ([b.hi for b in branches[:-1]], s, c))
+        off = lambda vs, fs: max(abs(Fraction(f) - v) for f, v in zip(fs.tolist(), vs))  # noqa: E731
+        G = max(map(abs, s))
+        delta = (Fraction(2) ** (math.floor(G * (1 + Fraction(1, 1 << 29))).bit_length() - 53)
+                 + 2 * off(s, self.s) + off(c, self.c))
+        u, g = [int(v * q) for v in s], [int(v * q) for v in c]
+        top, big = max(q, *map(abs, u)), max(1, *map(abs, g))
+        dtype, cap = (np.int64, 1) if big * top < 1 << 63 else (object, horizon)
+        while cap < horizon and (cap + 1) * big * top ** (cap + 1) < 1 << 63:
+            cap += 1
+        self.segment = K, _, _ = _segment(G, delta, cap)
+        self.u, self.g = np.array(u, dtype), np.array(g, dtype)
+        self.qj, self.qK = np.array([q ** j for j in range(K)], dtype), q ** K
+
+    def __call__(self, X0: int, n_hi: int) -> Iterator[int]:
+        S, X = self.S, X0
+        for _ in range(n_hi):
+            for hi, p, d, c in self.branches:
+                if X < hi:
+                    break
+            X = p * X // d + c
+            if X >= S:  # images may touch 1 at a branch end
+                X -= S
+            yield abs(X - X0)
+
+    def walk(self, x: np.ndarray, k: int, x0: np.ndarray, eps: float) -> tuple:
+        xs, digits = np.empty((k + 1, len(x))), np.empty((k, len(x)), np.intp)
+        xs[0] = x
+        for s in range(k):
+            i = digits[s] = np.searchsorted(self.ends, xs[s], "right")
+            np.add(np.multiply(self.s[i], xs[s], out=xs[s + 1]), self.c[i], out=xs[s + 1])
+        open_ = xs[1:] >= 1 - eps
+        for h in self.ends.tolist():
+            open_ |= (xs[:-1] >= h - eps) & (xs[:-1] <= h + eps)
+        return np.abs(xs[1:] - x0), _first(open_, k), digits
+
+    def jump(self, X: np.ndarray, go: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        i = digits[:, go]
+        R = np.cumprod(self.u[i][::-1], axis=0)[::-1]  # R[j] = prod_{l >= j} u_{i_l}
+        gq = self.g[i] * self.qj[:, None]
+        V = (gq[:-1] * R[1:]).sum(axis=0) + gq[-1]
+        return (R[0].astype(object) * X + V.astype(object) * self.S) // self.qK
+
+
+def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, _Modular | _Affine]:
     """(P, S, walk) for an exact system over ``horizon`` steps. A dyadic start
     X0 / 2**P is X0 * (S >> P) / S, and each of its first ``horizon`` orbit
     points is X / S with integer X. ``walk(X, n_hi)`` yields the integer
     distances S * d(T^n x, x), n = 1..n_hi, of the start X / S (a tuple of
-    coordinates on the torus).
+    coordinates on the torus), and holds its family's float segments.
 
     P keeps about 128 random bits to the horizon: an even slope a sheds
     v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
@@ -188,67 +409,53 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, Callable]:
     of the slope and intercept denominators and L that of the branch ends,
     so every slope divides exactly and every branch end is an integer over
     S."""
-    # on the circle, d = min(t, S - t) / S with t = (X - X0) mod S, and
-    # min(t, S - t) = S/2 - |S/2 - t| (S is even)
     if isinstance(sys, ToralLinear):
         P = 128 + horizon * _v2(mat_det(sys.A))
-        S, A = 1 << P, sys.A
-        half = S >> 1
-
-        def walk(X0, n_hi):
-            X = X0
-            for _ in range(n_hi):
-                X = [sum(map(mul, row, X)) % S for row in A]
-                yield max([half - abs(half - (x - x0) % S) for x, x0 in zip(X, X0)])
-        return P, S, walk
+        return P, 1 << P, _Modular(sys, sys.A, (0,) * len(sys.A), 1 << P, horizon)
     if not isinstance(sys, (IntegerCircleMap, Rotation)):  # affine branches
         pw = sys.as_piecewise().branches
         P = 128 + horizon * max(_v2(b.slope.numerator) for b in pw)
         q = math.lcm(*(f.denominator for b in pw for f in (b.slope, b.intercept)))
         S = (q ** horizon * math.lcm(*(b.hi.denominator for b in pw))) << P
-        branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
-                     b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
-                    for b in pw]
-
-        def walk(X0, n_hi):
-            X = X0
-            for _ in range(n_hi):
-                for hi, p, d, c in branches:
-                    if X < hi:
-                        break
-                X = p * X // d + c
-                if X >= S:  # images may touch 1 at a branch end
-                    X -= S
-                yield abs(X - X0)
-        return P, S, walk
-    # circle maps and rotations: x -> a x + b mod 1 is X -> (a X + B) mod S
+        return P, S, _Affine(pw, S, q, horizon)
     if isinstance(sys, IntegerCircleMap):
         P = 128 + horizon * _v2(sys.a)
-        S, a, B = 1 << P, sys.a, 0
-    elif isinstance(sys, Rotation) and sys.alpha.exact() is not None:
-        alpha, P = sys.alpha.exact(), 128
-        S, a, B = alpha.denominator << P, 1, alpha.numerator << P
-    else:
+        return P, 1 << P, _Modular(sys, ((sys.a,),), (0,), 1 << P, horizon)
+    if (alpha := sys.alpha.exact()) is None:
         raise ValueError(f"{sys.describe()} has no lattice orbit")
+    S = alpha.denominator << 128  # x -> x + alpha mod 1 is X -> X + alpha S mod S
+    return 128, S, _Modular(sys, ((1,),), (alpha.numerator << 128,), S, horizon)
 
-    half = S >> 1
 
-    def walk(X0, n_hi):
-        X = X0
-        for _ in range(n_hi):
-            X = (a * X + B) % S
-            yield half - abs(half - (X - X0) % S)
-    return P, S, walk
+class LatticeBlock(ScreenedBlock):
+    """``LatticeOrbit``s on the screen, with their ``walk``'s float segments
+    and restart; the exact points X over S (an object array, one row of
+    coordinates a point on the torus) move only at a segment's end."""
+
+    def _begin(self) -> tuple:
+        self.walk, self.X = self.orbits[0].walk, np.array([o.X0 for o in self.orbits], object)
+        return (*self.walk.segment, (self.X / self.walk.S).astype(float).T)
+
+    def _walk(self, *args) -> tuple:
+        return self.walk.walk(*args)
+
+    def _restart(self, rows: np.ndarray, go: np.ndarray, digits) -> tuple:
+        self.X[rows] = X = self.walk.jump(self.X[rows], go, digits)
+        return np.ones(len(rows), bool), (X / self.walk.S).astype(float).T
 
 
 class LatticeOrbit(_Stepped):
     """The orbit of a start X0 / S (X0 a tuple on the torus) held as
     integers, from ``_lattice``'s ``walk``, up to ``horizon`` steps.
-    Distances are exact integers D over S."""
+    Distances are exact integers D over S. A block of them is a
+    ``LatticeBlock``; its memory per row, ``row_entries``, is K d for the
+    walk's segment length K and d coordinates."""
 
-    def __init__(self, S: int, walk: Callable, horizon: int, X0):
+    block = LatticeBlock
+
+    def __init__(self, S: int, walk: _Modular | _Affine, horizon: int, X0):
         self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
-        self.row_entries = horizon  # see experiments._sample_blocks
+        self.row_entries = walk.segment[0] * (len(X0) if isinstance(X0, tuple) else 1)
 
     def _dists(self, n_hi: int) -> Iterator[int]:
         if n_hi > self.horizon:
@@ -387,159 +594,75 @@ class FixedPointOrbit(_Stepped):
         return np.array(out)
 
 
+
+
 @lru_cache(maxsize=16)
 def _segments(omega) -> tuple:
     """(w, K, eps, err, PQ, p, q) of the float segments of the beta-map with
-    slope omega (see ``BetaBlock``): w its float, the segment length K,
-    floats eps >= eps_K and err >= eps_K + 2**-51, the int64 table
-    PQ[:, j - 1] = (p_i, q_i), i = K - 1 - j, j = 1..K-1, of
-    omega**i = p_i + q_i omega, and omega**(K-1) = p + q omega. The bound is
-    summed in Fractions from omega <= (F + 1) / 2**100 and
-    |w - omega| <= |w - F / 2**100| + 2**-100, F = floor(omega * 2**100)."""
+    slope omega (see ``BetaBlock``): w = F / 2**100, F = floor(omega 2**100);
+    K, eps and err from ``_segment`` at growth (F + 1) / 2**100 and
+    |w - omega| <= |w - F / 2**100| + 2**-100; the int64 table
+    PQ[:, j - 1] = (p_i, q_i) of omega**i = p_i + q_i omega, i = K - 1 - j,
+    j = 1..K-1; and omega**(K-1) = p + q omega."""
     c0, c1 = omega.quadratic()
     F = omega.floor_of(0, 1 << 100, 1)
     w = F / (1 << 100)
     e = math.frexp(w)[1]  # w < 2**e
     delta = Fraction(2) ** (e - 53) + abs(Fraction(w) - Fraction(F, 1 << 100)) + Fraction(1, 1 << 100)
-    w_up = Fraction(F + 1, 1 << 100)
-    eps, K = w_up / (1 << 52) + delta, 1
-    while (after := w_up * eps + delta) <= Fraction(1, 1 << 30):
-        eps, K = after, K + 1
+    K, eps, err = _segment(Fraction(F + 1, 1 << 100), delta)
     pq = [(1, 0)]
     for _ in range(K - 1):
         p, q = pq[-1]
         pq.append((c0 * q, p + c1 * q))
-    up = lambda v: math.nextafter(float(v), math.inf)  # noqa: E731
-    return (w, K, up(eps), up(eps + Fraction(1, 1 << 51)),
-            np.array(pq[-2::-1], np.int64).reshape(-1, 2).T, *pq[-1])
+    return w, K, eps, err, np.array(pq[-2::-1], np.int64).reshape(-1, 2).T, *pq[-1]
 
 
-def _first(mask: np.ndarray, k: int) -> np.ndarray:
-    """Per column, the row of the first True of ``mask``; k where none is."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), k)
+class BetaBlock(ScreenedBlock):
+    """Beta-map orbits x -> w x mod 1 (``FixedPointOrbit``s) on the screen. A
+    float step is t = w x, m = floor(t), x = t - m, d = |x - x0|, w the float
+    of ``_segments`` (2**(e-1) < w < 2**e) and omega the slope (G). A
+    restart's exact y is within E / S <= 2**-64 + 2**-P of its point. fl(w x)
+    is within delta + omega eps of omega times the point, delta = 2**(e-53)
+    + |w - omega| (w x < 2**e rounds by 2**(e-54)), and m is the true digit
+    where eps_K < t - m < 1 - eps_K (t - m is exact, and a float below fl(c)
+    is below c); a step is open elsewhere. At a segment's end a running row
+    moves its exact (a, b) by omega**(K-1) = p + q omega, less 2**P times
+    the int64 dot products of its digits m_1..m_{K-1} with ``PQ``; one
+    ``step`` then gives point K and the y that restarts the floats. A row
+    whose step's digit is not the screened one (which the bound excludes)
+    is walked exactly."""
 
-
-class BetaBlock(SteppedBlock):
-    """Beta-map orbits x -> w x mod 1 (``FixedPointOrbit``s), decided in
-    certified float segments of K steps.
-
-    All running rows step together in float64, one numpy vector per step:
-    t = w x, m = floor(t), x = t - m and d = |x - x0|. The error bound, with
-    w the float of ``_segments``, 2**(e-1) < w < 2**e, and omega the slope:
-
-    * a segment starts from a float x within eps_0 = 2**-52 of the point:
-      x0 = X0 / 2**P rounded, or y / S rounded for the exact y of a ``step``,
-      which is within E / S <= 2**-64 + 2**-P of the point; and x <= 1;
-    * if x is within eps of the point, then fl(w x) is within
-      |fl(w x) - w x| + |w - omega| x + omega eps <= delta + omega eps of
-      omega times the point, where delta = 2**(e-53) + |w - omega| (w x is
-      below 2**e, so the product rounds by at most 2**(e-54)). So
-      eps_k = omega eps_{k-1} + delta bounds t's error at step k;
-    * m = floor(t) is the true digit wherever eps_K < t - m < 1 - eps_K
-      (t - m is exact, and a float below fl(c) is below c, so the float
-      compares are safe); then the new x is within eps_k of the point;
-    * d = fl(|x - x0|) is within eps_k + 2**-53 of the true distance, and a
-      running minimum within the largest of these. err = eps_K + 2**-51
-      adds a margin of 2**-52, above (2 E + 2) / S = 2**-63 + 2**(2 - P)
-      for every P >= 64 that the orbits take. An entry with
-      fl(d + err) < lo, or fl(d - err) > hi, for Radii.bounds lo < r_n < hi,
-      is a hit, or a miss, and lies outside ``Radii.band(S, E)`` too, so the
-      scalar walk would count it neither ``gray`` nor ``mp``.
-
-    K is the largest segment length with eps_K <= 2**-30 (at least 1). At a
-    segment's end each row still running moves its exact state by
-    omega**(K-1) = p + q omega: (a, b) -> (p a + c0 q b, q a + (p + c1 q) b)
-    less 2**P times (sum_j m_j p_{K-1-j}, sum_j m_j q_{K-1-j}), int64 dot
-    products of the digits m_1..m_{K-1} with the table ``PQ``. One ``step``
-    then gives the point K exactly, and the y that restarts the floats; its
-    digit must be the screened one.
-
-    Each row reads its entries as the scalar walk does, up to its stop. A
-    row that meets an uncertain digit, or an entry inside [lo - err,
-    hi + err], before its stop is decided by ``_decisions`` from its start,
-    and so is a row whose jump fails the digit check (which the bound
-    excludes)."""
-
-    def below(self, radii) -> np.ndarray:
-        return self._screen([radii], False, None)[0]
-
-    def any_below_each(self, tables) -> list[np.ndarray]:
-        return self._screen(tables, False, True)
-
-    def all_min_below(self, radii) -> np.ndarray:
-        return ~self._screen([radii], True, False)[0]
-
-    def _screen(self, tables, running_min: bool, stop: bool | None) -> list[np.ndarray]:
-        """Per table, whether each row's decisions (of the running minimum if
-        ``running_min``) reach the value ``stop``, read up to the first that
-        does; for stop None, the one table's decisions, a row per orbit."""
-        n_lo, n_hi = _one_range(tables)
-        orbits, rows = self.orbits, len(self.orbits)
-        first = orbits[0]
-        if n_hi > first.horizon:
-            raise ValueError(f"quadratic orbit built for {first.horizon} steps, not {n_hi}")
-        c0, c1, P, S = first._k[0], first._k[1], first.P, first.S
-        w, K, eps, err, PQ, p, q = _segments(first._omega)
-        cq, pcq = c0 * q, p + c1 * q
-        pad = (np.full(n_lo - 1, -np.inf), np.full(n_lo - 1, np.inf))  # n < n_lo: not read
-        bounds = [[np.concatenate([v, b]) for v, b in zip(pad, radii.bounds)] for radii in tables]
-        ended = np.zeros((len(tables), rows), bool)
-        hits = np.zeros((rows, n_hi), bool) if stop is None else None
-        x0 = np.array([o.X0 / S for o in orbits])
-        live, x, low = np.arange(rows), x0, np.full(rows, np.inf)
-        exact = []  # rows left to the scalar walk
-        for o in orbits:
+    def _begin(self) -> tuple:
+        first = self.orbits[0]
+        for o in self.orbits:
             o.a, o.b = o._a0, 0
-        for n0 in range(0, n_hi, K):
-            k = min(K, n_hi - n0)
-            frac, digit = np.empty((k, len(live))), np.empty((k, len(live)))
-            for s in range(k):
-                t = np.multiply(x, w, out=frac[s])
-                np.floor(t, out=digit[s])
-                x = np.subtract(t, digit[s], out=t)
-            j = _first((frac <= eps) | (frac >= 1 - eps), k)  # the first uncertain digit
-            d = np.abs(frac - x0[live])
-            if running_min:
-                d = np.minimum(np.minimum.accumulate(d), low[live])
-                low[live] = d[-1]
-            read = (np.arange(n0 + 1, n0 + k + 1) >= n_lo)[:, None]
-            bad = np.zeros(len(live), bool)
-            for i, (lo, hi) in enumerate(bounds):
-                hit, miss = d + err < lo[n0:n0 + k, None], d - err > hi[n0:n0 + k, None]
-                first_bad = np.minimum(_first(read & ~hit & ~miss, k), j)
-                if stop is None:  # every entry is read
-                    hits[live, n0:n0 + k] = hit.T
-                    bad |= first_bad < k
-                    continue
-                running = ~ended[i, live]
-                ends = running & (_first(hit if stop else miss, k) < first_bad)
-                ended[i, live[ends]] = True
-                bad |= running & ~ends & (first_bad < k)
-            exact += live[bad].tolist()
-            go = ~bad & ~ended[:, live].all(axis=0)
-            if n0 + k == n_hi or not go.any():
-                break
-            # the exact jump of each running row, then its one step
-            sp, sq = (PQ @ digit[:-1, go].astype(np.int64)).tolist()
-            kept, xs = [], []
-            for r, s_p, s_q, m in zip(live[go].tolist(), sp, sq, digit[-1, go].tolist()):
-                o = orbits[r]
-                a, b = o.a, o.b
-                o.a, o.b = p * a + cq * b - (s_p << P), q * a + pcq * b - (s_q << P)
-                b, y = o.b, o.step()
-                if (c0 * b - o.a) >> P == m:
-                    kept.append(r)
-                    xs.append(y / S)
-                else:
-                    exact.append(r)
-            live, x = np.array(kept, int), np.array(xs)
-        for r in exact:
-            decisions = orbits[r]._decisions(tables, running_min)
-            if stop is None:
-                hits[r, n_lo - 1:] = list(decisions[0])
-            else:
-                ended[:, r] = [stop in dec for dec in decisions]
-        return [hits[:, n_lo - 1:]] if stop is None else list(ended)
+        return (*_segments(first._omega)[1:4], np.array([o.X0 / first.S for o in self.orbits]))
+
+    def _walk(self, x, k, x0, eps) -> tuple:
+        w = _segments(self.orbits[0]._omega)[0]
+        frac, digit = np.empty((k, len(x))), np.empty((k, len(x)))
+        for s in range(k):
+            t = np.multiply(x, w, out=frac[s])
+            np.floor(t, out=digit[s])
+            x = np.subtract(t, digit[s], out=t)
+        return np.abs(frac - x0), _first((frac <= eps) | (frac >= 1 - eps), k), digit
+
+    def _restart(self, rows: np.ndarray, go: np.ndarray, digit: np.ndarray) -> tuple:
+        first = self.orbits[0]
+        c0, c1, P, S = first._k[0], first._k[1], first.P, first.S
+        *_, PQ, p, q = _segments(first._omega)
+        cq, pcq = c0 * q, p + c1 * q
+        sp, sq = (PQ @ digit[:-1, go].astype(np.int64)).tolist()
+        ok, xs = [], []
+        for r, s_p, s_q, m in zip(rows.tolist(), sp, sq, digit[-1, go].tolist()):
+            o = self.orbits[r]
+            a, b = o.a, o.b
+            o.a, o.b = p * a + cq * b - (s_p << P), q * a + pcq * b - (s_q << P)
+            b, y = o.b, o.step()
+            ok.append((c0 * b - o.a) >> P == m)
+            xs.append(y / S)
+        ok = np.array(ok, bool)
+        return ok, np.array(xs)[ok]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ per n (the ``mu(E_n)`` scan), running minimum always below r_m
 minimum of n**(1/alpha) * d(T^n x, x) (Boshernitzan). A block holds about
 ``_BLOCK`` orbit entries, counted by what a row holds: the horizon for the
 scan and Boshernitzan, which read matrices over n, and for the doubling
-map's windows (read by one kernel), the lattice walks and rotations; K
-digits for a beta-map's float segments (``dynamics.BetaBlock``), so a
-``rio`` or eventually-always call of up to _BLOCK // K samples is one
-block. A call computes its radius table once, and ``Radii`` makes every
+map's windows (read by one kernel) and irrational rotations; K d floats for
+the float segments of beta-map and lattice orbits (``dynamics.ScreenedBlock``,
+d coordinates), so a ``rio`` or eventually-always call of up to
+_BLOCK // (K d) samples is one block. A call computes its radius table once, and ``Radii`` makes every
 hit/miss decision against it; the dichotomy decides both of its tables on
 each block, so its samples are drawn once.
 """

@@ -16,6 +16,7 @@ from recurlab.dynamics import (
     BetaBlock,
     DyadicOrbitView,
     FixedPointOrbit,
+    LatticeBlock,
     LatticeOrbit,
     SteppedBlock,
     _lattice,
@@ -432,29 +433,39 @@ def test_coefficients_stay_within_the_bound(spec):
                                   "toral:2,1;1,1", "beta:sqrt2"))
 def test_tables_share_one_walk(spec, monkeypatch):
     # each table's hits and counters as if it were decided alone, from as
-    # many steps as the table that walks furthest alone takes
+    # many steps as the table that walks furthest alone takes: the steps of
+    # a quadratic block, or the entries of the scalar walk of lattice rows,
+    # which their screened block decides alike without walking any row
     N, specs = 120, ("powerlog:1,2", "powerlaw:1/2,1", "powerlaw:1,2")
     start = orbit_backend(parse_system(spec), N)
     orbits = [start(66, i) for i in range(25)]
-    steps = []
-    if isinstance(orbits[0], FixedPointOrbit):
-        step = FixedPointOrbit.step
-        monkeypatch.setattr(FixedPointOrbit, "step", lambda o: steps.append(o) or step(o))
-    else:
+    lattice, steps = isinstance(orbits[0], LatticeOrbit), []
+    if lattice:
         dists = LatticeOrbit._dists
         monkeypatch.setattr(LatticeOrbit, "_dists", lambda o, n: (
             steps.append(o) or D for D in dists(o, n)))
+    else:
+        step = FixedPointOrbit.step
+        monkeypatch.setattr(FixedPointOrbit, "step", lambda o: steps.append(o) or step(o))
+    block = SteppedBlock(orbits) if lattice else orbits[0].block(orbits)
     together = [Radii(parse_sequence(s), 4, N) for s in specs]
-    hits = orbits[0].block(orbits).any_below_each(together)
+    hits = block.any_below_each(together)
     walked = [steps.count(o) for o in orbits]
     alone = []
     for radii, got, shared in zip([Radii(parse_sequence(s), 4, N) for s in specs], hits, together):
         steps.clear()
-        assert np.array_equal(got, orbits[0].block(orbits).any_below_each([radii])[0])
+        assert np.array_equal(got, block.any_below_each([radii])[0])
         assert (shared.gray, shared.mp) == (radii.gray, radii.mp)
         alone.append([steps.count(o) for o in orbits])
-    assert walked == [max(col) for col in zip(*alone)]
+    assert walked == [max(col) for col in zip(*alone)] and sum(walked) > 0
     assert len({int(h.sum()) for h in hits}) > 1  # the tables stop at different steps
+    if lattice:
+        steps.clear()
+        screened = [Radii(parse_sequence(s), 4, N) for s in specs]
+        assert [h.tolist() for h in orbits[0].block(orbits).any_below_each(screened)] == \
+            [h.tolist() for h in hits]
+        assert [(r.gray, r.mp) for r in screened] == [(r.gray, r.mp) for r in together]
+        assert not steps
 
 
 @pytest.mark.parametrize("spec", ("beta:golden", "rotation:golden", "circle:3",
@@ -539,16 +550,17 @@ def test_segment_bound_holds_against_mpmath(spec):
 
 
 def screened_and_scalar(orbits, make_tables, call):
-    """(decisions, counters, rows walked exactly) of a BetaBlock call, and
-    (decisions, counters) of the scalar SteppedBlock call on fresh tables."""
-    walked = []
-    dists = FixedPointOrbit._dists
-    FixedPointOrbit._dists = lambda o, n: walked.append(orbits.index(o)) or dists(o, n)
+    """(decisions, counters, rows walked exactly) of a screened block's call,
+    and (decisions, counters) of the scalar SteppedBlock call on fresh
+    tables."""
+    walked, kind = [], type(orbits[0])
+    dists = kind._dists
+    kind._dists = lambda o, n: walked.append(orbits.index(o)) or dists(o, n)
     try:
         tables = make_tables()
         got = call(orbits[0].block(orbits), tables)
     finally:
-        FixedPointOrbit._dists = dists
+        kind._dists = dists
     scalar = make_tables()
     want = call(SteppedBlock(orbits), scalar)
     counters = lambda ts: [(r.gray, r.mp) for r in ts]  # noqa: E731
@@ -625,3 +637,92 @@ def test_beta_blocks_are_sized_by_the_segment():
     rows = experiments._BLOCK // 200
     assert [len(b.orbits) for b in _sample_blocks(golden, 200, 300, 1, dense=True)] == \
         [rows] * (300 // rows) + [300 % rows]
+
+
+# ---------------------------------------------------------------------------
+# Lattice blocks: the same screen, with matrix and affine-branch restarts
+# ---------------------------------------------------------------------------
+
+PIECEWISE = "piecewise:0,1/3,3,0;1/3,1,3/2,-1/2"  # the benchmark's map
+TENT = "piecewise:0,1/2,-2,1;1/2,1,2,-1"  # its first branch maps 0 to 1, folded to 0
+# a start where the map's branches (or its lift mod 1) break, and whether
+# the screen leaves its first step open: only affine branches have digits
+BREAKS = {"circle:3": (Fraction(1, 3), False), "circle:-2": (Fraction(1, 2), False),
+          "toral:2,1;1,1": ((Fraction(1, 2), Fraction(1, 2)), False),
+          "rotation:5/17": (Fraction(12, 17), False), PIECEWISE: (Fraction(1, 3), True),
+          "beta:5/2": (Fraction(2, 5), True), TENT: (Fraction(1, 2), True)}
+
+
+def lattice_start(orbit: LatticeOrbit, x) -> LatticeOrbit:
+    """The lattice orbit of floor(x * S) / S (x a tuple on the torus)."""
+    S = orbit.S
+    X0 = tuple(math.floor(v * S) for v in x) if isinstance(x, tuple) else math.floor(x * S)
+    return LatticeOrbit(S, orbit.walk, orbit.horizon, X0)
+
+
+def exact_distances(orbit: LatticeOrbit, sys, n: int) -> list[Fraction]:
+    coords = orbit.X0 if isinstance(orbit.X0, tuple) else (orbit.X0,)
+    return ExactOrbit(sys, [Fraction(c, orbit.S) for c in coords])._dists(n)
+
+
+@pytest.mark.parametrize("spec", list(BREAKS))
+def test_lattice_block_decides_as_the_scalar_walk(spec):
+    # every decision and counter of any_below_each (1 and 3 tables),
+    # all_min_below and below as the scalar walk's, on seeded rows, a start
+    # at a break of the map, a table whose r_10 is a row's exact d_10 (a tie)
+    # and, on the tent map, the start 0, whose image 1 folds. The rows that
+    # tie (all of them on a rotation, whose distances do not depend on the
+    # start), the break on affine branches and the fold, and only they, walk
+    # exactly
+    sys, N, n_lo, n = parse_system(spec), 90, 3, 10
+    start = orbit_backend(sys, N)
+    orbits = [start(78, i) for i in range(40)]
+    assert isinstance(orbits[0].block(orbits), LatticeBlock)
+    x, opens = BREAKS[spec]
+    orbits.insert(7, lattice_start(orbits[0], x))
+    want_walked = {7} if opens else set()
+    if spec == TENT:
+        orbits.append(lattice_start(orbits[0], Fraction(0)))
+        want_walked.add(len(orbits) - 1)
+    base = tuple(Fraction(1, j * j) for j in range(1, N + 1))
+    g = next(h for h, o in enumerate(orbits) if h != 7 and h not in want_walked and
+             not any(list(o.below(Radii(ExplicitTable(base), n_lo, N)))[:n - n_lo]))
+    ds = exact_distances(orbits[g], sys, n)  # g has no hit on base before n
+    ties = {h for h, o in enumerate(orbits) if exact_distances(o, sys, n)[-1] == ds[-1]}
+    tie = ExplicitTable(tuple(ds[-1] if j == n else v for j, v in enumerate(base, 1)))
+    low = ExplicitTable(tuple(min(ds) if j == n else Fraction(1) for j in range(1, N + 1)))
+    cases = [
+        (lambda: [Radii(tie, n_lo, N)], lambda b, t: b.any_below_each(t)),
+        (lambda: [Radii(parse_sequence(s), n_lo, N) for s in ("powerlaw:1/2,1", "powerlog:1,2")]
+         + [Radii(tie, n_lo, N)], lambda b, t: b.any_below_each(t)),
+        (lambda: [Radii(low, n_lo, N)], lambda b, t: [b.all_min_below(t[0])]),
+        (lambda: [Radii(tie, n_lo, N)], lambda b, t: [b.below(t[0])]),
+    ]
+    for make_tables, call in cases:
+        (got, counted, walked), (want, scalar) = screened_and_scalar(orbits, make_tables, call)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert counted == scalar and counted[-1][0] > 0  # the tie is gray
+        assert walked == sorted(want_walked | ties)
+    with pytest.raises(ValueError):
+        orbits[0].block(orbits).any_below_each([Radii(tie, n_lo, N + 1)])
+
+
+@pytest.mark.parametrize("spec, K", [("circle:3", 12), ("toral:2,1;1,1", 12),
+                                     (PIECEWISE, None), ("beta:5/2", None)])
+def test_lattice_segment_bound_holds_against_the_fraction_orbit(spec, K):
+    # one segment of the family's float walk from 20 seeded starts: no step
+    # is open, and every distance is within eps_K + 2**-52 of the exact
+    # Fraction orbit's; K is 12 for slope 3 and for the cat map
+    sys = parse_system(spec)
+    orbits = [orbit_backend(sys, 60)(79, i) for i in range(20)]
+    walk, S = orbits[0].walk, orbits[0].S
+    assert K in (None, walk.segment[0])
+    K, eps, err = walk.segment
+    assert eps <= 2 ** -30 and err >= eps + 2 ** -51
+    x0 = (np.array([o.X0 for o in orbits], object) / S).astype(float).T
+    d, first_open, _ = walk.walk(x0, K, x0, eps)
+    assert np.all(first_open == K)
+    bound = Fraction(eps) + Fraction(1, 1 << 52)
+    for o, floats in zip(orbits, d.T.tolist()):
+        assert all(abs(Fraction(f) - v) <= bound for f, v in zip(floats, exact_distances(o, sys, K)))
+
