@@ -21,12 +21,12 @@ integer distance over its scale and its error bound (the windows' slack, E,
 block reads all its windows in one kernel call. The two stepped backends
 stream their distances into ``Radii.decide``, each orbit walked once per
 call for all its radius tables, and only as far as the last table reads.
-A block of beta-map or lattice orbits (``ScreenedBlock``) first walks all
-its rows at once in float64 segments under a proven error bound; at each
-segment's end a per-family restart moves the exact points (Z[w] jumps for
-beta-maps, A**K X + B_K mod S for circle and toral maps, composed affine
-branches for piecewise maps), and only a row that the bound leaves open
-takes the exact walk. ``_exact_orbit`` steps rational orbits in
+A block of beta-map or expanding lattice orbits (``ScreenedBlock``) first
+walks all its rows at once in float64 segments under a proven error bound;
+at each segment's end a per-family restart moves the exact points (Z[w]
+jumps for beta-maps, A**K X mod S for circle and toral maps, composed
+affine branches for piecewise maps), and only a row that the bound leaves
+open takes the exact walk. ``_exact_orbit`` steps rational orbits in
 ``Fraction``s by the system's own ``apply``, for the orbit command's CSV
 trace.
 """
@@ -38,7 +38,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, islice, tee
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -107,9 +107,10 @@ class SteppedBlock:
     """Stepped orbits, one row each, walked one orbit at a time:
     ``any_below_each`` stops a row once every table has had a hit and
     ``all_min_below`` at its first miss. These scalar walks are the exact
-    path of every stepped orbit and the whole path of irrational rotations;
-    ``ScreenedBlock`` screens beta-map and lattice rows in floats first and
-    leaves to them only the rows that it cannot decide."""
+    path of every stepped orbit and the whole path of rotations and of maps
+    that do not expand (``_segment``); ``ScreenedBlock`` screens beta-map
+    and lattice rows in floats first and leaves to them only the rows that
+    it cannot decide."""
 
     def __init__(self, orbits: Sequence[_Stepped]):
         self.orbits = orbits
@@ -172,11 +173,17 @@ class _Stepped:
 # Screened blocks: stepped orbits in certified float segments
 # ---------------------------------------------------------------------------
 
-def _segment(growth, delta, cap: int | None = None) -> tuple[int, float, float]:
+def _segment(growth, delta, cap: int | None = None) -> tuple[int, float, float] | None:
     """(K, eps, err) of float segments whose error starts at eps_0 = 2**-52
     and grows as eps_k = growth * eps_{k-1} + delta (Fractions): K the
     largest length up to ``cap`` with eps_K <= 2**-30 (at least 1), and
-    floats eps >= eps_K and err >= eps_K + 2**-51."""
+    floats eps >= eps_K and err >= eps_K + 2**-51. None for cap 0, or for
+    growth <= 1: the error then grows at most linearly, K would be the
+    horizon, and a screened row would walk all of it before it could stop,
+    so such orbits (rotations, toral maps with ||A|| = 1) keep the scalar
+    walk."""
+    if growth <= 1 or cap == 0:
+        return None
     eps, K = growth / (1 << 52) + delta, 1
     while K != cap and (after := growth * eps + delta) <= Fraction(1, 1 << 30):
         eps, K = after, K + 1
@@ -190,23 +197,21 @@ def _first(mask: np.ndarray, k: int) -> np.ndarray:
 
 
 class ScreenedBlock(SteppedBlock):
-    """Stepped orbits decided in certified float segments of K steps: one
-    screen for every family. A family gives ``_begin`` (K, eps, err and the
-    start floats x0), ``_walk`` (k float steps of the running rows: their
-    distances, each row's first open step, its digits) and ``_restart`` (the
-    exact move of the rows still running at a segment's end, and their new
-    floats). A segment starts from an exact point rounded, within
-    eps_0 = 2**-52, and each family proves, for its growth G and its delta,
-    that before a row's first open step its floats stay within
-    eps_k = G eps_{k-1} + delta of the orbit (``_segment``) and its
-    distances within eps_k + 2**-52. So an entry with fl(d + err) < lo, or
-    fl(d - err) > hi, for Radii.bounds lo < r_n < hi, is a hit, or a miss;
-    the margin 2**-52 is above (2 E + 2) / S at every scale S >= 2**128, so
-    the scalar walk would count it neither ``gray`` nor ``mp``. A row reads
-    its entries up to its stop, as the scalar walk does (every table's first
-    hit for ``any_below_each``, the first miss for ``all_min_below``, none
-    for ``below``); a row that meets an open step, or an entry inside
-    [lo - err, hi + err], before it is decided by ``_decisions``."""
+    """Stepped orbits decided in certified float segments of K steps. A
+    family gives ``_begin`` (K, eps, err, the start floats x0), ``_walk`` (k
+    float steps of the running rows: distances, each row's first open step,
+    digits) and ``_restart`` (the exact move of the rows running at a
+    segment's end, and their new floats). From an exact point rounded
+    (eps_0 = 2**-52), each family proves that before a row's first open step
+    its floats stay within eps_k = G eps_{k-1} + delta (``_segment``) and
+    its distances within eps_k + 2**-52. So fl(d + err) < lo, or
+    fl(d - err) > hi, for Radii.bounds lo < r_n < hi, is a hit, or a miss,
+    that the scalar walk would count neither ``gray`` nor ``mp`` (2**-52 is
+    above (2 E + 2) / S at every scale S >= 2**128). A row reads up to its
+    stop, as the scalar walk does (every table's first hit for
+    ``any_below_each``, the first miss for ``all_min_below``, none for
+    ``below``); a row meeting an open step or an entry inside
+    [lo - err, hi + err] first is decided by ``_decisions``."""
 
     def below(self, radii) -> np.ndarray:
         return self._screen([radii], False, None)[0]
@@ -278,21 +283,21 @@ def _v2(k: int) -> int:
 
 class _Modular:
     """X -> A X + B mod S: the lattice walk of integer circle maps (A = (a)),
-    rational rotations (A = (1), B = alpha S) and toral maps, X an int on
-    the circle and a tuple on the torus; called, it yields S * d(T^n x, x),
-    n = 1..n_hi. A float step is x -> A x + b mod 1, b = B / S rounded. With
-    G = ||A||_inf every value is below 2**e = 2**bit_length(G), so its d
-    products, d - 1 sums, the add, b and t - floor(t) give
-    delta = (d + 1) 2**(e-53). The map is continuous mod 1 and G-Lipschitz
-    in the max of the circle metrics, so no step is open, and min(t, 1 - t)
-    of t = fl(|x - x0|) (the max over coordinates) is within eps_k +
-    3 2**-54. A segment's end jumps X to A**K X + B_K mod S."""
+    rational rotations (A = (1), B = alpha S) and toral maps, X an int or a
+    tuple; called, it yields S * d(T^n x, x), n = 1..n_hi. Only maps with
+    G = ||A||_inf > 1 have segments, and B = 0: a float step is
+    x -> A x mod 1, its values below 2**e = 2**bit_length(G), so its d
+    products and d - 1 sums (2**(e-54) each; t - floor(t) is exact) are
+    within delta = (d + 1) 2**(e-53). The map is continuous mod 1 and
+    G-Lipschitz in the max of the circle metrics: no step is open, and
+    min(t, 1 - t), t = fl(|x - x0|) (max over coordinates), is within
+    eps_k + 3 2**-54. A segment's end jumps X to A**K X mod S."""
 
     def __init__(self, sys: SystemSpec, A, B, S: int, horizon: int):
         self.A, self.B, self.S, self.torus = A, B, S, isinstance(sys, ToralLinear)
         G = max(sum(map(abs, row)) for row in A)
         self.segment = _segment(G, (len(A) + 1) * Fraction(2) ** (G.bit_length() - 53), horizon)
-        self.Af, self.b = np.array(A, float), B[0] / S
+        self.Af = np.array(A, float)
 
     def __call__(self, X0, n_hi: int) -> Iterator[int]:
         # min(t, S - t) = S/2 - |S/2 - t| for t = (X - X0) mod S (S is even)
@@ -311,21 +316,14 @@ class _Modular:
         pts, a = np.empty((k, *x.shape)), self.A[0][0]
         for s in range(k):
             t = np.matmul(self.Af, x, out=pts[s]) if self.torus else np.multiply(x, a, out=pts[s])
-            if self.b:
-                t += self.b
             x = np.subtract(t, np.floor(t), out=t)
         t = np.abs(pts - x0)
         d = np.minimum(t, 1 - t)
         return d.max(axis=1) if self.torus else d, k, None
 
-    @cached_property
-    def _jump(self) -> np.ndarray:  # [[A**K, B_K], [0, 1]] mod S
-        M = [[*row, b] for row, b in zip(self.A, self.B)] + [[0] * len(self.A) + [1]]
-        return np.linalg.matrix_power(np.array(M, object), self.segment[0]) % self.S
-
     def jump(self, X: np.ndarray, go: np.ndarray, digits) -> np.ndarray:
-        J, d = self._jump, len(self.A)
-        return (X.reshape(len(X), d) @ J[:d, :d].T + J[:d, d]).reshape(X.shape) % self.S
+        J = np.linalg.matrix_power(np.array(self.A, object), self.segment[0])  # A**K
+        return (X.reshape(len(X), -1) @ J.T % self.S).reshape(X.shape)
 
 
 class _Affine:
@@ -337,15 +335,13 @@ class _Affine:
     max |fl(c_i) - c_i| covers the product, the sum and the rounded data
     while i is right: it is, unless x is in [fl(h - eps), fl(h + eps)] for
     an end h (fl(h) errs by 2**-54 < eps - eps_{k-1}) or t >= fl(1 - eps)
-    (an image 1 folds), where the step is open. At a segment's end, with
-    s_i = u_i / q and c_i = g_i / q, the K digits compose to
-    q**K X_K = U X + V S, U = prod_j u_{i_j} and
-    V = sum_j g_{i_j} q**j prod_{l > j} u_{i_l}, all int64 while
-    K max(1, |g|) max(q, |u|)**K < 2**63 (K is capped so, or the data take
-    Python ints): one multiply-add and one exact division a row."""
+    (an image 1 folds), where the step is open. With s_i = u_i / q and
+    c_i = g_i / q, a segment's K digits compose to q**K X_K = U X + V S,
+    U = prod_j u_{i_j}, V = sum_j g_{i_j} q**j prod_{l > j} u_{i_l}, in
+    int64: K max(1, |g|) max(q, |u|)**K < 2**63 caps K (at 0, no segment)."""
 
     def __init__(self, branches, S: int, q: int, horizon: int):
-        self.S, s, c = S, [b.slope for b in branches], [b.intercept for b in branches]
+        self.S, self.q, s, c = S, q, [b.slope for b in branches], [b.intercept for b in branches]
         self.branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
                           b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
                          for b in branches]
@@ -355,14 +351,11 @@ class _Affine:
         G = max(map(abs, s))
         delta = (Fraction(2) ** (math.floor(G * (1 + Fraction(1, 1 << 29))).bit_length() - 53)
                  + 2 * off(s, self.s) + off(c, self.c))
-        u, g = [int(v * q) for v in s], [int(v * q) for v in c]
-        top, big = max(q, *map(abs, u)), max(1, *map(abs, g))
-        dtype, cap = (np.int64, 1) if big * top < 1 << 63 else (object, horizon)
+        self.u, self.g = [int(v * q) for v in s], [int(v * q) for v in c]
+        top, big, cap = max(q, *map(abs, self.u)), max(1, *map(abs, self.g)), 0
         while cap < horizon and (cap + 1) * big * top ** (cap + 1) < 1 << 63:
             cap += 1
-        self.segment = K, _, _ = _segment(G, delta, cap)
-        self.u, self.g = np.array(u, dtype), np.array(g, dtype)
-        self.qj, self.qK = np.array([q ** j for j in range(K)], dtype), q ** K
+        self.segment = _segment(G, delta, cap)
 
     def __call__(self, X0: int, n_hi: int) -> Iterator[int]:
         S, X = self.S, X0
@@ -387,11 +380,11 @@ class _Affine:
         return np.abs(xs[1:] - x0), _first(open_, k), digits
 
     def jump(self, X: np.ndarray, go: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        i = digits[:, go]
-        R = np.cumprod(self.u[i][::-1], axis=0)[::-1]  # R[j] = prod_{l >= j} u_{i_l}
-        gq = self.g[i] * self.qj[:, None]
+        i, K = digits[:, go], len(digits)
+        R = np.cumprod(np.array(self.u, np.int64)[i][::-1], axis=0)[::-1]  # prod_{l >= j} u_{i_l}
+        gq = np.array(self.g, np.int64)[i] * self.q ** np.arange(K)[:, None]
         V = (gq[:-1] * R[1:]).sum(axis=0) + gq[-1]
-        return (R[0].astype(object) * X + V.astype(object) * self.S) // self.qK
+        return (R[0].astype(object) * X + V.astype(object) * self.S) // self.q ** K
 
 
 def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, _Modular | _Affine]:
@@ -433,11 +426,9 @@ class LatticeBlock(ScreenedBlock):
     coordinates a point on the torus) move only at a segment's end."""
 
     def _begin(self) -> tuple:
-        self.walk, self.X = self.orbits[0].walk, np.array([o.X0 for o in self.orbits], object)
-        return (*self.walk.segment, (self.X / self.walk.S).astype(float).T)
-
-    def _walk(self, *args) -> tuple:
-        return self.walk.walk(*args)
+        walk = self.walk = self.orbits[0].walk
+        self._walk, self.X = walk.walk, np.array([o.X0 for o in self.orbits], object)
+        return (*walk.segment, (self.X / walk.S).astype(float).T)
 
     def _restart(self, rows: np.ndarray, go: np.ndarray, digits) -> tuple:
         self.X[rows] = X = self.walk.jump(self.X[rows], go, digits)
@@ -449,13 +440,15 @@ class LatticeOrbit(_Stepped):
     integers, from ``_lattice``'s ``walk``, up to ``horizon`` steps.
     Distances are exact integers D over S. A block of them is a
     ``LatticeBlock``; its memory per row, ``row_entries``, is K d for the
-    walk's segment length K and d coordinates."""
-
-    block = LatticeBlock
+    walk's segment length K and d coordinates. A walk without segments
+    (``_segment``) keeps ``SteppedBlock`` and the horizon."""
 
     def __init__(self, S: int, walk: _Modular | _Affine, horizon: int, X0):
         self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
-        self.row_entries = walk.segment[0] * (len(X0) if isinstance(X0, tuple) else 1)
+        self.row_entries = horizon
+        if walk.segment:
+            self.block = LatticeBlock
+            self.row_entries = walk.segment[0] * (len(X0) if isinstance(X0, tuple) else 1)
 
     def _dists(self, n_hi: int) -> Iterator[int]:
         if n_hi > self.horizon:
@@ -592,8 +585,6 @@ class FixedPointOrbit(_Stepped):
                 x = F / T if self.b else abs(self.a - self.X0) / (1 << self.P)
             out.append(x)
         return np.array(out)
-
-
 
 
 @lru_cache(maxsize=16)

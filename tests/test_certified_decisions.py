@@ -648,8 +648,7 @@ TENT = "piecewise:0,1/2,-2,1;1/2,1,2,-1"  # its first branch maps 0 to 1, folded
 # a start where the map's branches (or its lift mod 1) break, and whether
 # the screen leaves its first step open: only affine branches have digits
 BREAKS = {"circle:3": (Fraction(1, 3), False), "circle:-2": (Fraction(1, 2), False),
-          "toral:2,1;1,1": ((Fraction(1, 2), Fraction(1, 2)), False),
-          "rotation:5/17": (Fraction(12, 17), False), PIECEWISE: (Fraction(1, 3), True),
+          "toral:2,1;1,1": ((Fraction(1, 2), Fraction(1, 2)), False), PIECEWISE: (Fraction(1, 3), True),
           "beta:5/2": (Fraction(2, 5), True), TENT: (Fraction(1, 2), True)}
 
 
@@ -671,8 +670,7 @@ def test_lattice_block_decides_as_the_scalar_walk(spec):
     # all_min_below and below as the scalar walk's, on seeded rows, a start
     # at a break of the map, a table whose r_10 is a row's exact d_10 (a tie)
     # and, on the tent map, the start 0, whose image 1 folds. The rows that
-    # tie (all of them on a rotation, whose distances do not depend on the
-    # start), the break on affine branches and the fold, and only they, walk
+    # tie, the break on affine branches and the fold, and only they, walk
     # exactly
     sys, N, n_lo, n = parse_system(spec), 90, 3, 10
     start = orbit_backend(sys, N)
@@ -705,6 +703,55 @@ def test_lattice_block_decides_as_the_scalar_walk(spec):
         assert walked == sorted(want_walked | ties)
     with pytest.raises(ValueError):
         orbits[0].block(orbits).any_below_each([Radii(tie, n_lo, N + 1)])
+
+
+@pytest.mark.parametrize("spec", ("rotation:5/17", "rotation:-3/7", "toral:0,1;1,0",
+                                  "toral:0,-1;1,0"))
+def test_walks_that_do_not_expand_keep_the_scalar_block(spec):
+    # growth <= 1: a segment would run to the horizon and every screened row
+    # would walk all of it before it could stop, so the rows keep the scalar
+    # walk and a horizon of entries each; no error bound is stepped, however
+    # long the horizon
+    sys = parse_system(spec)
+    assert _lattice(sys, 10 ** 6)[2].segment is None
+    orbits = [orbit_backend(sys, 90)(78, i) for i in range(3)]
+    assert type(orbits[0].block(orbits)) is SteppedBlock and orbits[0].row_entries == 90
+
+
+WIDE = "piecewise:0,512/1025,1025/512,0;512/1025,1,1025/513,-512/513"  # q = 512 * 513
+HUGE = ("piecewise:0,2147483648/4294967297,4294967297/2147483648,0;"
+        "2147483648/4294967297,1,4294967297/2147483649,-2147483648/2147483649")
+
+
+def test_affine_segments_keep_their_composition_in_int64():
+    # q = 512 * 513 caps K at 2, against 20 that the error bound allows, so
+    # that the composed branches stay in int64: one segment's jump lands on
+    # the exact orbit's point K, and the screen, with a jump every 2 steps,
+    # decides as the scalar walk. Data too large for one step in int64 keep
+    # the scalar walk
+    sys, N = parse_system(WIDE), 90
+    orbits = [orbit_backend(sys, N)(80, i) for i in range(30)]
+    walk, S = orbits[0].walk, orbits[0].S
+    K, eps, _ = walk.segment
+    assert K == 2
+    X = np.array([o.X0 for o in orbits], object)
+    x0 = (X / S).astype(float)
+    _, first_open, digits = walk.walk(x0, K, x0, eps)
+    go = first_open == K
+    assert go.sum() > 20
+    exact = [sys.apply(sys.apply(Fraction(X0, S))) * S for X0 in X.tolist()]
+    assert walk.jump(X[go], go, digits).tolist() == [v for v, g in zip(exact, go) if g]
+    for make_tables, call in [
+        (lambda: [Radii(parse_sequence(s), 3, N) for s in ("powerlaw:1/2,1", "powerlog:1,2",
+                                                           "powerlaw:1,2")],
+         lambda b, t: b.any_below_each(t)),
+        (lambda: [Radii(parse_sequence("powerlaw:1,1"), 3, N)], lambda b, t: [b.all_min_below(t[0])]),
+        (lambda: [Radii(parse_sequence("powerlaw:1/2,1"), 3, N)], lambda b, t: [b.below(t[0])]),
+    ]:
+        (got, counted, _), (want, scalar) = screened_and_scalar(orbits, make_tables, call)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want] and counted == scalar
+    huge = orbit_backend(parse_system(HUGE), N)(80, 0)
+    assert huge.walk.segment is None and type(huge.block([huge])) is SteppedBlock
 
 
 @pytest.mark.parametrize("spec, K", [("circle:3", 12), ("toral:2,1;1,1", 12),
