@@ -393,8 +393,11 @@ def cmd_orbit(args) -> int:
         rep = experiments.boshernitzan_scan(sys_spec, alphas, checkpoints,
                                             args.samples, args.seed)
         return emit_report(rep, args.out)
+    x = [Fraction(v) for v in args.x.split(",")]
+    if len(x) != sys_spec.d:
+        build_parser().error(f"--x takes {sys_spec.d} coordinate(s) for {args.system}")
     buf = io.StringIO()
-    dynamics.write_orbit_csv(buf, sys_spec, Fraction(args.x), args.steps)
+    dynamics.write_orbit_csv(buf, sys_spec, x if len(x) > 1 else x[0], args.steps)
     path = os.path.join(args.out, "orbit.csv")
     atomic_write(path, buf.getvalue().encode())
     print(f"orbit trace -> {path}")
@@ -523,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="orbit traces and orbit statistics")
     p.add_argument("--system", required=True)
-    p.add_argument("--x", default="1/3", action=_Noted)
+    p.add_argument("--x", default="1/3", action=_Noted,
+                   help="start point: one coordinate, or d comma-separated on a d-torus")
     p.add_argument("--steps", type=int, default=64, action=_Noted)
     p.add_argument("--scan-alphas", dest="scan_alphas", default=None,
                    help="run the minimal-weighted-distance scan for these alphas")

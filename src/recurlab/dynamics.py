@@ -21,14 +21,14 @@ integer distance over its scale and its error bound (the windows' slack, E,
 block reads all its windows in one kernel call. The two stepped backends
 stream their distances into ``Radii.decide``, each orbit walked once per
 call for all its radius tables, and only as far as the last table reads.
-A block of beta-map or expanding lattice orbits (``ScreenedBlock``) first
-walks all its rows at once in float64 segments under a proven error bound;
-at each segment's end a per-family restart moves the exact points (Z[w]
-jumps for beta-maps, A**K X mod S for circle and toral maps, composed
-affine branches for piecewise maps), and only a row that the bound leaves
-open takes the exact walk. ``_exact_orbit`` steps rational orbits in
-``Fraction``s by the system's own ``apply``, for the orbit command's CSV
-trace.
+A block of beta-map or expanding lattice orbits is one ``ScreenedBlock``:
+through four members of their family, ``segment``, ``start``, ``walk`` and
+``jump``, it walks all its rows at once in float64 segments under a proven
+error bound and jumps the exact points at each segment's end (Z[w] for
+beta-maps, A**K X mod S for circle and toral maps, composed affine branches
+for piecewise maps); only a row that the bound leaves open takes the exact
+walk. ``write_orbit_csv`` steps rational orbits in ``Fraction``s by the
+system's own ``apply``, for the orbit command's CSV trace.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ def point_distance(sys: SystemSpec, x, y):
 def _exact_step(sys: SystemSpec, x):
     """T x exactly; a system with an irrational constant refuses."""
     return sys.apply(x)
-
-
-def _exact_orbit(sys: SystemSpec, x) -> Iterator:
-    """x, T x, T^2 x, ... exactly: the start as Fractions (a tuple of them on
-    the torus), then one ``_exact_step`` per further point."""
-    pt = tuple(Fraction(v) for v in x) if isinstance(sys, ToralLinear) else Fraction(x)
-    while True:
-        yield pt
-        pt = _exact_step(sys, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +127,36 @@ class SteppedBlock:
 
 
 class _Stepped:
-    """Decisions and distances from ``_dists(n_hi)``, the lazy integer
-    distances D, n = 1, 2, ..., within ``E`` of S * d(T^n x, x) over the
-    orbit's scale ``S``. Decisions are ``Radii.decide``'s, lazy, for n from
+    """An orbit X0 / S (X0 a tuple on the torus) of the family ``walk``, up
+    to ``horizon`` steps. Decisions and distances come from ``_dists(n_hi)``,
+    the walk's lazy integer distances D, n = 1, 2, ..., within ``E`` of
+    S * d(T^n x, x). Decisions are ``Radii.decide``'s, lazy, for n from
     radii.n_lo on; the tables of one call share the walk through ``tee``,
     and one table reads the stream itself. An entry that E leaves open is
-    settled from the orbit's ``_floors``."""
+    settled from the orbit's ``_floors``. A walk with float segments screens
+    a ``block``, which holds K d entries a row (``row_entries``)."""
 
-    block = SteppedBlock  # orbit.block(orbits) is the block of those orbits
     E = 0  # exact distances: no entry is left open
+
+    def __init__(self, S: int, walk, horizon: int, X0):
+        self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
+
+    @staticmethod
+    def block(orbits: Sequence[_Stepped]) -> SteppedBlock:
+        return (ScreenedBlock if orbits[0].walk.segment else SteppedBlock)(orbits)
+
+    @property
+    def row_entries(self) -> int:
+        segment = self.walk.segment  # K steps of each of X0's coordinates, or the horizon
+        return segment[0] * np.size(self.X0) if segment else self.horizon
+
+    def _reach(self, n_hi: int) -> int:
+        if n_hi > self.horizon:  # the walk is sized for the horizon
+            raise ValueError(f"orbit built for {self.horizon} steps, not {n_hi}")
+        return n_hi
+
+    def _dists(self, n_hi: int) -> Iterator[int]:
+        return self.walk(self, self._reach(n_hi))
 
     def distances(self, n_hi: int) -> np.ndarray:
         S = self.S
@@ -197,21 +209,24 @@ def _first(mask: np.ndarray, k: int) -> np.ndarray:
 
 
 class ScreenedBlock(SteppedBlock):
-    """Stepped orbits decided in certified float segments of K steps. A
-    family gives ``_begin`` (K, eps, err, the start floats x0), ``_walk`` (k
-    float steps of the running rows: distances, each row's first open step,
-    digits) and ``_restart`` (the exact move of the rows running at a
-    segment's end, and their new floats). From an exact point rounded
-    (eps_0 = 2**-52), each family proves that before a row's first open step
-    its floats stay within eps_k = G eps_{k-1} + delta (``_segment``) and
-    its distances within eps_k + 2**-52. So fl(d + err) < lo, or
-    fl(d - err) > hi, for Radii.bounds lo < r_n < hi, is a hit, or a miss,
-    that the scalar walk would count neither ``gray`` nor ``mp`` (2**-52 is
-    above (2 E + 2) / S at every scale S >= 2**128). A row reads up to its
-    stop, as the scalar walk does (every table's first hit for
-    ``any_below_each``, the first miss for ``all_min_below``, none for
-    ``below``); a row meeting an open step or an entry inside
-    [lo - err, hi + err] first is decided by ``_decisions``."""
+    """Stepped orbits decided in certified float segments of K steps by the
+    family that they share (``orbit.walk``): its ``segment`` (K, eps, err),
+    ``start(orbits)`` (the rows' exact states and start floats x0),
+    ``walk(x, k, x0, eps)`` (k float steps of the running rows: distances,
+    each row's first open step, digits) and ``jump(states, go, digits)``
+    (the exact move of the rows running at a segment's end: (ok, states,
+    floats), ok where a row lands where its digits say). From an exact
+    point rounded (eps_0 = 2**-52), each family proves that before a row's
+    first open step its floats stay within eps_k = G eps_{k-1} + delta
+    (``_segment``) and its distances within eps_k + 2**-52. So
+    fl(d + err) < lo, or fl(d - err) > hi, for Radii.bounds lo < r_n < hi,
+    is a hit, or a miss, that the scalar walk would count neither ``gray``
+    nor ``mp`` (2**-52 is above (2 E + 2) / S at every scale S >= 2**128).
+    A row reads up to its stop, as the scalar walk does (every table's
+    first hit for ``any_below_each``, the first miss for ``all_min_below``,
+    none for ``below``); a row meeting an open step or an entry inside
+    [lo - err, hi + err] first, or not landing, is decided by
+    ``_decisions``."""
 
     def below(self, radii) -> np.ndarray:
         return self._screen([radii], False, None)[0]
@@ -227,10 +242,9 @@ class ScreenedBlock(SteppedBlock):
         ``running_min``) reach the value ``stop``, read up to the first that
         does; for stop None, the one table's decisions, a row per orbit."""
         n_lo, n_hi = _one_range(tables)
-        orbits, rows = self.orbits, len(self.orbits)
-        if n_hi > orbits[0].horizon:
-            raise ValueError(f"orbit built for {orbits[0].horizon} steps, not {n_hi}")
-        K, eps, err, x0 = self._begin()
+        orbits, rows, family = self.orbits, len(self.orbits), self.orbits[0].walk
+        orbits[0]._reach(n_hi)
+        (K, eps, err), (states, x0) = family.segment, family.start(orbits)
         pad = (np.full(n_lo - 1, -np.inf), np.full(n_lo - 1, np.inf))  # n < n_lo: not read
         bounds = [[np.concatenate([v, b]) for v, b in zip(pad, radii.bounds)] for radii in tables]
         ended = np.zeros((len(tables), rows), bool)
@@ -239,7 +253,7 @@ class ScreenedBlock(SteppedBlock):
         exact = []  # rows left to the scalar walk
         for n0 in range(0, n_hi, K):
             k = min(K, n_hi - n0)
-            d, j, digits = self._walk(x, k, x0[..., live], eps)
+            d, j, digits = family.walk(x, k, x0[..., live], eps)
             if running_min:
                 d = np.minimum(np.minimum.accumulate(d), low[live])
                 low[live] = d[-1]
@@ -260,9 +274,10 @@ class ScreenedBlock(SteppedBlock):
             go = ~bad & ~ended[:, live].all(axis=0)
             if n0 + k == n_hi or not go.any():
                 break
-            ok, x = self._restart(live[go], go, digits)  # a running row has no open step
-            exact += live[go][~ok].tolist()
-            live = live[go][ok]
+            moved = live[go]  # a running row has no open step
+            ok, states[moved], x = family.jump(states[moved], go, digits)
+            exact += moved[~ok].tolist()
+            live = moved[ok]
         for r in exact:
             decisions = orbits[r]._decisions(tables, running_min)
             if stop is None:
@@ -281,7 +296,17 @@ def _v2(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-class _Modular:
+class _Lattice:
+    """Exact states X over S in an object array; every lattice jump lands."""
+
+    def start(self, orbits) -> tuple:
+        return self._landed(np.array([o.X0 for o in orbits], object))[1:]
+
+    def _landed(self, X: np.ndarray) -> tuple:
+        return np.ones(len(X), bool), X, (X / self.S).astype(float).T
+
+
+class _Modular(_Lattice):
     """X -> A X + B mod S: the lattice walk of integer circle maps (A = (a)),
     rational rotations (A = (1), B = alpha S) and toral maps, X an int or a
     tuple; called, it yields S * d(T^n x, x), n = 1..n_hi. Only maps with
@@ -291,17 +316,21 @@ class _Modular:
     within delta = (d + 1) 2**(e-53). The map is continuous mod 1 and
     G-Lipschitz in the max of the circle metrics: no step is open, and
     min(t, 1 - t), t = fl(|x - x0|) (max over coordinates), is within
-    eps_k + 3 2**-54. A segment's end jumps X to A**K X mod S."""
+    eps_k + 3 2**-54. A segment's end jumps X to A**K X mod S (A**K built
+    once)."""
 
     def __init__(self, sys: SystemSpec, A, B, S: int, horizon: int):
         self.A, self.B, self.S, self.torus = A, B, S, isinstance(sys, ToralLinear)
         G = max(sum(map(abs, row)) for row in A)
         self.segment = _segment(G, (len(A) + 1) * Fraction(2) ** (G.bit_length() - 53), horizon)
         self.Af = np.array(A, float)
+        if self.segment:
+            self.AKT = np.linalg.matrix_power(np.array(A, object), self.segment[0]).T
 
-    def __call__(self, X0, n_hi: int) -> Iterator[int]:
+    def __call__(self, orbit: LatticeOrbit, n_hi: int) -> Iterator[int]:
         # min(t, S - t) = S/2 - |S/2 - t| for t = (X - X0) mod S (S is even)
-        S, A, half, X = self.S, self.A, self.S >> 1, X0
+        S, A, half, X0 = self.S, self.A, self.S >> 1, orbit.X0
+        X = X0
         if self.torus:
             for _ in range(n_hi):
                 X = [sum(map(mul, row, X)) % S for row in A]
@@ -321,49 +350,50 @@ class _Modular:
         d = np.minimum(t, 1 - t)
         return d.max(axis=1) if self.torus else d, k, None
 
-    def jump(self, X: np.ndarray, go: np.ndarray, digits) -> np.ndarray:
-        J = np.linalg.matrix_power(np.array(self.A, object), self.segment[0])  # A**K
-        return (X.reshape(len(X), -1) @ J.T % self.S).reshape(X.shape)
+    def jump(self, X: np.ndarray, go: np.ndarray, digits) -> tuple:
+        return self._landed((X.reshape(len(X), -1) @ self.AKT % self.S).reshape(X.shape))
 
 
-class _Affine:
-    """X -> p X // d + c on the branch of X, an image S folded to 0: the
-    lattice walk of piecewise maps and rational beta-maps. A float step
-    takes the digit i (the interior branch ends at or below x) and
-    t = s_i x + c_i, s_i and c_i rounded. With G = max |s_i| and
-    2**e > G (1 + 2**-29), delta = 2**(e-53) + 2 max |fl(s_i) - s_i| +
-    max |fl(c_i) - c_i| covers the product, the sum and the rounded data
-    while i is right: it is, unless x is in [fl(h - eps), fl(h + eps)] for
-    an end h (fl(h) errs by 2**-54 < eps - eps_{k-1}) or t >= fl(1 - eps)
-    (an image 1 folds), where the step is open. With s_i = u_i / q and
-    c_i = g_i / q, a segment's K digits compose to q**K X_K = U X + V S,
+class _Affine(_Lattice):
+    """X -> (u X + g S) // q on the branch of X, an image S folded to 0: the
+    lattice walk of piecewise maps and rational beta-maps, from their
+    ``integer_branches``. A float step takes the digit i (the interior
+    branch ends at or below x) and t = s_i x + c_i, s_i = u_i / q and
+    c_i = g_i / q rounded. With G = max |s_i| and 2**e > G (1 + 2**-29),
+    delta = 2**(e-53) + 2 max |fl(s_i) - s_i| + max |fl(c_i) - c_i| covers
+    the product, the sum and the rounded data while i is right: it is,
+    unless x is in [fl(h - eps), fl(h + eps)] for an end h (fl(h) errs by
+    2**-54 < eps - eps_{k-1}) or t >= fl(1 - eps) (an image 1 folds), where
+    the step is open. A segment's K digits compose to q**K X_K = U X + V S,
     U = prod_j u_{i_j}, V = sum_j g_{i_j} q**j prod_{l > j} u_{i_l}, in
-    int64: K max(1, |g|) max(q, |u|)**K < 2**63 caps K (at 0, no segment)."""
+    int64: K max(1, |g|) max(q, |u|)**K < 2**63 caps K (at 0, no segment),
+    and q**j, j below the cap, is built once."""
 
-    def __init__(self, branches, S: int, q: int, horizon: int):
-        self.S, self.q, s, c = S, q, [b.slope for b in branches], [b.intercept for b in branches]
-        self.branches = [(b.hi.numerator * S // b.hi.denominator, b.slope.numerator,
-                          b.slope.denominator, b.intercept.numerator * S // b.intercept.denominator)
-                         for b in branches]
+    def __init__(self, pw, S: int, horizon: int):
+        (q, Lb, _, ints), br = pw.integer_branches, pw.branches
+        self.S, self.q, self.u, self.g = S, q, [v[2] for v in ints], [v[3] for v in ints]
+        self.branches = [(hi * (S // Lb), u, g * S) for _, hi, u, g in ints]
+        s, c = [b.slope for b in br], [b.intercept for b in br]
         self.ends, self.s, self.c = (np.array([float(v) for v in vs])
-                                     for vs in ([b.hi for b in branches[:-1]], s, c))
+                                     for vs in ([b.hi for b in br[:-1]], s, c))
         off = lambda vs, fs: max(abs(Fraction(f) - v) for f, v in zip(fs.tolist(), vs))  # noqa: E731
         G = max(map(abs, s))
         delta = (Fraction(2) ** (math.floor(G * (1 + Fraction(1, 1 << 29))).bit_length() - 53)
                  + 2 * off(s, self.s) + off(c, self.c))
-        self.u, self.g = [int(v * q) for v in s], [int(v * q) for v in c]
         top, big, cap = max(q, *map(abs, self.u)), max(1, *map(abs, self.g)), 0
         while cap < horizon and (cap + 1) * big * top ** (cap + 1) < 1 << 63:
             cap += 1
         self.segment = _segment(G, delta, cap)
+        self.qj = np.array([q ** j for j in range(cap)], np.int64)[:, None]
 
-    def __call__(self, X0: int, n_hi: int) -> Iterator[int]:
-        S, X = self.S, X0
+    def __call__(self, orbit: LatticeOrbit, n_hi: int) -> Iterator[int]:
+        S, q, X0 = self.S, self.q, orbit.X0
+        X = X0
         for _ in range(n_hi):
-            for hi, p, d, c in self.branches:
+            for hi, u, gS in self.branches:
                 if X < hi:
                     break
-            X = p * X // d + c
+            X = (u * X + gS) // q
             if X >= S:  # images may touch 1 at a branch end
                 X -= S
             yield abs(X - X0)
@@ -379,38 +409,37 @@ class _Affine:
             open_ |= (xs[:-1] >= h - eps) & (xs[:-1] <= h + eps)
         return np.abs(xs[1:] - x0), _first(open_, k), digits
 
-    def jump(self, X: np.ndarray, go: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    def jump(self, X: np.ndarray, go: np.ndarray, digits: np.ndarray) -> tuple:
         i, K = digits[:, go], len(digits)
         R = np.cumprod(np.array(self.u, np.int64)[i][::-1], axis=0)[::-1]  # prod_{l >= j} u_{i_l}
-        gq = np.array(self.g, np.int64)[i] * self.q ** np.arange(K)[:, None]
+        gq = np.array(self.g, np.int64)[i] * self.qj[:K]
         V = (gq[:-1] * R[1:]).sum(axis=0) + gq[-1]
-        return (R[0].astype(object) * X + V.astype(object) * self.S) // self.q ** K
+        return self._landed((R[0].astype(object) * X + V.astype(object) * self.S) // self.q ** K)
 
 
 def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, _Modular | _Affine]:
     """(P, S, walk) for an exact system over ``horizon`` steps. A dyadic start
     X0 / 2**P is X0 * (S >> P) / S, and each of its first ``horizon`` orbit
-    points is X / S with integer X. ``walk(X, n_hi)`` yields the integer
-    distances S * d(T^n x, x), n = 1..n_hi, of the start X / S (a tuple of
-    coordinates on the torus), and holds its family's float segments.
+    points is X / S with integer X. ``walk(orbit, n_hi)`` yields the integer
+    distances S * d(T^n x, x), n = 1..n_hi, of the orbit's start X0 / S (a
+    tuple of coordinates on the torus); ``walk`` is the orbits' family.
 
     P keeps about 128 random bits to the horizon: an even slope a sheds
     v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
     of A^n divides det A^n; the largest v2 of a slope numerator for a
     map with affine branches). The branches of ``as_piecewise`` (piecewise
-    maps, rational beta-maps) take S = 2**P * q**horizon * L, q the lcm
-    of the slope and intercept denominators and L that of the branch ends,
-    so every slope divides exactly and every branch end is an integer over
-    S."""
+    maps, rational beta-maps) take S = 2**P * q**horizon * L_b, q and L_b
+    of their ``integer_branches``, so every slope divides exactly and every
+    branch end is an integer over S."""
     if isinstance(sys, ToralLinear):
         P = 128 + horizon * _v2(mat_det(sys.A))
         return P, 1 << P, _Modular(sys, sys.A, (0,) * len(sys.A), 1 << P, horizon)
     if not isinstance(sys, (IntegerCircleMap, Rotation)):  # affine branches
-        pw = sys.as_piecewise().branches
-        P = 128 + horizon * max(_v2(b.slope.numerator) for b in pw)
-        q = math.lcm(*(f.denominator for b in pw for f in (b.slope, b.intercept)))
-        S = (q ** horizon * math.lcm(*(b.hi.denominator for b in pw))) << P
-        return P, S, _Affine(pw, S, q, horizon)
+        pw = sys.as_piecewise()
+        P = 128 + horizon * max(_v2(b.slope.numerator) for b in pw.branches)
+        q, Lb, *_ = pw.integer_branches
+        S = (q ** horizon * Lb) << P
+        return P, S, _Affine(pw, S, horizon)
     if isinstance(sys, IntegerCircleMap):
         P = 128 + horizon * _v2(sys.a)
         return P, 1 << P, _Modular(sys, ((sys.a,),), (0,), 1 << P, horizon)
@@ -420,71 +449,105 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, _Modular | _Affin
     return 128, S, _Modular(sys, ((1,),), (alpha.numerator << 128,), S, horizon)
 
 
-class LatticeBlock(ScreenedBlock):
-    """``LatticeOrbit``s on the screen, with their ``walk``'s float segments
-    and restart; the exact points X over S (an object array, one row of
-    coordinates a point on the torus) move only at a segment's end."""
-
-    def _begin(self) -> tuple:
-        walk = self.walk = self.orbits[0].walk
-        self._walk, self.X = walk.walk, np.array([o.X0 for o in self.orbits], object)
-        return (*walk.segment, (self.X / walk.S).astype(float).T)
-
-    def _restart(self, rows: np.ndarray, go: np.ndarray, digits) -> tuple:
-        self.X[rows] = X = self.walk.jump(self.X[rows], go, digits)
-        return np.ones(len(rows), bool), (X / self.walk.S).astype(float).T
-
-
 class LatticeOrbit(_Stepped):
-    """The orbit of a start X0 / S (X0 a tuple on the torus) held as
-    integers, from ``_lattice``'s ``walk``, up to ``horizon`` steps.
-    Distances are exact integers D over S. A block of them is a
-    ``LatticeBlock``; its memory per row, ``row_entries``, is K d for the
-    walk's segment length K and d coordinates. A walk without segments
-    (``_segment``) keeps ``SteppedBlock`` and the horizon."""
-
-    def __init__(self, S: int, walk: _Modular | _Affine, horizon: int, X0):
-        self.S, self.walk, self.horizon, self.X0 = S, walk, horizon, X0
-        self.row_entries = horizon
-        if walk.segment:
-            self.block = LatticeBlock
-            self.row_entries = walk.segment[0] * (len(X0) if isinstance(X0, tuple) else 1)
-
-    def _dists(self, n_hi: int) -> Iterator[int]:
-        if n_hi > self.horizon:
-            raise ValueError(f"lattice orbit built for {self.horizon} steps, not {n_hi}")
-        return self.walk(self.X0, n_hi)
+    """An orbit in integers X over S, walked by ``_Modular`` or ``_Affine``."""
 
 
 # ---------------------------------------------------------------------------
 # Quadratic orbits: beta-maps and irrational rotations, exactly
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _quadratic_constants(sys: SystemSpec, P: int, horizon: int) -> tuple:
-    """(c0, c1, W, Q, P, S - 1, E, S - E) of one call's orbits, built once:
-    w**2 = c1 w + c0, W = floor(w * 2**Q), and y's scale S and bound E (see
-    ``FixedPointOrbit``). Q is 64 bits past g, where 2**(P + g) > |b| over
-    the horizon: |b| / 2**P = |x_n - x_n'| / (w - w'), x_n' the conjugate of
-    x_n, and for a beta-map |x_n'| <= M max(1, |w'|)**n with M = 1 +
-    floor(w) / |1 - |w'||, bounded for the golden mean (a Pisot number) and
-    growing by sqrt(k) a step for sqrt(k). A rotation's b is n * 2**P."""
-    if isinstance(sys, BetaMap):
-        w, omega = float(sys.beta), sys.beta
-        c0, c1 = omega.quadratic()
-        lam = abs(c1 - w)
-        g = 1 + math.ceil(horizon * math.log2(max(1.0, lam))
-                          + math.log2((2 + math.floor(w) / abs(1 - lam)) / (2 * w - c1)))
-    elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
-        c0, c1, g, omega = None, None, horizon.bit_length(), sys.alpha
-    else:
-        raise ValueError(f"{sys.describe()} has no quadratic orbit")
-    Q = max(g, 0) + 64
-    W = omega.floor_of(0, 1 << Q, 1)
-    if c0 is None:  # c1 is W * 2**P; y = x * 2**(P + Q), within |b| < 2**(P + Q - 64)
-        return None, W << P, W, Q, P, (1 << (P + Q)) - 1, 1 << (P + Q - 64), None
-    e = (1 << (P - 64)) + 1  # y = x * 2**P, within |b| / 2**Q + 1
-    return c0, c1, W, Q, P, (1 << P) - 1, e, (1 << P) - e
+@lru_cache(maxsize=16)  # one family per (sys, P, horizon): per call
+class _Quadratic:
+    """The family of one call's ``FixedPointOrbit``s. ``k`` = (c0, c1, W, Q,
+    P, S - 1, E, S - E) for ``step``: w**2 = c1 w + c0, W = floor(w * 2**Q),
+    and y's scale S and bound E (see ``FixedPointOrbit``). Q is 64 bits past
+    g, where 2**(P + g) > |b| over the horizon: |b| / 2**P = |x_n - x_n'| /
+    (w - w'), x_n' the conjugate of x_n, and for a beta-map |x_n'| <= M
+    max(1, |w'|)**n with M = 1 + floor(w) / |1 - |w'||, bounded for the
+    golden mean (a Pisot number) and growing by sqrt(k) a step for sqrt(k).
+    A rotation's b is n * 2**P, and a rotation has no segments.
+
+    A beta-map's float step is t = w x, m = floor(t), x = t - m,
+    d = |x - x0|, with w = F / 2**100, F = floor(omega 2**100)
+    (2**(e-1) < w < 2**e), and omega the slope; K, eps and err come from
+    ``_segment`` at growth (F + 1) / 2**100 (G) and |w - omega| <=
+    |w - F / 2**100| + 2**-100. A restart's exact y is within
+    E / S <= 2**-64 + 2**-P of its point. fl(w x) is within
+    delta + omega eps of omega times the point, delta = 2**(e-53) +
+    |w - omega| (w x < 2**e rounds by 2**(e-54)), and m is the true digit
+    where eps_K < t - m < 1 - eps_K (t - m is exact, and a float below
+    fl(c) is below c); a step is open elsewhere. At a segment's end a
+    running row moves its exact (a, b) by omega**(K-1) = p + q omega, less
+    2**P times the int64 dot products of its digits m_1..m_{K-1} with
+    ``PQ``, PQ[:, j - 1] = (p_i, q_i) of omega**i = p_i + q_i omega,
+    i = K - 1 - j, j = 1..K-1; one ``step`` then gives point K and the y
+    that restarts the floats. A row whose step's digit is not the screened
+    one (which the bound excludes) does not land, and is walked exactly."""
+
+    def __init__(self, sys: SystemSpec, P: int, horizon: int):
+        if isinstance(sys, BetaMap):
+            w, omega = float(sys.beta), sys.beta
+            c0, c1 = omega.quadratic()
+            lam = abs(c1 - w)
+            g = 1 + math.ceil(horizon * math.log2(max(1.0, lam))
+                              + math.log2((2 + math.floor(w) / abs(1 - lam)) / (2 * w - c1)))
+        elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
+            c0, c1, g, omega = None, None, horizon.bit_length(), sys.alpha
+        else:
+            raise ValueError(f"{sys.describe()} has no quadratic orbit")
+        Q = max(g, 0) + 64
+        W = omega.floor_of(0, 1 << Q, 1)
+        self.omega, self.P, self.segment, self.circle = omega, P, None, uses_circle_metric(sys)
+        if c0 is None:  # c1 is W * 2**P; y = x * 2**(P + Q), within |b| < 2**(P + Q - 64)
+            self.k = (None, W << P, W, Q, P, (1 << (P + Q)) - 1, 1 << (P + Q - 64), None)
+            return
+        e = (1 << (P - 64)) + 1  # y = x * 2**P, within |b| / 2**Q + 1
+        self.k = (c0, c1, W, Q, P, (1 << P) - 1, e, (1 << P) - e)
+        F = omega.floor_of(0, 1 << 100, 1)
+        self.w = F / (1 << 100)
+        e = math.frexp(self.w)[1]  # w < 2**e
+        delta = Fraction(2) ** (e - 53) + abs(Fraction(self.w) - Fraction(F, 1 << 100))
+        self.segment = _segment(Fraction(F + 1, 1 << 100), delta + Fraction(1, 1 << 100))
+        pq = [(1, 0)]
+        for _ in range(self.segment[0] - 1):
+            p, q = pq[-1]
+            pq.append((c0 * q, p + c1 * q))
+        self.PQ = np.array(pq[-2::-1], np.int64).reshape(-1, 2).T
+        p, q = pq[-1]
+        self.pq = p, c0 * q, q, p + c1 * q  # (a, b) -> omega**(K-1) (a + b omega)
+
+    def __call__(self, orbit: FixedPointOrbit, n_hi: int) -> Iterator[int]:
+        Y0, step = orbit._a0, orbit.step
+        orbit.a, orbit.b = Y0, 0
+        for _ in range(n_hi):
+            yield abs(step() - Y0)
+
+    def start(self, orbits) -> tuple:
+        for o in orbits:
+            o.a, o.b = o._a0, 0
+        return np.fromiter(orbits, object, len(orbits)), np.array([o.X0 / o.S for o in orbits])
+
+    def walk(self, x: np.ndarray, k: int, x0: np.ndarray, eps: float) -> tuple:
+        frac, digit = np.empty((k, len(x))), np.empty((k, len(x)))
+        for s in range(k):
+            t = np.multiply(x, self.w, out=frac[s])
+            np.floor(t, out=digit[s])
+            x = np.subtract(t, digit[s], out=t)
+        return np.abs(frac - x0), _first((frac <= eps) | (frac >= 1 - eps), k), digit
+
+    def jump(self, orbits: np.ndarray, go: np.ndarray, digit: np.ndarray) -> tuple:
+        c0, P, (p, cq, q, pcq) = self.k[0], self.P, self.pq
+        sp, sq = (self.PQ @ digit[:-1, go].astype(np.int64)).tolist()
+        ok, xs = [], []
+        for o, s_p, s_q, m in zip(orbits.tolist(), sp, sq, digit[-1, go].tolist()):
+            a, b = o.a, o.b
+            o.a, o.b = p * a + cq * b - (s_p << P), q * a + pcq * b - (s_q << P)
+            b, y = o.b, o.step()
+            ok.append((c0 * b - o.a) >> P == m)
+            xs.append(y / o.S)
+        ok = np.array(ok, bool)
+        return ok, orbits, np.array(xs)[ok]
 
 
 class FixedPointOrbit(_Stepped):
@@ -501,31 +564,19 @@ class FixedPointOrbit(_Stepped):
     decided from exact floors of the distances (``_floors``).
 
     That walk is exact, and it is the whole story for a single orbit and for
-    rotations. A block of beta-map orbits (``block``) is a ``BetaBlock``:
-    it steps all its rows in floats and moves each row's (a, b) only at the
-    end of a float segment, by one jump of K - 1 steps and one ``step``;
-    ``row_entries``, its memory per row, is then K, not the horizon."""
+    rotations. A screened block of beta-map orbits (``_Quadratic``) moves
+    each row's (a, b) only at a segment's end: a jump of K - 1 steps and one
+    ``step``."""
 
     def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
-        self._k = _quadratic_constants(sys, P, horizon)
-        self.sys, self.P, self.horizon = sys, P, horizon
-        self._omega = sys.beta if isinstance(sys, BetaMap) else sys.alpha
-        self._circle = uses_circle_metric(sys)
-        self.S, self.E = self._k[5] + 1, self._k[6]
-        self.X0 = X0 % (1 << P)
-        self._a0 = self.S >> 1 if self._circle else self.X0  # a, and y, at x = x0
+        walk = _Quadratic(sys, P, horizon)
+        super().__init__(walk.k[5] + 1, walk, horizon, X0 % (1 << P))
+        self.sys, self.P, self.E = sys, P, walk.k[6]
+        self._a0 = self.S >> 1 if walk.circle else self.X0  # a, and y, at x = x0
         self.a, self.b = self._a0, 0
 
-    @property
-    def block(self) -> type[SteppedBlock]:
-        return SteppedBlock if self._k[0] is None else BetaBlock
-
-    @property
-    def row_entries(self) -> int:
-        return self.horizon if self._k[0] is None else _segments(self._omega)[1]
-
     def step(self) -> int:
-        c0, c1, W, Q, P, mask, e, top = self._k
+        c0, c1, W, Q, P, mask, e, top = self.walk.k
         if c0 is None:
             self.b += 1 << P
             self.a = y = (self.a + c1) & mask
@@ -534,26 +585,18 @@ class FixedPointOrbit(_Stepped):
         y = a + ((b * W) >> Q)
         m, r = y >> P, y & mask
         if r < e or r > top:  # y is within e of an integer times 2**P
-            m = self._omega.floor_of(a, b, mask + 1)
+            m = self.walk.omega.floor_of(a, b, mask + 1)
             r = y - (m << P)
         if m:
             a -= m << P
         self.a, self.b = a, b
         return r
 
-    def _dists(self, n_hi: int) -> Iterator[int]:
-        """From x0 on, lazily, |y - y0| for the ``step``s y of n = 1..n_hi."""
-        if n_hi > self.horizon:
-            raise ValueError(f"quadratic orbit built for {self.horizon} steps, not {n_hi}")
-        Y0, step = self._a0, self.step
-        self.a, self.b = Y0, 0
-        return (abs(step() - Y0) for _ in range(n_hi))
-
     def _floor_at(self) -> Callable[[int], int]:
         """T -> floor(d(x, x_0) * T) exactly, x the point: d = (A + B w) / 2**P."""
-        unit, floor_of = 1 << self.P, self._omega.floor_of
-        A, B = 0 if self._circle else self.a - self.X0, self.b
-        if self._circle:  # (x - x_0) mod 1 = (b w / 2**P) mod 1, folded at 1/2
+        unit, floor_of = 1 << self.P, self.walk.omega.floor_of
+        A, B = 0 if self.walk.circle else self.a - self.X0, self.b
+        if self.walk.circle:  # (x - x_0) mod 1 = (b w / 2**P) mod 1, folded at 1/2
             A -= floor_of(A, B, unit) * unit
             if floor_of(2 * A, 2 * B, unit):
                 A, B = unit - A, -B
@@ -585,75 +628,6 @@ class FixedPointOrbit(_Stepped):
                 x = F / T if self.b else abs(self.a - self.X0) / (1 << self.P)
             out.append(x)
         return np.array(out)
-
-
-@lru_cache(maxsize=16)
-def _segments(omega) -> tuple:
-    """(w, K, eps, err, PQ, p, q) of the float segments of the beta-map with
-    slope omega (see ``BetaBlock``): w = F / 2**100, F = floor(omega 2**100);
-    K, eps and err from ``_segment`` at growth (F + 1) / 2**100 and
-    |w - omega| <= |w - F / 2**100| + 2**-100; the int64 table
-    PQ[:, j - 1] = (p_i, q_i) of omega**i = p_i + q_i omega, i = K - 1 - j,
-    j = 1..K-1; and omega**(K-1) = p + q omega."""
-    c0, c1 = omega.quadratic()
-    F = omega.floor_of(0, 1 << 100, 1)
-    w = F / (1 << 100)
-    e = math.frexp(w)[1]  # w < 2**e
-    delta = Fraction(2) ** (e - 53) + abs(Fraction(w) - Fraction(F, 1 << 100)) + Fraction(1, 1 << 100)
-    K, eps, err = _segment(Fraction(F + 1, 1 << 100), delta)
-    pq = [(1, 0)]
-    for _ in range(K - 1):
-        p, q = pq[-1]
-        pq.append((c0 * q, p + c1 * q))
-    return w, K, eps, err, np.array(pq[-2::-1], np.int64).reshape(-1, 2).T, *pq[-1]
-
-
-class BetaBlock(ScreenedBlock):
-    """Beta-map orbits x -> w x mod 1 (``FixedPointOrbit``s) on the screen. A
-    float step is t = w x, m = floor(t), x = t - m, d = |x - x0|, w the float
-    of ``_segments`` (2**(e-1) < w < 2**e) and omega the slope (G). A
-    restart's exact y is within E / S <= 2**-64 + 2**-P of its point. fl(w x)
-    is within delta + omega eps of omega times the point, delta = 2**(e-53)
-    + |w - omega| (w x < 2**e rounds by 2**(e-54)), and m is the true digit
-    where eps_K < t - m < 1 - eps_K (t - m is exact, and a float below fl(c)
-    is below c); a step is open elsewhere. At a segment's end a running row
-    moves its exact (a, b) by omega**(K-1) = p + q omega, less 2**P times
-    the int64 dot products of its digits m_1..m_{K-1} with ``PQ``; one
-    ``step`` then gives point K and the y that restarts the floats. A row
-    whose step's digit is not the screened one (which the bound excludes)
-    is walked exactly."""
-
-    def _begin(self) -> tuple:
-        first = self.orbits[0]
-        for o in self.orbits:
-            o.a, o.b = o._a0, 0
-        return (*_segments(first._omega)[1:4], np.array([o.X0 / first.S for o in self.orbits]))
-
-    def _walk(self, x, k, x0, eps) -> tuple:
-        w = _segments(self.orbits[0]._omega)[0]
-        frac, digit = np.empty((k, len(x))), np.empty((k, len(x)))
-        for s in range(k):
-            t = np.multiply(x, w, out=frac[s])
-            np.floor(t, out=digit[s])
-            x = np.subtract(t, digit[s], out=t)
-        return np.abs(frac - x0), _first((frac <= eps) | (frac >= 1 - eps), k), digit
-
-    def _restart(self, rows: np.ndarray, go: np.ndarray, digit: np.ndarray) -> tuple:
-        first = self.orbits[0]
-        c0, c1, P, S = first._k[0], first._k[1], first.P, first.S
-        *_, PQ, p, q = _segments(first._omega)
-        cq, pcq = c0 * q, p + c1 * q
-        sp, sq = (PQ @ digit[:-1, go].astype(np.int64)).tolist()
-        ok, xs = [], []
-        for r, s_p, s_q, m in zip(rows.tolist(), sp, sq, digit[-1, go].tolist()):
-            o = self.orbits[r]
-            a, b = o.a, o.b
-            o.a, o.b = p * a + cq * b - (s_p << P), q * a + pcq * b - (s_q << P)
-            b, y = o.b, o.step()
-            ok.append((c0 * b - o.a) >> P == m)
-            xs.append(y / S)
-        ok = np.array(ok, bool)
-        return ok, np.array(xs)[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -821,10 +795,13 @@ def orbit_backend(sys: SystemSpec, horizon: int
 # ---------------------------------------------------------------------------
 
 def write_orbit_csv(fileobj, sys: SystemSpec, x, n: int) -> int:
-    """Rows (step, point, distance-to-start) for plotting; exact orbits only."""
+    """Rows (step, point, distance-to-start) for plotting; exact orbits only:
+    x (a tuple on the torus) in Fractions, then ``_exact_step``s."""
     writer = csv.writer(fileobj)
     writer.writerow(["step", "point", "dist_to_start"])
-    points = list(islice(_exact_orbit(sys, x), n + 1))
+    points = [tuple(map(Fraction, x)) if isinstance(sys, ToralLinear) else Fraction(x)]
+    for _ in range(n):
+        points.append(_exact_step(sys, points[-1]))
     for k, pt in enumerate(points):
         coords = pt if isinstance(sys, ToralLinear) else (pt,)
         d = float(point_distance(sys, pt, points[0]))

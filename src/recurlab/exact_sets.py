@@ -197,17 +197,6 @@ def build_recurrence_set(
 # Piecewise-affine branch machinery
 # ---------------------------------------------------------------------------
 
-def _integer_branches(pw: PiecewiseLinear) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
-    """(q, L_b, m, branches): each branch (B_lo, B_hi, p, u) of ``pw`` maps
-    [B_lo/L_b, B_hi/L_b) by x -> (p*x + u)/q, and m = lcm |p|."""
-    br = pw.branches
-    q = math.lcm(*(f.denominator for b in br for f in (b.slope, b.intercept)))
-    Lb = math.lcm(*(f.denominator for b in br for f in (b.lo, b.hi)))
-    ints = [(int(b.lo * Lb), int(b.hi * Lb), int(b.slope * q), int(b.intercept * q))
-            for b in br]
-    return q, Lb, math.lcm(*(abs(p) for _, _, p, _ in ints)), ints
-
-
 def _int_dtype(bound: int):
     """int64 for values at most ``bound`` in magnitude, else Python ints."""
     return np.int64 if bound < 2**63 else object
@@ -217,7 +206,7 @@ def compose_branches(
     pw: PiecewiseLinear, n: int, branch_budget: int = DEFAULT_ARC_BUDGET
 ) -> np.ndarray:
     """Maximal affine branches of T^n as rows (X_lo, X_hi, P, U), sorted by
-    X_lo: with q, L_b, m from ``_integer_branches`` and S = L_b*m^n, T^n x =
+    X_lo: with q, L_b, m from ``pw.integer_branches`` and S = L_b*m^n, T^n x =
     (P*x + U)/q^n on [X_lo/S, X_hi/S), and every end is an integer over S
     (|P| divides m^k after k steps). A level is one broadcast against the
     base branches. Every value is at most L_b*(2q^n + m^n)*m^n, the bound of
@@ -226,7 +215,7 @@ def compose_branches(
     most L_b*(2q^k + |P|)*m^n/|P|, the new P and U at most m^n and 4m^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q, Lb, m, branches = _integer_branches(pw)
+    q, Lb, m, branches = pw.integer_branches
     mn, qk = m ** n, 1
     dt = _int_dtype(Lb * (2 * q ** n + mn) * mn)
     blo, bhi, p, u = np.array(branches, dt).T
@@ -272,7 +261,7 @@ def build_recurrence_set_piecewise(
     pw = sys.as_piecewise()
     r = _check_radius(r)
     branches = compose_branches(pw, n, branch_budget)
-    q, Lb, m, _ = _integer_branches(pw)
+    q, Lb, m, _ = pw.integer_branches
     Q, mn = q ** n, m ** n
     L = math.lcm(Lb * mn, r.denominator * math.lcm(*set(np.abs(branches[:, 2] - Q).tolist())))
     dt, circle = _int_dtype(4 * mn * L * r.denominator), uses_circle_metric(sys)

@@ -199,6 +199,18 @@ class PiecewiseLinear(_System):
     def d(self) -> int:
         return 1
 
+    @property
+    def integer_branches(self) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
+        """(q, L_b, m, branches): q the lcm of the slope and intercept
+        denominators, L_b that of the branch ends, each branch (B_lo, B_hi,
+        u, g) maps [B_lo/L_b, B_hi/L_b) by x -> (u*x + g)/q; m = lcm |u|."""
+        br = self.branches
+        q = math.lcm(*(f.denominator for b in br for f in (b.slope, b.intercept)))
+        Lb = math.lcm(*(f.denominator for b in br for f in (b.lo, b.hi)))
+        ints = [(int(b.lo * Lb), int(b.hi * Lb), int(b.slope * q), int(b.intercept * q))
+                for b in br]
+        return q, Lb, math.lcm(*(abs(u) for _, _, u, _ in ints)), ints
+
     def as_piecewise(self) -> PiecewiseLinear:
         return self
 

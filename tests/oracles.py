@@ -21,7 +21,6 @@ import numpy as np
 
 from recurlab.circle import circle_point
 from recurlab.dynamics import SteppedBlock, point_distance
-from recurlab.exact_sets import _integer_branches
 from recurlab.systems import ToralLinear, uses_circle_metric
 
 
@@ -127,7 +126,7 @@ def compose_branches(pw, n: int) -> list[tuple[int, int, int, int]]:
     """The affine branches (X_lo, X_hi, P, U) of T^n over S = L_b*m^n,
     sorted: for each branch of T^k and each base branch, the part of its
     domain that T^k maps into the base branch's."""
-    q, Lb, m, branches = _integer_branches(pw)
+    q, Lb, m, branches = pw.integer_branches
     mn, qk = m ** n, 1
     cur = [(0, Lb * mn, 1, 0)]  # T^0, one branch
     for _ in range(n):
@@ -154,7 +153,7 @@ def recurrence_arcs(sys, n: int, r: Fraction) -> tuple[tuple[Fraction, Fraction]
     branch (j = 0 alone for an interval map), the interval where
     |T^n x - x - j| < r, clipped to the branch and merged."""
     pw = sys.as_piecewise()
-    q, Lb, m, _ = _integer_branches(pw)
+    q, Lb, m, _ = pw.integer_branches
     branches = compose_branches(pw, n)
     Q, S = q ** n, Lb * m ** n
     rn, rd = r.numerator, r.denominator

@@ -13,14 +13,12 @@ from recurlab import experiments
 from recurlab.circle import ExplicitTable, PowerLaw, RadiusSequence
 from recurlab.cli import parse_sequence, parse_system
 from recurlab.dynamics import (
-    BetaBlock,
     DyadicOrbitView,
     FixedPointOrbit,
-    LatticeBlock,
     LatticeOrbit,
+    ScreenedBlock,
     SteppedBlock,
     _lattice,
-    _segments,
     orbit_backend,
     sample_bits,
 )
@@ -422,7 +420,7 @@ def test_coefficients_stay_within_the_bound(spec):
         for _ in range(N):
             orbit.step()
             top = max(top, abs(orbit.b))
-        Q = orbit._k[3]
+        Q = orbit.walk.k[3]
         assert top < 1 << (orbit.P + Q - 64)
         if spec == "beta:golden":
             assert top < 1 << (orbit.P + 1) and Q == 67
@@ -530,12 +528,13 @@ BETAS = ("beta:golden", "beta:sqrt2", "beta:sqrt3")
 
 @pytest.mark.parametrize("spec", BETAS)
 def test_segment_bound_holds_against_mpmath(spec):
-    # the float walk of a segment, as BetaBlock steps it, stays within eps
+    # the float walk of a segment, as the screen steps it, stays within eps
     # of the true orbit wherever its digits are certified; eps_K <= 2**-30
     sys = parse_system(spec)
-    w, K, eps, err, *_ = _segments(sys.beta)
-    assert 2 ** -32 < eps <= 2 ** -30 and err >= eps + 2 ** -51
     start = orbit_backend(sys, 60)
+    family = start(74, 0).walk
+    w, (K, eps, err) = family.w, family.segment
+    assert 2 ** -32 < eps <= 2 ** -30 and err >= eps + 2 ** -51
     with mpmath.workprec(600):
         omega = sys.beta.mp()
         for i in range(20):
@@ -584,7 +583,7 @@ def test_screened_block_decides_as_the_scalar_walk(spec):
     sys, N, n_lo = parse_system(spec), 90, 3
     start = orbit_backend(sys, N)
     orbits = [start(75, i) for i in range(40)]
-    assert isinstance(orbits[0].block(orbits), BetaBlock)
+    assert isinstance(orbits[0].block(orbits), ScreenedBlock)
     P = orbits[0].P
     orbits.insert(7, FixedPointOrbit(sys, branch_end(sys, P), P, N))
     base = tuple(Fraction(1, n * n) for n in range(1, N + 1))
@@ -675,7 +674,7 @@ def test_lattice_block_decides_as_the_scalar_walk(spec):
     sys, N, n_lo, n = parse_system(spec), 90, 3, 10
     start = orbit_backend(sys, N)
     orbits = [start(78, i) for i in range(40)]
-    assert isinstance(orbits[0].block(orbits), LatticeBlock)
+    assert isinstance(orbits[0].block(orbits), ScreenedBlock)
     x, opens = BREAKS[spec]
     orbits.insert(7, lattice_start(orbits[0], x))
     want_walked = {7} if opens else set()
@@ -705,6 +704,41 @@ def test_lattice_block_decides_as_the_scalar_walk(spec):
         orbits[0].block(orbits).any_below_each([Radii(tie, n_lo, N + 1)])
 
 
+@pytest.mark.parametrize("spec", ("beta:golden", "beta:sqrt2", "circle:3", "toral:2,1;1,1",
+                                  PIECEWISE, "beta:5/2"))
+def test_one_segment_jumps_to_the_exact_point(spec):
+    # the family's start, one segment's float walk and its jump land every
+    # row with no open step on the exact orbit's point K: a beta-map row's
+    # (a, b) as a twin's after K steps, a lattice row's X as K steps of
+    # sys.apply in Fractions; the new floats are those points rounded
+    sys, N = parse_system(spec), 60
+    orbits = [orbit_backend(sys, N)(82, i) for i in range(30)]
+    family, S = orbits[0].walk, orbits[0].S
+    K, eps, _ = family.segment
+    states, x0 = family.start(orbits)
+    _, first_open, digits = family.walk(x0, K, x0, eps)
+    go = np.zeros(len(orbits), bool) | (first_open == K)  # a modular walk's is the int K
+    assert go.sum() >= 25
+    ok, moved, floats = family.jump(states[go], go, digits)
+    assert ok.all() and len(moved) == go.sum()
+    rows = [o for o, g in zip(orbits, go) if g]
+    if isinstance(orbits[0], FixedPointOrbit):
+        ys = []
+        for o in rows:
+            twin = FixedPointOrbit(sys, o.X0, o.P, N)
+            ys.append([twin.step() for _ in range(K)][-1] / S)
+            assert (o.a, o.b) == (twin.a, twin.b)
+        assert floats.tolist() == ys
+        return
+    torus = isinstance(orbits[0].X0, tuple)
+    for o, X, x in zip(rows, moved.tolist(), floats.T.tolist()):
+        pt = tuple(Fraction(v, S) for v in o.X0) if torus else Fraction(o.X0, S)
+        for _ in range(K):
+            pt = sys.apply(pt)
+        assert X == ([v * S for v in pt] if torus else pt * S)
+        assert x == ([float(v) for v in pt] if torus else float(pt))
+
+
 @pytest.mark.parametrize("spec", ("rotation:5/17", "rotation:-3/7", "toral:0,1;1,0",
                                   "toral:0,-1;1,0"))
 def test_walks_that_do_not_expand_keep_the_scalar_block(spec):
@@ -721,6 +755,8 @@ def test_walks_that_do_not_expand_keep_the_scalar_block(spec):
 WIDE = "piecewise:0,512/1025,1025/512,0;512/1025,1,1025/513,-512/513"  # q = 512 * 513
 HUGE = ("piecewise:0,2147483648/4294967297,4294967297/2147483648,0;"
         "2147483648/4294967297,1,4294967297/2147483649,-2147483648/2147483649")
+HUGER = ("piecewise:0,4294967296/8589934593,8589934593/4294967296,0;"  # q above 2**63
+         "4294967296/8589934593,1,8589934593/4294967297,-4294967296/4294967297")
 
 
 def test_affine_segments_keep_their_composition_in_int64():
@@ -728,7 +764,7 @@ def test_affine_segments_keep_their_composition_in_int64():
     # that the composed branches stay in int64: one segment's jump lands on
     # the exact orbit's point K, and the screen, with a jump every 2 steps,
     # decides as the scalar walk. Data too large for one step in int64 keep
-    # the scalar walk
+    # the scalar walk, and decide as the exact orbit
     sys, N = parse_system(WIDE), 90
     orbits = [orbit_backend(sys, N)(80, i) for i in range(30)]
     walk, S = orbits[0].walk, orbits[0].S
@@ -740,7 +776,7 @@ def test_affine_segments_keep_their_composition_in_int64():
     go = first_open == K
     assert go.sum() > 20
     exact = [sys.apply(sys.apply(Fraction(X0, S))) * S for X0 in X.tolist()]
-    assert walk.jump(X[go], go, digits).tolist() == [v for v, g in zip(exact, go) if g]
+    assert walk.jump(X[go], go, digits)[1].tolist() == [v for v, g in zip(exact, go) if g]
     for make_tables, call in [
         (lambda: [Radii(parse_sequence(s), 3, N) for s in ("powerlaw:1/2,1", "powerlog:1,2",
                                                            "powerlaw:1,2")],
@@ -750,8 +786,12 @@ def test_affine_segments_keep_their_composition_in_int64():
     ]:
         (got, counted, _), (want, scalar) = screened_and_scalar(orbits, make_tables, call)
         assert [a.tolist() for a in got] == [a.tolist() for a in want] and counted == scalar
-    huge = orbit_backend(parse_system(HUGE), N)(80, 0)
-    assert huge.walk.segment is None and type(huge.block([huge])) is SteppedBlock
+    for spec in (HUGE, HUGER):
+        huge = orbit_backend(parse_system(spec), N)(80, 0)
+        assert huge.walk.segment is None and type(huge.block([huge])) is SteppedBlock
+        oracle = ExactOrbit(parse_system(spec), [Fraction(huge.X0, huge.S)])
+        radii = Radii(parse_sequence("powerlaw:1/2,1"), 3, N)
+        assert list(huge.below(radii)) == list(oracle.below(radii))
 
 
 @pytest.mark.parametrize("spec, K", [("circle:3", 12), ("toral:2,1;1,1", 12),

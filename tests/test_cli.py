@@ -1,6 +1,7 @@
 """Command-line interface: parsing, config validation, end-to-end runs."""
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from recurlab.cli import (
     _EXPERIMENTS, atomic_write, build_parser, main, parse_config, parse_sequence, parse_system,
 )
 from recurlab import exact_sets, experiments, number_theory, ulam
+from recurlab.dynamics import write_orbit_csv
 from recurlab.errors import ConfigError, PrecisionBudgetError
 from recurlab.systems import BetaMap, IntegerCircleMap, PiecewiseLinear, Rotation, ToralLinear
 from oracles import from_text
@@ -430,6 +432,25 @@ class TestEndToEnd:
         assert [row.split(",")[1] for row in rows] == [
             "0.333333333333333", "0.833333333333333", "0.0833333333333333",
             "0.208333333333333", "0.520833333333333", "0.302083333333333"]
+
+    def test_orbit_csv_on_the_torus(self, tmp_path):
+        # --x takes one coordinate per dimension, and the trace is the library's
+        code = main(["orbit", "--system", "toral:2,1;1,1", "--x", "1/3,1/5",
+                     "--steps", "8", "--out", str(tmp_path)])
+        assert code == 0
+        buf = io.StringIO()
+        write_orbit_csv(buf, ToralLinear(((2, 1), (1, 1))), (Fraction(1, 3), Fraction(1, 5)), 8)
+        assert (tmp_path / "orbit.csv").read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("system, x", [("toral:2,1;1,1", "1/3"), ("toral:2,1;1,1", "1/3,1/5,1/7"),
+                                           ("doubling", "1/3,1/5")])
+    def test_orbit_trace_needs_one_coordinate_per_dimension(self, system, x, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--system", system, "--x", x, "--steps", "8", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "recurlab: error: --x takes" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("system", ("beta:golden", "rotation:golden"))
     def test_orbit_trace_of_an_irrational_system_is_refused(self, system, tmp_path, capsys):
