@@ -16,7 +16,6 @@ from .circle import (
     RadiusSequence,
     circle_dist,
     circle_point,
-    ear_log2_delta,
 )
 from .dynamics import (
     DyadicOrbitView,

@@ -355,7 +355,8 @@ class RadiusSequence:
 
     ``exact(n)`` returns a Fraction or None when the value is irrational;
     ``approx(n)`` always returns a float; ``mp(n)`` an mpmath value at the
-    current working precision.
+    current working precision, from the family's closed form ``_mp`` where
+    ``exact`` has none.
     """
 
     def exact(self, n: int) -> Fraction | None:
@@ -366,17 +367,16 @@ class RadiusSequence:
 
     def mp(self, n: int):
         e = self.exact(n)
-        if e is not None:
-            return mpmath.mpf(e.numerator) / e.denominator
-        return mpmath.mpf(self.approx(n))
+        if e is None:
+            return self._mp(n)
+        return mpmath.mpf(e.numerator) / e.denominator
 
     def describe(self) -> str:
         raise NotImplementedError
 
     def summable(self) -> bool | None:
         """Whether sum r_n converges, read from the family's parameters; None
-        when they do not say. A finite table has no tail, and the rules of
-        an ``EarRadius`` are opaque callables, so both read None."""
+        when they do not say, as for a finite table, which has no tail."""
         return None
 
 
@@ -412,10 +412,7 @@ class PowerLaw(RadiusSequence):
         k, g = self._floats  # libm's pow: tail_bound is reported
         return k * n ** g
 
-    def mp(self, n: int):
-        e = self.exact(n)
-        if e is not None:
-            return mpmath.mpf(e.numerator) / e.denominator
+    def _mp(self, n: int):
         k = mpmath.mpf(self.kappa.numerator) / self.kappa.denominator
         g = mpmath.mpf(self.gamma.numerator) / self.gamma.denominator
         return k * mpmath.power(n, -g)
@@ -455,10 +452,7 @@ class PowerLog(RadiusSequence):
         k, t = self._floats
         return k / n if n <= 2 else k / (n * math.log(n) ** t)
 
-    def mp(self, n: int):
-        e = self.exact(n)
-        if e is not None:
-            return mpmath.mpf(e.numerator) / e.denominator
+    def _mp(self, n: int):
         k = mpmath.mpf(self.kappa.numerator) / self.kappa.denominator
         t = mpmath.mpf(self.theta.numerator) / self.theta.denominator
         return k / (n * mpmath.log(n) ** t)
@@ -473,48 +467,33 @@ class PowerLog(RadiusSequence):
 
 @dataclass(frozen=True)
 class EarRadius(RadiusSequence):
-    """r_m = Delta_m * h(Delta_m) / m for eventually-always experiments.
+    """r_m = Delta_m / m with Delta_m = max(1, ceil((2 + sigma) log2 m)), the
+    radius family of the eventually-always experiments. It is rational at
+    every m, as the exact EAR set builders require."""
 
-    ``delta_rule`` and ``h_rule`` map m (resp. Delta_m) to values; when both
-    return rationals the sequence is exact, which the exact EAR set builders
-    require.
-    """
+    sigma: Fraction
 
-    delta_rule: Callable[[int], Fraction | int]
-    h_rule: Callable[[Fraction], Fraction | float]
-    label: str = "ear:custom"
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", Fraction(self.sigma))
 
     def delta(self, m: int) -> Fraction:
-        return Fraction(self.delta_rule(m))
+        """Delta_m, with (2 + sigma) log2 m in floats; 1 at m = 1."""
+        return Fraction(max(1, math.ceil(float(2 + self.sigma) * math.log2(m))))
 
-    def exact(self, m: int) -> Fraction | None:
+    def exact(self, m: int) -> Fraction:
         if m < 1:
             raise ValueError("m must be >= 1")
-        d = self.delta(m)
-        h = self.h_rule(d)
-        if isinstance(h, (int, Fraction)):
-            return d * Fraction(h) / m
-        return None
+        return self.delta(m) / m
 
     def approx(self, m: int) -> float:
-        d = self.delta(m)
-        return float(d) * float(self.h_rule(d)) / m
+        return float(self.delta(m)) / m
 
     def describe(self) -> str:
-        return self.label
+        return f"ear:{self.sigma}"
 
-
-def ear_log2_delta(sigma: Fraction) -> Callable[[int], Fraction]:
-    """Delta_m = ceil((2 + sigma) * log2(m)), kept integral for exactness."""
-    slope = float(2 + Fraction(sigma))
-
-    def rule(m: int) -> Fraction:
-        if m == 1:
-            return Fraction(1)
-        bits = Fraction(math.ceil(slope * math.log2(m)))
-        return max(bits, Fraction(1))
-
-    return rule
+    def summable(self) -> bool:
+        """Delta_m >= 1, so r_m >= 1/m: sum r_m diverges for every sigma."""
+        return False
 
 
 @dataclass(frozen=True)

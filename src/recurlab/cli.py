@@ -25,7 +25,7 @@ import tempfile
 from fractions import Fraction
 
 from . import circle, dynamics, exact_sets, experiments, number_theory, ulam
-from .circle import EarRadius, ExplicitTable, PowerLaw, PowerLog, ear_log2_delta
+from .circle import EarRadius, ExplicitTable, PowerLaw, PowerLog
 from .errors import ConfigError, RecurlabError
 from .systems import (
     BetaMap,
@@ -80,9 +80,7 @@ def parse_sequence(text: str) -> circle.RadiusSequence:
     if kind == "table":
         return ExplicitTable(tuple(Fraction(v) for v in rest.split(",")))
     if kind == "ear":
-        sigma = Fraction(rest) if rest else Fraction(1)
-        return EarRadius(ear_log2_delta(sigma), lambda d: Fraction(1),
-                         label=f"ear:{sigma}")
+        return EarRadius(Fraction(rest) if rest else Fraction(1))
     raise ConfigError([f"unknown radius sequence spec {text!r}"])
 
 
@@ -290,7 +288,7 @@ def cmd_ulam(args) -> int:
     elif isinstance(seq, ExplicitTable):  # a table bounds the terms
         n = len(seq.values)
         if args.terms > n and "--terms" in getattr(args, "given", ()):
-            build_parser().error(f"--terms {args.terms} runs past the {n} entries of the table")
+            args.parser.error(f"--terms {args.terms} runs past the {n} entries of the table")
         args.terms = min(args.terms, n)
     sys_spec = parse_system(args.system)
     op = ulam.build_ulam(sys_spec, args.bins)
@@ -395,7 +393,7 @@ def cmd_orbit(args) -> int:
         return emit_report(rep, args.out)
     x = [Fraction(v) for v in args.x.split(",")]
     if len(x) != sys_spec.d:
-        build_parser().error(f"--x takes {sys_spec.d} coordinate(s) for {args.system}")
+        args.parser.error(f"--x takes {sys_spec.d} coordinate(s) for {args.system}")
     buf = io.StringIO()
     dynamics.write_orbit_csv(buf, sys_spec, x if len(x) > 1 else x[0], args.steps)
     path = os.path.join(args.out, "orbit.csv")
@@ -428,7 +426,7 @@ def _reject_unused(args, mode: str, *options: str) -> None:
     which it would ignore."""
     unused = [o for o in options if o in getattr(args, "given", ())]
     if unused:
-        build_parser().error(f"{mode} does not use {', '.join(unused)}")
+        args.parser.error(f"{mode} does not use {', '.join(unused)}")
 
 
 @functools.cache
@@ -441,9 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each command takes only the options it acts on
+    # each command takes only the options it acts on, and its usage errors
+    # name it (``args.parser.error``)
     def common(p, seed=False, budget=False):
         p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(parser=p)
         if seed:
             p.add_argument("--seed", type=int, default=0, action=_Noted)
         if budget:

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .circle import EarRadius, RadiusSequence, ear_log2_delta
+from .circle import EarRadius, RadiusSequence
 from .dynamics import orbit_backend
 from .exact_sets import DEFAULT_ARC_BUDGET, build_ear_sets, ear_truncated_A
 from .systems import SystemSpec
@@ -54,6 +54,7 @@ _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
 _REL = 2.0 ** -40  # stated bound on |RadiusSequence.approx(n) - r_n| / r_n
 _TINY = 2.0 ** -1000  # below this, approx may be subnormal: no relative bound
 _BLOCK = 1 << 14  # orbit entries (samples x horizon) per block of samples
+_EAR_ONSET = 8  # the least m whose row counts toward prop_ear_bound_check's verdict
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +453,18 @@ def ear_exact(a: int, seq: RadiusSequence, n0: int, M_horizon: int,
 
 
 def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
-                         onset: int = 8,
                          arc_budget: int = DEFAULT_ARC_BUDGET) -> ExperimentReport:
     """Exact mu(complement of C_m) against eps_m = m^-(1+sigma) for the
     radius family r_m = Delta_m / m with Delta_m ~ (2+sigma) log2 m.
 
-    The comparison is asymptotic; failures below ``onset`` are recorded but
-    only m >= onset counts toward the verdict. It is exact for every sigma:
-    with 1 + sigma = u/q, mu <= m^-(u/q) iff mu^q <= m^-u.
+    The comparison is asymptotic; failures below _EAR_ONSET are recorded
+    but only m >= _EAR_ONSET counts toward the verdict. It is exact for
+    every sigma: with 1 + sigma = u/q, mu <= m^-(u/q) iff mu^q <= m^-u.
     """
     t0 = time.monotonic()
     sigma = Fraction(sigma)
     u, q = (1 + sigma).numerator, (1 + sigma).denominator
-    seq = EarRadius(ear_log2_delta(sigma), lambda d: Fraction(1),
-                    label=f"ear:log2,sigma={sigma}")
+    seq = EarRadius(sigma)
     rows = []
     all_ok_past_onset = True
     for m in m_grid:
@@ -475,7 +474,7 @@ def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
         comp = 1 - cover.measure
         bound_ok = comp ** q <= Fraction(m) ** -u
         eps_f = float(Fraction(m) ** -u) if q == 1 else float(m) ** (-(1.0 + float(sigma)))
-        if m >= onset and not bound_ok:
+        if m >= _EAR_ONSET and not bound_ok:
             all_ok_past_onset = False
         rows.append({"m": m, "delta": delta, "hypothesis_ok": bool(hyp_ok),
                      "complement_measure": comp, "epsilon": eps_f,
@@ -483,7 +482,7 @@ def prop_ear_bound_check(sigma, m_grid: Sequence[int], a: int = 2,
     return ExperimentReport(
         experiment="prop_ear_bound_check",
         config={"system": f"circle:{a}", "sigma": sigma,
-                "m_grid": list(m_grid), "onset": onset},
+                "m_grid": list(m_grid), "onset": _EAR_ONSET},
         results={"table": rows},
         verdict="pass" if all_ok_past_onset else "fail",
         runtime_seconds=time.monotonic() - t0,

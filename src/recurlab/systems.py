@@ -16,7 +16,7 @@ baked in at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,20 +26,19 @@ from .errors import ConfigError, NonExpandingSystemError
 from .number_theory import mat_det
 
 
+@dataclass(frozen=True, slots=True)
 class IrrationalConstant:
-    """A positive real constant with exact integer floors.
+    """A positive real constant with exact integer floors, equal to another
+    of the same ``kind`` and ``params`` whatever its ``label``.
 
     ``kind`` is one of:
       - "rational": value = frac (decimal literals parse to this, exactly)
       - "quadratic": value = (p + q*sqrt(s)) / t with integer p, q >= 0, s, t
     """
 
-    __slots__ = ("kind", "params", "label")
-
-    def __init__(self, kind: str, params: tuple, label: str):
-        self.kind = kind
-        self.params = params
-        self.label = label
+    kind: str
+    params: tuple
+    label: str = field(compare=False)
 
     @staticmethod
     def parse(text) -> "IrrationalConstant":
@@ -98,19 +97,6 @@ class IrrationalConstant:
 
     def __float__(self) -> float:
         return float(self.mp())
-
-    def __repr__(self) -> str:
-        return f"IrrationalConstant({self.label!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IrrationalConstant)
-            and self.kind == other.kind
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.params))
 
 
 def _rational(sys, c: IrrationalConstant) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recurlab.circle import EarRadius, PowerLaw, PowerLog, ear_log2_delta
+from recurlab.circle import EarRadius, PowerLaw, PowerLog
 from recurlab.exact_sets import build_ear_sets, build_recurrence_set, pair_correlation
 from recurlab.experiments import boshernitzan_scan, recurrence_measure_scan, rio_dichotomy
 from recurlab.number_theory import (
@@ -161,7 +161,7 @@ def test_criterion_7_beta_measure_sandwich(golden_op):
 
 
 def test_criterion_8_ear_exact_bounds():
-    seq = EarRadius(ear_log2_delta(1), lambda d: Fraction(1), "ear:1")
+    seq = EarRadius(1)
     ok = True
     for m in range(1, 19):
         cover = build_ear_sets(2, m, seq, materialize=False)

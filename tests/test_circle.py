@@ -16,7 +16,6 @@ from recurlab.circle import (
     TEXT_BLOCK,
     circle_dist,
     circle_point,
-    ear_log2_delta,
 )
 from recurlab.exact_sets import build_recurrence_set
 from oracles import assert_same_text, contains, from_text, is_subset_of
@@ -235,14 +234,18 @@ class TestRadiusSequences:
         assert seq.exact(1) == Fraction(1, 2)
         assert seq.exact(2) == Fraction(1, 3)
 
-    def test_ear_radius_exact_when_h_rational(self):
-        seq = EarRadius(ear_log2_delta(1), lambda d: Fraction(1), "test")
+    def test_ear_radius_is_exact(self):
+        seq = EarRadius(1)
         m = 32
         delta = seq.delta(m)
         assert delta == math.ceil(3 * math.log2(m))
         assert seq.exact(m) == delta / Fraction(m)
+        assert seq.delta(1) == 1 and seq.describe() == "ear:1"
 
-    def test_ear_radius_float_h_has_no_exact_value(self):
-        seq = EarRadius(ear_log2_delta(1), lambda d: 1.0, "test")
-        assert seq.exact(4) is None
-        assert seq.approx(4) > 0
+    @pytest.mark.parametrize("sigma", [Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)])
+    def test_ear_radius_diverges_for_every_sigma(self, sigma):
+        # Delta_m >= 1, so r_m >= 1/m: the harmonic series bounds sum r_m below
+        seq = EarRadius(sigma)
+        assert seq.summable() is False
+        assert all(seq.exact(m) >= Fraction(1, m) for m in range(1, 200))
+        assert all(seq.mp(m) == seq.exact(m) for m in (1, 7, 64))

@@ -124,6 +124,12 @@ bogus_key = 1
         cfg.write_text(text + f"out = {tmp_path}\n")
         assert main(["run", str(cfg)]) == 1
 
+    def test_unparseable_text_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("experiment = rio\n")  # no section header
+        [problem] = exc.value.problems
+        assert problem.startswith("unparseable config: ")
+
     def test_missing_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[other]\nx = 1\n")
@@ -172,7 +178,9 @@ class TestOptions:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "recurlab: error:" in err and "does not use" in err
+        # the command's own usage line and prefix, not the root parser's
+        assert err.startswith(f"usage: recurlab {argv[0]} [-h]")
+        assert f"recurlab {argv[0]}: error:" in err and "does not use" in err
         assert not list(tmp_path.iterdir())
 
     def test_precision_bits_config_key_rejected(self):
@@ -247,6 +255,14 @@ class TestAtomicWrite:
         atomic_write(str(target), b"one")
         atomic_write(str(target), b"two")
         assert target.read_bytes() == b"two"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.json"]
+
+    def test_failed_write_keeps_the_target(self, tmp_path):
+        target = tmp_path / "file.json"
+        atomic_write(str(target), b"one")
+        with pytest.raises(TypeError):
+            atomic_write(str(target), "not bytes")
+        assert target.read_bytes() == b"one"
         assert [p.name for p in tmp_path.iterdir()] == ["file.json"]
 
 
@@ -373,10 +389,19 @@ class TestEndToEnd:
         assert payload["decay_flagged"] is False
         assert "tau=0.693147 " in capsys.readouterr().out
 
+    def test_ulam_density_csv_is_the_library_dump(self, tmp_path):
+        csv_path = tmp_path / "density.csv"
+        code = main(["ulam", "--system", "beta:golden", "--bins", "64",
+                     "--density-csv", str(csv_path), "--out", str(tmp_path)])
+        assert code == 0
+        buf = io.StringIO()
+        ulam.write_density_csv(buf, ulam.build_ulam(BetaMap("golden"), 64))
+        assert csv_path.read_bytes() == buf.getvalue().encode()
+
     @pytest.mark.parametrize("spec, verdict", [
         ("powerlog:1,1", "diverging"), ("powerlaw:1,1", "diverging"),
         ("powerlaw:1/2,1/2", "diverging"), ("powerlog:1,2", "converging"),
-        ("powerlaw:1,3/2", "converging"), ("ear:1", "inconclusive"),
+        ("powerlaw:1,3/2", "converging"), ("ear:1", "diverging"), ("ear:0", "diverging"),
     ])
     def test_ulam_series_verdict(self, spec, verdict, tmp_path, capsys):
         code = main(["ulam", "--system", "doubling", "--bins", "384",
@@ -401,7 +426,8 @@ class TestEndToEnd:
                   "table:1/2,1/4", "--terms", "3", "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "recurlab: error: --terms 3" in err and " 2 entries" in err
+        assert err.startswith("usage: recurlab ulam [-h]")
+        assert "recurlab ulam: error: --terms 3" in err and " 2 entries" in err
         assert not list(tmp_path.iterdir())
 
     def test_ulam_unconverged_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -449,7 +475,8 @@ class TestEndToEnd:
             main(["orbit", "--system", system, "--x", x, "--steps", "8", "--out", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "recurlab: error: --x takes" in err and "Traceback" not in err
+        assert err.startswith("usage: recurlab orbit [-h]")
+        assert "recurlab orbit: error: --x takes" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("system", ("beta:golden", "rotation:golden"))

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from recurlab.circle import (EarRadius, ExplicitTable, IntervalSet, PowerLaw, as_arcs,
-                             circle_dist, ear_log2_delta)
+                             circle_dist)
 from recurlab.cli import parse_system
 from recurlab.errors import ArcBudgetExceeded
 from recurlab.exact_sets import (
@@ -303,7 +303,7 @@ class TestEventuallyAlwaysSets:
     def test_cover_counts_only_the_arcs_it_builds(self):
         # r_22 >= 1/2 at sigma = 1: the whole circle, with no arc built,
         # although the sum of |2^k - 1| over k <= 22 is twice the budget
-        seq = EarRadius(ear_log2_delta(1), lambda d: Fraction(1), "ear")
+        seq = EarRadius(1)
         assert 2 * seq.exact(22) >= 1
         cover = build_ear_sets(2, 22, seq, materialize=False)
         assert (cover.n, cover.measure, cover.arc_count) == (22, 1, 1)
@@ -329,7 +329,7 @@ class TestEventuallyAlwaysSets:
 
     @pytest.mark.parametrize("m", list(range(1, 19)))
     def test_cover_and_complement_bounds(self, m):
-        seq = EarRadius(ear_log2_delta(1), lambda d: Fraction(1), "ear")
+        seq = EarRadius(1)
         cover = build_ear_sets(2, m, seq, materialize=False)
         r_m = seq.exact(m)
         assert cover.measure <= 2 * m * r_m

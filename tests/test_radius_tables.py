@@ -40,8 +40,8 @@ def entry(seq, n: int) -> float:
     if isinstance(seq, ExplicitTable):
         return float(seq.values[n - 1])
     assert isinstance(seq, EarRadius)
-    d = 1 if n == 1 else max(math.ceil(float(2 + Fraction(1)) * math.log2(n)), 1)
-    return float(Fraction(d)) * float(seq.h_rule(Fraction(d))) / n
+    d = 1 if n == 1 else max(math.ceil(float(2 + seq.sigma) * math.log2(n)), 1)
+    return float(d) / n
 
 
 def entry_bounds(a: float) -> tuple[float, float]:

@@ -299,7 +299,7 @@ class TestSummabilitySeries:
         ("powerlaw:1,1/2", "diverging"), ("powerlaw:1,1", "diverging"),
         ("powerlaw:1,3/2", "converging"), ("powerlaw:1,2", "converging"),
         ("powerlog:1,1", "diverging"), ("powerlog:1,2", "converging"),
-        ("ear:1", "inconclusive"), ("table:1/2,1/4,1/8,1/16,1/32,1/64", "inconclusive"),
+        ("ear:1", "diverging"), ("table:1/2,1/4,1/8,1/16,1/32,1/64", "inconclusive"),
     ])
     def test_verdict_is_the_radius_family_summability(self, doubling_384, spec, verdict):
         seq = parse_sequence(spec)
