@@ -268,6 +268,8 @@ def cmd_ear(args) -> int:
 def cmd_petrov(args) -> int:
     seq = parse_sequence(args.seq)
     horizons = [int(v) for v in args.N.split(",")]
+    if n := next((n for n in range(1, max(horizons) + 1) if (seq.exact(n) or 0) > 0.5), 0):
+        args.parser.error(f"--seq {args.seq} has r_{n} = {seq.exact(n)}, above petrov's 1/2")
     profile = exact_sets.petrov_profile(args.a, seq, horizons, Fraction(args.H))
     payload = {
         "a": args.a, "seq": seq.describe(), "H": str(Fraction(args.H)),

@@ -3,9 +3,9 @@
 ``orbit_backend`` is the one place that picks, on the system type, how the
 orbit of a sampled point is represented:
 
-* shift (the doubling map), ``DyadicOrbitView``: T^n x is the dyadic start
-  X0 / 2**P shifted by n bits, so d(T^n x, x) is read from a 64-bit window
-  of X0 without iterating, to within +-2 ulps of 2**-64.
+* shift (the doubling map), ``DyadicOrbitView``: a sample is just its X0,
+  T^n x is X0 / 2**P shifted by n bits, and d(T^n x, x) is read from a
+  64-bit window of X0, +-2 ulps of 2**-64, for a block of samples at once.
 * quadratic (beta-maps and rotations by an irrational quadratic integer w:
   the golden mean, sqrt(k)), ``FixedPointOrbit``: each point of a dyadic
   start is exactly (a + b w) / 2**P with integers a and b.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import random
+from _random import Random as _MT19937
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, tee
@@ -568,8 +568,8 @@ class FixedPointOrbit(_Stepped):
     each row's (a, b) only at a segment's end: a jump of K - 1 steps and one
     ``step``."""
 
-    def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int):
-        walk = _Quadratic(sys, P, horizon)
+    def __init__(self, sys: SystemSpec, X0: int, P: int, horizon: int, *, walk=None):
+        walk = walk or _Quadratic(sys, P, horizon)  # orbit_backend passes the call's family
         super().__init__(walk.k[5] + 1, walk, horizon, X0 % (1 << P))
         self.sys, self.P, self.E = sys, P, walk.k[6]
         self._a0 = self.S >> 1 if walk.circle else self.X0  # a, and y, at x = x0
@@ -608,7 +608,7 @@ class FixedPointOrbit(_Stepped):
         """``_floor_at`` of the points j whose d_j may decide entry n: j = n,
         or for a running minimum D each j <= n with floor(d_j * S) <= D + E,
         as the j of the minimum has. A twin of the orbit walks them again."""
-        twin = FixedPointOrbit(self.sys, self.X0, self.P, self.horizon)
+        twin = FixedPointOrbit(self.sys, self.X0, self.P, self.horizon, walk=self.walk)
         for j in range(1, n + 1):
             twin.step()
             if (running_min or j == n) and (floor_at := twin._floor_at())(self.S) <= D + self.E:
@@ -643,8 +643,8 @@ class DyadicOrbitView:
     2**-64) are resolved one start at a time by ``exact_dist``.
 
     A view holds one start (``X0`` an int; arrays come back 1-D) or a block
-    of them (a sequence of ints; arrays have one row per start). Both read
-    their windows through the one block kernel ``_windows``.
+    of them (a sequence of ints, as one block of Monte Carlo samples is;
+    arrays have one row per start), read by the one kernel ``_windows``.
 
     Requires P >= horizon + 64 so every window is fully inside X0.
     """
@@ -653,40 +653,45 @@ class DyadicOrbitView:
         if P < horizon + _W:
             raise PrecisionBudgetError(horizon + _W, P)
         self.P = P
-        self.horizon = self.row_entries = horizon
+        self.horizon = horizon
         one = isinstance(X0, int)
         self.starts = [x % (1 << P) for x in ([X0] if one else X0)]
         self._rows = 0 if one else slice(None)  # one start: its row, 1-D
 
-    @classmethod
-    def block(cls, views: Sequence[DyadicOrbitView]) -> DyadicOrbitView:
-        return cls([x for v in views for x in v.starts], views[0].P, views[0].horizon)
-
-    def _windows(self, n_lo: int, n_hi: int) -> np.ndarray:
+    def _windows(self, n_lo: int, n_hi: int, fold: bool = False) -> np.ndarray:
         """floor(T^n x * 2**64) up to -0/+1 as uint64: one row per start, one
-        column per n in [n_lo, n_hi].
+        column per n in [n_lo, n_hi]; with ``fold``, min(t, 2**64 - t) for t =
+        the window less the start's (n = 0) mod 2**64, which is |t| as an
+        int64 (t = 2**63 is its own negative, and the right answer).
 
         Each start is laid out big-endian after 8 zero bytes and before one,
         L bytes a row, so bit P-1-n of X0 is u = e + n bits from its row's
         top. With W[t] the big-endian word of bytes t..t+7, t = u >> 3 and
         r = 8 - (u & 7), the window is (W[t+1] >> r) | (W[t-7] << 64-r). The
-        words are one strided read of the bytes that [n_lo, n_hi] needs; one
-        broadcast shift gives the windows of all 8 values of u & 7 in the
-        order of u, so the result is a slice, with no gather.
+        words are one strided read of the bytes that [n_lo, n_hi] needs; each
+        r shifts them all, flat, into one plane, in place, and one gather
+        puts the 8 (folded) planes in the order of u: the result is a slice.
         """
         if n_lo < 0 or self.P < n_hi + _W:
             raise PrecisionBudgetError(n_hi + _W, self.P)
-        nbytes = (self.P + 7) // 8
+        nbytes, rows = (self.P + 7) // 8, len(self.starts)
         L, e = nbytes + 9, 64 + 8 * nbytes - self.P
-        buf = b"".join(bytes(8) + x.to_bytes(nbytes, "big") + bytes(1) for x in self.starts)
+        buf = bytes(8) + bytes(9).join(x.to_bytes(nbytes, "big") for x in self.starts) + bytes(1)
         u_lo = e + n_lo
         t_lo, t_hi = u_lo >> 3, (e + n_hi) >> 3
-        words = np.ndarray((len(self.starts), t_hi - t_lo + 9), ">u8", buf,
-                           t_lo - 7, (L, 1)).astype(np.uint64)  # W[t_lo - 7 .. t_hi + 1]
-        r = np.arange(8, 0, -1, dtype=np.uint64)
-        win = (words[:, 8:, None] >> r) | (words[:, :-8, None] << (np.uint64(_W) - r))
-        first = u_lo & 7  # column u - 8 * t_lo of the reshape has top bit u
-        return win.reshape(len(self.starts), -1)[:, first:first + n_hi - n_lo + 1]
+        words = np.ndarray((rows, t_hi - t_lo + 9), ">u8", buf,
+                           t_lo - 7, (L, 1)).astype(np.uint64).ravel()  # W[t_lo - 7 .. t_hi + 1]
+        r = np.arange(8, 0, -1, dtype=np.uint64)[:, None]
+        planes = np.empty((8, rows, t_hi - t_lo + 9), np.uint64)
+        flat = planes.reshape(8, -1)[:, :-8]  # entry j of a row is t = t_lo + j
+        np.right_shift(words[8:], r, out=flat)
+        flat |= words[:-8] << (np.uint64(_W) - r)
+        if fold:
+            planes -= np.array([x >> (self.P - _W) for x in self.starts], np.uint64)[:, None]
+            signed = planes.view(np.int64)
+            np.abs(signed, out=signed)
+        first = u_lo & 7  # column u - 8 * t_lo of the gather has top bit u
+        return planes[..., :-8].transpose(1, 2, 0).reshape(rows, -1)[:, first:first + n_hi - n_lo + 1]
 
     def exact_dist(self, n: int, row: int = 0) -> Fraction:
         X0 = self.starts[row]
@@ -695,13 +700,11 @@ class DyadicOrbitView:
 
     def circle_dist64_batch(self, n_lo: int, n_hi: int) -> np.ndarray:
         """circle_dist(T^n x, x) * 2**64 for n in [n_lo, n_hi], each +-2."""
-        w0 = np.array([x >> (self.P - _W) for x in self.starts], dtype=np.uint64)
-        t = self._windows(n_lo, n_hi) - w0[:, None]  # wraps mod 2**64, as intended
-        return np.minimum(t, -t)[self._rows]
+        return self._windows(n_lo, n_hi, fold=True)[self._rows]
 
     def distances(self, n_hi: int) -> np.ndarray:
         """d(T^n x, x) for n = 1..n_hi, rounded from the 64-bit windows."""
-        return self.circle_dist64_batch(1, n_hi).astype(np.float64) / 2.0 ** 64
+        return np.multiply(self.circle_dist64_batch(1, n_hi), 2.0 ** -64)
 
     @staticmethod
     def powers(inv: float, n_hi: int) -> np.ndarray:
@@ -759,35 +762,38 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def sample_bits(master_seed: int, index: int, bits: int) -> int:
-    """Deterministic uniform integer in [0, 2**bits)."""
-    return random.Random(derive_seed(master_seed, index)).getrandbits(bits)
+    """Deterministic uniform integer in [0, 2**bits): the bits of
+    ``random.Random(derive_seed(...)).getrandbits(bits)``, from a fresh C
+    generator (``random.Random`` hands an int seed to it unchanged)."""
+    return _MT19937(derive_seed(master_seed, index)).getrandbits(bits)
 
 
 def orbit_backend(sys: SystemSpec, horizon: int
-                  ) -> Callable[[int, int], DyadicOrbitView | FixedPointOrbit | LatticeOrbit]:
+                  ) -> Callable[[int, int], int | FixedPointOrbit | LatticeOrbit]:
     """The one dispatch on the system type for the Monte Carlo experiments:
     returns ``start``, where ``start(master_seed, index)`` is the orbit of
-    that sample over ``horizon`` steps. The doubling map draws
-    ``sample_bits(seed, i, horizon + 64)``, irrational beta-maps
-    P = max(256, ceil(horizon * log2 beta) + 128) bits, irrational rotations
-    256, and exact systems ``sample_bits(seed, i * d + c, P)`` for coordinate
-    c, P from ``_lattice``."""
+    that sample over ``horizon`` steps, or on the doubling map just its start
+    X0 = ``sample_bits(seed, i, horizon + 64)``, a block of which is one
+    ``DyadicOrbitView(X0s, horizon + 64, horizon)``. Irrational beta-maps
+    draw P = max(256, ceil(horizon * log2 beta) + 128) bits, irrational
+    rotations 256, and exact systems ``sample_bits(seed, i * d + c, P)`` for
+    coordinate c, P from ``_lattice``; their family is built once, here."""
     if isinstance(sys, IntegerCircleMap) and sys.a == 2:
-        P = horizon + _W
-        return lambda seed, i: DyadicOrbitView(sample_bits(seed, i, P), P, horizon)
+        return lambda seed, i: sample_bits(seed, i, horizon + _W)
     if isinstance(sys, BetaMap) and sys.beta.exact() is None:
         P = max(256, math.ceil(horizon * math.log2(float(sys.beta))) + 2 * _W)
     elif isinstance(sys, Rotation) and sys.alpha.exact() is None:
         P = 256
     else:
         P, S, walk = _lattice(sys, horizon)
-        unit, d = S >> P, sys.d
+        unit, d, torus = S >> P, sys.d, isinstance(sys, ToralLinear)
 
         def start(seed: int, i: int) -> LatticeOrbit:
             X = [sample_bits(seed, i * d + c, P) * unit for c in range(d)]
-            return LatticeOrbit(S, walk, horizon, tuple(X) if isinstance(sys, ToralLinear) else X[0])
+            return LatticeOrbit(S, walk, horizon, tuple(X) if torus else X[0])
         return start
-    return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon)
+    walk = _Quadratic(sys, P, horizon)
+    return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon, walk=walk)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import mpmath
 import numpy as np
 
 from .circle import EarRadius, RadiusSequence
-from .dynamics import orbit_backend
+from .dynamics import DyadicOrbitView, orbit_backend
 from .exact_sets import DEFAULT_ARC_BUDGET, build_ear_sets, ear_truncated_A
 from .systems import SystemSpec
 
@@ -197,8 +197,9 @@ class Radii:
 
     @cached_property
     def tail_bound(self) -> float:
-        """The easy Borel-Cantelli bound: the sum of min(1, 2 r_n)."""
-        return float(sum(min(1.0, 2.0 * r) for r in self.approx))
+        """The easy Borel-Cantelli bound: the sum of min(1, 2 r_n), added left
+        to right (``sum`` compensates its floats from Python 3.12 on)."""
+        return float(np.add.accumulate(np.minimum(2.0 * np.array(self.approx), 1.0))[-1])
 
     @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,14 +300,17 @@ def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int,
                    dense: bool = False):
     """Samples 0..M-1 of the orbit backend of ``sys`` over ``horizon`` steps,
     in blocks of about _BLOCK entries: max(1, _BLOCK // width) orbits, with
-    width the horizon for a call that reads a matrix over n (``dense``), and
-    else the backend's memory per row, ``row_entries``."""
+    width the horizon for a call that reads a matrix over n (``dense``) and
+    for doubling samples (ints, one view a block), else the backend's
+    memory per row, ``row_entries``."""
     _keep_freed_heap()
     start = orbit_backend(sys, horizon)
-    orbits = (_sample_start(start, master_seed, i) for i in range(M))
-    for first in orbits:
-        rows = max(1, _BLOCK // (horizon if dense else first.row_entries))
-        yield first.block([first, *islice(orbits, rows - 1)])
+    samples = (_sample_start(start, master_seed, i) for i in range(M))
+    for first in samples:
+        bits = isinstance(first, int)
+        rows = max(1, _BLOCK // (horizon if dense or bits else first.row_entries))
+        block = [first, *islice(samples, rows - 1)]
+        yield DyadicOrbitView(block, horizon + _W64, horizon) if bits else first.block(block)
 
 
 # ---------------------------------------------------------------------------

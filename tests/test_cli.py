@@ -374,6 +374,18 @@ class TestEndToEnd:
         payload = json.loads((tmp_path / "petrov.json").read_bytes())
         assert [row["N"] for row in payload["profile"]] == [4, 8]
 
+    @pytest.mark.parametrize("seq, n, r", [("ear:1", 1, "1"), ("powerlaw:1,1", 1, "1"),
+                                           ("table:1/4,1/2,3/5", 3, "3/5")])
+    def test_petrov_radius_above_a_half_is_a_usage_error(self, seq, n, r, tmp_path, capsys):
+        # petrov's exact sets take r_n <= 1/2; r_1 = Delta_1 / 1 = 1 for every ear:sigma
+        with pytest.raises(SystemExit) as exc:
+            main(["petrov", "--a", "2", "--seq", seq, "--N", "8,12", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: recurlab petrov [-h]")
+        assert f"recurlab petrov: error: --seq {seq} has r_{n} = {r}," in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("system", ["doubling", "circle:-2"])
     def test_ulam_json(self, system, tmp_path, capsys):
         code = main(["ulam", "--system", system, "--bins", "64",

@@ -1,5 +1,6 @@
 """Orbit computation: exact iteration, quadratic orbits, the dyadic view."""
 
+import hashlib
 import io
 import math
 import random
@@ -186,11 +187,32 @@ class TestDyadicBlockKernel:
     def test_block_of_views_stacks_their_starts(self):
         P, horizon = 150, 80
         views = [DyadicOrbitView(sample_bits(4, i, P), P, horizon) for i in range(5)]
-        block = DyadicOrbitView.block(views)
+        block = DyadicOrbitView([view.starts[0] for view in views], P, horizon)
         stacked = block.circle_dist64_batch(1, horizon)
         for row, view in enumerate(views):
             assert np.array_equal(stacked[row], view.circle_dist64_batch(1, horizon))
             assert int(view._windows(17, 17)[0, 0]) == int(block._windows(17, 17)[row, 0])
+
+    @pytest.mark.parametrize("P", [564, 2064, 5064])
+    def test_extreme_starts(self, P):
+        # 0 is fixed; 1 - 2**-P has every window all ones; 1/2 maps to 0, half
+        # the circle away: its n = 1 window differs from w0 by exactly 2**63,
+        # which is its own negative mod 2**64; about 2/3 goes to about 1/3 and
+        # back, so its odd windows less its own wrap below 0
+        horizon, starts = P - 64, [0, (1 << P) - 1, 1 << (P - 1), (2 << P) // 3]
+        block = DyadicOrbitView(starts, P, horizon)
+        w0, w1 = (int(block._windows(n, n)[2, 0]) for n in (0, 1))
+        assert (w1 - w0) % (1 << 64) == 1 << 63
+        dists = block.circle_dist64_batch(1, horizon)
+        assert dists.dtype == np.uint64 and int(dists[2, 0]) == 1 << 63
+        self.check_rows(block, 1, horizon, step=1 if P < 1000 else 41)
+        distances = block.distances(horizon)
+        assert distances.dtype == np.float64
+        assert distances.tobytes() == (dists.astype(np.float64) / 2.0 ** 64).tobytes()
+        for row, x in enumerate(starts):
+            one = DyadicOrbitView(x, P, horizon)
+            assert one.circle_dist64_batch(1, horizon).tobytes() == dists[row].tobytes()
+            assert one.distances(horizon).tobytes() == distances[row].tobytes()
 
     def test_gray_band_decided_row_by_row(self):
         # x and 1 - x have the same return distances under doubling, so one
@@ -226,6 +248,16 @@ class TestDeterministicSampling:
 
     def test_sample_bits_width(self):
         assert 0 <= sample_bits(1, 2, 16) < (1 << 16)
+
+    @pytest.mark.parametrize("seed", [0, 1, -3, 2 ** 70])
+    def test_sample_bits_is_the_stdlib_definition(self, seed):
+        # a fresh random.Random per sample, seeded with the first 16 bytes of
+        # the SHA-256 of "seed:index"
+        for index in range(50):
+            want = int.from_bytes(hashlib.sha256(f"{seed}:{index}".encode()).digest()[:16], "big")
+            assert derive_seed(seed, index) == want
+            for bits in (1, 31, 32, 33, 64, 267, 564, 5064):
+                assert sample_bits(seed, index, bits) == random.Random(want).getrandbits(bits)
 
 
 class TestOrbitCsv:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from recurlab.circle import ExplicitTable, IntervalSet, PowerLaw, PowerLog
 from recurlab import experiments
 from recurlab.cli import parse_system
-from recurlab.dynamics import orbit_backend, sample_bits
+from recurlab.dynamics import DyadicOrbitView, orbit_backend, sample_bits
 from recurlab.exact_sets import build_recurrence_set
 from recurlab.experiments import (
     ExperimentReport,
@@ -259,7 +259,7 @@ class TestOrbitBackendsAgree:
         N = 300
         start = orbit_backend(DOUBLING, N)
         for i in range(6):
-            view = start(21, i)
+            view = DyadicOrbitView(start(21, i), N + 64, N)
             exact = ExactOrbit(DOUBLING, [Fraction(view.starts[0], 1 << view.P)])
             for seq in (QUARTER, PowerLaw(Fraction(3), Fraction(1))):
                 radii = Radii(seq, 4, N)
@@ -269,7 +269,7 @@ class TestOrbitBackendsAgree:
         # radii within 2**-P of the distances put every comparison in the
         # 64-bit windows' uncertainty band: a tie is a miss, one ulp more a hit
         N = 200
-        view = orbit_backend(DOUBLING, N)(22, 0)
+        view = DyadicOrbitView(orbit_backend(DOUBLING, N)(22, 0), N + 64, N)
         ulp = Fraction(1, 1 << view.P)
         seq = ExplicitTable(tuple(view.exact_dist(n) + (n % 2) * ulp
                                   for n in range(1, N + 1)))

@@ -5,6 +5,7 @@ at a time gives."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -69,7 +70,8 @@ def test_tables_equal_the_per_entry_formulas(seq, n_lo, n_hi):
     approx = [entry(seq, n) for n in range(n_lo, n_hi + 1)]
     assert all(type(a) is float for a in radii.approx)
     assert hexes(radii.approx) == hexes(approx)
-    assert radii.tail_bound.hex() == float(sum(min(1.0, 2.0 * r) for r in approx)).hex()
+    left_fold = reduce(float.__add__, (min(1.0, 2.0 * r) for r in approx), 0.0)
+    assert radii.tail_bound.hex() == left_fold.hex()
     lo, hi = zip(*map(entry_bounds, approx))
     assert hexes(radii.bounds[0]) == hexes(lo)
     assert hexes(radii.bounds[1]) == hexes(hi)
