@@ -6,8 +6,11 @@ matrix analogue (B^m - I)k = (B^n - I)l, and the Bezout-polynomial identity
 u(x)(1 + ... + x^(m-1)) + v(x)(1 + ... + x^(n-1)) = 1 for coprime m, n that
 underlies the matrix lattice proof.
 
-All integer matrix work is exact (unbounded Python ints / Fractions);
-brute-force enumerators double as completeness oracles in the tests.
+Integer matrices are numpy ``object`` arrays of Python ints, as in
+``dynamics``: ``@`` and ``np.linalg.matrix_power`` on them stay exact at
+any size, and solving over the rationals uses Fractions. The lattices keep
+their generators as tuples. Brute-force enumerators double as completeness
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, zip_longest
 from typing import Sequence
+
+import numpy as np
 
 from .errors import RootOfUnityError
 
@@ -118,23 +124,13 @@ def poly_trim(c: Sequence[int]) -> Poly:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return poly_trim(out)
+    return poly_trim(a + b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pv in enumerate(p):
-        if pv:
-            for k, qv in enumerate(q):
-                out[i + k] += pv * qv
-    return poly_trim(out)
+    return poly_trim(np.convolve(np.array(p, object), np.array(q, object)))
 
 
 def poly_shift(p: Poly, d: int) -> Poly:
@@ -178,40 +174,8 @@ def bezout_polynomials(m: int, n: int) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer matrix helpers
+# Exact integer matrices
 # ---------------------------------------------------------------------------
-
-def mat_identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
-
-
-def mat_pow(A: Matrix, e: int) -> Matrix:
-    result = mat_identity(len(A))
-    base = A
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def mat_vec(A: Matrix, v: Sequence) -> tuple:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
 
 def mat_det(A: Matrix):
     """Exact determinant by cofactor expansion (matrices here are tiny)."""
@@ -252,11 +216,10 @@ def check_no_root_of_unity(B: Matrix) -> None:
     all q up to that bound is therefore a complete check.
     """
     d = len(B)
-    I = mat_identity(d)
-    P = I
+    B = np.array(B, object)
+    I = np.identity(d, object)
     for q in range(1, 2 * d * d + 1):
-        P = mat_mul(P, B)
-        if mat_det(mat_sub(P, I)) == 0:
+        if mat_det(np.linalg.matrix_power(B, q) - I) == 0:
             raise RootOfUnityError(q)
 
 
@@ -285,13 +248,11 @@ class MatrixLattice:
         return len(self.B)
 
     def pair(self, j: Sequence[int]) -> tuple[Vector, Vector]:
-        return (mat_vec(self.K_gen, j), mat_vec(self.L_gen, j))
+        return tuple(tuple(np.array(G, object) @ j) for G in (self.K_gen, self.L_gen))
 
     def is_solution(self, k: Sequence[int], l: Sequence[int]) -> bool:
-        I = mat_identity(self.d)
-        lhs = mat_vec(mat_sub(mat_pow(self.B, self.m), I), k)
-        rhs = mat_vec(mat_sub(mat_pow(self.B, self.n), I), l)
-        return lhs == rhs
+        Am, An = _powers_less_identity(np.array(self.B, object), self.m, self.n)
+        return np.array_equal(Am @ k, An @ l)
 
     def solve_j(self, k: Sequence[int]) -> Vector | None:
         """The integer j with k = K_gen j, or None if there is none."""
@@ -301,45 +262,35 @@ class MatrixLattice:
         return tuple(int(f) for f in x)
 
 
-def _geometric_sum_matrix(B: Matrix, p: int, top: int) -> Matrix:
+def _powers_less_identity(B: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B^m - I and B^n - I."""
+    I = np.identity(len(B), object)
+    return np.linalg.matrix_power(B, m) - I, np.linalg.matrix_power(B, n) - I
+
+
+def _geometric_sum_matrix(B: np.ndarray, p: int, top: int) -> np.ndarray:
     """I + B^p + B^(2p) + ... + B^top (top a multiple of p, possibly 0)."""
-    acc = mat_identity(len(B))
-    Bp = mat_pow(B, p)
-    P = mat_identity(len(B))
-    for _ in range(top // p):
-        P = mat_mul(P, Bp)
-        acc = mat_add(acc, P)
-    return acc
+    Bp = np.linalg.matrix_power(B, p)
+    return sum(np.linalg.matrix_power(Bp, i) for i in range(top // p + 1))
 
 
 def matrix_lattice(B, m: int, n: int) -> MatrixLattice:
     B = tuple(tuple(int(v) for v in row) for row in B)
+    if not B or any(len(row) != len(B) for row in B):
+        raise ValueError("matrix must be square and non-empty")
     if m == n:
         raise ValueError("degenerate equation: m and n must differ")
     if m < 1 or n < 1:
         raise ValueError("exponents must be positive")
     check_no_root_of_unity(B)
     p = math.gcd(m, n)
-    K = _geometric_sum_matrix(B, p, n - p)
-    Lg = _geometric_sum_matrix(B, p, m - p)
-    I = mat_identity(len(B))
-    lhs = mat_mul(mat_sub(mat_pow(B, m), I), K)
-    rhs = mat_mul(mat_sub(mat_pow(B, n), I), Lg)
-    if lhs != rhs:
+    A = np.array(B, object)
+    K = _geometric_sum_matrix(A, p, n - p)
+    Lg = _geometric_sum_matrix(A, p, m - p)
+    Am, An = _powers_less_identity(A, m, n)
+    if not np.array_equal(Am @ K, An @ Lg):
         raise AssertionError(f"lattice generator identity failed for m={m}, n={n}")
-    return MatrixLattice(B, m, n, p, K, Lg)
-
-
-def _box_vectors(d: int, box: int):
-    if (2 * box + 1) ** d > 10 ** 6:
-        raise ValueError(f"box {box} too large for dimension {d}")
-    if d == 1:
-        for v in range(-box, box + 1):
-            yield (v,)
-    else:
-        for v in range(-box, box + 1):
-            for rest in _box_vectors(d - 1, box):
-                yield (v,) + rest
+    return MatrixLattice(B, m, n, p, tuple(map(tuple, K)), tuple(map(tuple, Lg)))
 
 
 def matrix_lattice_bruteforce(B, m: int, n: int, box: int) -> list[tuple[Vector, Vector]]:
@@ -350,13 +301,12 @@ def matrix_lattice_bruteforce(B, m: int, n: int, box: int) -> list[tuple[Vector,
     """
     B = tuple(tuple(int(v) for v in row) for row in B)
     d = len(B)
-    I = mat_identity(d)
-    Am = mat_sub(mat_pow(B, m), I)
-    An = mat_sub(mat_pow(B, n), I)
+    if (2 * box + 1) ** d > 10 ** 6:
+        raise ValueError(f"box {box} too large for dimension {d}")
+    Am, An = _powers_less_identity(np.array(B, object), m, n)
     out = []
-    for k in _box_vectors(d, box):
-        rhs = mat_vec(Am, k)
-        l = solve_exact(An, rhs)
+    for k in product(range(-box, box + 1), repeat=d):
+        l = solve_exact(An, Am @ k)
         if l is None or any(f.denominator != 1 for f in l):
             continue
         l = tuple(int(f) for f in l)

@@ -144,7 +144,8 @@ class PiecewiseLinear(_System):
     """Piecewise-affine expanding map of [0, 1) with rational data.
 
     Branch domains must partition [0, 1); every slope modulus must exceed 1
-    and every branch image must stay inside [0, 1].
+    and every branch image must stay inside [0, 1]. Flat branches alone raise
+    NonExpandingSystemError; otherwise ConfigError lists every problem.
     """
 
     branches: tuple[Branch, ...]
@@ -152,7 +153,7 @@ class PiecewiseLinear(_System):
     def __post_init__(self):
         br = tuple(sorted(self.branches, key=lambda b: b.lo))
         object.__setattr__(self, "branches", br)
-        problems = []
+        problems, flat = [], []
         if not br:
             problems.append("no branches")
         else:
@@ -168,16 +169,17 @@ class PiecewiseLinear(_System):
                     )
             for b in br:
                 if abs(b.slope) <= 1:
-                    raise NonExpandingSystemError(
-                        f"branch on [{b.lo}, {b.hi}) has slope {b.slope}; "
-                        f"|slope| > 1 required"
-                    )
+                    flat.append(f"branch on [{b.lo}, {b.hi}) has slope {b.slope}; "
+                                f"|slope| > 1 required")
+                    problems.append(flat[-1])
                 lo_im, hi_im = b.image
                 if lo_im < 0 or hi_im > 1:
                     problems.append(
                         f"branch on [{b.lo}, {b.hi}) maps outside [0, 1]: "
                         f"image [{lo_im}, {hi_im}]"
                     )
+        if flat and problems == flat:  # a valid spec but for its flat branches
+            raise NonExpandingSystemError(flat[0])
         if problems:
             raise ConfigError(problems)
 

@@ -367,6 +367,44 @@ class TestEndToEnd:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "brute-force" in err[0]
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["gcd", "--a", "2", "--max", "12"],
+         "3b06a4b24383d0798fbefd746bbbef8b9974e83c3faeb6b761bb318088007711"),
+        (["lattice", "--a", "2", "--m", "4", "--n", "2", "--bound", "200"],
+         "547aaf6f56d93d17b4376bd462b602c3b5ad6c9e5e6621337ee8c4f5aa95cc97"),
+        (["matrix-lattice", "--matrix", "1,1;1,0", "--m", "3", "--n", "2", "--box", "5"],
+         "acefb5ee87792c73b868ff8fe39884e1a30a4bc843ca62925f44dca6b5451ef0"),
+        (["matrix-lattice", "--matrix", "2,1;1,1", "--m", "6", "--n", "4", "--box", "8"],
+         "52118095a3f05ce4ae0cae08914e1dd8ebcb7346488b23b119941136ad13e1a5"),
+        (["matrix-lattice", "--matrix", "2,1,0;1,1,1;0,1,3", "--m", "5", "--n", "3",
+          "--box", "4"],
+         "811352afe299351316dd791bb4ea719898defd600a7c17a43ff62e1b519828ec"),
+        (["matrix-lattice", "--matrix", "3", "--m", "4", "--n", "6", "--box", "40"],
+         "d7e867747558755487a232bf4dca930ae19bc4a86514f25be37ea850fb318a74"),
+        # the companion matrix of x^3 - x - 1: no eigenvalue is a root of unity
+        (["matrix-lattice", "--matrix", "0,1,0;0,0,1;1,1,0", "--m", "4", "--n", "2",
+          "--box", "3"],
+         "942d9965e33907ed97bd6dd9f7450771ddb78d1e4db2e17ffd79360293f599e2"),
+    ])
+    def test_nt_report_bytes(self, argv, digest, tmp_path):
+        assert main(["nt", *argv, "--out", str(tmp_path)]) == 0
+        report = (tmp_path / f"nt_{argv[0]}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
+
+    @pytest.mark.parametrize("matrix,problem", [
+        *((m, "matrix has an eigenvalue that is a root of unity (order 1)")
+          for m in ("0,1;1,0", "1,1;0,1")),
+        *((m, "matrix must be square and non-empty") for m in ("2,1;1", "2,1,1;1,1,0")),
+    ])
+    def test_nt_matrix_is_refused(self, matrix, problem, tmp_path, capsys):
+        code = main(["nt", "matrix-lattice", "--matrix", matrix, "--m", "4", "--n", "2",
+                     "--box", "3", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {problem}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_petrov_json(self, tmp_path):
         code = main(["petrov", "--a", "2", "--seq", "powerlaw:1/4,1",
                      "--N", "4,8", "--out", str(tmp_path)])
@@ -673,4 +711,36 @@ class TestEndToEnd:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system,err", [
+        ("piecewise:1/4,1/2,2,0;1/2,1,2,-1", ["config error: branch domains must start at 0"]),
+        ("piecewise:0,1/2,2,0;1/2,3/4,2,-1", ["config error: branch domains must end at 1"]),
+        ("piecewise:0,1/3,2,0;1/2,1,2,-1",
+         ["config error: gap or overlap between branch ending at 1/3 "
+          "and branch starting at 1/2"]),
+        ("piecewise:0,1/2,2,0;1/3,1,2,-1",
+         ["config error: gap or overlap between branch ending at 1/2 "
+          "and branch starting at 1/3",
+          "config error: branch on [1/3, 1) maps outside [0, 1]: image [-1/3, 1]"]),
+        ("piecewise:0,1/2,3,0;1/2,1,2,-1",
+         ["config error: branch on [0, 1/2) maps outside [0, 1]: image [0, 3/2]"]),
+        ("piecewise:0,1/2,1,0;1/2,1,2,-1",
+         ["error: branch on [0, 1/2) has slope 1; |slope| > 1 required"]),
+        # a flat branch is listed with the spec's other problems
+        ("piecewise:0,1/2,1,0;1/2,3/4,2,-1",
+         ["config error: branch domains must end at 1",
+          "config error: branch on [0, 1/2) has slope 1; |slope| > 1 required"]),
+        ("toral:1,2;2,4", ["config error: matrix must be invertible (det != 0)"]),
+        ("toral:1,2,3;4,5,6", ["config error: matrix must be square and non-empty"]),
+        ("beta:1", ["error: beta must exceed 1, got 1"]),
+        *((f"circle:{a}", [f"error: multiplier must satisfy |a| >= 2, got {a}"])
+          for a in (1, 0, -1)),
+        ("rotation:sqrt0", ["error: sqrt argument must be positive, got 0"]),
+    ])
+    def test_invalid_systems_are_refused(self, system, err, tmp_path, capsys):
+        code = main(["rio", "--system", system, "--seq", "powerlaw:1,2", "--k", "1",
+                     "--N", "10", "--M", "100", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == err
+        assert not list(tmp_path.iterdir())
 
