@@ -347,10 +347,8 @@ def cmd_nt(args) -> int:
         rows = tuple(tuple(int(v) for v in row.split(",")) for row in args.matrix.split(";"))
         lat = number_theory.matrix_lattice(rows, args.m, args.n)
         brute = number_theory.matrix_lattice_bruteforce(rows, args.m, args.n, args.box)
-        complete = all(
-            lat.solve_j(k) is not None and lat.pair(lat.solve_j(k))[1] == l
-            for k, l in brute
-        )
+        complete = all((j := lat.solve_j(k)) is not None and lat.pair(j)[1] == l
+                       for k, l in brute)
         payload = {"B": [list(r) for r in rows], "m": args.m, "n": args.n,
                    "p": lat.p, "K_gen": [list(r) for r in lat.K_gen],
                    "L_gen": [list(r) for r in lat.L_gen],

@@ -17,9 +17,13 @@ scan and Boshernitzan, which read matrices over n, and for the doubling
 map's windows (read by one kernel) and irrational rotations; K d floats for
 the float segments of beta-map and lattice orbits (``dynamics.ScreenedBlock``,
 d coordinates), so a ``rio`` or eventually-always call of up to
-_BLOCK // (K d) samples is one block. A call computes its radius table once, and ``Radii`` makes every
-hit/miss decision against it; the dichotomy decides both of its tables on
-each block, so its samples are drawn once.
+_BLOCK // (K d) samples is one block. Blocks partition independent rows, so
+their size moves no report byte. 2**15 keeps the window kernel's shift planes
+above ~2,750 words, below which numpy's uint64 shifts cost 3x more a word, and
+temporaries under ``_keep_freed_heap``'s 4 MB mmap threshold (glibc's 128 KB
+default, which once sized it at 2**14, no longer applies). A call computes its
+radius table once, and ``Radii`` decides every hit/miss against it; the
+dichotomy decides both tables on each block, so its samples are drawn once.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ _W64 = 64
 _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
 _REL = 2.0 ** -40  # stated bound on |RadiusSequence.approx(n) - r_n| / r_n
 _TINY = 2.0 ** -1000  # below this, approx may be subnormal: no relative bound
-_BLOCK = 1 << 14  # orbit entries (samples x horizon) per block of samples
+_BLOCK = 1 << 15  # orbit entries (samples x horizon) per block: see the module docstring
 _EAR_ONSET = 8  # the least m whose row counts toward prop_ear_bound_check's verdict
 
 
@@ -302,7 +306,9 @@ def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int,
     in blocks of about _BLOCK entries: max(1, _BLOCK // width) orbits, with
     width the horizon for a call that reads a matrix over n (``dense``) and
     for doubling samples (ints, one view a block), else the backend's
-    memory per row, ``row_entries``."""
+    memory per row, ``row_entries``. 2**15 keeps the kernel's planes above
+    numpy's short-loop length and temporaries under the 4 MB mmap threshold
+    (not glibc's 128 KB default)."""
     _keep_freed_heap()
     start = orbit_backend(sys, horizon)
     samples = (_sample_start(start, master_seed, i) for i in range(M))
@@ -505,6 +511,9 @@ def boshernitzan_scan(sys: SystemSpec, alphas: Sequence[float],
     the lower medians."""
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha must be positive")
+    labels = [f"{a:g}" for a in alphas]  # the report's keys
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"alphas share the label {max(labels, key=labels.count)}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("need checkpoints, each >= 1")
@@ -530,8 +539,7 @@ def boshernitzan_scan(sys: SystemSpec, alphas: Sequence[float],
                 "checkpoints": checkpoints, "samples": M,
                 "master_seed": master_seed, "weighted": False},
         results={"checkpoints": checkpoints,
-                 "medians": {f"{alpha:g}": [float(v) for v in lower_medians[ai]]
-                             for ai, alpha in enumerate(alphas)}},
+                 "medians": {a: [float(v) for v in m] for a, m in zip(labels, lower_medians)}},
         verdict="reported",
         runtime_seconds=time.monotonic() - t0,
     )

@@ -234,6 +234,20 @@ class TestOptions:
                      "--checkpoints", "10", "--samples", "20", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("alphas", ["1,1.0000001", "1,1"])
+    def test_alphas_with_one_label_are_refused(self, alphas, tmp_path, capsys):
+        # the report keys its medians by f"{alpha:g}": one key would hold one series
+        out = tmp_path / "out"
+        assert main(["orbit", "--system", "doubling", "--scan-alphas", alphas,
+                     "--checkpoints", "5,10", "--samples", "3", "--out", str(out)]) == 1
+        assert "error: alphas share the label 1" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nexperiment = boshernitzan\nsystem = doubling\n"
+                       f"alphas = {alphas}\ncheckpoints = 5,10\nsamples = 3\nout = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("system, n", [("circle:5", "1"), ("doubling", "8")])
     def test_exact_piecewise_honours_the_arc_budget(self, system, n, tmp_path, capsys):
         # T^n has 5 and 256 branches, over the budget of 4

@@ -332,6 +332,24 @@ class TestBlockReductions:
             assert medians == pytest.approx(exact["orbit"].results["medians"][alpha],
                                             rel=1e-9, abs=1e-15)
 
+    def test_block_partition_moves_no_byte(self, monkeypatch):
+        # one row a block, the old budget, the module's, all M rows in one
+        # block; at 2**14 and 2**15 the doubling calls cut 150 rows differently
+        conv, div = PowerLaw(Fraction(1, 2), Fraction(2)), PowerLaw(Fraction(1, 2), Fraction(1))
+        runs = [
+            lambda: rio_dichotomy(DOUBLING, conv, div, 3, 500, 150, 5),
+            lambda: recurrence_measure_scan(DOUBLING, QUARTER, 300, 150, 5),
+            lambda: ear_truncated_measure(DOUBLING, PowerLaw(1, 1), 3, 400, 150, 5),
+            lambda: boshernitzan_scan(DOUBLING, [1.0, 2.0], [5, 30, 300], 150, 5),
+            lambda: rio_truncated_measure(parse_system("beta:golden"), conv, 3, 100, 100, 5),
+            lambda: rio_truncated_measure(parse_system("circle:3"), conv, 3, 100, 100, 5),
+        ]
+        reports = []
+        for size in (1, 1 << 14, experiments._BLOCK, 1 << 40):
+            monkeypatch.setattr(experiments, "_BLOCK", size)
+            reports.append([run().to_json_bytes() for run in runs])
+        assert reports[1:] == reports[:1] * 3
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("checkpoints, M", [([0, 10], 20), ([], 20), ([10], 0)])
