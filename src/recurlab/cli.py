@@ -335,27 +335,23 @@ def cmd_nt(args) -> int:
         if wrong:
             m, n = wrong[0]
             failure = f"gcd(a^m - 1, a^n - 1) != a^gcd(m, n) - 1 at a={a}, m={m}, n={n}"
-    elif args.kind == "lattice":
-        lat = number_theory.scalar_lattice(args.a, args.m, args.n)
-        brute = number_theory.scalar_lattice_bruteforce(args.a, args.m, args.n, args.bound)
+    else:  # a solution lattice; the scalar one is the 1x1 matrix lattice
+        if args.kind == "lattice":
+            lat = number_theory.scalar_lattice(args.a, args.m, args.n)
+            brute = number_theory.scalar_lattice_bruteforce(args.a, args.m, args.n, args.bound)
+            payload = {"a": args.a, "m": args.m, "n": args.n, "p": lat.p,
+                       "generator": [lat.k0, lat.l0]}
+        else:
+            rows = tuple(tuple(int(v) for v in row.split(",")) for row in args.matrix.split(";"))
+            lat = number_theory.matrix_lattice(rows, args.m, args.n)
+            brute = number_theory.matrix_lattice_bruteforce(rows, args.m, args.n, args.box)
+            payload = {"B": [list(r) for r in rows], "m": args.m, "n": args.n,
+                       "p": lat.p, "K_gen": [list(r) for r in lat.K_gen],
+                       "L_gen": [list(r) for r in lat.L_gen]}
         complete = all(lat.solve_j(k, l) is not None for k, l in brute)
-        payload = {"a": args.a, "m": args.m, "n": args.n, "p": lat.p,
-                   "generator": [lat.k0, lat.l0],
-                   "bruteforce_solutions": len(brute),
-                   "bruteforce_complete": complete}
-    else:  # matrix-lattice
-        rows = tuple(tuple(int(v) for v in row.split(",")) for row in args.matrix.split(";"))
-        lat = number_theory.matrix_lattice(rows, args.m, args.n)
-        brute = number_theory.matrix_lattice_bruteforce(rows, args.m, args.n, args.box)
-        complete = all((j := lat.solve_j(k)) is not None and lat.pair(j)[1] == l
-                       for k, l in brute)
-        payload = {"B": [list(r) for r in rows], "m": args.m, "n": args.n,
-                   "p": lat.p, "K_gen": [list(r) for r in lat.K_gen],
-                   "L_gen": [list(r) for r in lat.L_gen],
-                   "bruteforce_solutions": len(brute),
-                   "bruteforce_complete": complete}
-    if payload.get("bruteforce_complete") is False:
-        failure = f"the {args.kind} generators miss a brute-force solution"
+        payload.update(bruteforce_solutions=len(brute), bruteforce_complete=complete)
+        if not complete:
+            failure = f"the {args.kind} generators miss a brute-force solution"
     atomic_write(os.path.join(args.out, f"nt_{args.kind}.json"),
                  experiments.canonical_json(payload))
     print(json.dumps(payload, sort_keys=True))

@@ -1,24 +1,25 @@
 """Arithmetic behind the exact correlation estimates.
 
 Three ingredients: the gcd identity gcd(a^m - 1, a^n - 1) = a^gcd(m,n) - 1,
-the integer solution lattices of k(a^m - 1) + l(a^n - 1) = 0 and of its
-matrix analogue (B^m - I)k = (B^n - I)l, and the Bezout-polynomial identity
-u(x)(1 + ... + x^(m-1)) + v(x)(1 + ... + x^(n-1)) = 1 for coprime m, n that
-underlies the matrix lattice proof.
+the integer solution lattice of (B^m - I)k = (B^n - I)l, whose 1x1 case
+B = (a) is k(a^m - 1) + l(a^n - 1) = 0 with l negated, and the
+Bezout-polynomial identity u(x)(1 + ... + x^(m-1)) + v(x)(1 + ... + x^(n-1))
+= 1 for coprime m, n that underlies the lattice proof.
 
 Integer matrices are numpy ``object`` arrays of Python ints, as in
 ``dynamics``: ``@`` and ``np.linalg.matrix_power`` on them stay exact at
-any size, and solving over the rationals uses Fractions. The lattices keep
-their generators as tuples. Brute-force enumerators double as completeness
-oracles in the tests.
+any size, and A x = b is solved in the integers by the cofactor
+adjugate, det(A) x = adj(A) b. The lattice keeps its generators as
+tuples. Brute-force enumerators double as completeness oracles in the
+tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product, zip_longest
+from functools import cached_property
+from itertools import islice, product, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -44,72 +45,6 @@ def gcd_mersenne(a: int, m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scalar solution lattice
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarLattice:
-    """All integer solutions of k(a^m - 1) + l(a^n - 1) = 0.
-
-    They form the rank-1 lattice {(k0*j, l0*j) : j integer} with primitive
-    generator k0 = (a^n - 1)/(a^p - 1), l0 = -(a^m - 1)/(a^p - 1), where
-    p = gcd(m, n) so the common factor a^p - 1 is exactly the gcd.
-    """
-
-    a: int
-    m: int
-    n: int
-    p: int
-    k0: int
-    l0: int
-
-    def pair(self, j: int) -> tuple[int, int]:
-        return (self.k0 * j, self.l0 * j)
-
-    def is_solution(self, k: int, l: int) -> bool:
-        return k * (self.a ** self.m - 1) + l * (self.a ** self.n - 1) == 0
-
-    def solve_j(self, k: int, l: int) -> int | None:
-        """The j with (k, l) = (k0*j, l0*j), or None if off the lattice."""
-        if k % self.k0 != 0:
-            return None
-        j = k // self.k0
-        return j if self.l0 * j == l else None
-
-
-def scalar_lattice(a: int, m: int, n: int) -> ScalarLattice:
-    if a < 2:
-        raise ValueError(f"base must be >= 2, got {a}")
-    if m == n:
-        raise ValueError("degenerate equation: m and n must differ")
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
-    p = math.gcd(m, n)
-    g = a ** p - 1
-    k0 = (a ** n - 1) // g
-    l0 = -((a ** m - 1) // g)
-    lat = ScalarLattice(a, m, n, p, k0, l0)
-    assert lat.is_solution(k0, l0)
-    return lat
-
-
-def scalar_lattice_bruteforce(a: int, m: int, n: int, bound: int) -> list[tuple[int, int]]:
-    """All (k, l) with |k|, |l| <= bound solving k(a^m-1) + l(a^n-1) = 0."""
-    if 2 * bound + 1 > 10 ** 6:
-        raise ValueError(f"brute-force bound {bound} too large")
-    A = a ** m - 1
-    B = a ** n - 1
-    out = []
-    for k in range(-bound, bound + 1):
-        num = -k * A
-        if num % B == 0:
-            l = num // B
-            if abs(l) <= bound:
-                out.append((k, l))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Bezout polynomials for geometric sums
 # ---------------------------------------------------------------------------
 
@@ -131,11 +66,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
     return poly_trim(np.convolve(np.array(p, object), np.array(q, object)))
-
-
-def poly_shift(p: Poly, d: int) -> Poly:
-    """Multiply by x^d."""
-    return poly_trim((0,) * d + tuple(p)) if p else ()
 
 
 def geometric_sum_poly(m: int) -> Poly:
@@ -164,7 +94,7 @@ def bezout_polynomials(m: int, n: int) -> tuple[Poly, Poly]:
             v, u = descend(n, m)
             return (u, v)
         u, v = descend(m - n, n)
-        return (u, poly_add(v, tuple(-c for c in poly_shift(u, m - n))))
+        return (u, poly_add(v, (0,) * (m - n) + tuple(-c for c in u)))
 
     u, v = descend(m, n)
     check = poly_add(poly_mul(u, geometric_sum_poly(m)), poly_mul(v, geometric_sum_poly(n)))
@@ -180,8 +110,8 @@ def bezout_polynomials(m: int, n: int) -> tuple[Poly, Poly]:
 def mat_det(A: Matrix):
     """Exact determinant by cofactor expansion (matrices here are tiny)."""
     d = len(A)
-    if d == 1:
-        return A[0][0]
+    if d == 0:
+        return 1
     total = 0
     for col in range(d):
         sub = tuple(tuple(r[c] for c in range(d) if c != col) for r in A[1:])
@@ -190,22 +120,15 @@ def mat_det(A: Matrix):
     return total
 
 
-def solve_exact(A: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve A x = b over the rationals (Gaussian elimination); None if singular."""
+def _adjugate(A) -> tuple[np.ndarray, int]:
+    """adj(A) and det(A), with adj(A) @ A = det(A) I: when det(A) != 0,
+    A x = b has an integer solution exactly when det(A) divides every
+    entry of adj(A) b, and the quotient is that solution."""
+    A = tuple(map(tuple, A))
     d = len(A)
-    aug = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(row[-1] for row in aug)
+    adj = [[(-1) ** (i + j) * mat_det([r[:i] + r[i + 1:] for r in A[:j] + A[j + 1:]])
+            for j in range(d)] for i in range(d)]
+    return np.array(adj, object), mat_det(A)
 
 
 def check_no_root_of_unity(B: Matrix) -> None:
@@ -217,14 +140,15 @@ def check_no_root_of_unity(B: Matrix) -> None:
     """
     d = len(B)
     B = np.array(B, object)
-    I = np.identity(d, object)
+    I = Bq = np.identity(d, object)
     for q in range(1, 2 * d * d + 1):
-        if mat_det(np.linalg.matrix_power(B, q) - I) == 0:
+        Bq = Bq @ B
+        if mat_det(Bq - I) == 0:
             raise RootOfUnityError(q)
 
 
 # ---------------------------------------------------------------------------
-# Matrix solution lattice
+# Solution lattice, with the scalar form as its 1x1 case
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -243,23 +167,26 @@ class MatrixLattice:
     K_gen: Matrix
     L_gen: Matrix
 
-    @property
-    def d(self) -> int:
-        return len(self.B)
-
     def pair(self, j: Sequence[int]) -> tuple[Vector, Vector]:
-        return tuple(tuple(np.array(G, object) @ j) for G in (self.K_gen, self.L_gen))
+        return tuple(tuple((np.array(G, object) @ j).tolist()) for G in (self.K_gen, self.L_gen))
 
     def is_solution(self, k: Sequence[int], l: Sequence[int]) -> bool:
         Am, An = _powers_less_identity(np.array(self.B, object), self.m, self.n)
         return np.array_equal(Am @ k, An @ l)
 
-    def solve_j(self, k: Sequence[int]) -> Vector | None:
-        """The integer j with k = K_gen j, or None if there is none."""
-        x = solve_exact(self.K_gen, k)
-        if x is None or any(f.denominator != 1 for f in x):
+    def solve_j(self, k: Sequence[int], l: Sequence[int] | None = None) -> Vector | None:
+        """The integer j with k = K_gen j (and l = L_gen j, if l is given),
+        or None if there is none."""
+        adj, det = self._k_inverse
+        det_j = (adj @ k).tolist()
+        if any(v % det for v in det_j):
             return None
-        return tuple(int(f) for f in x)
+        j = tuple(v // det for v in det_j)
+        return j if l is None or self.pair(j)[1] == tuple(l) else None
+
+    @cached_property
+    def _k_inverse(self) -> tuple[np.ndarray, int]:
+        return _adjugate(self.K_gen)
 
 
 def _powers_less_identity(B: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,20 +223,62 @@ def matrix_lattice(B, m: int, n: int) -> MatrixLattice:
 def matrix_lattice_bruteforce(B, m: int, n: int, box: int) -> list[tuple[Vector, Vector]]:
     """All (k, l) with entries in [-box, box] solving (B^m - I)k = (B^n - I)l.
 
-    Enumerates k only and solves for l exactly, so the work is (2box+1)^d,
-    not squared.
+    Enumerates k only: with A = B^n - I, l = adj(A)(B^m - I)k / det(A), so
+    all k of the box take one product and one divisibility test by det(A),
+    and the work is (2box+1)^d, not squared.
     """
     B = tuple(tuple(int(v) for v in row) for row in B)
     d = len(B)
     if (2 * box + 1) ** d > 10 ** 6:
         raise ValueError(f"box {box} too large for dimension {d}")
     Am, An = _powers_less_identity(np.array(B, object), m, n)
-    out = []
-    for k in product(range(-box, box + 1), repeat=d):
-        l = solve_exact(An, Am @ k)
-        if l is None or any(f.denominator != 1 for f in l):
-            continue
-        l = tuple(int(f) for f in l)
-        if all(abs(v) <= box for v in l):
-            out.append((k, l))
+    adj, det = _adjugate(An)
+    if det == 0:  # B^n fixes a vector: some eigenvalue is a root of unity
+        check_no_root_of_unity(B)
+    box_vectors, out = product(range(-box, box + 1), repeat=d), []
+    while chunk := list(islice(box_vectors, 1 << 14)):  # 2^14 k at a time: small temporaries
+        k = np.array(chunk, object)
+        det_l = k @ (adj @ Am).T
+        solved = ~(det_l % det).any(axis=1)
+        k, l = k[solved], det_l[solved] // det
+        inside = (abs(l) <= box).all(axis=1)
+        out += zip(map(tuple, k[inside].tolist()), map(tuple, l[inside].tolist()))
     return out
+
+
+@dataclass(frozen=True)
+class ScalarLattice:
+    """All integer solutions of k(a^m - 1) + l(a^n - 1) = 0, read off the
+    1x1 ``MatrixLattice`` of B = (a) with l negated: {(k0*j, l0*j)} with
+    k0 = (a^n - 1)/(a^p - 1), l0 = -(a^m - 1)/(a^p - 1) and p = gcd(m, n)."""
+
+    lattice: MatrixLattice
+    p: int
+    k0: int
+    l0: int
+
+    def pair(self, j: int) -> tuple[int, int]:
+        (k,), (l,) = self.lattice.pair((j,))
+        return k, -l
+
+    def is_solution(self, k: int, l: int) -> bool:
+        return self.lattice.is_solution((k,), (-l,))
+
+    def solve_j(self, k: int, l: int) -> int | None:
+        """The j with (k, l) = (k0*j, l0*j), or None if off the lattice."""
+        j = self.lattice.solve_j((k,), (-l,))
+        return None if j is None else j[0]
+
+
+def scalar_lattice(a: int, m: int, n: int) -> ScalarLattice:
+    if a < 2:
+        raise ValueError(f"base must be >= 2, got {a}")
+    lat = matrix_lattice(((a,),), m, n)
+    return ScalarLattice(lat, lat.p, lat.K_gen[0][0], -lat.L_gen[0][0])
+
+
+def scalar_lattice_bruteforce(a: int, m: int, n: int, bound: int) -> list[tuple[int, int]]:
+    """All (k, l) with |k|, |l| <= bound solving k(a^m-1) + l(a^n-1) = 0."""
+    if 2 * bound + 1 > 10 ** 6:
+        raise ValueError(f"brute-force bound {bound} too large")
+    return [(k, -l) for (k,), (l,) in matrix_lattice_bruteforce(((a,),), m, n, bound)]

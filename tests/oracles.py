@@ -9,12 +9,14 @@ integer tuples; ``assert_same_text`` compares long texts without pytest's
 line-by-line diff. ``ExactOrbit`` steps a rational
 orbit by the system's own ``apply`` and decides d_n < r_n in ``Fraction``s
 or mpmath, with no float band and none of ``Radii``' decision code.
+``lattice_pairs`` finds the solutions of (B^m - I)k = (B^n - I)l by
+testing the equation on every pair (k, l) of a box, with no solve.
 """
 
 import hashlib
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import mpmath
 import numpy as np
@@ -224,3 +226,26 @@ def _below(d: Fraction, seq, n: int) -> bool:
         return d < r
     with mpmath.workprec(d.denominator.bit_length() + 64):
         return mpmath.mpf(d.numerator) / d.denominator < seq.mp(n)
+
+
+def lattice_pairs(B, m: int, n: int, box: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (k, l) with entries in [-box, box] and (B^m - I)k = (B^n - I)l,
+    in the order of k then l: both sides are evaluated on every vector of
+    the box and compared for every pair, (2box+1)^(2d) comparisons."""
+    d = len(B)
+
+    def power_less_identity(e: int) -> list[list[int]]:
+        P = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(e):
+            P = [[sum(P[i][t] * B[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+        return [[P[i][j] - (i == j) for j in range(d)] for i in range(d)]
+
+    def image(A, v) -> tuple[int, ...]:
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+    Am, An = power_less_identity(m), power_less_identity(n)
+    box_vectors = list(product(range(-box, box + 1), repeat=d))
+    lhs = [image(Am, k) for k in box_vectors]
+    rhs = [image(An, l) for l in box_vectors]
+    return [(k, l) for k, left in zip(box_vectors, lhs)
+            for l, right in zip(box_vectors, rhs) if left == right]

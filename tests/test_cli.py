@@ -355,14 +355,13 @@ class TestEndToEnd:
         payload = json.loads((tmp_path / "nt_matrix-lattice.json").read_bytes())
         assert payload["bruteforce_complete"] is True
 
-    @pytest.mark.parametrize("argv,lattice", [
-        (["lattice", "--a", "2", "--m", "4", "--n", "2", "--bound", "100"],
-         number_theory.ScalarLattice),
-        (["matrix-lattice", "--matrix", "1,1;1,0", "--m", "3", "--n", "2", "--box", "4"],
-         number_theory.MatrixLattice),
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--a", "2", "--m", "4", "--n", "2", "--bound", "100"],
+        ["matrix-lattice", "--matrix", "1,1;1,0", "--m", "3", "--n", "2", "--box", "4"],
     ])
-    def test_nt_incomplete_bruteforce_exits_2(self, tmp_path, monkeypatch, capsys,
-                                              argv, lattice):
+    def test_nt_incomplete_bruteforce_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # both kinds decide completeness by the one MatrixLattice.solve_j
+        lattice = number_theory.MatrixLattice
         solve_j = lattice.solve_j
         missed = []
 
@@ -413,6 +412,22 @@ class TestEndToEnd:
     def test_nt_matrix_is_refused(self, matrix, problem, tmp_path, capsys):
         code = main(["nt", "matrix-lattice", "--matrix", matrix, "--m", "4", "--n", "2",
                      "--box", "3", "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {problem}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,problem", [
+        (["--a", "1", "--m", "4", "--n", "2"], "base must be >= 2, got 1"),
+        (["--a", "-2", "--m", "4", "--n", "2"], "base must be >= 2, got -2"),
+        (["--a", "2", "--m", "3", "--n", "3"], "degenerate equation: m and n must differ"),
+        (["--a", "2", "--m", "0", "--n", "2"], "exponents must be positive"),
+        (["--a", "2", "--m", "4", "--n", "2", "--bound", "500000"],
+         "brute-force bound 500000 too large"),
+    ])
+    def test_nt_lattice_is_refused(self, argv, problem, tmp_path, capsys):
+        code = main(["nt", "lattice", *argv, "--out", str(tmp_path)])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""

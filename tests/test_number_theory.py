@@ -20,6 +20,7 @@ from recurlab.number_theory import (
     scalar_lattice,
     scalar_lattice_bruteforce,
 )
+from oracles import lattice_pairs
 
 FIBONACCI = ((1, 1), (1, 0))
 
@@ -118,6 +119,23 @@ class TestMatrixLattice:
                     j = lat.solve_j(k)
                     assert j is not None, (m, n, k, l)
                     assert lat.pair(j) == (k, l)
+
+    @pytest.mark.parametrize("B,box", [(((3,),), 20), (((-2,),), 20), (FIBONACCI, 4),
+                                       (((0, 1, 0), (0, 0, 1), (1, 1, 0)), 2)])
+    def test_bruteforce_solves_the_equation_itself(self, B, box):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                if m != n:
+                    want = lattice_pairs(B, m, n, box)
+                    assert matrix_lattice_bruteforce(B, m, n, box) == want, (m, n)
+
+    def test_bruteforce_needs_an_invertible_b_n_less_identity(self):
+        B = ((2, 0), (3, -1))  # eigenvalue -1: B^n - I is singular for even n only
+        for m, n in [(2, 1), (2, 3), (4, 3)]:
+            assert matrix_lattice_bruteforce(B, m, n, 3) == lattice_pairs(B, m, n, 3)
+        # B^2 fixes (0, 1), so k = 0 pairs with every l = (0, t): no finite list is complete
+        with pytest.raises(RootOfUnityError, match=r"\(order 2\)"):
+            matrix_lattice_bruteforce(B, 3, 2, 3)
 
     def test_generated_pairs_solve_equation(self):
         lat = matrix_lattice(FIBONACCI, 4, 2)
