@@ -348,7 +348,7 @@ def cmd_nt(args) -> int:
             payload = {"B": [list(r) for r in rows], "m": args.m, "n": args.n,
                        "p": lat.p, "K_gen": [list(r) for r in lat.K_gen],
                        "L_gen": [list(r) for r in lat.L_gen]}
-        complete = all(lat.solve_j(k, l) is not None for k, l in brute)
+        complete = lat.contains(*zip(*brute))  # brute holds (0, 0) at least
         payload.update(bruteforce_solutions=len(brute), bruteforce_complete=complete)
         if not complete:
             failure = f"the {args.kind} generators miss a brute-force solution"
@@ -425,6 +425,16 @@ def _reject_unused(args, mode: str, *options: str) -> None:
         args.parser.error(f"{mode} does not use {', '.join(unused)}")
 
 
+def _at_least(least: int):
+    """An int option's type: a value below ``least`` runs over nothing."""
+    def check(text: str) -> int:
+        if (v := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {v}")
+        return v
+    check.__name__ = "int"  # so a non-integer still reads "invalid int value"
+    return check
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every command, built once per process."""
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density-csv", dest="density_csv", default=None)
     p.add_argument("--series-seq", dest="series_seq", default=None,
                    help="also evaluate the return-ball summability series")
-    p.add_argument("--terms", type=int, default=50, action=_Noted)
+    p.add_argument("--terms", type=_at_least(1), default=50, action=_Noted)
     common(p)
     p.set_defaults(func=cmd_ulam)
 
@@ -491,21 +501,21 @@ def build_parser() -> argparse.ArgumentParser:
     ntsub = p.add_subparsers(dest="kind", required=True)
     g = ntsub.add_parser("gcd")
     g.add_argument("--a", type=int, required=True)
-    g.add_argument("--max", type=int, default=12)
+    g.add_argument("--max", type=_at_least(1), default=12)
     common(g)
     g.set_defaults(func=cmd_nt)
     g = ntsub.add_parser("lattice")
     g.add_argument("--a", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--bound", type=int, default=50)
+    g.add_argument("--bound", type=_at_least(0), default=50)
     common(g)
     g.set_defaults(func=cmd_nt)
     g = ntsub.add_parser("matrix-lattice")
     g.add_argument("--matrix", required=True, help="rows 'a,b;c,d'")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--box", type=int, default=5)
+    g.add_argument("--box", type=_at_least(0), default=5)
     common(g)
     g.set_defaults(func=cmd_nt)
 
@@ -524,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--x", default="1/3", action=_Noted,
                    help="start point: one coordinate, or d comma-separated on a d-torus")
-    p.add_argument("--steps", type=int, default=64, action=_Noted)
+    p.add_argument("--steps", type=_at_least(0), default=64, action=_Noted)
     p.add_argument("--scan-alphas", dest="scan_alphas", default=None,
                    help="run the minimal-weighted-distance scan for these alphas")
     p.add_argument("--checkpoints", default="100,1000,10000", action=_Noted)

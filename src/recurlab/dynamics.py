@@ -319,8 +319,8 @@ class _Modular(_Lattice):
     eps_k + 3 2**-54. A segment's end jumps X to A**K X mod S (A**K built
     once)."""
 
-    def __init__(self, sys: SystemSpec, A, B, S: int, horizon: int):
-        self.A, self.B, self.S, self.torus = A, B, S, isinstance(sys, ToralLinear)
+    def __init__(self, A, B, S: int, horizon: int):
+        self.A, self.B, self.S, self.torus = A, B, S, len(A) > 1
         G = max(sum(map(abs, row)) for row in A)
         self.segment = _segment(G, (len(A) + 1) * Fraction(2) ** (G.bit_length() - 53), horizon)
         self.Af = np.array(A, float)
@@ -424,29 +424,27 @@ def _lattice(sys: SystemSpec, horizon: int) -> tuple[int, int, _Modular | _Affin
     distances S * d(T^n x, x), n = 1..n_hi, of the orbit's start X0 / S (a
     tuple of coordinates on the torus); ``walk`` is the orbits' family.
 
-    P keeps about 128 random bits to the horizon: an even slope a sheds
-    v2(a) low bits a step (v2(det A) on the torus, since the gcd of each row
-    of A^n divides det A^n; the largest v2 of a slope numerator for a
-    map with affine branches). The branches of ``as_piecewise`` (piecewise
+    P keeps about 128 random bits to the horizon: an integer matrix A (a
+    circle map is A = (a)) sheds v2(det A) low bits a step, since the gcd of
+    each row of A^n divides det A^n; a map with affine branches, the largest
+    v2 of a slope numerator. The branches of ``as_piecewise`` (piecewise
     maps, rational beta-maps) take S = 2**P * q**horizon * L_b, q and L_b
     of their ``integer_branches``, so every slope divides exactly and every
     branch end is an integer over S."""
-    if isinstance(sys, ToralLinear):
-        P = 128 + horizon * _v2(mat_det(sys.A))
-        return P, 1 << P, _Modular(sys, sys.A, (0,) * len(sys.A), 1 << P, horizon)
-    if not isinstance(sys, (IntegerCircleMap, Rotation)):  # affine branches
+    if isinstance(sys, (ToralLinear, IntegerCircleMap)):  # a circle map is A = (a)
+        A = sys.A if isinstance(sys, ToralLinear) else ((sys.a,),)
+        P = 128 + horizon * _v2(mat_det(A))
+        return P, 1 << P, _Modular(A, (0,) * len(A), 1 << P, horizon)
+    if not isinstance(sys, Rotation):  # affine branches
         pw = sys.as_piecewise()
         P = 128 + horizon * max(_v2(b.slope.numerator) for b in pw.branches)
         q, Lb, *_ = pw.integer_branches
         S = (q ** horizon * Lb) << P
         return P, S, _Affine(pw, S, horizon)
-    if isinstance(sys, IntegerCircleMap):
-        P = 128 + horizon * _v2(sys.a)
-        return P, 1 << P, _Modular(sys, ((sys.a,),), (0,), 1 << P, horizon)
     if (alpha := sys.alpha.exact()) is None:
         raise ValueError(f"{sys.describe()} has no lattice orbit")
     S = alpha.denominator << 128  # x -> x + alpha mod 1 is X -> X + alpha S mod S
-    return 128, S, _Modular(sys, ((1,),), (alpha.numerator << 128,), S, horizon)
+    return 128, S, _Modular(((1,),), (alpha.numerator << 128,), S, horizon)
 
 
 class LatticeOrbit(_Stepped):
@@ -653,7 +651,6 @@ class DyadicOrbitView:
         if P < horizon + _W:
             raise PrecisionBudgetError(horizon + _W, P)
         self.P = P
-        self.horizon = horizon
         one = isinstance(X0, int)
         self.starts = [x % (1 << P) for x in ([X0] if one else X0)]
         self._rows = 0 if one else slice(None)  # one start: its row, 1-D
@@ -786,11 +783,11 @@ def orbit_backend(sys: SystemSpec, horizon: int
         P = 256
     else:
         P, S, walk = _lattice(sys, horizon)
-        unit, d, torus = S >> P, sys.d, isinstance(sys, ToralLinear)
+        unit, d = S >> P, sys.d
 
         def start(seed: int, i: int) -> LatticeOrbit:
             X = [sample_bits(seed, i * d + c, P) * unit for c in range(d)]
-            return LatticeOrbit(S, walk, horizon, tuple(X) if torus else X[0])
+            return LatticeOrbit(S, walk, horizon, tuple(X) if d > 1 else X[0])
         return start
     walk = _Quadratic(sys, P, horizon)
     return lambda seed, i: FixedPointOrbit(sys, sample_bits(seed, i, P), P, horizon, walk=walk)

@@ -40,7 +40,7 @@ from .circle import (
     scaled_measure,
 )
 from .errors import ArcBudgetExceeded, BranchBudgetExceeded
-from .systems import PiecewiseLinear, SystemSpec, uses_circle_metric
+from .systems import IntegerCircleMap, PiecewiseLinear, SystemSpec, uses_circle_metric
 
 DEFAULT_ARC_BUDGET = 1 << 22
 _BLOCK = 1 << 14  # entries per block of an array pass on object integers
@@ -108,12 +108,6 @@ class EarTruncationResult:
 # Scaled-arc generation for circle maps
 # ---------------------------------------------------------------------------
 
-def _check_multiplier(a: int) -> int:
-    if abs(a) < 2:
-        raise ValueError(f"multiplier must satisfy |a| >= 2, got {a}")
-    return a
-
-
 def _check_radius(r, upper=Fraction(1, 2)) -> Fraction:
     """r as a Fraction in [0, upper]; EAR radii take upper = inf."""
     r = Fraction(r)
@@ -175,7 +169,7 @@ def build_recurrence_set(
     arcs it builds fit the budget: M + 1 (the arc at 0 in two halves), or
     one when 2r = 1 makes E_n the whole circle.
     """
-    _check_multiplier(a)
+    IntegerCircleMap(a)  # refuses |a| < 2
     r = _check_radius(r)
     M = _fixed_point_count(a, n)
     measure = 2 * r
@@ -326,7 +320,7 @@ def _en_intersection_measure(a: int, i: int, j: int, r_i: Fraction, r_j: Fractio
 def pair_correlation(a: int, i: int, j: int, r_i, r_j) -> PairCorrelation:
     """Exact mu(E_i ∩ E_j), its excess over mu(E_i)mu(E_j), and the
     2*a^(2p-(i+j)) bound with p = gcd(i, j)."""
-    _check_multiplier(a)
+    IntegerCircleMap(a)  # refuses |a| < 2
     if i == j:
         raise ValueError("pair correlation needs distinct indices i != j")
     if min(i, j) < 1:
@@ -368,7 +362,7 @@ def petrov_profile(
     liminf S_N/R_N <= 0 is the quasi-independence criterion forcing
     mu(limsup E_n) >= 1/H.
     """
-    _check_multiplier(a)
+    IntegerCircleMap(a)  # refuses |a| < 2
     H = Fraction(H)
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1:
@@ -503,7 +497,7 @@ def build_ear_sets(
     E_{k,m} has measure 2 r_m, so mu(C_m) <= 2 m r_m; the complement bound
     mu(complement of C_m) >= 1 - 2 m r_m follows.
     """
-    _check_multiplier(a)
+    IntegerCircleMap(a)  # refuses |a| < 2
     if m < 1:
         raise ValueError("m must be >= 1")
     (r,) = _radii(seq, [m], math.inf)
@@ -530,7 +524,7 @@ def ear_truncated_A(
     measure at every truncation. Each step builds only the arcs of C_m that
     meet the running intersection, so ``arc_budget`` caps that count per m.
     """
-    _check_multiplier(a)
+    IntegerCircleMap(a)  # refuses |a| < 2
     if not 1 <= n0 <= M:
         raise ValueError("need 1 <= n0 <= M")
     radii = _radii(seq, range(n0, M + 1), math.inf)

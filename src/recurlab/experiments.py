@@ -36,14 +36,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
 
 from .circle import EarRadius, RadiusSequence
-from .dynamics import DyadicOrbitView, orbit_backend
+from .dynamics import _W, DyadicOrbitView, orbit_backend
 from .exact_sets import DEFAULT_ARC_BUDGET, build_ear_sets, ear_truncated_A
 from .systems import SystemSpec
 
@@ -53,7 +53,6 @@ from .dynamics import _exact_step, point_distance, sample_bits  # noqa: F401
 
 SCHEMA_VERSION = 1
 _Z95 = 1.959963984540054
-_W64 = 64
 _SLACK = 4  # uncertainty band (in 2**-64 ulps) of windowed distances
 _REL = 2.0 ** -40  # stated bound on |RadiusSequence.approx(n) - r_n| / r_n
 _TINY = 2.0 ** -1000  # below this, approx may be subnormal: no relative bound
@@ -220,8 +219,8 @@ class Radii:
     def band64(self) -> tuple[np.ndarray, np.ndarray]:
         """The band at S = 2**64, widened by the windows' _SLACK, as uint64:
         a 64-bit distance below lo is surely < r_n, one above hi surely not."""
-        lo, hi = (np.floor(b * 2.0 ** _W64) for b in self.bounds)
-        top = np.nextafter(2.0 ** _W64, 0)  # the largest float below 2**64
+        lo, hi = (np.floor(b * 2.0 ** _W) for b in self.bounds)
+        top = np.nextafter(2.0 ** _W, 0)  # the largest float below 2**64
         return (np.clip(lo - _SLACK, 0, top).astype(np.uint64),
                 np.clip(hi + _SLACK, 0, top).astype(np.uint64))
 
@@ -303,20 +302,22 @@ def _keep_freed_heap() -> None:
 def _sample_blocks(sys: SystemSpec, horizon: int, M: int, master_seed: int,
                    dense: bool = False):
     """Samples 0..M-1 of the orbit backend of ``sys`` over ``horizon`` steps,
-    in blocks of about _BLOCK entries: max(1, _BLOCK // width) orbits, with
-    width the horizon for a call that reads a matrix over n (``dense``) and
-    for doubling samples (ints, one view a block), else the backend's
-    memory per row, ``row_entries``. 2**15 keeps the kernel's planes above
-    numpy's short-loop length and temporaries under the 4 MB mmap threshold
-    (not glibc's 128 KB default)."""
+    in the fewest blocks of at most max(1, _BLOCK // width) orbits, sized
+    within one of each other (no short remainder): width is the horizon for
+    a call that reads a matrix over n (``dense``) and for doubling samples
+    (ints, one view a block), else the backend's memory per row,
+    ``row_entries``. 2**15 keeps the kernel's planes above numpy's
+    short-loop length and temporaries under the 4 MB mmap threshold."""
     _keep_freed_heap()
     start = orbit_backend(sys, horizon)
     samples = (_sample_start(start, master_seed, i) for i in range(M))
-    for first in samples:
+    for first in islice(samples, 1):  # M = 0 draws no block
         bits = isinstance(first, int)
-        rows = max(1, _BLOCK // (horizon if dense or bits else first.row_entries))
-        block = [first, *islice(samples, rows - 1)]
-        yield DyadicOrbitView(block, horizon + _W64, horizon) if bits else first.block(block)
+        count = -(-M // max(1, _BLOCK // (horizon if dense or bits else first.row_entries)))
+        rest = chain([first], samples)
+        for b in range(count):
+            block = list(islice(rest, M // count + (b < M % count)))
+            yield DyadicOrbitView(block, horizon + _W, horizon) if bits else first.block(block)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,8 @@ def _rio_estimates(sys: SystemSpec, tables: Sequence[Radii], M: int, master_seed
                    ) -> list[tuple[int, float, tuple[float, float]]]:
     """(hits, estimate, Wilson interval) of each radius table (all over one
     index range [k, N]), from one pass over the samples."""
+    if M < 100:
+        raise ValueError("need at least 100 samples")
     hits = [0] * len(tables)
     for block in _sample_blocks(sys, tables[0].n_hi, M, master_seed):
         for j, hit in enumerate(block.any_below_each(tables)):
@@ -366,8 +369,6 @@ def rio_truncated_measure(sys: SystemSpec, seq: RadiusSequence, k: int, N: int,
                           M: int, master_seed: int = 0) -> ExperimentReport:
     """Monte Carlo estimate of mu({x : some n in [k, N] has
     d(T^n x, x) < r_n}), the window truncation of the infinitely-often set."""
-    if M < 100:
-        raise ValueError("need at least 100 samples")
     if not 1 <= k <= N:
         raise ValueError("need 1 <= k <= N")
     t0 = time.monotonic()

@@ -184,6 +184,14 @@ class MatrixLattice:
         j = tuple(v // det for v in det_j)
         return j if l is None or self.pair(j)[1] == tuple(l) else None
 
+    def contains(self, k: Sequence, l: Sequence) -> bool:
+        """Whether each (k[i], l[i]) is (K_gen j, L_gen j) for an integer j:
+        one product of adj(K_gen) with all k, one of L_gen with all j."""
+        k, l = (np.array(v, object).reshape(len(v), len(self.B)) for v in (k, l))
+        (adj, det), L = self._k_inverse, np.array(self.L_gen, object)
+        det_j = k @ adj.T
+        return not (det_j % det).any() and np.array_equal(det_j // det @ L.T, l)
+
     @cached_property
     def _k_inverse(self) -> tuple[np.ndarray, int]:
         return _adjugate(self.K_gen)
@@ -268,6 +276,9 @@ class ScalarLattice:
         """The j with (k, l) = (k0*j, l0*j), or None if off the lattice."""
         j = self.lattice.solve_j((k,), (-l,))
         return None if j is None else j[0]
+
+    def contains(self, k: Sequence[int], l: Sequence[int]) -> bool:  # l negated, as in solve_j
+        return self.lattice.contains(k, [-v for v in l])
 
 
 def scalar_lattice(a: int, m: int, n: int) -> ScalarLattice:

@@ -108,6 +108,8 @@ def _rational(sys, c: IrrationalConstant) -> Fraction:
 
 
 class _System:
+    d = 1  # the dimension of the phase space; ToralLinear overrides it
+
     def as_piecewise(self) -> PiecewiseLinear:
         """The map as expanding affine branches with rational data on [0, 1),
         for exact branch composition. A map without them refuses here."""
@@ -184,10 +186,6 @@ class PiecewiseLinear(_System):
             raise ConfigError(problems)
 
     @property
-    def d(self) -> int:
-        return 1
-
-    @property
     def integer_branches(self) -> tuple[int, int, int, list[tuple[int, int, int, int]]]:
         """(q, L_b, m, branches): q the lcm of the slope and intercept
         denominators, L_b that of the branch ends, each branch (B_lo, B_hi,
@@ -228,10 +226,6 @@ class IntegerCircleMap(_System):
         if abs(self.a) < 2:
             raise ValueError(f"multiplier must satisfy |a| >= 2, got {self.a}")
 
-    @property
-    def d(self) -> int:
-        return 1
-
     def apply(self, x: Fraction) -> Fraction:
         y = self.a * Fraction(x)
         return y - math.floor(y)
@@ -259,10 +253,6 @@ class BetaMap(_System):
         object.__setattr__(self, "beta", IrrationalConstant.parse(self.beta))
         if float(self.beta) <= 1:
             raise NonExpandingSystemError(f"beta must exceed 1, got {self.beta.label}")
-
-    @property
-    def d(self) -> int:
-        return 1
 
     def apply(self, x: Fraction) -> Fraction:
         """beta x mod 1 exactly, for a rational beta and x in [0, 1)."""
@@ -324,10 +314,6 @@ class Rotation(_System):
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", IrrationalConstant.parse(self.alpha))
-
-    @property
-    def d(self) -> int:
-        return 1
 
     def apply(self, x: Fraction) -> Fraction:
         """x + alpha mod 1 exactly, for a rational alpha."""

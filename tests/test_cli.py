@@ -52,6 +52,13 @@ class TestSystemParsing:
         with pytest.raises(ConfigError):
             parse_system("henon:1.4,0.3")
 
+    @pytest.mark.parametrize("spec, d", [
+        ("doubling", 1), ("beta:golden", 1), ("rotation:5/17", 1),
+        ("piecewise:0,1/2,2,0;1/2,1,2,-1", 1), ("toral:2,1;1,1", 2),
+    ])
+    def test_dimension(self, spec, d):
+        assert parse_system(spec).d == d
+
 
 class TestSequenceParsing:
     def test_powerlaw(self):
@@ -360,18 +367,19 @@ class TestEndToEnd:
         ["matrix-lattice", "--matrix", "1,1;1,0", "--m", "3", "--n", "2", "--box", "4"],
     ])
     def test_nt_incomplete_bruteforce_exits_2(self, tmp_path, monkeypatch, capsys, argv):
-        # both kinds decide completeness by the one MatrixLattice.solve_j
+        # both kinds decide completeness by the one MatrixLattice.contains;
+        # the first brute-force k is paired with the second l, which is off
+        # the lattice (l is a one-to-one function of k), so one solution is missed
         lattice = number_theory.MatrixLattice
-        solve_j = lattice.solve_j
+        contains = lattice.contains
         missed = []
 
-        def solve_j_missing_one(self, *args):
-            if not missed:
-                missed.append(args)
-                return None
-            return solve_j(self, *args)
+        def contains_missing_one(self, k, l):
+            assert l[0] != l[1]
+            missed.append((k[0], l[0]))
+            return contains(self, k, [l[1], *l[1:]])
 
-        monkeypatch.setattr(lattice, "solve_j", solve_j_missing_one)
+        monkeypatch.setattr(lattice, "contains", contains_missing_one)
         code = main(["nt", *argv, "--out", str(tmp_path)])
         assert code == 2
         assert missed
@@ -432,6 +440,50 @@ class TestEndToEnd:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {problem}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["nt", "gcd", "--a", "2", "--max", "0"],
+        ["nt", "lattice", "--a", "2", "--m", "1", "--n", "2", "--bound", "-1"],
+        ["nt", "matrix-lattice", "--matrix", "2,1;1,1", "--m", "2", "--n", "1", "--box", "-1"],
+        ["ulam", "--system", "doubling", "--bins", "16", "--series-seq", "powerlaw:1,2",
+         "--terms", "0"],
+        ["orbit", "--system", "doubling", "--steps", "-3"],
+    ])
+    def test_options_that_run_over_nothing_are_refused(self, argv, tmp_path, capsys):
+        # each wrote a report over no case, solution, term or step
+        option, value = argv[-2:]
+        least = 1 if option in ("--max", "--terms") else 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        prog = " ".join(argv[:2] if argv[0] == "nt" else argv[:1])
+        assert out == "" and err.startswith(f"usage: recurlab {prog} [-h]")
+        assert err.endswith(f"recurlab {prog}: error: argument {option}: "
+                            f"must be >= {least}, got {value}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, written, line", [
+        (["nt", "lattice", "--a", "2", "--m", "1", "--n", "2", "--bound", "0"],
+         "nt_lattice.json", '  "bruteforce_solutions": 1,'),
+        (["nt", "matrix-lattice", "--matrix", "2,1;1,1", "--m", "2", "--n", "1", "--box", "0"],
+         "nt_matrix-lattice.json", '  "bruteforce_solutions": 1,'),
+        (["nt", "gcd", "--a", "2", "--max", "1"], "nt_gcd.json", '  "cases": 1,'),
+        (["orbit", "--system", "doubling", "--steps", "0"], "orbit.csv", "0,0.333333333333333,0"),
+    ])
+    def test_the_least_accepted_value_runs(self, argv, written, line, tmp_path):
+        # the start alone: k = l = 0, one (m, n) case, the trace's first row
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert line in (tmp_path / written).read_text().splitlines()
+
+    @pytest.mark.parametrize("conv", [[], ["--seq-conv", "powerlaw:1,2"]])
+    def test_rio_needs_100_samples_in_both_forms(self, conv, tmp_path, capsys):
+        # the dichotomy once wrote a passing report over 10 samples
+        code = main(["rio", "--system", "doubling", "--seq", "powerlaw:1,1", *conv,
+                     "--k", "2", "--N", "50", "--M", "10", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: need at least 100 samples\n")
         assert not list(tmp_path.iterdir())
 
     def test_petrov_json(self, tmp_path):

@@ -32,6 +32,20 @@ def exact_orbit_point(a: int, n: int, x: Fraction) -> Fraction:
     return (a ** n * x) % 1
 
 
+@pytest.mark.parametrize("a", [1, 0, -1])
+@pytest.mark.parametrize("build", [
+    lambda a: build_recurrence_set(a, 3, Fraction(1, 12)),
+    lambda a: pair_correlation(a, 2, 3, Fraction(1, 8), Fraction(1, 8)),
+    lambda a: petrov_profile(a, PowerLaw(Fraction(1, 4), Fraction(1)), [4], 1),
+    lambda a: build_ear_sets(a, 4, EarRadius(Fraction(1))),
+    lambda a: ear_truncated_A(a, 2, 4, PowerLaw(Fraction(1), Fraction(1))),
+], ids=["recurrence_set", "pair_correlation", "petrov_profile", "ear_sets", "ear_truncated_A"])
+def test_every_entry_point_refuses_a_multiplier_below_two(build, a):
+    with pytest.raises(ValueError) as exc:
+        build(a)
+    assert str(exc.value) == f"multiplier must satisfy |a| >= 2, got {a}"
+
+
 class TestRecurrenceSet:
     def test_doubling_n2_explicit(self):
         res = build_recurrence_set(2, 2, Fraction(1, 10))

@@ -155,6 +155,29 @@ class TestMatrixLattice:
                 assert j is not None
                 assert mat.pair(j) == ((k,), (-l,))
 
+    @pytest.mark.parametrize("B,box", [(((3,),), 40), (((-2,),), 40), (FIBONACCI, 5),
+                                       (((0, 1, 0), (0, 0, 1), (1, 1, 0)), 3)])
+    def test_contains_checks_every_pair_at_once(self, B, box):
+        # B^m - I is invertible, so moving one k or one l of a solution takes
+        # it off the lattice, and the whole stack fails, as solve_j says
+        for m, n in [(4, 2), (3, 1), (1, 3)]:
+            lat = matrix_lattice(B, m, n)
+            k, l = map(list, zip(*matrix_lattice_bruteforce(B, m, n, box)))
+            assert len(k) > 1 and lat.contains(k, l)
+            e1 = (1,) + (0,) * (len(B) - 1)
+            for i in range(len(k)):
+                moved = tuple(map(sum, zip(k[i], e1)))
+                assert lat.solve_j(moved, l[i]) is None
+                assert not lat.contains(k[:i] + [moved] + k[i + 1:], l)
+                assert not lat.contains(k, l[:i] + [tuple(map(sum, zip(l[i], e1)))] + l[i + 1:])
+
+    def test_scalar_contains_negates_l(self):
+        lat = scalar_lattice(2, 4, 2)
+        k, l = map(list, zip(*scalar_lattice_bruteforce(2, 4, 2, 100)))
+        assert lat.contains(k, l)
+        assert not lat.contains(k, [-v for v in l])
+        assert not lat.contains(k, l[:-1] + [l[-1] + 1])
+
     def test_root_of_unity_rejected(self):
         rotation90 = ((0, -1), (1, 0))
         with pytest.raises(RootOfUnityError):
