@@ -99,8 +99,8 @@ def merge_scaled_arcs(arcs: np.ndarray, L: int) -> np.ndarray:
         hi = np.concatenate((hi[~out], np.minimum(hi_o, L), hi_o[wrap] - L))
     order = lo.argsort(kind="stable")
     lo, reach = lo[order], np.maximum.accumulate(hi[order])
-    starts = np.flatnonzero(lo[1:] > reach[:-1]) + 1
-    return np.stack((lo[np.r_[0, starts]], reach[np.r_[starts - 1, len(lo) - 1]]), axis=1)
+    last = np.flatnonzero(np.append(lo[1:] > reach[:-1], True))  # each run's last arc
+    return np.stack((lo[np.concatenate(([0], last[:-1] + 1))], reach[last]), axis=1)
 
 
 def scaled_measure(arcs: np.ndarray) -> int:

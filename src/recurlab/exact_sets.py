@@ -2,20 +2,23 @@
 
 For the circle map T x = a x mod 1 the set E_n is a union of |a^n - 1| arcs
 of radius r/(a^n - 1) centered at the fixed points j/(a^n - 1) of T^n, so
-mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact. Arc
-endpoints, and the branches of T^n of a piecewise-affine map, are integers
-over one scale known in advance; arcs are (n, 2) integer arrays in the
-dtype of ``circle.arc_dtype`` (int64 below the scale 2^62, Python ints
-above), and `Fraction`s appear only in measures and the text form. E_n's
+mu(E_n) = 2r exactly whenever r <= 1/2. Everything here is exact. The arc
+ends of E_n, and the branches of T^n of a piecewise-affine map, are
+integers over one scale known in advance, in (n, 2) arrays of the dtype of
+``circle.arc_dtype`` (int64 below the scale 2^62, Python ints above). E_n's
 arcs come from one ``np.arange`` of its centres. Overlaps mu(E_i ∩ E_j)
 come in closed form from the gcd identity gcd(a^i - 1, a^j - 1) =
 |a^gcd(i,j) - 1|, without building any arc. One builder makes the
 eventually-always covers C_m: it builds only those arcs of C_m that meet a
 given set (the whole circle for C_m alone, the running intersection for
-A_{n0,M}) and counts only the arcs it builds, so a radius of 0 or at least
-1/2 builds none. It finds the centre indices of those arcs in float64,
-within a proven error bound, and takes exact integer division wherever the
-bound leaves the floor in doubt.
+A_{n0,M}), finding their centres in float64 within a proven error bound,
+with exact integer division where the bound leaves the floor in doubt,
+and counts only the arcs it builds, so a radius of 0 or at least 1/2
+builds none. Its arc ends are rationals p/q, q = den(r_m) M_k, in int64
+arrays while they fit, each with a float64 key p/q rounded once. Past the
+scale 2^62, covers meet the running set on the ranks of those keys, and
+Python ints hold only settled ties, exact index bounds, the measures' one
+product per q and materialised sets.
 
 Hard budgets replace silent truncation: a computation that would need more
 arcs or composed branches than allowed raises, naming the limit.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -398,10 +401,10 @@ def _ear_denominator(a: int, m: int, dens: Iterable[int]) -> int:
     ))
 
 
-# The float index t = fl(fl(x_f * M_k) -+ fl(r)) of _ear_scaled_cover, with
-# u = 2^-53, x = lo/L in [0, 1] and M_k exact in float64. x_f = x (1 + d)
-# with |d| <= 3.01 u: Python's int division rounds once, numpy's on int64
-# rounds lo, L and the quotient. d moves x M_k by at most 3.01 u M_k, the
+# The float index t = fl(fl(x_f * M_k) -+ fl(r)) of _ear_cover, with
+# u = 2^-53, x in [0, 1] a near-arc end and M_k exact in float64. x_f = x (1 + d)
+# with |d| <= 3.01 u: a key p/q rounds once, numpy's division of an int64 lo
+# by L rounds lo, L and the quotient. d moves x M_k by at most 3.01 u M_k, the
 # product's rounding by u M_k (1 + 3.01 u), fl(r) by u r and the last
 # rounding by u (M_k + r)(1 + 4.02 u), so |t - (x M_k -+ r)| <=
 # 5.1 u M_k + 2.1 u r, which is below 2^-50 (M_k + 1). Twice that is the
@@ -422,45 +425,69 @@ def _certified(t: np.ndarray, bound: np.ndarray, rounded, exact, dtype) -> np.nd
     return out
 
 
-def _ear_scaled_cover(
-    a: int, m: int, r: Fraction, L: int, near: np.ndarray, arc_budget: int
-) -> np.ndarray:
-    """The arcs of C_m = union over k <= m of E_{k,m} (radius r) that meet an
-    arc of ``near`` (a canonical scaled arc array), merged, so that
-    intersecting them with ``near`` gives near ∩ C_m; near = [(0, L)] gives
-    C_m itself. r = 0 builds no arc, and for 2r >= 1 C_m is the whole
-    circle, so ``near`` comes back as it is.
+class _Ends(NamedTuple):
+    """Arcs with rational ends: row i is [p[i, 0]/q[i, 0], p[i, 1]/q[i, 1]),
+    and ``key`` holds each p/q in float64; ``q`` may be one scale L."""
 
-    The arc of E_{k,m} centred at c*sp (sp = L/M_k, w = r*sp) meets
-    [lo, hi) iff x*M_k - r < c < y*M_k + r, with x = lo/L and y = hi/L.
-    x and y go to float64 once per call; the index bounds are a few float
-    operations on a (k, near arc) grid, taken max(1, 2^14/len(near)) rows
-    of k at a time, within a proven bound of their exact values
-    (``_INDEX_ERR``). A bound with an integer within that error, and every
-    bound once M_k reaches 2^40, takes exact floor division instead. The
-    indices are int64 when 4|a|^m < 2^63, as each lies in [0, M_k + 1] and
-    a block counts at most the sum of M_k + 2. Only the endpoints c*sp -+ w
-    of the centres found are built, in the array dtype, from one
-    ``repeat``. Indices outside [0, M_k) name the same arcs mod L;
-    merge_scaled_arcs folds them back. ``arc_budget`` caps the arcs built.
+    p: np.ndarray
+    q: np.ndarray | int
+    key: np.ndarray
+
+    @staticmethod
+    def of(p: np.ndarray, q: np.ndarray) -> "_Ends":
+        """Ends p/q with |p| < 2q, each key rounded once: numpy divides the
+        operands it holds exactly (below 2^53), Python's ints correctly."""
+        q = np.broadcast_to(q, p.shape)
+        if p.dtype != object and q.max(initial=0) < 2**52:
+            return _Ends(p, q, p / q)
+        return _Ends(p, q, (p.astype(object) / q.astype(object)).astype(float))
+
+    def scaled(self, L: int) -> np.ndarray:
+        """The ends as integers over L, a multiple of every q."""
+        return np.asarray(self.p, arc_dtype(L)) * (L // np.asarray(self.q, arc_dtype(L)))
+
+    def measure(self, L: int) -> int:
+        """L times the measure, exactly: -p_lo and p_hi summed over each q,
+        in int64 while no sum can overflow, then one product by L/q each."""
+        q, at = np.unique(self.q, return_inverse=True)
+        s = np.zeros(len(q), _int_dtype(self.q.size * int(self.q.max(initial=0))))
+        np.add.at(s, at.ravel(), (self.p * [-1, 1]).ravel())
+        return sum(int(v) * (L // int(d)) for v, d in zip(s.tolist(), q.tolist()) if v)
+
+
+def _ear_cover(a: int, m: int, r: Fraction, near: _Ends, arc_budget: int) -> _Ends:
+    """The arcs of C_m = union over k <= m of E_{k,m} (radius r) that meet an
+    arc of ``near`` (ends in [0, 1]), unmerged, with rational ends: the arc
+    centred at c/M_k is [p_lo/q, p_hi/q) with q = den(r)*M_k and p = c*den(r)
+    -+ num(r), so |p| < 2q; p and q are int64 while den(r)*(|a|^m + 2) <
+    2^63. r = 0 gives no arc, 2r >= 1 ``near`` itself.
+
+    That arc meets [x, y) iff x*M_k - r < c < y*M_k + r. These bounds are a
+    few float operations on the keys of ``near``, on a (k, near arc) grid
+    taken max(1, 2^14/len(near)) rows of k at a time, within a proven bound
+    of their exact values (``_INDEX_ERR``). A bound with an integer within
+    that error, and every bound once M_k reaches 2^40, is the exact floor of
+    (p*M_k*den(r) -+ num(r)*q)/(q*den(r)) for the end x = p/q, in Python
+    ints. The indices are int64 when 4|a|^m < 2^63, as each lies in
+    [0, M_k + 1] and a block counts at most the sum of M_k + 2.
     """
-    if r == 0:
-        return as_arcs((), L)
-    if 2 * r >= 1:
-        return near
-    dt, idx = arc_dtype(L), _int_dtype(4 * abs(a) ** m)
+    if r == 0 or 2 * r >= 1:
+        return near if r else _Ends.of(near.p[:0], near.p[:0] + 1)
+    idx, num, den = _int_dtype(4 * abs(a) ** m), r.numerator, r.denominator
     Ms = [_fixed_point_count(a, k) for k in range(1, m + 1)]
-    sp = np.array([L // M for M in Ms], dt)
-    w = r.numerator * (sp // r.denominator)
     Mf = np.array([float(min(M, _FLOAT_INDEX_MAX)) for M in Ms])[:, None]
     err = np.where(Mf < _FLOAT_INDEX_MAX, _INDEX_ERR * (Mf + 1), np.inf)  # inf: all exact
-    lo, hi = near[:, 0], near[:, 1]
-    x, y, rf = np.asarray(lo / L, float), np.asarray(hi / L, float), float(r)
-    step, picked, count = max(1, _BLOCK // max(1, len(near))), [], 0
+    x, y, rf = near.key[:, 0], near.key[:, 1], float(r)
+
+    def floor_at(i, j, col, s):  # floor(s*x*M_k - r) at the ends (j, col), exactly
+        p, q = (np.broadcast_to(v, near.p.shape)[j, col].astype(object) for v in near[:2])
+        return (s * p * np.array(Ms, object)[i] * den - num * q) // (q * den)
+
+    step, picked, count = max(1, _BLOCK // max(1, len(x))), [], 0
     for k0 in range(0, m, step):
         ks = slice(k0, k0 + step)
-        below = lambda i, j: (lo[j] - w[k0 + i]) // sp[k0 + i]  # floor(x M_k - r), exactly
-        above = lambda i, j: -((-w[k0 + i] - hi[j]) // sp[k0 + i])  # ceil(y M_k + r), exactly
+        below = lambda i, j: floor_at(k0 + i, j, 0, 1)  # floor(x M_k - r)
+        above = lambda i, j: -floor_at(k0 + i, j, 1, -1)  # ceil(y M_k + r)
         c0 = _certified(x * Mf[ks] - rf, err[ks], np.floor, below, idx) + 1
         c1 = _certified(y * Mf[ks] + rf, err[ks], np.ceil, above, idx)
         # centres below the previous arc's end are taken
@@ -471,14 +498,58 @@ def _ear_scaled_cover(
     if count > arc_budget:
         raise ArcBudgetExceeded(count, arc_budget)
     k, c0, n = (np.concatenate(p) for p in zip(*picked))
-    n = n.astype(np.int64)
-    k, arcs = np.repeat(k, n), np.empty((count, 2), dt)
-    # in place, so that only the endpoints are ever held as new integers
-    arcs[:, 0] = np.arange(count) + np.repeat(c0 - (np.cumsum(n) - n), n)
-    arcs[:, 0] *= sp[k]
-    arcs[:, 1] = arcs[:, 0] + w[k]
-    arcs[:, 0] -= w[k]
-    return merge_scaled_arcs(arcs, L)
+    n, dt = n.astype(np.int64), _int_dtype(den * (abs(a) ** m + 2))
+    c = (np.arange(count) + np.repeat(c0 - (np.cumsum(n) - n), n)).astype(dt)[:, None] * den
+    return _Ends.of(c + [-num, num], np.array(Ms, dt)[np.repeat(k, n), None] * den)
+
+
+def _ear_scaled_cover(
+    a: int, m: int, r: Fraction, L: int, near: np.ndarray, arc_budget: int
+) -> np.ndarray:
+    """The arcs of C_m that meet an arc of ``near``, a canonical scaled arc
+    array over L, merged: ``_ear_cover`` for the keys x = lo/L in float64,
+    its ends scaled to L (the arc at 0 wraps, and the merge folds it back).
+    With ``near`` they give near ∩ C_m; near = [(0, L)] gives C_m itself."""
+    cover = _ear_cover(a, m, r, _Ends(near, L, np.asarray(near / L, float)), arc_budget)
+    return merge_scaled_arcs(cover.scaled(L), L)
+
+
+def _ranks(p: np.ndarray, q: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integers that order the values p/q (flat arrays, |p| < 2q) as they
+    lie, equal values sharing one, and the index of a value for each.
+
+    The keys are sorted, and a greater key is a greater value, as rounding
+    is monotone. Values that round to one double d, |d| < 2, lie in its
+    rounding interval, at most ulp(d) <= 2^-52 wide, and p1/q1 != p2/q2
+    differ by at least 1/(q1*q2); so distinct values share a key only if
+    q1*q2 >= 2^52, which the float product then shows too. A run of equal
+    keys with two such neighbours (a run of two values has them) is sorted
+    by exact value, as ``Fraction``s; every q below 2^26 rules that out.
+    """
+    order = key.argsort()
+    new = np.concatenate(([True], np.diff(key[order]) != 0))
+    if q.max(initial=0) >= 2**26:
+        qf = q[order].astype(float)
+        ties = np.flatnonzero(~new[1:] & (qf[1:] * qf[:-1] >= 2.0**52)) + 1
+        runs = np.flatnonzero(np.append(new, True))
+        for g in np.unique(np.searchsorted(runs, ties, "right") - 1):
+            s, e = runs[g], runs[g + 1]
+            run = sorted((Fraction(int(p[j]), int(q[j])), j) for j in order[s:e])
+            order[s:e] = [j for _, j in run]
+            new[s + 1:e] = [u != v for (u, _), (v, _) in zip(run[1:], run)]
+    rank = np.empty(len(key), np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
+
+
+def _meet(cur: _Ends, cover: _Ends) -> _Ends:
+    """cur ∩ (the union of the arcs of ``cover``), by ``merge_scaled_arcs``
+    and ``intersect_scaled_arcs`` on the ``_ranks`` of all their ends."""
+    p, q, key = (np.concatenate((u.ravel(), v.ravel())) for u, v in zip(cover, cur))
+    rank, rep = _ranks(p, q, key)
+    union = merge_scaled_arcs(rank[:cover.p.size].reshape(-1, 2), len(rep))
+    i = rep[intersect_scaled_arcs(rank[cover.p.size:].reshape(-1, 2), union)]
+    return _Ends(p[i], q[i], key[i])
 
 
 def build_ear_sets(
@@ -492,8 +563,8 @@ def build_ear_sets(
     """C_m = {x : some iterate T^k x, k <= m, lies within r_m of x}, exactly,
     with ``n`` = m in the result.
 
-    ``_ear_scaled_cover`` builds it near the whole circle, so ``arc_budget``
-    caps the arcs that it builds: none when r_m = 0 or 2 r_m >= 1. Each
+    ``_ear_cover`` builds it near the whole circle, so ``arc_budget`` caps
+    the arcs that it builds: none when r_m = 0 or 2 r_m >= 1. Each
     E_{k,m} has measure 2 r_m, so mu(C_m) <= 2 m r_m; the complement bound
     mu(complement of C_m) >= 1 - 2 m r_m follows.
     """
@@ -502,10 +573,16 @@ def build_ear_sets(
         raise ValueError("m must be >= 1")
     (r,) = _radii(seq, [m], math.inf)
     L = _ear_denominator(a, m, [r.denominator])
-    scaled = _ear_scaled_cover(a, m, r, L, as_arcs((0, L), L), arc_budget)
-    iset = IntervalSet.from_scaled(L, scaled) if materialize else None
-    return RecurrenceSetResult(m, r, iset, Fraction(scaled_measure(scaled), L),
-                               _circle_arc_count(scaled, L))
+    if arc_dtype(L) is object:  # rational ends, merged on their ranks
+        one = _Ends.of(np.array([[0, 1]]), np.array([[1, 1]]))
+        c = _meet(one, _ear_cover(a, m, r, one, arc_budget))
+        arcs, measure = c.scaled(L) if materialize else None, c.measure(L)
+        count = len(c.p) - int(len(c.p) > 1 and c.p[0, 0] == 0 and c.p[-1, 1] == c.q[-1, 1])
+    else:
+        arcs = _ear_scaled_cover(a, m, r, L, as_arcs((0, L), L), arc_budget)
+        measure, count = scaled_measure(arcs), _circle_arc_count(arcs, L)
+    iset = IntervalSet.from_scaled(L, arcs) if materialize else None
+    return RecurrenceSetResult(m, r, iset, Fraction(measure, L), count)
 
 
 def ear_truncated_A(
@@ -523,18 +600,23 @@ def ear_truncated_A(
     is non-increasing and upper-bounds the eventually-always limit set's
     measure at every truncation. Each step builds only the arcs of C_m that
     meet the running intersection, so ``arc_budget`` caps that count per m.
+    The running set is int64 arcs over L below the scale 2^62, else ``_Ends``.
     """
     IntegerCircleMap(a)  # refuses |a| < 2
     if not 1 <= n0 <= M:
         raise ValueError("need 1 <= n0 <= M")
     radii = _radii(seq, range(n0, M + 1), math.inf)
     L = _ear_denominator(a, M, {r.denominator for r in radii})
-    cur = as_arcs((0, L), L)
+    ints = arc_dtype(L) is np.int64
+    cur = as_arcs((0, L), L) if ints else _Ends.of(np.array([[0, 1]]), np.array([[1, 1]]))
     profile = []
     for m, r in enumerate(radii, n0):
-        cur = intersect_scaled_arcs(cur, _ear_scaled_cover(a, m, r, L, cur, arc_budget))
-        profile.append((m, Fraction(scaled_measure(cur), L)))
-        if len(cur) == 0:
+        if ints:
+            cur = intersect_scaled_arcs(cur, _ear_scaled_cover(a, m, r, L, cur, arc_budget))
+        else:
+            cur = _meet(cur, _ear_cover(a, m, r, cur, arc_budget))
+        profile.append((m, Fraction(scaled_measure(cur) if ints else cur.measure(L), L)))
+        if profile[-1][1] == 0:
             break
-    iset = IntervalSet.from_scaled(L, cur) if materialize else None
+    iset = IntervalSet.from_scaled(L, cur if ints else cur.scaled(L)) if materialize else None
     return EarTruncationResult(n0, M, iset, profile[-1][1], tuple(profile))

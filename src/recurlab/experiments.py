@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .circle import EarRadius, RadiusSequence
+from .circle import EarRadius, PowerLaw, RadiusSequence
 from .dynamics import _W, DyadicOrbitView, orbit_backend
 from .exact_sets import DEFAULT_ARC_BUDGET, build_ear_sets, ear_truncated_A
 from .systems import SystemSpec
@@ -156,11 +156,19 @@ def write_tsv(fileobj, columns: Sequence[str], rows: Sequence[Sequence]) -> int:
 
 def scaled_radius(seq: RadiusSequence, n: int, S: int) -> int:
     """The largest integer below r_n * S, so that an integer D is below r_n * S
-    exactly when D <= it: floor(r_n * S) for an irrational r_n. Integer
-    arithmetic for a rational r_n, mpmath otherwise."""
+    exactly when D <= it: floor(r_n * S) for an irrational r_n. In integers for
+    a rational r_n and for kappa n^(-u/v), whose t >= 0 lies below r_n S iff
+    t^v n^u den(kappa)^v < num(kappa)^v S^v (a v-th root); mpmath otherwise."""
     e = seq.exact(n)
     if e is not None:
         return (e.numerator * S - 1) // e.denominator
+    if isinstance(seq, PowerLaw):
+        (u, v), (kn, kd) = seq.gamma.as_integer_ratio(), seq.kappa.as_integer_ratio()
+        X = (kn**v * S**v * n ** max(-u, 0) - 1) // (kd**v * n ** max(u, 0))
+        t = 1 << -(-X.bit_length() // v)  # floor(X^(1/v)), by Newton's method from above
+        while t and (s := ((v - 1) * t + X // t ** (v - 1)) // v) < t:
+            t = s
+        return t
     with mpmath.workprec(S.bit_length() + 48):
         return int(mpmath.ceil(seq.mp(n) * S)) - 1
 
@@ -186,8 +194,8 @@ class Radii:
     against ``scaled_radius`` when E leaves no doubt, else from exact floors
     of the distance at growing scales; mpmath runs only for those. Both
     stepped backends stream their distances into ``decide``; the shift
-    windows read ``band64``. Each table counts its ``gray`` entries and the
-    ``mp`` resolutions among them."""
+    windows read ``band64``. Each table counts its ``gray`` entries and, as
+    ``mp``, those at an irrational radius."""
 
     def __init__(self, seq: RadiusSequence, n_lo: int, n_hi: int):
         self.seq, self.n_lo, self.n_hi = seq, n_lo, n_hi

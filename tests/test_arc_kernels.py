@@ -5,7 +5,8 @@ Merge, intersect and the eventually-always cover run as array passes on
 Each is checked against the per-arc loop it replaced, on arcs that wrap,
 touch and overlap, at a scale of each dtype; the cover also at the float
 index boundary (near-arc ends that put x*M_k -+ r exactly on an integer)
-and past the float range, where every index is exact.
+and past the float range, where every index is exact. Rational ends p/q
+are ordered by float keys, and by exact integers where two keys tie.
 """
 
 import math
@@ -29,6 +30,9 @@ from recurlab.exact_sets import (
     _FLOAT_INDEX_MAX,
     _ear_denominator,
     _ear_scaled_cover,
+    _Ends,
+    _meet,
+    _ranks,
     build_recurrence_set,
 )
 
@@ -186,3 +190,25 @@ def test_gcd_with_equals_np_gcd(L, data):
     fixed = [0, 1, L - 1, L, R, 2 * R, L - R] + [L // d * k for d in range(1, 40) for k in (1, 2)]
     e = np.array(fixed + data.draw(st.lists(st.integers(0, L))), dtype)
     assert np.array_equal(gcd_with(L, dtype)(e), np.gcd(e, dtype(L)))
+
+
+def test_equal_keys_are_settled_exactly():
+    # p1/q1 - p2/q2 = 1/(q1*q2) with q1*q2 >= 2^53: two values, one key
+    q1, q2, p1, p2 = 134217729, 134217746, 118427408, 118427423
+    assert p1 / q1 == p2 / q2 and Fraction(p2, q2) < Fraction(p1, q1)
+    assert q1 * q2 >= 2**53
+    # p2/q2 again, over 3*q2
+    p, q = np.array([p1, p2, 3 * p2]), np.array([q1, q2, 3 * q2])
+    rank, rep = _ranks(p, q, p / q)
+    assert rank.tolist() == [1, 0, 0] and len(rep) == 2
+
+    def ends(*arcs):  # arcs as ((p_lo, q_lo), (p_hi, q_hi))
+        return _Ends.of(*(np.array([[lo[i], hi[i]] for lo, hi in arcs]) for i in (0, 1)))
+
+    whole, L = ends(((0, 1), (1, 1))), 3 * q1 * q2
+    overlap = _meet(whole, ends(((0, 1), (p1, q1)), ((p2, q2), (1, 1))))
+    assert overlap.p.tolist() == [[0, 1]] and overlap.measure(L) == L
+    gap = _meet(whole, ends(((0, 1), (p2, q2)), ((p1, q1), (1, 1))))
+    assert gap.p.tolist() == [[0, p2], [p1, 1]] and gap.measure(L) == L - 3
+    touching = _meet(whole, ends(((0, 1), (p2, q2)), ((3 * p2, 3 * q2), (1, 1))))
+    assert touching.p.tolist() == [[0, 1]] and touching.measure(L) == L

@@ -815,3 +815,31 @@ def test_lattice_segment_bound_holds_against_the_fraction_orbit(spec, K):
     for o, floats in zip(orbits, d.T.tolist()):
         assert all(abs(Fraction(f) - v) <= bound for f, v in zip(floats, exact_distances(o, sys, K)))
 
+
+
+@pytest.mark.parametrize("S", (1 << 64, 1 << 128, 1 << 300))
+@pytest.mark.parametrize("kappa, gamma", [(Fraction(3, 7), Fraction(1, 2)),
+                                          (Fraction(1), Fraction(3, 2)),
+                                          (Fraction(5, 4), Fraction(2, 3)),
+                                          (Fraction(1, 3), Fraction(-1, 2))])
+def test_power_law_floor_is_an_integer_root(S, kappa, gamma):
+    # t = scaled_radius is the largest t with t^v n^u den^v < num^v S^v for
+    # r_n = kappa n^(-u/v) irrational, found without mpmath
+    seq = PowerLaw(kappa, gamma)
+    (u, v), (kn, kd) = gamma.as_integer_ratio(), kappa.as_integer_ratio()
+
+    def below(t, n):  # t < r_n * S, in integers
+        return t ** v * kd ** v * n ** max(u, 0) < kn ** v * S ** v * n ** max(-u, 0)
+
+    for n in (2, 3, 5, 10, 99):
+        assert seq.exact(n) is None
+        t = experiments.scaled_radius(seq, n, S)
+        assert below(t, n) and not below(t + 1, n)
+        with mpmath.workprec(S.bit_length() + 48):
+            assert t == int(mpmath.ceil(seq.mp(n) * S)) - 1
+
+
+def test_power_law_floor_takes_no_mpmath(monkeypatch):
+    seq = PowerLaw(Fraction(1), Fraction(1, 2))
+    monkeypatch.setattr(PowerLaw, "_mp", lambda self, n: pytest.fail("mpmath was called"))
+    assert experiments.scaled_radius(seq, 2, 1 << 64) == math.isqrt(1 << 127)

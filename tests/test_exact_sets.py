@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from recurlab.circle import (EarRadius, ExplicitTable, IntervalSet, PowerLaw, as_arcs,
-                             circle_dist)
+from recurlab.circle import (EarRadius, ExplicitTable, IntervalSet, PowerLaw, arc_dtype,
+                             as_arcs, circle_dist)
 from recurlab.cli import parse_system
 from recurlab.errors import ArcBudgetExceeded
 from recurlab.exact_sets import (
@@ -301,9 +301,11 @@ class TestEventuallyAlwaysSets:
     @pytest.mark.parametrize("a", [2, 3, -2])
     # every E_k has an arc at 0, and at 1/7 and 2/5 arcs of E_k and E_{k'}
     # overlap around other centres too; 0 gives no arc, and from 1/2 on
-    # every E_k is the whole circle
+    # every E_k is the whole circle; 1/(2^61 + 1) puts the scale past 2^62
+    # from m = 2 on, where the cover's ends are rationals merged on ranks
     @pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 50), Fraction(1, 7),
-                                   Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)])
+                                   Fraction(2, 5), Fraction(1, 2), Fraction(3, 5),
+                                   Fraction(1, 2**61 + 1)])
     def test_cover_equals_union_of_recurrence_sets(self, a, r):
         # the closed-form E_k joined by union_all is a construction of its own
         seq = ExplicitTable((r,) * 6)
@@ -379,6 +381,27 @@ class TestEventuallyAlwaysSets:
             assert dict(res.profile)[m] == acc.measure
         assert res.set == acc
         assert res.measure == acc.measure
+
+    @pytest.mark.parametrize("a, n0", [(2, 1), (3, 2), (-2, 1)])
+    @pytest.mark.parametrize("radii", [
+        # denominators near 2^13: the common scale passes 2^62 while each C_m
+        # alone is an int64 set over its own scale
+        tuple(Fraction(1024 // m, 8191 + 2 * m) for m in range(1, 8)),
+        # one radius over 2^61 + 1: every step meets ends of the same values
+        # over q past 2^26, whose equal keys are settled exactly
+        (Fraction(1, 2**61 + 1),) * 7,
+    ], ids=["spread", "repeated"])
+    def test_truncation_past_int64_matches_chained_covers(self, a, n0, radii):
+        # the running set has rational ends that meet each cover on their ranks
+        seq = ExplicitTable(radii)
+        dens = {seq.exact(m).denominator for m in range(n0, 8)}
+        assert arc_dtype(_ear_denominator(a, 7, dens)) is object
+        res = ear_truncated_A(a, n0, 7, seq)
+        acc = IntervalSet.full()
+        for m in range(n0, 8):
+            acc = acc.intersect(build_ear_sets(a, m, seq).set)
+            assert dict(res.profile)[m] == acc.measure
+        assert res.set == acc
 
     def test_zero_radius_empties_truncation(self):
         seq = ExplicitTable((Fraction(1, 4), Fraction(1, 8), Fraction(0), Fraction(1, 16)))

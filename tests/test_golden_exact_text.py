@@ -3,8 +3,10 @@
 Each case is pinned by the sha256 of what a user sees: the ``E_n:`` line
 that ``recurlab exact`` prints and the ``--set-out`` text, for several n at
 one radius; for the eventually-always sets, the measure, the profile and
-the ``to_text()`` of the materialised set. The digests were taken from the
-``Fraction`` arcs that the integer arcs replaced. The large sets span
+the ``to_text()`` of the materialised set; for ``ear --exact``, the bytes
+of its report. The digests were taken from the ``Fraction`` arcs that the
+integer arcs replaced, and the report digests from the integer arcs that
+the rational ends replaced. The large sets span
 several text blocks and each integer width of the text writer (scales
 below 2^32, below 2^64 and above); their digests were taken from the
 per-endpoint text writer that the array writer replaced.
@@ -194,6 +196,23 @@ EAR_GOLDEN = {
 }
 
 
+# ear --exact's report at the benchmark's shapes (n0, M), and at M = 19,
+# whose denominators q = den(r_m)*M_k reach 361*(2^19 - 1) > 2^26, past
+# which two distinct ends can share a float key
+EAR_EXACT_REPORTS = {
+    ("doubling", 4, 19):
+        "6332afef15a825e91786b97d33b605e61ac2221f5fb4b04ba42625fd0800de58",
+    ("doubling", 3, 16):
+        "bbdbccbe0f7be6967c0ca13d97e5bee1ad4d96bc086257b3f7b78b14cdfdbf23",
+    ("doubling", 4, 16):
+        "23552d28f6af2077e6e1086eab5f73b7c85f09dbd45b34ee8955545594ca2f92",
+    ("doubling", 5, 16):
+        "aae901f3d75b7b22084df821a87d4767b8b570959e779f8c223cb85b112d156f",
+    ("circle:3", 4, 9):
+        "c8f387ee68c3e654d3470715cf027cff0098b2131e8e67a09f25f2e6000c3b34",
+}
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("r", RADII)
 def test_exact_text_is_unchanged(name, r, tmp_path, capsys):
@@ -218,3 +237,12 @@ def test_large_exact_text_is_unchanged(name, tmp_path, capsys):
 @pytest.mark.parametrize("seq", EAR_SEQS)
 def test_ear_text_is_unchanged(a, seq):
     assert ear_digest(a, seq) == EAR_GOLDEN[(a, seq)]
+
+
+@pytest.mark.parametrize("system, n0, M", EAR_EXACT_REPORTS)
+def test_ear_exact_report_is_unchanged(system, n0, M, tmp_path):
+    argv = ["ear", "--exact", "--system", system, "--seq", "powerlaw:1,2",
+            "--n0", str(n0), "--M-horizon", str(M), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "ear_exact.json").read_bytes()).hexdigest()
+    assert digest == EAR_EXACT_REPORTS[(system, n0, M)]
